@@ -11,7 +11,7 @@ from .engine import (DominatingForm, FactoredRationalFunction, TaggedRoot,
 from .exact import ExactReal
 from .groups import (AdjoinedSurd, Cyclic, FormalInteger, FullRational,
                      GroupDescriptor, INFINITY, NEG_INF, POS_INF,
-                     PPowerDivisible, Value, compare)
+                     PPowerDivisible, Value)
 from .oracle import (CompositeField, ConcreteRationalFunction, FitOutcome,
                      PadicRationals, QtElement, cross_check, fit_pattern,
                      padic_valuation, sequence_configuration)

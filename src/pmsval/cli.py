@@ -76,8 +76,7 @@ def _rank_dict(result: ranktree.RankResult, E) -> dict:
         "leaf": result.trace.leaf.value if result.trace is not None else None,
     }
     if result.sup_or_inf is not None:
-        key = "sup" if E.kind is PmsKind.PCS else "inf"
-        out[key] = _supinf_dict(result.sup_or_inf)
+        out["sup" if E.sign > 0 else "inf"] = _supinf_dict(result.sup_or_inf)
     return out
 
 
@@ -118,10 +117,10 @@ def cmd_classify(problem: Problem) -> tuple[dict, int]:
         if E.prefix:
             report.setdefault("delta_prefix",
                               [jsonio.encode_value(v) for v in E.prefix])
-        report["is_cauchy"] = (sequences.is_cauchy(E)
-                               if E.kind is PmsKind.PCS else None)
-        report["diverges_to_infinity"] = (sequences.diverges_to_infinity(E)
-                                          if E.kind is PmsKind.PDS else None)
+        report["is_cauchy"] = report["diverges_to_infinity"] = None
+        if E.kind is not PmsKind.PCTS:
+            key = "is_cauchy" if E.sign > 0 else "diverges_to_infinity"
+            report[key] = sequences.cofinal(E)
         report["extension"] = _extension_dict(engine.extension_report(E))
     if kind is None and E is None:
         raise SchemaError("classify needs a configuration or a sequence")
@@ -165,14 +164,12 @@ def cmd_rank(problem: Problem, dot: Optional[str] = None) -> tuple[dict, int]:
 def cmd_sup(problem: Problem) -> tuple[dict, int]:
     E = _require(problem, "sequence")
     report: dict = {"command": "sup"}
-    if E.kind is PmsKind.PCS:
-        report["sup"] = _supinf_dict(sequences.sup_of(E))
-    elif E.kind is PmsKind.PDS:
-        report["inf"] = _supinf_dict(sequences.inf_of(E))
-    else:
+    if E.kind is PmsKind.PCTS:
         d = {"value": jsonio.encode_value(E.pcts_delta), "in_group": True}
-        report["sup"] = d
-        report["inf"] = d
+        report["sup"] = report["inf"] = d
+    else:
+        key = "sup" if E.sign > 0 else "inf"
+        report[key] = _supinf_dict(sequences.extremum(E))
     return report, EXIT_OK
 
 
@@ -214,18 +211,12 @@ def cmd_probe(problem: Problem,
     if probes_file:
         extra = _load_problem(probes_file)
         probes = extra.probes if extra.probes is not None else probes
-    probe_list = list(probes) if probes else ranktree.auto_probes(E)
-    if E.kind is PmsKind.PCS:
-        outcome = engine.check_pcs_equivalence_iii(E, result.alpha, probe_list,
-                                                   result.embed)
-        contract = "beta > alpha iff beta > every delta"
-    else:
-        outcome = engine.check_pds_equivalence_iii(E, result.alpha, probe_list,
-                                                   result.embed)
-        contract = "beta < alpha iff beta < every delta"
+    outcome = ranktree.check_alpha(
+        E, result, list(probes) if probes else ranktree.auto_probes(E))
+    past = ">" if E.sign > 0 else "<"
     report = {
         "command": "probe",
-        "contract": contract,
+        "contract": f"beta {past} alpha iff beta {past} every delta",
         "alpha": jsonio.encode_value(result.alpha),
         "holds": outcome.holds,
         "probes_checked": outcome.checked,

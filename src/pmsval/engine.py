@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import IndeterminateError, InvariantError, KindError
 from .groups import GroupDescriptor, INFINITY, Value, contains_embedded
+# The chain checkers live with the rank walk that verifies alpha; they are
+# re-exported here.
+from .ranktree import (RankResult, check_pcs_equivalence_iii,
+                       check_pds_equivalence_iii, rank_of_vE)
 from .sequences import (PmsDescriptor, PmsKind, UltrametricConfiguration,
-                        below_all_deltas, diverges_to_infinity,
-                        exceeds_all_deltas, is_cauchy)
+                        cofinal)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +71,20 @@ class FactoredRationalFunction:
             self.num_roots + other.num_roots,
             self.den_roots + other.den_roots)
 
+    def dominating_form(self) -> "DominatingForm":
+        """d = limit roots of the numerator minus the denominator (counted
+        with multiplicity); beta = lead value plus the non-limit distance
+        values, signed the same way."""
+        d = 0
+        beta = self.lead_value
+        for sign, roots in ((1, self.num_roots), (-1, self.den_roots)):
+            for root in roots:
+                if root.is_limit:
+                    d += sign * root.multiplicity
+                else:
+                    beta = beta + root.beta.scale(sign * root.multiplicity)
+        return DominatingForm(d, beta)
+
 
 @dataclass(frozen=True)
 class DominatingForm:
@@ -93,18 +110,9 @@ def _validate_tags(phi: FactoredRationalFunction, E: PmsDescriptor) -> None:
 
 def dominating_degree(phi: FactoredRationalFunction,
                       E: PmsDescriptor) -> DominatingForm:
-    """d = limit roots of the numerator minus the denominator (counted with
-    multiplicity); beta = lead value plus the non-limit distance values."""
+    """The dominating form of phi, once its tags are checked against E."""
     _validate_tags(phi, E)
-    d = 0
-    beta = phi.lead_value
-    for sign, roots in ((1, phi.num_roots), (-1, phi.den_roots)):
-        for root in roots:
-            if root.is_limit:
-                d += sign * root.multiplicity
-            else:
-                beta = beta + root.beta.scale(sign * root.multiplicity)
-    return DominatingForm(d, beta)
+    return phi.dominating_form()
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +131,7 @@ class InducedValue:
 
 
 def v_e(phi: FactoredRationalFunction, E: PmsDescriptor,
-        rank_result=None) -> InducedValue:
+        rank_result: Optional[RankResult] = None) -> InducedValue:
     """Value of phi under the induced valuation.
 
     Ultimately constant values land in the base group; otherwise the value
@@ -138,7 +146,6 @@ def v_e(phi: FactoredRationalFunction, E: PmsDescriptor,
     if form.degree == 0:
         return InducedValue(form.beta, True, True, form, False)
     if rank_result is None:
-        from .ranktree import rank_of_vE
         rank_result = rank_of_vE(E)
     if rank_result.alpha is None:
         raise IndeterminateError(
@@ -231,9 +238,9 @@ def classify_alpha_position(E: PmsDescriptor) -> AlphaPosition:
         raise KindError(
             "a pcs of transcendental type induces an immediate extension; "
             "there is no pair of definition to position")
-    if E.kind is PmsKind.PCS:
-        return AlphaPosition.ABOVE_ALL if is_cauchy(E) else AlphaPosition.INSIDE
-    return AlphaPosition.BELOW_ALL if diverges_to_infinity(E) else AlphaPosition.INSIDE
+    if not cofinal(E):
+        return AlphaPosition.INSIDE
+    return AlphaPosition.ABOVE_ALL if E.sign > 0 else AlphaPosition.BELOW_ALL
 
 
 def delta_of_polynomial(distances: Sequence[Value]) -> Value:
@@ -244,7 +251,7 @@ def delta_of_polynomial(distances: Sequence[Value]) -> Value:
 
 
 def root_distances(phi: FactoredRationalFunction, E: PmsDescriptor,
-                   rank_result=None) -> list[Value]:
+                   rank_result: Optional[RankResult] = None) -> list[Value]:
     """v_E(X - root) for each numerator root entry: alpha for limit roots,
     the ultimate distance beta otherwise."""
     if phi.den_roots:
@@ -258,7 +265,6 @@ def root_distances(phi: FactoredRationalFunction, E: PmsDescriptor,
         alpha = E.pcts_delta
     else:
         if rank_result is None and needs_alpha:
-            from .ranktree import rank_of_vE
             rank_result = rank_of_vE(E)
         if rank_result is not None:
             embed = rank_result.embed
@@ -272,48 +278,6 @@ def root_distances(phi: FactoredRationalFunction, E: PmsDescriptor,
         else:
             out.extend([embed(root.beta)] * root.multiplicity)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Finite-witness checks of the value-transcendental equivalences
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    holds: bool
-    counterexample: Optional[Value]
-    checked: int
-
-
-def check_pcs_equivalence_iii(E: PmsDescriptor, alpha: Value,
-                              probes: Sequence[Value],
-                              embed: Optional[Callable[[Value], Value]] = None
-                              ) -> CheckOutcome:
-    """For every probe beta in the group: beta > alpha iff beta exceeds every
-    distance value of the increasing chain."""
-    if E.kind is not PmsKind.PCS:
-        raise KindError("the increasing-chain check applies to pcs descriptors")
-    emb = embed or (lambda v: v)
-    probes = list(probes)
-    for beta in probes:
-        if (emb(beta) > alpha) != exceeds_all_deltas(beta, E):
-            return CheckOutcome(False, beta, len(probes))
-    return CheckOutcome(True, None, len(probes))
-
-
-def check_pds_equivalence_iii(E: PmsDescriptor, alpha: Value,
-                              probes: Sequence[Value],
-                              embed: Optional[Callable[[Value], Value]] = None
-                              ) -> CheckOutcome:
-    """Mirror check: beta < alpha iff beta is below every distance value."""
-    if E.kind is not PmsKind.PDS:
-        raise KindError("the decreasing-chain check applies to pds descriptors")
-    emb = embed or (lambda v: v)
-    probes = list(probes)
-    for beta in probes:
-        if (emb(beta) < alpha) != below_all_deltas(beta, E):
-            return CheckOutcome(False, beta, len(probes))
-    return CheckOutcome(True, None, len(probes))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +315,6 @@ def extension_report(E: PmsDescriptor) -> ExtensionReport:
         pair = PairOfDefinition("a", E.pcts_delta, minimal=True)
         return ExtensionReport(
             "residue-transcendental", True, "K^h", pair, "{X - a}")
-    from .ranktree import rank_of_vE
     alpha = rank_of_vE(E).alpha
     if E.kind is PmsKind.PDS:
         pair = PairOfDefinition("z_mu", alpha, minimal=True)
@@ -371,7 +334,8 @@ def extension_report(E: PmsDescriptor) -> ExtensionReport:
 # The configuration induced by a descriptor with a prefix
 
 
-def induced_configuration(E: PmsDescriptor, rank_result=None,
+def induced_configuration(E: PmsDescriptor,
+                          rank_result: Optional[RankResult] = None,
                           include_x: bool = True) -> UltrametricConfiguration:
     """Build the configuration of the prefix members together with X.
 
@@ -387,7 +351,6 @@ def induced_configuration(E: PmsDescriptor, rank_result=None,
     emb = lambda v: v
     if include_x and E.kind is PmsKind.PDS:
         if rank_result is None:
-            from .ranktree import rank_of_vE
             rank_result = rank_of_vE(E)
         emb = rank_result.embed
         alpha = rank_result.alpha

@@ -177,7 +177,3 @@ def _sign_sqrt_diff(b1: Fraction, d1: int, b2: Fraction, d2: int) -> int:
         raise InvariantError("distinct squarefree radicands cannot collide")
     return s1 if t > 0 else -s1
 
-
-ZERO = ExactReal.rational(0)
-ONE = ExactReal.rational(1)
-

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import DescriptorMismatch, InvalidAdjoin, InvariantError
@@ -54,6 +54,11 @@ def coord_compare(x: Coord, y: Coord) -> int:
 # Components
 
 
+def is_prime(n: int) -> bool:
+    """Trial division by every candidate up to the square root of n."""
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
 @dataclass(frozen=True)
 class Cyclic:
     """The subgroup gen * Z of the rationals, gen > 0."""
@@ -73,7 +78,7 @@ class PPowerDivisible:
     scale: Fraction
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % q == 0 for q in range(2, self.p)):
+        if not is_prime(self.p):
             raise InvariantError(f"{self.p} is not prime")
         if self.scale <= 0:
             raise InvariantError("scale must be positive")
@@ -355,12 +360,6 @@ def _coord_add(x: Coord, y: Coord) -> Coord:
     return x + y
 
 
-def compare(x: Value, y: Value) -> int:
-    """Three-way lex comparison of extended values."""
-    return x.compare(y)
-
-
-
 # ---------------------------------------------------------------------------
 # Group descriptors
 
@@ -447,15 +446,3 @@ def contains_embedded(group: GroupDescriptor, value: Value,
     if extra != ExactReal.rational(0):
         return False
     return group.contains(drop_coordinate(value, insert_position))
-
-
-def add(x: Value, y: Value) -> Value:
-    return x + y
-
-
-def negate(x: Value) -> Value:
-    return -x
-
-
-def scale(n: int, x: Value) -> Value:
-    return x.scale(n)

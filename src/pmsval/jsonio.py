@@ -18,7 +18,7 @@ from .errors import InvariantError, SchemaError
 from .exact import ExactReal
 from .groups import (AdjoinedSurd, Component, Cyclic, FormalInteger,
                      FullRational, GroupDescriptor, INFINITY, NEG_INF,
-                     POS_INF, PPowerDivisible, Value, _Infinity)
+                     POS_INF, PPowerDivisible, Value, _Infinity, is_prime)
 from .oracle import (CompositeField, ConcreteField, ConcreteRationalFunction,
                      PadicRationals, QtElement)
 from .sequences import (Algebraic, BoundInGroup, BoundNotInGroup,
@@ -274,17 +274,6 @@ def decode_descriptor(raw: Any, path: str = "sequence") -> PmsDescriptor:
 # Configurations
 
 
-def encode_configuration(cfg: UltrametricConfiguration) -> dict:
-    return {
-        "sequence": list(cfg.sequence),
-        "points": list(cfg.points),
-        "distances": [
-            {"pair": [p, q], "v": encode_value(v)}
-            for (p, q), v in sorted(cfg.dist.items())
-        ],
-    }
-
-
 def decode_configuration(raw: Any, path: str = "configuration"
                          ) -> UltrametricConfiguration:
     if not isinstance(raw, dict):
@@ -364,6 +353,8 @@ def decode_field(raw: Any, path: str) -> ConcreteField:
     p = raw.get("p")
     if not isinstance(p, int):
         raise _fail(path, "field needs an integer prime p")
+    if not is_prime(p):
+        raise _fail(path, f"field p must be prime, got {p}")
     if raw["kind"] == "padic":
         return PadicRationals(p)
     if raw["kind"] == "composite":
@@ -384,12 +375,6 @@ def decode_field_element(field: ConcreteField, raw: Any, path: str):
         return QtElement.of([_fraction(c, path) for c in num],
                             [_fraction(c, path) for c in den])
     raise _fail(path, f"not a field element: {raw!r}")
-
-
-def encode_field_element(x) -> Any:
-    if isinstance(x, Fraction):
-        return str(x)
-    return {"num": [str(c) for c in x.num], "den": [str(c) for c in x.den]}
 
 
 @dataclass(frozen=True)

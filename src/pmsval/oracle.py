@@ -344,18 +344,8 @@ def cross_check(field: ConcreteField, terms: Sequence,
                     f"{'limit' if tag.is_limit else f'beta={tag.beta}'}, "
                     f"oracle saw "
                     f"{'limit' if actual_limit else f'beta={actual_beta}'}")
-    tagged_form = None
-    if E is not None:
-        tagged_form = dominating_degree(tagged, E)
-    else:
-        d = sum(t.multiplicity for t in tagged.num_roots if t.is_limit) \
-            - sum(t.multiplicity for t in tagged.den_roots if t.is_limit)
-        beta = tagged.lead_value
-        for sign, tags in ((1, tagged.num_roots), (-1, tagged.den_roots)):
-            for t in tags:
-                if not t.is_limit:
-                    beta = beta + t.beta.scale(sign * t.multiplicity)
-        tagged_form = DominatingForm(d, beta)
+    tagged_form = (dominating_degree(tagged, E) if E is not None
+                   else tagged.dominating_form())
     if fit.is_consistent:
         fit_d = fit.degree if fit.degree is not None else 0
         if fit_d != tagged_form.degree or fit.beta != tagged_form.beta:

@@ -6,22 +6,22 @@ three leaves.  An unbounded coordinate or an in-group strict bound inserts a
 formal integer factor (rank goes up by one); a bound outside the component
 is adjoined to it (rank unchanged).  The placement of the value alpha of
 X minus a limit is verified internally against the finite-witness check of
-the increasing/decreasing chain contract.
+the chain contract.  Each rule is written once for pcs and pds alike; the
+chain direction (E.sign, +1 or -1) sets the side, as in mirror duality.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
-from .engine import check_pcs_equivalence_iii, check_pds_equivalence_iii
 from .errors import InvariantError, KindError
 from .exact import ExactReal
 from .groups import (GroupDescriptor, Value, component_generator, insert_zero)
 from .sequences import (BoundInGroup, BoundNotInGroup, PmsDescriptor, PmsKind,
-                        SupInf, Unbounded, diverges_to_infinity, inf_of,
-                        is_cauchy, sup_of)
+                        SupInf, Unbounded, beyond_all_deltas, cofinal,
+                        extremum)
 
 
 class Branch(enum.Enum):
@@ -89,14 +89,13 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
     consts = [e.value for e in chain.constants]
     steps = [(i + 1, Branch.BOUND_IN_GROUP_CONSTANT) for i in range(j - 1)]
     bound = chain.terminal.bound
-    pcs = E.kind is PmsKind.PCS
     zero = ExactReal.rational(0)
-    unit = ExactReal.rational(1)
+    step = ExactReal.rational(E.sign)  # one unit toward the chain's side
     if isinstance(bound, Unbounded):
         branch = Branch.SUP_INFINITE
         extended, _ = E.group.insert_formal_integer(j - 1)
         insert_position = j - 1
-        alpha_coords = consts + [unit if pcs else -unit] + [zero] * (n - j + 1)
+        alpha_coords = consts + [step] + [zero] * (n - j + 1)
     elif isinstance(bound, BoundNotInGroup):
         branch = Branch.BOUND_NOT_IN_GROUP
         extended = E.group.adjoin_at(j - 1, bound.r)
@@ -106,7 +105,7 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
         branch = Branch.BOUND_IN_GROUP_STRICT
         extended, _ = E.group.insert_formal_integer(j)
         insert_position = j
-        alpha_coords = consts + [bound.r, -unit if pcs else unit] + [zero] * (n - j)
+        alpha_coords = consts + [bound.r, -step] + [zero] * (n - j)
     else:
         raise InvariantError(f"unknown bound {bound!r}")
     steps.append((j, branch))
@@ -116,24 +115,74 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
     output_rank = extended.rank()
     if output_rank != n + (1 if leaf is LeafKind.RANK_PLUS_ONE else 0):
         raise InvariantError("constructed group rank disagrees with the leaf")
-    result = RankResult(n, output_rank, extended, alpha, trace,
-                        sup_of(E) if pcs else inf_of(E), insert_position,
+    result = RankResult(n, output_rank, extended, alpha, trace, extremum(E),
+                        insert_position,
                         "model of the extended value group over the "
                         "algebraic closure")
-    _verify_alpha(E, result)
-    return result
-
-
-def _verify_alpha(E: PmsDescriptor, result: RankResult) -> None:
-    probes = auto_probes(E)
-    if E.kind is PmsKind.PCS:
-        outcome = check_pcs_equivalence_iii(E, result.alpha, probes, result.embed)
-    else:
-        outcome = check_pds_equivalence_iii(E, result.alpha, probes, result.embed)
+    outcome = check_alpha(E, result, auto_probes(E))
     if not outcome.holds:
         raise InvariantError(
             f"alpha placement fails its chain contract at probe "
             f"{outcome.counterexample}")
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Finite-witness checks of the value-transcendental equivalences
+
+
+@dataclass(frozen=True)
+class CheckOutcome:
+    holds: bool
+    counterexample: Optional[Value]
+    checked: int
+
+
+def _check_equivalence_iii(E: PmsDescriptor, alpha: Value,
+                           probes: Sequence[Value],
+                           embed: Optional[Callable[[Value], Value]]
+                           ) -> CheckOutcome:
+    """For every probe beta in the group: beta lies past alpha iff it lies
+    past every distance value, on the side the chain moves toward."""
+    s = E.sign
+    emb = embed or (lambda v: v)
+    probes = list(probes)
+    for beta in probes:
+        if (emb(beta).compare(alpha) * s > 0) != beyond_all_deltas(beta, E):
+            return CheckOutcome(False, beta, len(probes))
+    return CheckOutcome(True, None, len(probes))
+
+
+def check_pcs_equivalence_iii(E: PmsDescriptor, alpha: Value,
+                              probes: Sequence[Value],
+                              embed: Optional[Callable[[Value], Value]] = None
+                              ) -> CheckOutcome:
+    """beta > alpha iff beta exceeds every distance value of the increasing
+    chain."""
+    if E.kind is not PmsKind.PCS:
+        raise KindError("the increasing-chain check applies to pcs descriptors")
+    return _check_equivalence_iii(E, alpha, probes, embed)
+
+
+def check_pds_equivalence_iii(E: PmsDescriptor, alpha: Value,
+                              probes: Sequence[Value],
+                              embed: Optional[Callable[[Value], Value]] = None
+                              ) -> CheckOutcome:
+    """Mirror check: beta < alpha iff beta is below every distance value."""
+    if E.kind is not PmsKind.PDS:
+        raise KindError("the decreasing-chain check applies to pds descriptors")
+    return _check_equivalence_iii(E, alpha, probes, embed)
+
+
+def check_alpha(E: PmsDescriptor, result: RankResult,
+                probes: Sequence[Value]) -> CheckOutcome:
+    """The chain check of E's kind on the alpha placed by the rank walk.
+
+    Calls go through the kind-named checkers, so a wrapper bound to either
+    name (a profiler or tracer) sees every check."""
+    check = (check_pcs_equivalence_iii if E.kind is PmsKind.PCS
+             else check_pds_equivalence_iii)
+    return check(E, result.alpha, probes, result.embed)
 
 
 def auto_probes(E: PmsDescriptor) -> list[Value]:
@@ -216,14 +265,15 @@ def theorem_rank_check(E: PmsDescriptor) -> TheoremCheck:
     if E.kind is PmsKind.PCTS or E.is_transcendental_pcs():
         raise KindError("the rank theorem concerns algebraic-type pcs and pds")
     pcs = E.kind is PmsKind.PCS
+    result = rank_of_vE(E)
+    reaches_end, in_group = cofinal(E), result.sup_or_inf.in_group
     conditions = {
-        "cauchy": pcs and is_cauchy(E),
-        "sup_in_group": pcs and sup_of(E).in_group,
-        "diverges_to_infinity": (not pcs) and diverges_to_infinity(E),
-        "inf_in_group": (not pcs) and inf_of(E).in_group,
+        "cauchy": pcs and reaches_end,
+        "sup_in_group": pcs and in_group,
+        "diverges_to_infinity": not pcs and reaches_end,
+        "inf_in_group": not pcs and in_group,
     }
     predicate = any(conditions.values())
-    result = rank_of_vE(E)
     holds = (not predicate) or result.delta == 1
     if E.group.rank() == 1 and result.delta == 1 and not predicate:
         holds = False
@@ -236,22 +286,15 @@ def theorem_rank_check(E: PmsDescriptor) -> TheoremCheck:
 
 def _labels(pcs: bool, i: int) -> dict[str, str]:
     d = f"δ({i},ν)"  # delta(i,nu)
-    if pcs:
-        return {
-            "inf": f"sup {d} = ∞",
-            "real": f"r{i} := sup {d} ∈ R",
-            "notin": f"r{i} ∉ Γ{i}",
-            "in": f"r{i} ∈ Γ{i}",
-            "strict": f"r{i} > {d} for all ν",
-            "const": f"r{i} = {d} ultimately",
-        }
+    ext, r, past, end = (("sup", f"r{i}", ">", "∞") if pcs
+                         else ("inf", f"r'{i}", "<", "-∞"))
     return {
-        "inf": f"inf {d} = -∞",
-        "real": f"r'{i} := inf {d} ∈ R",
-        "notin": f"r'{i} ∉ Γ{i}",
-        "in": f"r'{i} ∈ Γ{i}",
-        "strict": f"r'{i} < {d} for all ν",
-        "const": f"r'{i} = {d} ultimately",
+        "inf": f"{ext} {d} = {end}",
+        "real": f"{r} := {ext} {d} ∈ R",
+        "notin": f"{r} ∉ Γ{i}",
+        "in": f"{r} ∈ Γ{i}",
+        "strict": f"{r} {past} {d} for all ν",
+        "const": f"{r} = {d} ultimately",
     }
 
 

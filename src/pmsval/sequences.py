@@ -236,20 +236,16 @@ class PmsDescriptor:
     def tail_start(self) -> int:
         return 0 if self.chain is None else self.chain.tail_start
 
-    def is_algebraic_pcs(self) -> bool:
-        return self.kind is PmsKind.PCS and isinstance(self.pcs_type, Algebraic)
+    @property
+    def sign(self) -> int:
+        """+1 for a pcs, whose distance values increase; -1 for a pds, whose
+        distance values decrease.  Negating every value swaps the two."""
+        if self.chain is None:
+            raise KindError("a pcts has no chain direction")
+        return 1 if self.chain.terminal.direction is Direction.INCREASING else -1
 
     def is_transcendental_pcs(self) -> bool:
         return self.kind is PmsKind.PCS and isinstance(self.pcs_type, Transcendental)
-
-    def limit_in_base_field(self) -> bool:
-        """Whether some limit of the sequence lies in the ground field: every
-        member of a pds (or pcts) is a limit; a pcs of algebraic type has one
-        exactly when its minimal polynomial is linear."""
-        if self.kind in (PmsKind.PDS, PmsKind.PCTS):
-            return True
-        return isinstance(self.pcs_type, Algebraic) and self.pcs_type.degree == 1
-
 
 # ---------------------------------------------------------------------------
 # Ultrametric configurations
@@ -371,77 +367,71 @@ def classify_from_prefix(cfg: UltrametricConfiguration) -> tuple[PmsKind, list[V
 # Symbolic tail comparisons against the chain
 
 
-def _split_versus_constants(beta: Value, E: PmsDescriptor) -> tuple[int, int]:
-    """Lex-compare beta against the chain constants on the leading
-    coordinates.  Returns (cmp, terminal_index)."""
+def beyond_all_deltas(beta: Value, E: PmsDescriptor) -> bool:
+    """beta lies past every distance value on the side the chain moves
+    toward: above them all for a pcs, below them all for a pds.
+
+    Because the bound is never attained, lying past every delta_nu matches
+    lying weakly past every one of them as well.
+    """
+    s = E.sign
+    if beta.is_infinity:
+        return s > 0
+    if not E.group.contains(beta):
+        raise InvariantError(f"{beta} is not a member of the declared group")
     chain = E.chain
-    j = chain.terminal_level
+    # Lex order: the first coordinate off the chain constants decides.
     for i, entry in enumerate(chain.constants):
-        c = beta.coords[i].compare(entry.value)
-        if c:
-            return c, j - 1
-    return 0, j - 1
+        cmp = beta.coords[i].compare(entry.value)
+        if cmp:
+            return cmp == s
+    bound = chain.terminal.bound
+    if isinstance(bound, Unbounded):
+        return False
+    return beta.coords[chain.terminal_level - 1].compare(bound.r) * s >= 0
 
 
 def exceeds_all_deltas(beta: Value, E: PmsDescriptor) -> bool:
-    """beta > delta_nu for every index nu (pcs chains).
-
-    Because the distance values are strictly increasing, this matches
-    beta >= every delta_nu as well: the bound is never attained.
-    """
-    if E.kind is not PmsKind.PCS:
-        raise KindError("exceeds_all_deltas applies to pcs descriptors")
-    if beta.is_infinity:
-        return True
-    _require_group_member(beta, E)
-    cmp, jm1 = _split_versus_constants(beta, E)
-    if cmp:
-        return cmp > 0
-    bound = E.chain.terminal.bound
-    if isinstance(bound, Unbounded):
-        return False
-    return beta.coords[jm1].compare(bound.r) >= 0
+    """beta > delta_nu for every index nu (pcs chains)."""
+    _require_kind(E, PmsKind.PCS, "exceeds_all_deltas")
+    return beyond_all_deltas(beta, E)
 
 
 def below_all_deltas(beta: Value, E: PmsDescriptor) -> bool:
     """beta < delta_nu for every index nu (pds chains)."""
-    if E.kind is not PmsKind.PDS:
-        raise KindError("below_all_deltas applies to pds descriptors")
-    if beta.is_infinity:
-        return False
-    _require_group_member(beta, E)
-    cmp, jm1 = _split_versus_constants(beta, E)
-    if cmp:
-        return cmp < 0
-    bound = E.chain.terminal.bound
-    if isinstance(bound, Unbounded):
-        return False
-    return beta.coords[jm1].compare(bound.r) <= 0
+    _require_kind(E, PmsKind.PDS, "below_all_deltas")
+    return beyond_all_deltas(beta, E)
 
 
-def _require_group_member(beta: Value, E: PmsDescriptor) -> None:
-    if not E.group.contains(beta):
-        raise InvariantError(f"{beta} is not a member of the declared group")
+def _require_kind(E: PmsDescriptor, kind: PmsKind, name: str) -> None:
+    if E.kind is not kind:
+        raise KindError(f"{name} applies to {kind.value} descriptors")
 
 
 # ---------------------------------------------------------------------------
 # Cauchy / divergence, sup / inf
 
 
-def is_cauchy(E: PmsDescriptor) -> bool:
-    """Cofinality of the distance values in a lex group with archimedean
-    leading component reduces to unboundedness of the first coordinate."""
-    if E.kind is not PmsKind.PCS:
-        raise KindError("is_cauchy applies to pcs descriptors")
+def cofinal(E: PmsDescriptor) -> bool:
+    """Whether the distance values pass every group element on the chain's
+    side: a Cauchy pcs, or a pds diverging to infinity.
+
+    Cofinality in a lex group with archimedean leading component reduces to
+    unboundedness of the first coordinate."""
     chain = E.chain
+    if chain is None:
+        raise KindError("a pcts has constant distance values")
     return chain.terminal_level == 1 and isinstance(chain.terminal.bound, Unbounded)
+
+
+def is_cauchy(E: PmsDescriptor) -> bool:
+    _require_kind(E, PmsKind.PCS, "is_cauchy")
+    return cofinal(E)
 
 
 def diverges_to_infinity(E: PmsDescriptor) -> bool:
-    if E.kind is not PmsKind.PDS:
-        raise KindError("diverges_to_infinity applies to pds descriptors")
-    chain = E.chain
-    return chain.terminal_level == 1 and isinstance(chain.terminal.bound, Unbounded)
+    _require_kind(E, PmsKind.PDS, "diverges_to_infinity")
+    return cofinal(E)
 
 
 @dataclass(frozen=True)
@@ -453,30 +443,30 @@ class SupInf:
     in_group: bool
 
 
-def sup_of(E: PmsDescriptor) -> SupInf:
-    """Least upper bound of the distance values of a pcs: the chain constants,
-    then the terminal bound (or +inf), padded with -inf."""
-    if E.kind is not PmsKind.PCS:
-        raise KindError("sup_of applies to pcs descriptors")
-    return _extremum(E, POS_INF, NEG_INF)
-
-
-def inf_of(E: PmsDescriptor) -> SupInf:
-    if E.kind is not PmsKind.PDS:
-        raise KindError("inf_of applies to pds descriptors")
-    return _extremum(E, NEG_INF, POS_INF)
-
-
-def _extremum(E: PmsDescriptor, unbounded_mark, pad) -> SupInf:
+def extremum(E: PmsDescriptor) -> SupInf:
+    """sup of the distance values of a pcs, inf of those of a pds: the chain
+    constants, then the terminal bound (or the infinity on the chain's
+    side), padded with the opposite infinity."""
+    end = POS_INF if E.sign > 0 else NEG_INF
     chain = E.chain
     n = E.group.rank()
     j = chain.terminal_level
     coords: list = [e.value for e in chain.constants]
     bound = chain.terminal.bound
-    coords.append(unbounded_mark if isinstance(bound, Unbounded) else bound.r)
-    coords.extend([pad] * (n - j))
+    coords.append(end if isinstance(bound, Unbounded) else bound.r)
+    coords.extend([-end] * (n - j))
     in_group = j == n and isinstance(bound, BoundInGroup)
     return SupInf(Value(tuple(coords)), in_group)
+
+
+def sup_of(E: PmsDescriptor) -> SupInf:
+    _require_kind(E, PmsKind.PCS, "sup_of")
+    return extremum(E)
+
+
+def inf_of(E: PmsDescriptor) -> SupInf:
+    _require_kind(E, PmsKind.PDS, "inf_of")
+    return extremum(E)
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +538,10 @@ def _is_limit_via(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration,
         return Tri.TRUE
     if E.kind is PmsKind.PCTS:
         return Tri.TRUE if d >= E.pcts_delta else Tri.FALSE
-    if E.kind is PmsKind.PCS:
-        # v(y - limit) must weakly exceed every distance value; with a strict
-        # never-attained bound this coincides with exceeding them all.
-        return Tri.TRUE if exceeds_all_deltas(d, E) else Tri.FALSE
-    return Tri.FALSE if below_all_deltas(d, E) else Tri.TRUE
+    # A pcs limit lies weakly above every distance value, which a strict
+    # never-attained bound makes the same as lying past them all; a pds
+    # limit is one that does not lie below them all.
+    return Tri.TRUE if beyond_all_deltas(d, E) == (E.sign > 0) else Tri.FALSE
 
 
 @dataclass(frozen=True)
@@ -604,10 +593,8 @@ def mirror(E: PmsDescriptor, pcs_type: Optional[PcsType] = None) -> PmsDescripto
     chain = E.chain
     flipped = Direction.DECREASING if E.kind is PmsKind.PCS else Direction.INCREASING
     bound = chain.terminal.bound
-    if isinstance(bound, BoundInGroup):
-        bound = BoundInGroup(-bound.r)
-    elif isinstance(bound, BoundNotInGroup):
-        bound = BoundNotInGroup(-bound.r)
+    if not isinstance(bound, Unbounded):
+        bound = type(bound)(-bound.r)
     entries = tuple(ConstantFrom(-e.value, e.stage) for e in chain.constants)
     entries += (Terminal(flipped, bound),)
     kind = PmsKind.PDS if E.kind is PmsKind.PCS else PmsKind.PCS

@@ -100,6 +100,17 @@ def test_exit_code_schema_error(capsys, tmp_path):
     assert code2 == 2
 
 
+def test_exit_code_non_prime_oracle_field(capsys, tmp_path):
+    for p in (0, 1):
+        bad = tmp_path / f"p{p}.json"
+        bad.write_text(json.dumps({"version": "1", "oracle": {
+            "field": {"kind": "padic", "p": p}, "sequence": ["1", "6", "31"],
+            "functions": [{"lead": "1", "num_roots": ["-1/4"], "tagged": {
+                "lead": ["0"], "num": [{"limit": True}], "den": []}}]}}))
+        code, rep = run(capsys, "oracle-check", "--in", str(bad))
+        assert code == 2 and rep["error"] == "schema"
+
+
 def test_exit_code_invariant_violation(capsys, tmp_path):
     bad = tmp_path / "mixed.json"
     bad.write_text(json.dumps({

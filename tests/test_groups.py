@@ -13,7 +13,7 @@ from pmsval import (AdjoinedSurd, Cyclic, ExactReal, FormalInteger,
                     PPowerDivisible, Value)
 from pmsval.errors import DescriptorMismatch, InvalidAdjoin, InvariantError
 from pmsval.groups import (component_adjoin, component_contains,
-                           component_generator, drop_coordinate)
+                           component_generator, drop_coordinate, is_prime)
 
 from gen import random_value
 
@@ -30,6 +30,21 @@ def test_p_power_divisible_membership():
     assert component_contains(comp, ExactReal.rational(Fraction(7, 25)))
     assert not component_contains(comp, ExactReal.rational(Fraction(1, 10)))
     assert not component_contains(comp, SQRT2)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(-2, 10**4 + 1) if is_prime(n)] \
+        == [n for n in range(-2, 10**4 + 1) if sympy.isprime(n)]
+    assert is_prime(100000007) and sympy.isprime(100000007)
+    assert not is_prime(10007 * 10009)
+
+
+def test_large_prime_component_builds():
+    comp = PPowerDivisible(100000007, Fraction(1))
+    assert component_contains(comp, ExactReal.rational(Fraction(1, 100000007)))
+    with pytest.raises(InvariantError):
+        PPowerDivisible(10007 * 10009, Fraction(1))
 
 
 def test_cyclic_membership():

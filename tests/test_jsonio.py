@@ -125,6 +125,15 @@ def test_malformed_values_are_schema_errors():
         decode_exact("1/0")
 
 
+@pytest.mark.parametrize("p", [0, 1, 4])
+@pytest.mark.parametrize("kind", ["padic", "composite"])
+def test_oracle_field_needs_a_prime(kind, p):
+    raw = {"oracle": {"field": {"kind": kind, "p": p},
+                      "sequence": ["1", "6", "31"]}}
+    with pytest.raises(SchemaError, match="must be prime"):
+        decode_problem(raw)
+
+
 def test_decoder_fuzz_only_package_errors():
     from pmsval.errors import PmsvalError
     rng = random.Random(0xFEED)

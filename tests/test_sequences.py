@@ -20,8 +20,8 @@ from pmsval.groups import NEG_INF, POS_INF
 from pmsval.oracle import PadicRationals, sequence_configuration
 from pmsval.sequences import below_all_deltas, exceeds_all_deltas
 
-from gen import make_descriptor, random_descriptor
-from pmsval.ranktree import Branch
+from gen import make_descriptor, random_descriptor, random_member
+from pmsval.ranktree import Branch, auto_probes
 
 Z = GroupDescriptor.of(Cyclic(Fraction(1)))
 ZZ = GroupDescriptor.of(Cyclic(Fraction(1)), Cyclic(Fraction(1)))
@@ -349,6 +349,13 @@ def test_mirror_sup_inf_duality():
                                                          else POS_INF)
             for c in s.value.coords)
         assert Value(flipped) == i.value
+        # Pointwise: negation carries each rule of E to its mirror twin.
+        assert is_cauchy(E) == diverges_to_infinity(M)
+        members = [Value(tuple(random_member(rng, c)
+                               for c in E.group.components))
+                   for _ in range(4)]
+        for beta in members + list(E.prefix) + auto_probes(E):
+            assert exceeds_all_deltas(beta, E) == below_all_deltas(-beta, M)
 
 
 def test_mirror_round_trip():
