@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd
 from typing import Union
 
 from .errors import InvariantError
@@ -127,6 +128,9 @@ class ExactReal:
 
     def compare(self, other: "ExactReal") -> int:
         """Exact three-way comparison; handles distinct radicands."""
+        if self.d == other.d and self.b == other.b:
+            # Rationals, or the same surd part: the rational parts decide.
+            return (self.a > other.a) - (self.a < other.a)
         if self.d == other.d:
             return _sign_a_plus_b_sqrt_d(self.a - other.a, self.b - other.b, self.d)
         if self.is_rational or other.is_rational:
@@ -158,11 +162,19 @@ def _compare_mixed_surds(x: ExactReal, y: ExactReal) -> int:
     if su != sr:
         return su
     # Same strict sign: compare u^2 with r^2; the sign of u orients the result.
-    s, dprod = split_square(x.d * y.d)
+    s, dprod = _split_square_product(x.d, y.d)
     usq_a = x.b * x.b * x.d + y.b * y.b * y.d
     usq_b = Fraction(-2) * x.b * y.b * s
     cmp_sq = _sign_a_plus_b_sqrt_d(usq_a - r * r, usq_b, dprod)
     return cmp_sq if su > 0 else -cmp_sq
+
+
+def _split_square_product(d1: int, d2: int) -> tuple[int, int]:
+    """split_square(d1 * d2) for distinct squarefree d1, d2: with
+    g = gcd(d1, d2), the cofactors d1/g, d2/g and g are pairwise coprime,
+    so the square part is g."""
+    g = gcd(d1, d2)
+    return g, d1 * d2 // (g * g)
 
 
 def _sign_sqrt_diff(b1: Fraction, d1: int, b2: Fraction, d2: int) -> int:

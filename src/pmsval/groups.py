@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import DescriptorMismatch, InvalidAdjoin, InvariantError
@@ -54,9 +54,38 @@ def coord_compare(x: Coord, y: Coord) -> int:
 # Components
 
 
+# Miller-Rabin on the primes up to 41 decides primality exactly below
+# PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson &
+# Webster 2017); the primes up to 37 alone are fooled below it, by
+# 318665857834031151167461.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division by every candidate up to the square root of n."""
-    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+    """Deterministic Miller-Rabin; n at or above PRIME_BOUND is refused
+    with an InvariantError rather than answered."""
+    if n >= PRIME_BOUND:
+        raise InvariantError(f"primality is only decided below {PRIME_BOUND}")
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

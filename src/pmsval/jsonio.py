@@ -353,7 +353,11 @@ def decode_field(raw: Any, path: str) -> ConcreteField:
     p = raw.get("p")
     if not isinstance(p, int):
         raise _fail(path, "field needs an integer prime p")
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except InvariantError as exc:
+        raise _fail(path, str(exc))
+    if not prime:
         raise _fail(path, f"field p must be prime, got {p}")
     if raw["kind"] == "padic":
         return PadicRationals(p)

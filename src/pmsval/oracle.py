@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 from .engine import DominatingForm, FactoredRationalFunction, dominating_degree
 from .errors import InvariantError, SchemaError
-from .groups import Cyclic, GroupDescriptor, INFINITY, Value
+from .groups import Cyclic, GroupDescriptor, INFINITY, Value, is_prime
 from .sequences import (PmsDescriptor, PmsKind, UltrametricConfiguration,
                         classify_from_prefix)
 
@@ -24,14 +24,24 @@ def padic_valuation(q: Fraction, p: int) -> int:
     """Exact exponent of p in q, q nonzero."""
     if q == 0:
         raise InvariantError("the zero element has value plus-infinity")
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    if p < 2:
+        raise InvariantError(f"no {p}-adic valuation")
+    return _multiplicity(q.numerator, p) - _multiplicity(q.denominator, p)
+
+
+def _multiplicity(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n, by repeated squaring: divide
+    by p, p^2, p^4, ... while they divide, then by the same powers from the
+    top down, which strips the rest bit by bit."""
+    v, powers = 0, [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for i in range(len(powers) - 2, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 
@@ -130,6 +140,10 @@ class PadicRationals:
 
     p: int
 
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise InvariantError(f"field p must be prime, got {self.p}")
+
     def group(self) -> GroupDescriptor:
         return GroupDescriptor.of(Cyclic(Fraction(1)))
 
@@ -148,6 +162,10 @@ class CompositeField:
     """(Q(t), v): v(f) = (ord_t f, v_p of the lowest t-coefficient), lex."""
 
     p: int
+
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise InvariantError(f"field p must be prime, got {self.p}")
 
     def group(self) -> GroupDescriptor:
         return GroupDescriptor.of(Cyclic(Fraction(1)), Cyclic(Fraction(1)))

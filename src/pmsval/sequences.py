@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import (IndeterminateError, InvalidConfiguration, InvariantError,
@@ -308,9 +309,22 @@ class UltrametricConfiguration:
             raise IndeterminateError(f"no distance recorded for {p}, {q}")
         return self.dist[key]
 
+    @cached_property
+    def classification(self) -> tuple[PmsKind, tuple[Value, ...]]:
+        """classify_from_prefix of this configuration, computed once."""
+        kind, prefix = classify_from_prefix(self)
+        return kind, tuple(prefix)
+
     def isosceles_violation(self) -> Optional[tuple[str, str, str]]:
-        """A triple where the minimum pairwise distance is attained once."""
-        names = [n for n in self.names()]
+        """A triple where the minimum pairwise distance is attained once.
+
+        A complete table is certified in O(n^2) by its maximum spanning
+        tree; the triple scan runs only on partial tables and to name the
+        first violating triple once the certificate has failed.
+        """
+        names = self.names()
+        if len(names) < 3 or self._spanning_tree_certifies(names):
+            return None
         for i, p in enumerate(names):
             for j in range(i + 1, len(names)):
                 for k in range(j + 1, len(names)):
@@ -324,6 +338,45 @@ class UltrametricConfiguration:
                     if sum(1 for d in (d1, d2, d3) if d == lo) < 2:
                         return (p, q, r)
         return None
+
+    def _spanning_tree_certifies(self, names: tuple[str, ...]) -> bool:
+        """Whether the table is complete and ultrametric.
+
+        A complete table is ultrametric exactly when each distance equals
+        the minimum along the path joining its ends in a maximum-valuation
+        spanning tree (Gower & Ross 1969).  The tree grows in Prim's order:
+        u joins through its largest distance w to the tree, at parent.  The
+        pairs inside the tree already passed, so the path minimum from a
+        tree point x to u is min(d(x, parent), w), and d(x, u) <= w by the
+        choice of w.  Returns False on a missing pair or a failed check.
+        """
+        dist = self.dist
+        root, *rest = names
+        best = {y: dist.get(_pair(root, y)) for y in rest}
+        if None in best.values():
+            return False
+        parent = dict.fromkeys(rest, root)
+        tree = [root]
+        while best:
+            u = max(best, key=best.__getitem__)
+            w = best.pop(u)
+            up = parent.pop(u)
+            # Every pair of u with a tree point was looked up when the
+            # point joined, so these keys are present.
+            for x in tree:
+                if x == up:
+                    continue
+                dxu, dxp = dist[_pair(x, u)], dist[_pair(x, up)]
+                if not (dxp >= w if dxu == w else dxp == dxu):
+                    return False
+            tree.append(u)
+            for y, by in best.items():
+                d = dist.get(_pair(u, y))
+                if d is None:
+                    return False
+                if d > by:
+                    best[y], parent[y] = d, u
+        return True
 
 
 def classify_from_prefix(cfg: UltrametricConfiguration) -> tuple[PmsKind, list[Value]]:
@@ -497,7 +550,7 @@ def _delta_at(E: PmsDescriptor, cfg: UltrametricConfiguration,
         return None
     if E.prefix is not None and k < len(E.prefix):
         return E.prefix[k]
-    kind, consec = classify_from_prefix(cfg)
+    kind, consec = cfg.classification
     if kind is not E.kind:
         raise InvalidConfiguration(
             f"configuration classifies as {kind.value}, descriptor says "

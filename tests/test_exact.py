@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from pmsval import ExactReal
 from pmsval.errors import InvariantError
-from pmsval.exact import split_square
+from pmsval.exact import _split_square_product, split_square
 
 getcontext().prec = 50
 
@@ -43,6 +43,14 @@ def test_split_square():
     assert split_square(30) == (1, 30)
     with pytest.raises(InvariantError):
         split_square(0)
+
+
+def test_square_part_of_distinct_squarefree_product():
+    squarefree = [d for d in range(2, 200) if split_square(d)[0] == 1]
+    for i, d1 in enumerate(squarefree):
+        for d2 in squarefree[i + 1:]:
+            assert _split_square_product(d1, d2) == split_square(d1 * d2)
+            assert _split_square_product(d2, d1) == split_square(d1 * d2)
 
 
 def test_surd_normalization():

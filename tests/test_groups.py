@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import given, strategies as st
 from pmsval import (AdjoinedSurd, Cyclic, ExactReal, FormalInteger,
                     FullRational, GroupDescriptor, INFINITY, NEG_INF, POS_INF,
                     PPowerDivisible, Value)
-from pmsval.errors import DescriptorMismatch, InvalidAdjoin, InvariantError
-from pmsval.groups import (component_adjoin, component_contains,
+from pmsval.errors import (DescriptorMismatch, InvalidAdjoin, InvariantError,
+                           SchemaError)
+from pmsval.groups import (PRIME_BOUND, component_adjoin, component_contains,
                            component_generator, drop_coordinate, is_prime)
+from pmsval.jsonio import decode_component
 
 from gen import random_value
 
@@ -38,6 +41,32 @@ def test_is_prime_matches_sympy():
         == [n for n in range(-2, 10**4 + 1) if sympy.isprime(n)]
     assert is_prime(100000007) and sympy.isprime(100000007)
     assert not is_prime(10007 * 10009)
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161)
+    assert not any(is_prime(n) or sympy.isprime(n) for n in carmichael)
+    # Strong pseudoprime to the bases 2, 3, 5 and 7 at once.
+    assert not is_prime(3215031751) and not sympy.isprime(3215031751)
+    # Strong pseudoprime to every prime base up to 37: base 41 is needed.
+    assert not is_prime(318665857834031151167461)
+    rng = random.Random(97)
+    for n in [rng.randrange(10**17, 10**24) for _ in range(300)]:
+        assert is_prime(n) == sympy.isprime(n)
+    for n in (10**18 + 3, 999999999999999989, PRIME_BOUND - 2):
+        assert is_prime(n) == sympy.isprime(n)
+    with pytest.raises(InvariantError, match="only decided below"):
+        is_prime(PRIME_BOUND)
+
+
+def test_huge_prime_component_decodes_quickly_and_beyond_bound_is_refused():
+    p = 10**18 + 3  # the least prime above 10^18
+    start = time.perf_counter()
+    comp = decode_component({"kind": "p_divisible", "p": p}, "c")
+    assert time.perf_counter() - start < 0.05
+    assert comp == PPowerDivisible(p, Fraction(1))
+    with pytest.raises(InvariantError):
+        PPowerDivisible(PRIME_BOUND, Fraction(1))
+    with pytest.raises(SchemaError):
+        decode_component({"kind": "p_divisible", "p": PRIME_BOUND}, "c")
 
 
 def test_large_prime_component_builds():

@@ -28,6 +28,35 @@ def test_padic_valuation_examples():
     assert padic_valuation(Fraction(12), 2) == 2
 
 
+def test_padic_valuation_strips_powers_by_squaring():
+    def one_at_a_time(q, p):
+        v, num, den = 0, q.numerator, q.denominator
+        while num % p == 0:
+            num, v = num // p, v + 1
+        while den % p == 0:
+            den, v = den // p, v - 1
+        return v
+
+    rng = random.Random(700)
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7))
+        unit = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        q = rng.choice((1, -1)) * unit * Fraction(p) ** rng.randint(-700, 700)
+        assert padic_valuation(q, p) == one_at_a_time(q, p)
+    assert padic_valuation(Fraction(2) ** 700 * 3, 2) == 700
+    assert padic_valuation(Fraction(1, 7 ** 513), 7) == -513
+    for p in (0, 1):
+        with pytest.raises(InvariantError):
+            padic_valuation(Fraction(3), p)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+@pytest.mark.parametrize("field", [PadicRationals, CompositeField])
+def test_fields_built_directly_need_a_prime(field, p):
+    with pytest.raises(InvariantError, match="must be prime"):
+        field(p)
+
+
 def test_composite_valuation_examples():
     # t^2 * (5/3 + t) has order 2 and lowest coefficient 5/3.
     x = QtElement.of([0, 0, Fraction(5, 3), 1])

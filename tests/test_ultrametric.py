@@ -1,0 +1,180 @@
+"""The ultrametric check on configurations: the spanning-tree certificate
+agrees with a brute-force triple scan, and configuration build and the
+limit checks stay quadratic."""
+
+import json
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+import pmsval.sequences
+from pmsval import jsonio
+from pmsval.exact import ExactReal
+from pmsval.errors import InvalidConfiguration
+from pmsval.groups import INFINITY, Cyclic, GroupDescriptor, Value
+from pmsval.oracle import PadicRationals, sequence_configuration
+from pmsval.sequences import (Direction, PmsDescriptor, PmsKind,
+                              StageChain, Terminal, Tri, Unbounded,
+                              UltrametricConfiguration, is_limit,
+                              limit_dichotomy_check)
+
+from gen import random_value
+
+
+def brute_force_violation(cfg):
+    """The first triple, in name order, whose two smallest distances differ."""
+    def d(p, q):
+        return cfg.dist.get((p, q) if p <= q else (q, p))
+    for p, q, r in combinations(cfg.names(), 3):
+        ds = [d(p, q), d(p, r), d(q, r)]
+        if None in ds:
+            continue
+        ds.sort()
+        if ds[0] != ds[1]:
+            return (p, q, r)
+    return None
+
+
+def random_table(rng):
+    """A table over 0-9 points from a random ultrametric tree: each point
+    gets a word over a small alphabet, and two points are at the level of
+    their longest common prefix (INFINITY when the words agree).  Half the
+    tables are then perturbed, and some lose pairs."""
+    n, arity = rng.randint(0, 9), rng.randint(1, 3)
+    depth = rng.randint(1, 3)
+    levels = sorted({random_value(rng, arity) for _ in range(depth)})
+    depth = len(levels)
+    words = [tuple(rng.randrange(2) for _ in range(depth)) for _ in range(n)]
+    names = [f"p{i}" for i in range(n)]
+    rng.shuffle(names)
+    dist = {}
+    for (a, wa), (b, wb) in combinations(zip(names, words), 2):
+        common = next((i for i in range(depth) if wa[i] != wb[i]), depth)
+        v = INFINITY if common == depth else levels[common]
+        dist[(a, b) if a <= b else (b, a)] = v
+    keys = sorted(dist)
+    if keys and rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            dist[rng.choice(keys)] = rng.choice(
+                levels + [INFINITY, random_value(rng, arity)])
+    if keys and rng.random() < 0.3:
+        for key in rng.sample(keys, rng.randint(1, len(keys))):
+            del dist[key]
+    cut = rng.randint(0, n)
+    return UltrametricConfiguration(tuple(names[:cut]), tuple(names[cut:]), dist)
+
+
+def test_isosceles_violation_matches_triple_scan():
+    rng = random.Random(20211)
+    complete = partial = violating = 0
+    for _ in range(1500):
+        cfg = random_table(rng)
+        want = brute_force_violation(cfg)
+        assert cfg.isosceles_violation() == want
+        n = len(cfg.names())
+        if len(cfg.dist) == n * (n - 1) // 2:
+            complete += 1
+        else:
+            partial += 1
+        violating += want is not None
+    assert complete > 500 and partial > 300 and violating > 200
+
+
+def test_isosceles_violation_on_surd_levels_and_infinity():
+    sqrt2 = ExactReal.surd(0, 1, 2)
+    lo, hi = Value((sqrt2, ExactReal.rational(1))), Value.of(2, 0)
+    good = {("a", "b"): INFINITY, ("a", "c"): lo, ("b", "c"): lo}
+    assert UltrametricConfiguration(("a", "b", "c"), (), good) \
+        .isosceles_violation() is None
+    bad = {**good, ("a", "c"): hi}
+    assert UltrametricConfiguration(("a", "b", "c"), (), bad) \
+        .isosceles_violation() == ("a", "b", "c")
+    for names in ((), ("a",), ("a", "b")):
+        dist = {("a", "b"): lo} if len(names) == 2 else {}
+        assert UltrametricConfiguration(names, (), dist) \
+            .isosceles_violation() is None
+
+
+def counting_compares(monkeypatch):
+    calls = [0]
+    compare = Value.compare
+
+    def counting(self, other):
+        calls[0] += 1
+        return compare(self, other)
+
+    monkeypatch.setattr(Value, "compare", counting)
+    return calls
+
+
+def test_complete_build_makes_quadratically_many_compares(monkeypatch):
+    n = 80
+    terms = [sum(Fraction(5) ** k for k in range(i + 1)) for i in range(n)]
+    field = PadicRationals(5)
+    calls = counting_compares(monkeypatch)
+    cfg = sequence_configuration(field, terms)
+    assert len(cfg.dist) == n * (n - 1) // 2
+    assert 0 < calls[0] <= 2 * n * n
+
+
+@pytest.mark.parametrize("pattern", ["pds", "pcts"])
+def test_complete_pds_and_pcts_builds_stay_quadratic(monkeypatch, pattern):
+    n = 80
+    z = [f"z{i}" for i in range(n)]
+    dist = {(z[i], z[j]): Value.of(-j if pattern == "pds" else 0)
+            for i in range(n) for j in range(i + 1, n)}
+    calls = counting_compares(monkeypatch)
+    UltrametricConfiguration.build(z, (), dist)
+    assert 0 < calls[0] <= 2 * n * n
+
+
+def witness_problem(n):
+    """A pcs over Z with distances delta_i = i and no declared prefix, a
+    limit y and a non-limit w at distance 0 from every other point."""
+    group = {"components": [{"kind": "cyclic", "gen": "1"}]}
+    z = [f"z{i}" for i in range(n)]
+    dist = [{"pair": [z[i], z[j]], "v": [str(i)]}
+            for i in range(n) for j in range(i + 1, n)]
+    dist += [{"pair": ["y", z[i]], "v": [str(i)]} for i in range(n)]
+    dist += [{"pair": ["w", p], "v": ["0"]} for p in z + ["y"]]
+    return json.dumps({
+        "version": "1", "group": group,
+        "sequence": {"kind": "pcs", "group": group,
+                     "chain": [{"terminal": {"dir": "inc",
+                                             "bound": "unbounded"}}],
+                     "pcs_type": {"algebraic": {"deg": 1}}},
+        "configuration": {"sequence": z, "points": ["y", "w"],
+                          "distances": dist}})
+
+
+def test_limit_checks_classify_once(monkeypatch):
+    problem = jsonio.loads_problem(witness_problem(16))
+    E, cfg = problem.sequence, problem.configuration
+    assert E.prefix is None
+    calls = []
+    classify = pmsval.sequences.classify_from_prefix
+
+    def counting(c):
+        calls.append(c)
+        return classify(c)
+
+    monkeypatch.setattr(pmsval.sequences, "classify_from_prefix", counting)
+    assert is_limit("y", E, cfg) is Tri.TRUE
+    assert limit_dichotomy_check("y", E, cfg).is_limit
+    assert is_limit("w", E, cfg) is Tri.FALSE
+    assert limit_dichotomy_check("w", E, cfg).constant_value == Value.of(0)
+    assert len(calls) == 1 and calls[0] is cfg
+
+
+def test_kind_mismatch_still_raises_per_call():
+    problem = jsonio.loads_problem(witness_problem(6))
+    cfg = problem.configuration
+    Z = GroupDescriptor.of(Cyclic(Fraction(1)))
+    pds = PmsDescriptor(PmsKind.PDS, Z, chain=StageChain(
+        (Terminal(Direction.DECREASING, Unbounded()),)))
+    for _ in range(2):
+        with pytest.raises(InvalidConfiguration,
+                           match="classifies as pcs"):
+            is_limit("y", pds, cfg)
