@@ -130,9 +130,7 @@ def cmd_classify(problem: Problem) -> tuple[dict, int]:
 def cmd_ve(problem: Problem) -> tuple[dict, int]:
     E = _require(problem, "sequence")
     functions = _require(problem, "functions")
-    rank_result = None
-    if E.kind is not PmsKind.PCTS and not E.is_transcendental_pcs():
-        rank_result = ranktree.rank_of_vE(E)
+    rank_result = ranktree.rank_of_vE(E)
     out = []
     for phi in functions:
         iv = engine.v_e(phi, E, rank_result)
@@ -145,7 +143,7 @@ def cmd_ve(problem: Problem) -> tuple[dict, int]:
             "over_extended_group": iv.over_extended,
         })
     report = {"command": "ve", "functions": out}
-    if rank_result is not None:
+    if rank_result.alpha is not None:
         report["extended_group"] = jsonio.encode_group(rank_result.extended_group)
     return report, EXIT_OK
 
@@ -211,8 +209,8 @@ def cmd_probe(problem: Problem,
     if probes_file:
         extra = _load_problem(probes_file)
         probes = extra.probes if extra.probes is not None else probes
-    outcome = ranktree.check_alpha(
-        E, result, list(probes) if probes else ranktree.auto_probes(E))
+    outcome = (ranktree.check_alpha(E, result, list(probes)) if probes
+               else result.alpha_check)
     past = ">" if E.sign > 0 else "<"
     report = {
         "command": "probe",

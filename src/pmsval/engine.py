@@ -253,30 +253,20 @@ def delta_of_polynomial(distances: Sequence[Value]) -> Value:
 def root_distances(phi: FactoredRationalFunction, E: PmsDescriptor,
                    rank_result: Optional[RankResult] = None) -> list[Value]:
     """v_E(X - root) for each numerator root entry: alpha for limit roots,
-    the ultimate distance beta otherwise."""
+    the ultimate distance beta, embedded by the walk, otherwise."""
     if phi.den_roots:
         raise InvariantError("root distances apply to polynomials only")
     if not phi.num_roots:
         raise InvariantError("delta of a constant polynomial is undefined")
-    needs_alpha = any(r.is_limit for r in phi.num_roots)
-    alpha = None
-    embed = lambda v: v
-    if E.kind is PmsKind.PCTS:
-        alpha = E.pcts_delta
-    else:
-        if rank_result is None and needs_alpha:
-            rank_result = rank_of_vE(E)
-        if rank_result is not None:
-            embed = rank_result.embed
-            alpha = rank_result.alpha
-        if needs_alpha and alpha is None:
-            raise IndeterminateError("no placement for limit-root distances")
+    if rank_result is None:
+        rank_result = rank_of_vE(E)
+    alpha = E.pcts_delta if E.kind is PmsKind.PCTS else rank_result.alpha
+    if alpha is None and any(r.is_limit for r in phi.num_roots):
+        raise IndeterminateError("no placement for limit-root distances")
     out = []
     for root in phi.num_roots:
-        if root.is_limit:
-            out.extend([alpha] * root.multiplicity)
-        else:
-            out.extend([embed(root.beta)] * root.multiplicity)
+        value = alpha if root.is_limit else rank_result.embed(root.beta)
+        out.extend([value] * root.multiplicity)
     return out
 
 
@@ -335,8 +325,8 @@ def extension_report(E: PmsDescriptor) -> ExtensionReport:
 
 
 def induced_configuration(E: PmsDescriptor,
-                          rank_result: Optional[RankResult] = None,
-                          include_x: bool = True) -> UltrametricConfiguration:
+                          rank_result: Optional[RankResult] = None
+                          ) -> UltrametricConfiguration:
     """Build the configuration of the prefix members together with X.
 
     The distance from X to z_nu is delta_nu for a pcs or pcts (X is a limit)
@@ -349,7 +339,7 @@ def induced_configuration(E: PmsDescriptor,
     m = len(prefix) + 1
     names = [f"z{i}" for i in range(m)]
     emb = lambda v: v
-    if include_x and E.kind is PmsKind.PDS:
+    if E.kind is PmsKind.PDS:
         if rank_result is None:
             rank_result = rank_of_vE(E)
         emb = rank_result.embed
@@ -366,17 +356,14 @@ def induced_configuration(E: PmsDescriptor,
                 v = prefix[0]
             key = (names[i], names[j])
             dist[key] = emb(v)
-    points: tuple[str, ...] = ()
-    if include_x:
-        points = ("X",)
-        for nu in range(m):
-            if E.kind is PmsKind.PCS:
-                v = emb(prefix[nu]) if nu < len(prefix) else None
-            elif E.kind is PmsKind.PCTS:
-                v = prefix[0]
-            else:
-                v = alpha
-            if v is not None:
-                a, b = sorted((names[nu], "X"))
-                dist[(a, b)] = v
-    return UltrametricConfiguration.build(names, points, dist)
+    for nu in range(m):
+        if E.kind is PmsKind.PCS:
+            v = emb(prefix[nu]) if nu < len(prefix) else None
+        elif E.kind is PmsKind.PCTS:
+            v = prefix[0]
+        else:
+            v = alpha
+        if v is not None:
+            a, b = sorted((names[nu], "X"))
+            dist[(a, b)] = v
+    return UltrametricConfiguration.build(names, ("X",), dist)

@@ -24,10 +24,19 @@ def _as_fraction(q: RationalLike) -> Fraction:
     return Fraction(q)
 
 
+# split_square is trial division up to the square root of the radicand;
+# refusing radicands at or above 2**32 bounds it to 65536 steps.
+RADICAND_BOUND = 2 ** 32
+
+
 def split_square(n: int) -> tuple[int, int]:
-    """Factor n > 0 as s*s * d with d squarefree; returns (s, d)."""
+    """Factor 0 < n < RADICAND_BOUND as s*s * d with d squarefree; returns
+    (s, d)."""
     if n <= 0:
         raise InvariantError(f"radicand must be positive, got {n}")
+    if n >= RADICAND_BOUND:
+        raise InvariantError(
+            f"radicand must be below {RADICAND_BOUND}, got {n}")
     s, d = 1, n
     f = 2
     while f * f <= d:
@@ -105,8 +114,10 @@ class ExactReal:
         if not isinstance(other, ExactReal):
             return NotImplemented
         if self.is_rational or other.is_rational or self.d == other.d:
-            d = max(self.d, other.d)
-            return ExactReal.surd(self.a + other.a, self.b + other.b, d)
+            # Radicands are squarefree already: only a vanishing b changes d.
+            a, b = self.a + other.a, self.b + other.b
+            return ExactReal(a, b, max(self.d, other.d)) if b \
+                else ExactReal.rational(a)
         raise InvariantError(
             f"cannot add surds over distinct radicands {self.d} and {other.d}"
         )

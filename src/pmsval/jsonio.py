@@ -33,6 +33,14 @@ def _fail(path: str, msg: str) -> SchemaError:
     return SchemaError(f"{path}: {msg}")
 
 
+def _list(raw: dict, key: str, path: str) -> list:
+    """The list under key, empty when absent."""
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise _fail(path, f"{key} must be a list")
+    return value
+
+
 def _fraction(raw: Any, path: str) -> Fraction:
     try:
         return Fraction(str(raw))
@@ -262,10 +270,8 @@ def decode_descriptor(raw: Any, path: str = "sequence") -> PmsDescriptor:
             raise _fail(path, f"unknown pcs_type {pt!r}")
     prefix = None
     if "prefix" in raw:
-        if not isinstance(raw["prefix"], list):
-            raise _fail(path, "prefix must be a list")
         prefix = tuple(decode_value(v, f"{path}.prefix[{i}]")
-                       for i, v in enumerate(raw["prefix"]))
+                       for i, v in enumerate(_list(raw, "prefix", path)))
     return PmsDescriptor(kind, group, chain=chain, pcts_delta=pcts_delta,
                          pcs_type=pcs_type, prefix=prefix)
 
@@ -278,12 +284,9 @@ def decode_configuration(raw: Any, path: str = "configuration"
                          ) -> UltrametricConfiguration:
     if not isinstance(raw, dict):
         raise _fail(path, "configuration must be an object")
-    seq = raw.get("sequence", [])
-    pts = raw.get("points", [])
-    if not isinstance(seq, list) or not isinstance(pts, list):
-        raise _fail(path, "sequence and points must be name lists")
+    seq, pts = _list(raw, "sequence", path), _list(raw, "points", path)
     dist = {}
-    for i, entry in enumerate(raw.get("distances", [])):
+    for i, entry in enumerate(_list(raw, "distances", path)):
         p = f"{path}.distances[{i}]"
         if not isinstance(entry, dict) or "pair" not in entry or "v" not in entry:
             raise _fail(p, "distance entry needs pair and v")
@@ -319,11 +322,8 @@ def decode_function(raw: Any, path: str) -> FactoredRationalFunction:
         raise _fail(path, "function needs a lead value")
 
     def dec(key: str) -> tuple[TaggedRoot, ...]:
-        roots = raw.get(key, [])
-        if not isinstance(roots, list):
-            raise _fail(f"{path}.{key}", "roots must be a list")
         out = []
-        for i, r in enumerate(roots):
+        for i, r in enumerate(_list(raw, key, path)):
             p = f"{path}.{key}[{i}]"
             if not isinstance(r, dict):
                 raise _fail(p, "root must be an object")
@@ -400,15 +400,15 @@ def decode_oracle(raw: Any, path: str = "oracle") -> OracleSection:
     terms = tuple(decode_field_element(field, t, f"{path}.sequence[{i}]")
                   for i, t in enumerate(seq))
     functions = []
-    for i, f in enumerate(raw.get("functions", [])):
+    for i, f in enumerate(_list(raw, "functions", path)):
         p = f"{path}.functions[{i}]"
         if not isinstance(f, dict) or "tagged" not in f:
             raise _fail(p, "oracle function needs its tagged counterpart")
         lead = decode_field_element(field, f.get("lead", "1"), f"{p}.lead")
         num = tuple(decode_field_element(field, r, f"{p}.num_roots[{k}]")
-                    for k, r in enumerate(f.get("num_roots", [])))
+                    for k, r in enumerate(_list(f, "num_roots", p)))
         den = tuple(decode_field_element(field, r, f"{p}.den_roots[{k}]")
-                    for k, r in enumerate(f.get("den_roots", [])))
+                    for k, r in enumerate(_list(f, "den_roots", p)))
         concrete = ConcreteRationalFunction(lead, num, den)
         tagged = decode_function(f["tagged"], f"{p}.tagged")
         functions.append((concrete, tagged))
@@ -437,17 +437,16 @@ def decode_problem(raw: Any) -> Problem:
         raise SchemaError(f"unsupported schema version {version!r}")
     group = decode_group(raw["group"]) if "group" in raw else None
     sequence = decode_descriptor(raw["sequence"]) if "sequence" in raw else None
-    functions = tuple(decode_function(f, f"functions[{i}]")
-                      for i, f in enumerate(raw.get("functions", [])))
+    functions = tuple(
+        decode_function(f, f"functions[{i}]")
+        for i, f in enumerate(_list(raw, "functions", "problem")))
     configuration = (decode_configuration(raw["configuration"])
                      if "configuration" in raw else None)
     oracle = decode_oracle(raw["oracle"]) if "oracle" in raw else None
     probes = None
     if "probes" in raw:
-        if not isinstance(raw["probes"], list):
-            raise SchemaError("probes must be a list of group elements")
         probes = tuple(decode_value(v, f"probes[{i}]")
-                       for i, v in enumerate(raw["probes"]))
+                       for i, v in enumerate(_list(raw, "probes", "problem")))
     return Problem(group, sequence, functions, configuration, oracle, probes)
 
 

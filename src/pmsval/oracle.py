@@ -195,18 +195,6 @@ class ConcreteRationalFunction:
     num_roots: tuple = ()
     den_roots: tuple = ()
 
-    def value_at(self, field: ConcreteField, x) -> Value:
-        """Valuation of the function at x, computed factor by factor."""
-        total = field.valuate(self.lead)
-        for root in self.num_roots:
-            total = total + field.valuate(x - root)
-        for root in self.den_roots:
-            v = field.valuate(x - root)
-            if v.is_infinity:
-                raise InvariantError("evaluation at a pole")
-            total = total - v
-        return total
-
 
 def sequence_configuration(field: ConcreteField,
                            terms: Sequence) -> UltrametricConfiguration:
@@ -331,25 +319,26 @@ def cross_check(field: ConcreteField, terms: Sequence,
         raise SchemaError("tagged and concrete root lists differ in shape")
     cfg = sequence_configuration(field, terms)
     kind, deltas = classify_from_prefix(cfg)
-    values = [phi.value_at(field, z) for z in terms]
-    # Align value index nu with the stored consecutive-distance index.
-    if kind is PmsKind.PDS:
-        aligned = values[1:]
-    else:
-        aligned = values[:len(deltas)]
-    fit = fit_pattern(deltas, aligned, tail_window)
+
+    def align(series: list[Value]) -> list[Value]:
+        """Match term index nu with the consecutive-distance index."""
+        return series[1:] if kind is PmsKind.PDS else series[:len(deltas)]
+
+    # v(z_nu - root) once per term and root; the function's values follow.
+    lead = field.valuate(phi.lead)
+    num = [[field.valuate(z - root) for z in terms] for root in phi.num_roots]
+    den = [[field.valuate(z - root) for z in terms] for root in phi.den_roots]
+    if any(v.is_infinity for dists in den for v in dists):
+        raise InvariantError("evaluation at a pole")
+    values = [sum([dists[k] for dists in num] + [-dists[k] for dists in den],
+                  lead) for k in range(len(terms))]
+    fit = fit_pattern(deltas, align(values), tail_window)
     mismatches: list[str] = []
     diagnoses: list[RootDiagnosis] = []
-    window = tail_window if tail_window is not None else len(deltas) // 2
-    for side, roots, tags in (("num", phi.num_roots, tagged.num_roots),
-                              ("den", phi.den_roots, tagged.den_roots)):
-        for idx, (root, tag) in enumerate(zip(roots, tags)):
-            dists = [field.valuate(z - root) for z in terms]
-            if kind is PmsKind.PDS:
-                dists = dists[1:]
-            else:
-                dists = dists[:len(deltas)]
-            root_fit = fit_pattern(deltas, dists, window)
+    for side, rows, tags in (("num", num, tagged.num_roots),
+                             ("den", den, tagged.den_roots)):
+        for idx, (dists, tag) in enumerate(zip(rows, tags)):
+            root_fit = fit_pattern(deltas, align(dists), tail_window)
             actual_limit = root_fit.kind == "affine" and root_fit.degree == 1 \
                 and root_fit.beta == _zero_like(root_fit.beta)
             actual_beta = root_fit.beta if root_fit.kind == "constant" else None

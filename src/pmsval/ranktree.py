@@ -13,7 +13,7 @@ chain direction (E.sign, +1 or -1) sets the side, as in mirror duality.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .errors import InvariantError, KindError
@@ -59,6 +59,7 @@ class RankResult:
     sup_or_inf: Optional[SupInf]
     insert_position: Optional[int]
     group_note: str
+    alpha_check: Optional[CheckOutcome] = None
 
     def embed(self, value: Value) -> Value:
         """Order embedding of the base group into the extended group."""
@@ -76,14 +77,13 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
 
     Sequences that leave the value group unchanged (pcs of transcendental
     type, pcts) short-circuit; otherwise the chain is walked and the result
-    carries the extended group model, the placed alpha and the trace.
+    carries the extended group model, the placed alpha, the trace and the
+    outcome of checking alpha against the auto probes.
     """
     n = E.group.rank()
     if E.kind is PmsKind.PCTS or E.is_transcendental_pcs():
         return RankResult(n, n, E.group, None, None, None, None,
                           "value group unchanged")
-    if E.kind is PmsKind.PCS and E.pcs_type is None:
-        raise KindError("rank walk needs the declared pcs type")
     chain = E.chain
     j = chain.terminal_level
     consts = [e.value for e in chain.constants]
@@ -124,7 +124,7 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
         raise InvariantError(
             f"alpha placement fails its chain contract at probe "
             f"{outcome.counterexample}")
-    return result
+    return replace(result, alpha_check=outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Union
 from .errors import (IndeterminateError, InvalidConfiguration, InvariantError,
                      KindError, NotAPms)
 from .exact import ExactReal
-from .groups import (INFINITY, NEG_INF, POS_INF, GroupDescriptor, Value,
-                     component_contains)
+from .groups import (INFINITY, NEG_INF, POS_INF, Cyclic, FormalInteger,
+                     GroupDescriptor, Value, component_contains)
 
 
 class PmsKind(enum.Enum):
@@ -192,6 +192,12 @@ class PmsDescriptor:
         if isinstance(bound, BoundNotInGroup) and component_contains(comp, bound.r):
             raise InvariantError(
                 f"declared not-in-group bound {bound.r} is a component member")
+        if isinstance(bound, (BoundInGroup, BoundNotInGroup)) and \
+                isinstance(comp, (Cyclic, FormalInteger)):
+            raise InvariantError(
+                f"a strictly monotone tail bounded by {bound.r} cannot be "
+                f"infinite in the discrete component "
+                f"{chain.terminal_level - 1}")
 
     def _validate_prefix(self) -> None:
         prefix = self.prefix

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from pmsval import ranktree
 from pmsval.cli import main
 
 
@@ -162,3 +165,82 @@ def test_probe_with_supplied_probes(capsys, tmp_path):
                     "--probes", str(probes))
     assert code == 0 and rep["holds"] is True
     assert rep["probes_checked"] == 3 and rep["auto_probes"] is False
+
+
+@pytest.mark.parametrize("problem", ["example-surd-bound.json",
+                                     "example-pds-mirror.json"])
+def test_probe_walks_and_checks_once(capsys, monkeypatch, problem):
+    calls = {"auto_probes": 0, "check": 0}
+
+    def counting(name, key):
+        inner = getattr(ranktree, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(ranktree, name, wrapper)
+
+    counting("auto_probes", "auto_probes")
+    counting("check_pcs_equivalence_iii", "check")
+    counting("check_pds_equivalence_iii", "check")
+    code, rep = run(capsys, "probe", "--in", problem)
+    assert code == 0 and rep["holds"] is True and rep["auto_probes"] is True
+    assert calls == {"auto_probes": 1, "check": 1}
+
+
+def test_ve_on_transcendental_pcs_has_no_extended_group(capsys, tmp_path):
+    group = {"components": [{"kind": "cyclic", "gen": "1"}]}
+    problem = tmp_path / "transcendental.json"
+    problem.write_text(json.dumps({"version": "1", "sequence": {
+        "kind": "pcs", "group": group, "pcs_type": "transcendental",
+        "chain": [{"terminal": {"dir": "inc", "bound": "unbounded"}}]},
+        "functions": [{"lead": ["1"], "num": [{"beta": ["2"]}], "den": []}]}))
+    code, rep = run(capsys, "ve", "--in", str(problem))
+    assert code == 0 and "extended_group" not in rep
+    assert rep["functions"][0]["value"] == [{"rat": "3"}]
+
+
+@pytest.mark.parametrize("kind, bound", [
+    ("pcs", {"in_group": "0"}), ("pcs", {"not_in_group": "1/2"}),
+    ("pds", {"in_group": "0"}), ("pds", {"not_in_group": "1/2"})],
+    ids=["pcs-in", "pcs-not-in", "pds-in", "pds-not-in"])
+@pytest.mark.parametrize("component", [{"kind": "cyclic", "gen": "1"},
+                                       {"kind": "formal_integer"}],
+                         ids=["cyclic", "formal_integer"])
+def test_rank_refuses_bounded_chain_on_discrete_component(capsys, tmp_path,
+                                                          kind, bound,
+                                                          component):
+    sequence = {"kind": kind, "group": {"components": [component]},
+                "chain": [{"terminal": {"dir": "inc" if kind == "pcs"
+                                        else "dec", "bound": bound}}]}
+    if kind == "pcs":
+        sequence["pcs_type"] = {"algebraic": {"deg": 1}}
+    problem = tmp_path / "discrete.json"
+    problem.write_text(json.dumps({"version": "1", "sequence": sequence}))
+    code, rep = run(capsys, "rank", "--in", str(problem))
+    assert code == 3 and rep["error"] == "invariant"
+    assert "discrete component" in rep["detail"]
+
+
+ORACLE_FIELD = {"kind": "padic", "p": 5}
+ORACLE_TERMS = ["1", "6", "31", "156"]
+
+
+@pytest.mark.parametrize("raw", [
+    {"configuration": {"sequence": ["z0", "z1", "z2"], "distances": 5}},
+    {"functions": 5},
+    {"functions": {"lead": ["0"]}},
+    {"oracle": {"field": ORACLE_FIELD, "sequence": ORACLE_TERMS,
+                "functions": 5}},
+    {"oracle": {"field": ORACLE_FIELD, "sequence": ORACLE_TERMS,
+                "functions": [{"num_roots": 5, "tagged": {"lead": ["0"]}}]}},
+    {"oracle": {"field": ORACLE_FIELD, "sequence": ORACLE_TERMS,
+                "functions": [{"den_roots": "1", "tagged": {"lead": ["0"]}}]}},
+], ids=["distances", "functions", "functions-object", "oracle-functions",
+        "num_roots", "den_roots"])
+def test_non_list_fields_are_schema_errors(capsys, tmp_path, raw):
+    problem = tmp_path / "bad.json"
+    problem.write_text(json.dumps({"version": "1", **raw}))
+    code, rep = run(capsys, "classify", "--in", str(problem))
+    assert code == 2 and rep["error"] == "schema"
+    assert "must be a list" in rep["detail"]

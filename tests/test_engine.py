@@ -271,6 +271,32 @@ def test_delta_of_linear_and_minimal_polynomials():
         assert dl < dq
 
 
+def test_root_distances_same_with_or_without_walk():
+    # Without limit roots the distances still live in the extended group.
+    E = pcs_to_zero()
+    beta_only = FactoredRationalFunction(
+        Value.of(0), (TaggedRoot.at_distance(Value.of(1)),), ())
+    assert root_distances(beta_only, E) == [Value.of(1, 0)]
+    rng = random.Random(404)
+    for trial in range(60):
+        E = random_descriptor(rng, rng.randint(1, 4))
+        comps = E.group.components
+
+        def beta() -> Value:
+            return Value(tuple(random_member(rng, c) for c in comps))
+
+        roots = [TaggedRoot.at_distance(beta(), rng.randint(1, 2))
+                 for _ in range(rng.randint(1, 3))]
+        if trial % 2:
+            roots.insert(rng.randint(0, len(roots)),
+                         TaggedRoot.limit(rng.randint(1, 2)))
+        phi = FactoredRationalFunction(Value.of(*[0] * len(comps)),
+                                       tuple(roots), ())
+        walked = root_distances(phi, E, rank_of_vE(E))
+        assert root_distances(phi, E) == walked
+        assert len(walked) == sum(r.multiplicity for r in roots)
+
+
 # ---------------------------------------------------------------------------
 # The (iii) checkers
 

@@ -7,15 +7,17 @@ under test never leaves exact rational arithmetic.
 from __future__ import annotations
 
 import random
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pmsval import ExactReal
-from pmsval.errors import InvariantError
-from pmsval.exact import _split_square_product, split_square
+from pmsval import ExactReal, exact
+from pmsval.errors import InvariantError, SchemaError
+from pmsval.exact import RADICAND_BOUND, _split_square_product, split_square
+from pmsval.jsonio import decode_exact
 
 getcontext().prec = 50
 
@@ -121,3 +123,36 @@ def test_sign_matches_decimal(a_num, a_den, b_num, b_den, d):
         assert abs(dec) < Decimal("1e-35")
     else:
         assert (dec > 0) == (x.sign() > 0)
+
+
+def test_radicand_near_the_bound_decodes_quickly():
+    start = time.perf_counter()
+    x = decode_exact({"surd": {"a": "0", "b": "1", "d": 4294967291}})
+    assert time.perf_counter() - start < 0.05
+    assert x.d == 4294967291 and x.b == 1
+
+
+@pytest.mark.parametrize("d", [2 ** 32 + 15, 10 ** 18])
+def test_radicand_at_or_above_the_bound_is_refused(d):
+    assert d >= RADICAND_BOUND
+    start = time.perf_counter()
+    with pytest.raises(InvariantError):
+        ExactReal.surd(0, 1, d)
+    with pytest.raises(SchemaError):
+        decode_exact({"surd": {"a": "0", "b": "1", "d": d}})
+    assert time.perf_counter() - start < 0.05
+
+
+def test_surd_sum_does_not_refactor_the_radicand(monkeypatch):
+    x, y = ExactReal.surd(1, 2, 1000000007), ExactReal.surd(-3, 5, 1000000007)
+    calls = []
+    monkeypatch.setattr(exact, "split_square",
+                        lambda n: calls.append(n) or split_square(n))
+    total = x
+    for _ in range(20):
+        total = total + y
+    assert total == ExactReal(Fraction(-59), Fraction(102), 1000000007)
+    assert x + (-x) == ExactReal.rational(0)
+    assert x + ExactReal.rational(Fraction(1, 2)) == \
+        ExactReal(Fraction(3, 2), Fraction(2), 1000000007)
+    assert calls == []

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pmsval import PmsKind, Value, classify_from_prefix
+from pmsval import PmsKind, Value, classify_from_prefix, oracle
 from pmsval.engine import FactoredRationalFunction, TaggedRoot
 from pmsval.errors import InvariantError
 from pmsval.oracle import (CompositeField, ConcreteRationalFunction,
@@ -175,3 +175,50 @@ def test_qt_element_arithmetic():
     assert x - x == QtElement.of([0])
     with pytest.raises(InvariantError):
         QtElement.of([1], [0])
+
+
+def counting_valuate(monkeypatch, field_cls) -> list:
+    calls: list = []
+    inner = field_cls.valuate
+
+    def valuate(self, x):
+        calls.append(x)
+        return inner(self, x)
+    monkeypatch.setattr(field_cls, "valuate", valuate)
+    return calls
+
+
+def test_cross_check_valuates_each_factor_once(monkeypatch):
+    rng = random.Random(1003)
+    instances = ([random_padic_instance(rng)[:4] + (8,) for _ in range(6)]
+                 + [random_composite_instance(rng)[:4] + (4,)
+                    for _ in range(4)])
+    calls = counting_valuate(monkeypatch, PadicRationals)
+    calls_qt = counting_valuate(monkeypatch, CompositeField)
+    for field, terms, phi, tagged, window in instances:
+        n, r = len(terms), len(phi.num_roots) + len(phi.den_roots)
+        calls.clear()
+        calls_qt.clear()
+        assert cross_check(field, terms, phi, tagged, tail_window=window).agree
+        assert len(calls) + len(calls_qt) == n * (n - 1) // 2 + 1 + n * r
+
+
+def test_cross_check_pole_raises_before_any_fit(monkeypatch):
+    fits = []
+    monkeypatch.setattr(oracle, "fit_pattern",
+                        lambda *args: fits.append(args) or fit_pattern(*args))
+    terms = [Fraction(5 ** (nu + 1) - 1, 4) for nu in range(13)]
+    tagged = FactoredRationalFunction(
+        Value.of(0), (TaggedRoot.limit(),), (TaggedRoot.at_distance(Value.of(1)),))
+    for pole in (terms[0], terms[7], terms[-1]):
+        phi = ConcreteRationalFunction(Fraction(1), (Fraction(-1, 4),), (pole,))
+        with pytest.raises(InvariantError, match="evaluation at a pole"):
+            cross_check(F5, terms, phi, tagged)
+    # Too short for a fit: the pole is still what is reported.
+    phi = ConcreteRationalFunction(Fraction(1), (Fraction(-1, 4),), (terms[1],))
+    with pytest.raises(InvariantError, match="evaluation at a pole"):
+        cross_check(F5, terms[:4], phi, tagged)
+    assert fits == []
+    with pytest.raises(InvariantError, match="four tail points"):
+        cross_check(F5, terms[:4], ConcreteRationalFunction(
+            Fraction(1), (Fraction(-1, 4),), (Fraction(7),)), tagged)

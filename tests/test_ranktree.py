@@ -233,3 +233,16 @@ def test_tree_dot_syntax_well_formed():
                     endpoints.update(m.groups())
                 assert line.count('"') % 2 == 0
             assert endpoints <= declared
+
+
+def test_rank_result_keeps_its_alpha_check():
+    rng = random.Random(808)
+    for _ in range(30):
+        E = random_descriptor(rng, rng.randint(1, 4))
+        r = rank_of_vE(E)
+        assert r.alpha_check.holds and r.alpha_check.counterexample is None
+        assert r.alpha_check.checked == len(auto_probes(E))
+    g = GroupDescriptor.of(Cyclic(Fraction(1)))
+    chain = StageChain((Terminal(Direction.INCREASING, Unbounded()),))
+    E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Transcendental())
+    assert rank_of_vE(E).alpha is None and rank_of_vE(E).alpha_check is None

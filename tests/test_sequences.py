@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from pmsval import (Algebraic, BoundInGroup, BoundNotInGroup, ConstantFrom,
-                    Cyclic, Direction, ExactReal, FullRational,
+from pmsval import (AdjoinedSurd, Algebraic, BoundInGroup, BoundNotInGroup,
+                    ConstantFrom, Cyclic, Direction, ExactReal, FormalInteger,
+                    FullRational,
                     GroupDescriptor, PPowerDivisible, PmsDescriptor, PmsKind,
                     StageChain, Terminal, Tri,
                     UltrametricConfiguration, Unbounded, Value,
@@ -374,3 +375,48 @@ def test_generated_prefixes_classify_as_declared():
         kind, prefix = classify_from_prefix(cfg)
         assert kind is E.kind
         assert tuple(prefix) == E.prefix
+
+
+# ---------------------------------------------------------------------------
+# Bounded chains need a dense terminal component
+
+SQRT2 = ExactReal.surd(0, 1, 2)
+BOUNDS = {"in_group": BoundInGroup, "not_in_group": BoundNotInGroup}
+
+
+def bounded(kind: PmsKind, comp, bound) -> PmsDescriptor:
+    direction = (Direction.INCREASING if kind is PmsKind.PCS
+                 else Direction.DECREASING)
+    return PmsDescriptor(
+        kind, GroupDescriptor.of(comp),
+        chain=StageChain((Terminal(direction, bound),)),
+        pcs_type=Algebraic(2) if kind is PmsKind.PCS else None)
+
+
+@pytest.mark.parametrize("kind", [PmsKind.PCS, PmsKind.PDS], ids=["pcs", "pds"])
+@pytest.mark.parametrize("bound_kind, r", [
+    ("in_group", ExactReal.rational(0)),
+    ("not_in_group", ExactReal.rational(Fraction(1, 2)))],
+    ids=["in_group", "not_in_group"])
+@pytest.mark.parametrize("comp", [Cyclic(Fraction(1)), FormalInteger()],
+                         ids=["cyclic", "formal_integer"])
+def test_bounded_chain_on_discrete_component_is_rejected(kind, bound_kind, r,
+                                                         comp):
+    with pytest.raises(InvariantError, match="discrete component"):
+        bounded(kind, comp, BOUNDS[bound_kind](r))
+    # Unbounded chains on the same component stay valid.
+    bounded(kind, comp, Unbounded())
+
+
+@pytest.mark.parametrize("kind", [PmsKind.PCS, PmsKind.PDS], ids=["pcs", "pds"])
+@pytest.mark.parametrize("comp, inside, outside", [
+    (PPowerDivisible(2, Fraction(1)), ExactReal.rational(0),
+     ExactReal.rational(Fraction(1, 3))),
+    (FullRational(), ExactReal.rational(0), SQRT2),
+    (AdjoinedSurd(Cyclic(Fraction(1)), SQRT2), SQRT2,
+     ExactReal.rational(Fraction(1, 2)))],
+    ids=["p_divisible", "rationals", "surd_over_cyclic"])
+def test_bounded_chain_on_dense_component_is_accepted(kind, comp, inside,
+                                                      outside):
+    bounded(kind, comp, BoundInGroup(inside))
+    bounded(kind, comp, BoundNotInGroup(outside))
