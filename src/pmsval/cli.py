@@ -97,7 +97,7 @@ def cmd_classify(problem: Problem) -> tuple[dict, int]:
     report: dict = {"command": "classify"}
     kind = None
     if problem.configuration is not None:
-        kind, prefix = sequences.classify_from_prefix(problem.configuration)
+        kind, prefix = problem.configuration.classification
         report["kind"] = kind.value
         report["delta_prefix"] = [jsonio.encode_value(v) for v in prefix]
     E = problem.sequence
@@ -176,23 +176,21 @@ def cmd_oracle_check(problem: Problem,
     section = _require(problem, "oracle")
     if not section.functions:
         raise SchemaError("oracle section lists no functions to check")
-    results = []
-    all_agree = True
-    for concrete, tagged in section.functions:
-        rep = oracle.cross_check(section.field, section.terms, concrete,
-                                 tagged, problem.sequence, tail_window)
-        all_agree = all_agree and rep.agree
-        results.append({
-            "agree": rep.agree,
-            "kind": rep.kind.value,
-            "delta_prefix": [jsonio.encode_value(v) for v in rep.delta_prefix],
-            "fit": {"kind": rep.fit.kind, "degree": rep.fit.degree,
-                    "beta": (jsonio.encode_value(rep.fit.beta)
-                             if rep.fit.beta is not None else None)},
-            "tagged": {"degree": rep.tagged_form.degree,
-                       "beta": jsonio.encode_value(rep.tagged_form.beta)},
-            "mismatches": list(rep.mismatches),
-        })
+    reports = oracle.cross_check(section.field, section.terms,
+                                 section.functions, problem.sequence,
+                                 tail_window)
+    results = [{
+        "agree": rep.agree,
+        "kind": rep.kind.value,
+        "delta_prefix": [jsonio.encode_value(v) for v in rep.delta_prefix],
+        "fit": {"kind": rep.fit.kind, "degree": rep.fit.degree,
+                "beta": (jsonio.encode_value(rep.fit.beta)
+                         if rep.fit.beta is not None else None)},
+        "tagged": {"degree": rep.tagged_form.degree,
+                   "beta": jsonio.encode_value(rep.tagged_form.beta)},
+        "mismatches": list(rep.mismatches),
+    } for rep in reports]
+    all_agree = all(rep.agree for rep in reports)
     report = {"command": "oracle-check", "all_agree": all_agree,
               "functions": results}
     return report, EXIT_OK if all_agree else EXIT_NEGATIVE
@@ -310,7 +308,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _write(jsonio.dump_report({"error": "indeterminate", "detail": str(exc)}),
                getattr(args, "outfile", None))
         return EXIT_INDETERMINATE
-    except (InvariantError, PmsvalError) as exc:
+    except PmsvalError as exc:
         _write(jsonio.dump_report({"error": "invariant", "detail": str(exc)}),
                getattr(args, "outfile", None))
         return EXIT_INVARIANT

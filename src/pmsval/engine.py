@@ -20,7 +20,7 @@ from .groups import GroupDescriptor, INFINITY, Value, contains_embedded
 from .ranktree import (RankResult, check_pcs_equivalence_iii,
                        check_pds_equivalence_iii, rank_of_vE)
 from .sequences import (PmsDescriptor, PmsKind, UltrametricConfiguration,
-                        cofinal)
+                        cofinal, pattern_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +347,8 @@ def induced_configuration(E: PmsDescriptor,
     dist: dict[tuple[str, str], Value] = {}
     for i in range(m):
         for j in range(i + 1, m):
-            # consecutive-entry index determined by the kind's pattern
-            if E.kind is PmsKind.PCS:
-                v = prefix[i]
-            elif E.kind is PmsKind.PDS:
-                v = prefix[j - 1]
-            else:
-                v = prefix[0]
-            key = (names[i], names[j])
-            dist[key] = emb(v)
+            dist[(names[i], names[j])] = emb(
+                pattern_distance(E.kind, prefix, i, j))
     for nu in range(m):
         if E.kind is PmsKind.PCS:
             v = emb(prefix[nu]) if nu < len(prefix) else None
@@ -364,6 +357,5 @@ def induced_configuration(E: PmsDescriptor,
         else:
             v = alpha
         if v is not None:
-            a, b = sorted((names[nu], "X"))
-            dist[(a, b)] = v
+            dist[(names[nu], "X")] = v
     return UltrametricConfiguration.build(names, ("X",), dist)

@@ -17,7 +17,7 @@ from .engine import DominatingForm, FactoredRationalFunction, dominating_degree
 from .errors import InvariantError, SchemaError
 from .groups import Cyclic, GroupDescriptor, INFINITY, Value, is_prime
 from .sequences import (PmsDescriptor, PmsKind, UltrametricConfiguration,
-                        classify_from_prefix)
+                        classify_from_prefix, delta_shift, moves)
 
 
 def padic_valuation(q: Fraction, p: int) -> int:
@@ -235,15 +235,12 @@ def fit_pattern(delta_prefix: Sequence[Value], values: Sequence[Value],
     tail = range(m - window, m)
     if any(values[i].is_infinity for i in tail):
         return FitOutcome("inconsistent")
-    increasing = all(a < b for a, b in zip(deltas, deltas[1:]))
-    decreasing = all(a > b for a, b in zip(deltas, deltas[1:]))
-    constant = all(a == deltas[0] for a in deltas)
-    if not (increasing or decreasing or constant):
-        raise InvariantError("distance prefix is neither monotone nor constant")
-    if constant:
-        if all(values[i] == values[m - 1] for i in tail):
+    if moves(deltas, 0):
+        if moves(values[m - window:], 0):
             return FitOutcome("constant", 0, values[m - 1])
         return FitOutcome("inconsistent")
+    if not (moves(deltas, 1) or moves(deltas, -1)):
+        raise InvariantError("distance prefix is neither monotone nor constant")
     d = _solve_degree(deltas[m - 1] - deltas[m - 2], values[m - 1] - values[m - 2])
     if d is None:
         return FitOutcome("inconsistent")
@@ -281,21 +278,6 @@ def _solve_degree(ddelta: Value, dvalue: Value) -> Optional[int]:
 
 
 @dataclass(frozen=True)
-class RootDiagnosis:
-    side: str
-    index: int
-    declared_limit: bool
-    actual_limit: bool
-    declared_beta: Optional[Value]
-    actual_beta: Optional[Value]
-
-    @property
-    def agrees(self) -> bool:
-        return (self.declared_limit == self.actual_limit
-                and self.declared_beta == self.actual_beta)
-
-
-@dataclass(frozen=True)
 class CrossCheckReport:
     agree: bool
     kind: PmsKind
@@ -303,65 +285,65 @@ class CrossCheckReport:
     fit: FitOutcome
     tagged_form: Optional[DominatingForm]
     mismatches: tuple[str, ...]
-    diagnoses: tuple[RootDiagnosis, ...]
 
 
 def cross_check(field: ConcreteField, terms: Sequence,
-                phi: ConcreteRationalFunction,
-                tagged: FactoredRationalFunction,
+                functions: Sequence[tuple[ConcreteRationalFunction,
+                                          FactoredRationalFunction]],
                 E: Optional[PmsDescriptor] = None,
-                tail_window: Optional[int] = None) -> CrossCheckReport:
-    """Evaluate phi along the sequence, fit the tail pattern and compare the
-    result with the declared root tagging; mismatches name the offending
-    root by side and position."""
-    if len(phi.num_roots) != len(tagged.num_roots) or \
-            len(phi.den_roots) != len(tagged.den_roots):
-        raise SchemaError("tagged and concrete root lists differ in shape")
-    cfg = sequence_configuration(field, terms)
-    kind, deltas = classify_from_prefix(cfg)
+                tail_window: Optional[int] = None) -> list[CrossCheckReport]:
+    """Evaluate each concrete function along the sequence, fit the tail
+    pattern and compare the result with the function's root tagging;
+    mismatches name the offending root by side and position.  The sequence
+    is valuated and classified once, for all the functions."""
+    for phi, tagged in functions:
+        if len(phi.num_roots) != len(tagged.num_roots) or \
+                len(phi.den_roots) != len(tagged.den_roots):
+            raise SchemaError("tagged and concrete root lists differ in shape")
+    kind, deltas = classify_from_prefix(sequence_configuration(field, terms))
+    shift = delta_shift(kind)
 
     def align(series: list[Value]) -> list[Value]:
         """Match term index nu with the consecutive-distance index."""
-        return series[1:] if kind is PmsKind.PDS else series[:len(deltas)]
+        return series[shift:shift + len(deltas)]
 
-    # v(z_nu - root) once per term and root; the function's values follow.
-    lead = field.valuate(phi.lead)
-    num = [[field.valuate(z - root) for z in terms] for root in phi.num_roots]
-    den = [[field.valuate(z - root) for z in terms] for root in phi.den_roots]
-    if any(v.is_infinity for dists in den for v in dists):
-        raise InvariantError("evaluation at a pole")
-    values = [sum([dists[k] for dists in num] + [-dists[k] for dists in den],
-                  lead) for k in range(len(terms))]
-    fit = fit_pattern(deltas, align(values), tail_window)
-    mismatches: list[str] = []
-    diagnoses: list[RootDiagnosis] = []
-    for side, rows, tags in (("num", num, tagged.num_roots),
-                             ("den", den, tagged.den_roots)):
-        for idx, (dists, tag) in enumerate(zip(rows, tags)):
-            root_fit = fit_pattern(deltas, align(dists), tail_window)
-            actual_limit = root_fit.kind == "affine" and root_fit.degree == 1 \
-                and root_fit.beta == _zero_like(root_fit.beta)
-            actual_beta = root_fit.beta if root_fit.kind == "constant" else None
-            diag = RootDiagnosis(side, idx, tag.is_limit, actual_limit,
-                                 tag.beta, actual_beta)
-            diagnoses.append(diag)
-            if not diag.agrees:
+    reports = []
+    for phi, tagged in functions:
+        # v(z_nu - root) once per term and root; the function's values follow.
+        lead = field.valuate(phi.lead)
+        num = [[field.valuate(z - root) for z in terms] for root in phi.num_roots]
+        den = [[field.valuate(z - root) for z in terms] for root in phi.den_roots]
+        if any(v.is_infinity for dists in den for v in dists):
+            raise InvariantError("evaluation at a pole")
+        values = [sum([dists[k] for dists in num] + [-dists[k] for dists in den],
+                      lead) for k in range(len(terms))]
+        fit = fit_pattern(deltas, align(values), tail_window)
+        mismatches: list[str] = []
+        for side, rows, tags in (("num", num, tagged.num_roots),
+                                 ("den", den, tagged.den_roots)):
+            for idx, (dists, tag) in enumerate(zip(rows, tags)):
+                root_fit = fit_pattern(deltas, align(dists), tail_window)
+                actual_limit = root_fit.kind == "affine" and root_fit.degree == 1 \
+                    and root_fit.beta == _zero_like(root_fit.beta)
+                actual_beta = root_fit.beta if root_fit.kind == "constant" else None
+                if (tag.is_limit, tag.beta) != (actual_limit, actual_beta):
+                    mismatches.append(
+                        f"{side}[{idx}]: declared "
+                        f"{'limit' if tag.is_limit else f'beta={tag.beta}'}, "
+                        f"oracle saw "
+                        f"{'limit' if actual_limit else f'beta={actual_beta}'}")
+        tagged_form = (dominating_degree(tagged, E) if E is not None
+                       else tagged.dominating_form())
+        if fit.is_consistent:
+            fit_d = fit.degree if fit.degree is not None else 0
+            if fit_d != tagged_form.degree or fit.beta != tagged_form.beta:
                 mismatches.append(
-                    f"{side}[{idx}]: declared "
-                    f"{'limit' if tag.is_limit else f'beta={tag.beta}'}, "
-                    f"oracle saw "
-                    f"{'limit' if actual_limit else f'beta={actual_beta}'}")
-    tagged_form = (dominating_degree(tagged, E) if E is not None
-                   else tagged.dominating_form())
-    if fit.is_consistent:
-        fit_d = fit.degree if fit.degree is not None else 0
-        if fit_d != tagged_form.degree or fit.beta != tagged_form.beta:
-            mismatches.append(
-                f"overall: oracle fit d={fit_d}, beta={fit.beta}; tags give "
-                f"d={tagged_form.degree}, beta={tagged_form.beta}")
-    agree = fit.is_consistent and not mismatches
-    return CrossCheckReport(agree, kind, tuple(deltas), fit, tagged_form,
-                            tuple(mismatches), tuple(diagnoses))
+                    f"overall: oracle fit d={fit_d}, beta={fit.beta}; tags give "
+                    f"d={tagged_form.degree}, beta={tagged_form.beta}")
+        agree = fit.is_consistent and not mismatches
+        reports.append(CrossCheckReport(agree, kind, tuple(deltas), fit,
+                                        tagged_form, tuple(mismatches)))
+    return reports
 
 
 def _zero_like(v: Value) -> Value:

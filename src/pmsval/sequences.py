@@ -41,6 +41,36 @@ class Tri(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
+# The distance pattern
+
+
+def moves(xs: Sequence, s: int) -> bool:
+    """Whether every entry of xs compares s to the one before it: s = +1
+    strictly increasing (a pcs), -1 strictly decreasing (a pds), 0 constant
+    (a pcts)."""
+    return all(b.compare(a) == s for a, b in zip(xs, xs[1:]))
+
+
+def pattern_distance(kind: PmsKind, deltas: Sequence[Value], i: int,
+                     j: int) -> Value:
+    """v(z_i - z_j) for i < j, given deltas[k] = v(z_k - z_{k+1}): the
+    earlier index decides for a pcs, the later one for a pds, and a pcts
+    has a single distance."""
+    if kind is PmsKind.PCS:
+        return deltas[i]
+    if kind is PmsKind.PDS:
+        return deltas[j - 1]
+    return deltas[0]
+
+
+def delta_shift(kind: PmsKind) -> int:
+    """The sequence index of the first distance value.  delta_nu of a pds
+    compares z_nu with earlier members, so it starts at nu = 1 and is
+    consecutive distance nu - 1; a pcs or pcts starts at nu = 0."""
+    return 1 if kind is PmsKind.PDS else 0
+
+
+# ---------------------------------------------------------------------------
 # Stage chains
 
 
@@ -208,16 +238,15 @@ class PmsDescriptor:
             if not self.group.contains(v):
                 raise InvariantError(f"prefix entry {v} is not a group member")
         if self.kind is PmsKind.PCTS:
-            if any(v != prefix[0] for v in prefix[1:]):
+            if not moves(prefix, 0):
                 raise InvariantError("a pcts prefix must be constant")
             if prefix and prefix[0] != self.pcts_delta:
                 raise InvariantError("pcts prefix must equal the declared delta")
             return
         inc = self.kind is PmsKind.PCS
-        for a, b in zip(prefix, prefix[1:]):
-            if not (a < b if inc else a > b):
-                raise InvariantError(
-                    f"prefix must be strictly {'increasing' if inc else 'decreasing'}")
+        if not moves(prefix, self.sign):
+            raise InvariantError(
+                f"prefix must be strictly {'increasing' if inc else 'decreasing'}")
         chain = self.chain
         j = chain.terminal_level
         for i, entry in enumerate(chain.constants):
@@ -228,10 +257,9 @@ class PmsDescriptor:
                         f"from index {entry.stage} on")
         tail = range(chain.tail_start, len(prefix))
         coords = [prefix[nu].coords[j - 1] for nu in tail]
-        for a, b in zip(coords, coords[1:]):
-            if not (a < b if inc else a > b):
-                raise InvariantError(
-                    "terminal coordinate must move strictly with the chain direction")
+        if not moves(coords, self.sign):
+            raise InvariantError(
+                "terminal coordinate must move strictly with the chain direction")
         bound = chain.terminal.bound
         if isinstance(bound, (BoundInGroup, BoundNotInGroup)):
             for c in coords:
@@ -395,30 +423,23 @@ def classify_from_prefix(cfg: UltrametricConfiguration) -> tuple[PmsKind, list[V
     if len(zs) < 3:
         raise IndeterminateError("need at least three sequence points to classify")
     consec = [cfg.distance(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
-    increasing = all(a < b for a, b in zip(consec, consec[1:]))
-    decreasing = all(a > b for a, b in zip(consec, consec[1:]))
-    all_pairs = [cfg.distance(zs[i], zs[j])
-                 for i in range(len(zs)) for j in range(i + 1, len(zs))
-                 if cfg.has_distance(zs[i], zs[j])]
-    constant = all(v == all_pairs[0] for v in all_pairs)
-    if constant:
-        return PmsKind.PCTS, [all_pairs[0]] * len(consec)
-    if increasing:
-        expect = lambda i, j: consec[min(i, j)]
-        kind = PmsKind.PCS
-    elif decreasing:
-        expect = lambda i, j: consec[max(i, j) - 1]
-        kind = PmsKind.PDS
-    else:
-        raise NotAPms("consecutive distances are neither strictly increasing, "
-                      "strictly decreasing, nor all equal")
+    kind = next((k for k, s in ((PmsKind.PCS, 1), (PmsKind.PDS, -1),
+                                (PmsKind.PCTS, 0)) if moves(consec, s)), None)
+    neither = ("consecutive distances are neither strictly increasing, "
+               "strictly decreasing, nor all equal")
+    if kind is None:
+        raise NotAPms(neither)
     for i in range(len(zs)):
         for j in range(i + 1, len(zs)):
-            if cfg.has_distance(zs[i], zs[j]):
-                if cfg.distance(zs[i], zs[j]) != expect(i, j):
-                    raise InvalidConfiguration(
-                        f"distance {zs[i]},{zs[j]} contradicts the "
-                        f"{kind.value} pattern")
+            if not cfg.has_distance(zs[i], zs[j]):
+                continue
+            if cfg.distance(zs[i], zs[j]) != pattern_distance(kind, consec, i, j):
+                # Equal consecutive distances admit only the pcts pattern.
+                if kind is PmsKind.PCTS:
+                    raise NotAPms(neither)
+                raise InvalidConfiguration(
+                    f"distance {zs[i]},{zs[j]} contradicts the {kind.value} "
+                    "pattern")
     return kind, consec
 
 
@@ -534,9 +555,7 @@ def inf_of(E: PmsDescriptor) -> SupInf:
 
 def _tail_indices(E: PmsDescriptor, cfg: UltrametricConfiguration,
                   y: str) -> list[int]:
-    # For a pds the distance value at index 0 is undefined (it compares
-    # against earlier members), so witnessing starts at 1.
-    floor = max(E.tail_start, 1) if E.kind is PmsKind.PDS else E.tail_start
+    floor = max(E.tail_start, delta_shift(E.kind))
     out = []
     for nu in range(len(cfg.sequence)):
         if nu >= floor and cfg.has_distance(y, cfg.sequence[nu]):
@@ -551,7 +570,7 @@ def _delta_at(E: PmsDescriptor, cfg: UltrametricConfiguration,
     Consecutive distances are stored so that entry k is v(z_k - z_{k+1});
     for a pcs that is delta_k, for a pds delta_{k+1}.
     """
-    k = nu if E.kind is not PmsKind.PDS else nu - 1
+    k = nu - delta_shift(E.kind)
     if k < 0:
         return None
     if E.prefix is not None and k < len(E.prefix):
@@ -618,7 +637,7 @@ def limit_dichotomy_check(y: str, E: PmsDescriptor,
         if not tail:
             raise IndeterminateError("no tail witnesses for the dichotomy")
         values = [cfg.distance(y, cfg.sequence[nu]) for nu in tail]
-        if any(v != values[0] for v in values[1:]):
+        if not moves(values, 0):
             raise InvalidConfiguration(
                 "distances to a pcts are ultimately constant; witnessed tail "
                 "is not")
@@ -633,7 +652,7 @@ def limit_dichotomy_check(y: str, E: PmsDescriptor,
     if checkable and all(cfg.distance(y, cfg.sequence[nu]) == d
                          for nu, d in checkable):
         return Dichotomy(True, None)
-    if all(v == values[0] for v in values[1:]):
+    if moves(values, 0):
         return Dichotomy(False, values[0])
     raise InvalidConfiguration(
         f"distances from {y} neither follow the distance values nor settle; "

@@ -128,7 +128,7 @@ def test_criterion_5_padic_oracle_equivalence():
     for i in range(110):
         field, terms, phi, tagged, d, beta = random_padic_instance(
             rng, prefix_len=16)
-        rep = cross_check(field, terms, phi, tagged, tail_window=8)
+        rep = cross_check(field, terms, [(phi, tagged)], tail_window=8)[0]
         if not (rep.agree and rep.fit.is_consistent
                 and rep.fit.degree == d and rep.fit.beta == beta):
             failures.append((i, rep.mismatches))
@@ -145,7 +145,7 @@ def test_criterion_6_composite_oracle():
     for i in range(30):
         field, terms, phi, tagged, d, beta, kind = \
             random_composite_instance(rng, prefix_len=9)
-        rep = cross_check(field, terms, phi, tagged, tail_window=4)
+        rep = cross_check(field, terms, [(phi, tagged)], tail_window=4)[0]
         if not (rep.agree and rep.kind is kind
                 and rep.fit.degree == d and rep.fit.beta == beta):
             failures.append((i, rep.kind, rep.mismatches))

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from pmsval import ranktree
+from pmsval import oracle, ranktree
 from pmsval.cli import main
 
 
@@ -186,6 +186,30 @@ def test_probe_walks_and_checks_once(capsys, monkeypatch, problem):
     code, rep = run(capsys, "probe", "--in", problem)
     assert code == 0 and rep["holds"] is True and rep["auto_probes"] is True
     assert calls == {"auto_probes": 1, "check": 1}
+
+
+def test_oracle_check_builds_and_classifies_the_sequence_once(capsys,
+                                                              monkeypatch):
+    calls = {"sequence_configuration": 0, "classify_from_prefix": 0,
+             "valuate": 0}
+
+    def counting(owner, name, key):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(oracle, "sequence_configuration", "sequence_configuration")
+    counting(oracle, "classify_from_prefix", "classify_from_prefix")
+    counting(oracle.PadicRationals, "valuate", "valuate")
+    counting(oracle.CompositeField, "valuate", "valuate")
+    code, rep = run(capsys, "oracle-check", "--in",
+                    "example-composite-rank2.json")
+    assert code == 0 and len(rep["functions"]) == 2
+    assert calls == {"sequence_configuration": 1, "classify_from_prefix": 1,
+                     "valuate": 56}
 
 
 def test_ve_on_transcendental_pcs_has_no_extended_group(capsys, tmp_path):

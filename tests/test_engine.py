@@ -11,7 +11,7 @@ import pytest
 from pmsval import (Algebraic, BoundInGroup, Cyclic, Direction, ExactReal,
                     GroupDescriptor, INFINITY, PPowerDivisible, PmsDescriptor,
                     PmsKind, StageChain, Terminal, Transcendental, Tri,
-                    Unbounded, Value, is_limit)
+                    Unbounded, Value, classify_from_prefix, is_limit)
 from pmsval.engine import (AlphaPosition, FactoredRationalFunction,
                            TaggedRoot,
                            check_pcs_equivalence_iii, check_pds_equivalence_iii,
@@ -416,3 +416,21 @@ def test_induced_configuration_pcts():
                       prefix=(Value.of(0), Value.of(0), Value.of(0)))
     cfg = induced_configuration(E)
     assert is_limit("X", E, cfg) is Tri.TRUE
+
+
+def test_induced_configuration_classifies_as_its_descriptor():
+    rng = random.Random(5150)
+    delta = Value.of(Fraction(3, 2))
+    pcts = PmsDescriptor(PmsKind.PCTS, Z2, pcts_delta=delta,
+                         prefix=(delta,) * 4)
+    descriptors = [pcts] + [random_descriptor(rng, rng.randint(1, 3))
+                            for _ in range(300)]
+    kinds = {kind: 0 for kind in PmsKind}
+    for E in descriptors:
+        kinds[E.kind] += 1
+        kind, prefix = classify_from_prefix(induced_configuration(E))
+        embed = (rank_of_vE(E).embed if E.kind is PmsKind.PDS
+                 else lambda v: v)
+        assert kind is E.kind
+        assert prefix == [embed(v) for v in E.prefix]
+    assert all(kinds.values())

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from pmsval import ExactReal, INFINITY, Value
+from pmsval import ExactReal, INFINITY, Value, groups, jsonio, oracle
 from pmsval.errors import InvariantError, SchemaError
 from pmsval.jsonio import (decode_chain, decode_descriptor, decode_exact,
                            decode_function, decode_group, decode_problem,
@@ -132,6 +132,23 @@ def test_oracle_field_needs_a_prime(kind, p):
                       "sequence": ["1", "6", "31"]}}
     with pytest.raises(SchemaError, match="must be prime"):
         decode_problem(raw)
+
+
+@pytest.mark.parametrize("kind", ["padic", "composite"])
+def test_oracle_field_primality_is_decided_once(monkeypatch, kind):
+    calls = []
+    inner = groups.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return inner(n)
+    # Every module binding of is_prime counts.
+    for module in (groups, oracle, jsonio):
+        if hasattr(module, "is_prime"):
+            monkeypatch.setattr(module, "is_prime", counting)
+    decode_problem({"oracle": {"field": {"kind": kind, "p": 5},
+                               "sequence": ["1", "6", "31"]}})
+    assert calls == [5]
 
 
 def test_decoder_fuzz_only_package_errors():

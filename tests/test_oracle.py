@@ -9,7 +9,7 @@ import pytest
 
 from pmsval import PmsKind, Value, classify_from_prefix, oracle
 from pmsval.engine import FactoredRationalFunction, TaggedRoot
-from pmsval.errors import InvariantError
+from pmsval.errors import InvariantError, SchemaError
 from pmsval.oracle import (CompositeField, ConcreteRationalFunction,
                            PadicRationals, QtElement, cross_check, fit_pattern,
                            padic_valuation, sequence_configuration)
@@ -113,7 +113,7 @@ def test_cross_check_5adic_worked_example():
     terms = [Fraction(5 ** (nu + 1) - 1, 4) for nu in range(13)]
     phi = ConcreteRationalFunction(Fraction(1), (Fraction(-1, 4),), ())
     tagged = FactoredRationalFunction(Value.of(0), (TaggedRoot.limit(),), ())
-    rep = cross_check(F5, terms, phi, tagged)
+    rep = cross_check(F5, terms, [(phi, tagged)])[0]
     assert rep.agree and rep.kind is PmsKind.PCS
     assert rep.fit.degree == 1 and rep.fit.beta == Value.of(0)
     assert rep.delta_prefix[:3] == (Value.of(1), Value.of(2), Value.of(3))
@@ -124,7 +124,7 @@ def test_cross_check_flags_mistag():
     phi = ConcreteRationalFunction(Fraction(1), (Fraction(-1, 4),), ())
     mis = FactoredRationalFunction(
         Value.of(0), (TaggedRoot.at_distance(Value.of(0)),), ())
-    rep = cross_check(F5, terms, phi, mis)
+    rep = cross_check(F5, terms, [(phi, mis)])[0]
     assert not rep.agree
     assert any("num[0]" in m for m in rep.mismatches)
 
@@ -133,7 +133,7 @@ def test_cross_check_composite_worked_example():
     terms = [T + QtElement.of([0, 0, 5 ** nu]) for nu in range(9)]
     phi = ConcreteRationalFunction(QtElement.constant(1), (T,), ())
     tagged = FactoredRationalFunction(Value.of(0, 0), (TaggedRoot.limit(),), ())
-    rep = cross_check(C5, terms, phi, tagged)
+    rep = cross_check(C5, terms, [(phi, tagged)])[0]
     assert rep.agree
     assert rep.fit.degree == 1
     assert rep.delta_prefix[0] == Value.of(2, 0)
@@ -143,7 +143,7 @@ def test_random_padic_instances_agree():
     rng = random.Random(1001)
     for _ in range(30):
         field, terms, phi, tagged, d, beta = random_padic_instance(rng)
-        rep = cross_check(field, terms, phi, tagged, tail_window=8)
+        rep = cross_check(field, terms, [(phi, tagged)], tail_window=8)[0]
         assert rep.agree, rep.mismatches
         assert rep.fit.degree == d and rep.fit.beta == beta
 
@@ -152,7 +152,7 @@ def test_random_composite_instances_agree():
     rng = random.Random(1002)
     for _ in range(20):
         field, terms, phi, tagged, d, beta, kind = random_composite_instance(rng)
-        rep = cross_check(field, terms, phi, tagged, tail_window=4)
+        rep = cross_check(field, terms, [(phi, tagged)], tail_window=4)[0]
         assert rep.kind is kind
         assert rep.agree, rep.mismatches
         assert rep.fit.degree == d and rep.fit.beta == beta
@@ -199,7 +199,8 @@ def test_cross_check_valuates_each_factor_once(monkeypatch):
         n, r = len(terms), len(phi.num_roots) + len(phi.den_roots)
         calls.clear()
         calls_qt.clear()
-        assert cross_check(field, terms, phi, tagged, tail_window=window).agree
+        assert cross_check(field, terms, [(phi, tagged)],
+                           tail_window=window)[0].agree
         assert len(calls) + len(calls_qt) == n * (n - 1) // 2 + 1 + n * r
 
 
@@ -213,12 +214,45 @@ def test_cross_check_pole_raises_before_any_fit(monkeypatch):
     for pole in (terms[0], terms[7], terms[-1]):
         phi = ConcreteRationalFunction(Fraction(1), (Fraction(-1, 4),), (pole,))
         with pytest.raises(InvariantError, match="evaluation at a pole"):
-            cross_check(F5, terms, phi, tagged)
+            cross_check(F5, terms, [(phi, tagged)])
     # Too short for a fit: the pole is still what is reported.
     phi = ConcreteRationalFunction(Fraction(1), (Fraction(-1, 4),), (terms[1],))
     with pytest.raises(InvariantError, match="evaluation at a pole"):
-        cross_check(F5, terms[:4], phi, tagged)
+        cross_check(F5, terms[:4], [(phi, tagged)])
     assert fits == []
     with pytest.raises(InvariantError, match="four tail points"):
-        cross_check(F5, terms[:4], ConcreteRationalFunction(
-            Fraction(1), (Fraction(-1, 4),), (Fraction(7),)), tagged)
+        cross_check(F5, terms[:4], [(ConcreteRationalFunction(
+            Fraction(1), (Fraction(-1, 4),), (Fraction(7),)), tagged)])
+
+
+def test_cross_check_valuates_the_sequence_once_for_all_functions(monkeypatch):
+    rng = random.Random(1004)
+    calls = counting_valuate(monkeypatch, PadicRationals)
+    calls_qt = counting_valuate(monkeypatch, CompositeField)
+    for make in [random_padic_instance] * 4 + [random_composite_instance] * 3:
+        field, terms, phi, tagged = make(rng)[:4]
+        # Functions of further instances, evaluated along these terms.
+        functions = [(phi, tagged)] + [make(rng)[2:4]
+                                       for _ in range(rng.randint(1, 3))]
+        n = len(terms)
+        expected = n * (n - 1) // 2 + sum(
+            1 + n * (len(f.num_roots) + len(f.den_roots))
+            for f, _ in functions)
+        calls.clear()
+        calls_qt.clear()
+        reports = cross_check(field, terms, functions)
+        assert len(reports) == len(functions) and reports[0].agree
+        assert len(calls) + len(calls_qt) == expected
+
+
+def test_cross_check_refuses_a_misshaped_function_before_valuating(
+        monkeypatch):
+    calls = counting_valuate(monkeypatch, PadicRationals)
+    terms = [Fraction(5 ** (nu + 1) - 1, 4) for nu in range(13)]
+    tagged = FactoredRationalFunction(Value.of(0), (TaggedRoot.limit(),), ())
+    # The first function has a pole at a term, the second one root too few.
+    pole = ConcreteRationalFunction(Fraction(1), (Fraction(-1, 4),), (terms[3],))
+    misshaped = ConcreteRationalFunction(Fraction(1), (), ())
+    with pytest.raises(SchemaError, match="differ in shape"):
+        cross_check(F5, terms, [(pole, tagged), (misshaped, tagged)])
+    assert calls == []

@@ -113,6 +113,18 @@ def test_classify_mixed_pattern_rejected():
         classify_from_prefix(cfg)
 
 
+def test_classify_equal_consecutive_distances_need_equal_far_pairs():
+    # Consecutive distances 1, 1 (only the pcts pattern can fit) while the
+    # far pair is at 2; the triangle itself is isosceles.
+    dist = {("z0", "z1"): Value.of(1), ("z1", "z2"): Value.of(1),
+            ("z0", "z2"): Value.of(2)}
+    cfg = UltrametricConfiguration.build(["z0", "z1", "z2"], (), dist)
+    with pytest.raises(NotAPms, match="^consecutive distances are neither "
+                       "strictly increasing, strictly decreasing, nor all "
+                       "equal$"):
+        classify_from_prefix(cfg)
+
+
 def test_isosceles_violation_rejected():
     dist = {("z0", "z1"): Value.of(1), ("z0", "z2"): Value.of(2),
             ("z1", "z2"): Value.of(3)}
