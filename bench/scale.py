@@ -1,0 +1,224 @@
+"""Scaling curves for pmsval: CPU time against sequence length and group rank.
+
+    python3 bench/scale.py --out BENCH.json            # measure and write
+    python3 bench/scale.py --diff OLD.json NEW.json    # compare two files
+
+Three series; each point is the median of five runs with its quartiles:
+
+- ``oracle-check``: ``python3 -m pmsval oracle-check`` on the 5-adic Cauchy
+  sequence z_n = (5^(n+1) - 1)/4, N = 40 ... 2560 doubling.  CPU time (user
+  plus system) of the child process, interpreter start included.
+- ``config-limit``: decoding a JSON configuration (a pcs over Z with
+  delta_i = i and a limit y; every pair listed) plus ``is_limit``,
+  N = 10 ... 160 doubling.  In-process CPU time, garbage collector off.
+- ``rank-alpha``: ``rank_of_vE``, which includes its alpha check, on a pcs
+  of rank n over the rationals with constants in front of a bounded
+  terminal coordinate, n = 1 ... 6.  In-process CPU time, garbage
+  collector off.
+
+The file also records the machine, the Python version and the git commit
+of the checkout measured (``dirty`` when its working tree differs from
+that commit).  The measured code is the ``src/`` next to this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from fractions import Fraction
+from importlib import resources
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from pmsval import jsonio  # noqa: E402
+from pmsval.exact import ExactReal  # noqa: E402
+from pmsval.groups import FullRational, GroupDescriptor  # noqa: E402
+from pmsval.ranktree import rank_of_vE  # noqa: E402
+from pmsval.sequences import (Algebraic, BoundInGroup, ConstantFrom,  # noqa: E402
+                              Direction, PmsDescriptor, PmsKind, StageChain,
+                              Terminal, Tri, is_limit)
+
+ORACLE_SIZES = (40, 80, 160, 320, 640, 1280, 2560)
+CONFIG_SIZES = (10, 20, 40, 80, 160)
+RANKS = (1, 2, 3, 4, 5, 6)
+REPEAT = 5
+
+
+def summary(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": runs}
+
+
+def oracle_problem(n: int) -> str:
+    raw = json.loads(resources.files("pmsval").joinpath(
+        "problems", "example-cauchy-5adic.json").read_text())
+    raw["oracle"]["sequence"] = [str((5 ** (k + 1) - 1) // 4)
+                                 for k in range(n)]
+    return json.dumps(raw)
+
+
+def child_cpu(argv: list[str]) -> float:
+    """CPU seconds (user + system) of one child process run to completion."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}")
+    return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+
+
+def oracle_series() -> list[dict]:
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in ORACLE_SIZES:
+            path = Path(tmp) / f"oracle-{n}.json"
+            path.write_text(oracle_problem(n))
+            argv = [sys.executable, "-m", "pmsval", "oracle-check", "--in",
+                    str(path)]
+            runs = [child_cpu(argv) for _ in range(REPEAT)]
+            out.append({"series": "oracle-check", "n": n,
+                        "clock": "child CPU s", **summary(runs)})
+    return out
+
+
+def config_problem(n: int) -> str:
+    group = {"components": [{"kind": "cyclic", "gen": "1"}]}
+    z = [f"z{i}" for i in range(n)]
+    dist = [{"pair": [z[i], z[j]], "v": [str(i)]}
+            for i in range(n) for j in range(i + 1, n)]
+    dist += [{"pair": ["y", z[i]], "v": [str(i)]} for i in range(n)]
+    return json.dumps({
+        "version": "1", "group": group,
+        "sequence": {"kind": "pcs", "group": group,
+                     "chain": [{"terminal": {"dir": "inc",
+                                             "bound": "unbounded"}}],
+                     "pcs_type": {"algebraic": {"deg": 1}}},
+        "configuration": {"sequence": z, "points": ["y"], "distances": dist}})
+
+
+def timed(fn) -> float:
+    """CPU seconds of one call, with the garbage collector off (as timeit
+    does), so that a collection of earlier runs' garbage is not charged to
+    this one."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.process_time()
+        fn()
+        return time.process_time() - start
+    finally:
+        gc.enable()
+
+
+def config_series() -> list[dict]:
+    out = []
+    for n in CONFIG_SIZES:
+        text = config_problem(n)
+
+        def build_and_check():
+            problem = jsonio.loads_problem(text)
+            if is_limit("y", problem.sequence, problem.configuration) \
+                    is not Tri.TRUE:
+                raise SystemExit(f"config-limit N={n}: y is not a limit")
+
+        runs = [timed(build_and_check) for _ in range(REPEAT)]
+        out.append({"series": "config-limit", "n": n,
+                    "clock": "process CPU s", **summary(runs)})
+    return out
+
+
+def rank_descriptor(n: int) -> PmsDescriptor:
+    zero = ExactReal.rational(0)
+    group = GroupDescriptor.of(*[FullRational()] * n)
+    chain = StageChain(tuple(ConstantFrom(ExactReal.rational(Fraction(k, 2)), 0)
+                             for k in range(n - 1))
+                       + (Terminal(Direction.INCREASING, BoundInGroup(zero)),))
+    return PmsDescriptor(PmsKind.PCS, group, chain=chain,
+                         pcs_type=Algebraic(1))
+
+
+def rank_series() -> list[dict]:
+    out = []
+    for n in RANKS:
+        E = rank_descriptor(n)
+
+        def walk():
+            result = rank_of_vE(E)
+            if result.alpha_check is None or not result.alpha_check.holds:
+                raise SystemExit(f"rank-alpha n={n}: alpha check failed")
+
+        runs = [timed(walk) for _ in range(REPEAT)]
+        out.append({"series": "rank-alpha", "n": n,
+                    "clock": "process CPU s", **summary(runs)})
+    return out
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def machine() -> dict:
+    model = platform.processor() or "unknown"
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    return {"platform": platform.platform(), "cpu": model,
+            "cpus": os.cpu_count(), "python": platform.python_version()}
+
+
+def measure() -> dict:
+    return {"commit": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain", "--", "src", "bench")),
+            "machine": machine(), "repeat": REPEAT,
+            "entries": oracle_series() + config_series() + rank_series()}
+
+
+def diff(old: dict, new: dict) -> list[str]:
+    """One line per entry in both files: the medians, their ratio, and
+    whether the move exceeds the old file's quartile spread."""
+    before = {(e["series"], e["n"]): e for e in old["entries"]}
+    lines = [f"old {old['commit'][:12]} -> new {new['commit'][:12]}"]
+    for e in new["entries"]:
+        o = before.get((e["series"], e["n"]))
+        if o is None:
+            continue
+        moved = abs(e["median"] - o["median"]) > o["q3"] - o["q1"]
+        lines.append(f"{e['series']:>13} {e['n']:>5}  {o['median']:.6f} -> "
+                     f"{e['median']:.6f}  x{e['median'] / o['median']:.3f}  "
+                     f"{'beyond' if moved else 'within'} noise")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", help="write the measurements here")
+    group.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                       help="compare two files written by --out")
+    args = parser.parse_args(argv)
+    if args.diff:
+        old, new = (json.loads(Path(p).read_text()) for p in args.diff)
+        print("\n".join(diff(old, new)))
+        return 0
+    Path(args.out).write_text(json.dumps(measure(), indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

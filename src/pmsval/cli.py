@@ -3,13 +3,16 @@
 Reads a JSON problem file, dispatches to the engines and writes a JSON
 report (sorted keys, so identical inputs give byte-identical outputs).
 Exit codes: 0 success, 1 negative outcome (oracle disagreement, failed
-probe), 2 schema error, 3 invariant violation, 4 indeterminate.
+probe), 2 schema error, 3 invariant violation, 4 indeterminate, 5 internal
+error (any other exception: a fault in pmsval, reported as JSON with the
+traceback on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -26,6 +29,7 @@ EXIT_NEGATIVE = 1
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
 EXIT_INDETERMINATE = 4
+EXIT_INTERNAL = 5
 
 
 def _load_problem(name: str) -> Problem:
@@ -312,6 +316,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         _write(jsonio.dump_report({"error": "invariant", "detail": str(exc)}),
                getattr(args, "outfile", None))
         return EXIT_INVARIANT
+    except Exception as exc:
+        traceback.print_exc()
+        _write(jsonio.dump_report({"error": "internal",
+                                   "detail": f"{type(exc).__name__}: {exc}"}),
+               getattr(args, "outfile", None))
+        return EXIT_INTERNAL
     _write(jsonio.dump_report(report), args.outfile)
     return code
 

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: schema problems exit 2, mathematical
 invariant violations exit 3, indeterminate (insufficient witness) results
-exit 4.
+exit 4; any exception outside this hierarchy is an internal error, exit 5.
 """
 
 from __future__ import annotations

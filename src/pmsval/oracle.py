@@ -198,12 +198,30 @@ class ConcreteRationalFunction:
 
 def sequence_configuration(field: ConcreteField,
                            terms: Sequence) -> UltrametricConfiguration:
-    """Pairwise valuation distances of the sequence members."""
+    """Valuation distances of the sequence members.
+
+    The consecutive distances delta_k = v(z_k - z_{k+1}) come first.  When
+    they strictly increase or strictly decrease they fix every other pair:
+    z_i - z_j is the sum of the steps z_k - z_{k+1}, i <= k < j, exactly one
+    of which has the smallest value (k = i when increasing, k = j - 1 when
+    decreasing), so v(z_i - z_j) = pattern_distance(kind, deltas, i, j) by
+    the ultrametric law.  Only those N - 1 pairs are then recorded, and
+    ``distance`` of a non-consecutive pair raises IndeterminateError.  Any
+    other sequence (a pcts, or no pms at all) gets the full table, which
+    its classification needs.  Two equal consecutive terms are refused.
+    """
     names = [f"z{i}" for i in range(len(terms))]
-    dist = {}
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            dist[(names[i], names[j])] = field.valuate(terms[i] - terms[j])
+    consec = [field.valuate(terms[i] - terms[i + 1])
+              for i in range(len(terms) - 1)]
+    for i, v in enumerate(consec):
+        if v.is_infinity:
+            raise InvariantError(
+                f"sequence terms {i} and {i + 1} are equal")
+    dist = {(names[i], names[i + 1]): v for i, v in enumerate(consec)}
+    if not (moves(consec, 1) or moves(consec, -1)):
+        for i in range(len(terms)):
+            for j in range(i + 2, len(terms)):
+                dist[(names[i], names[j])] = field.valuate(terms[i] - terms[j])
     return UltrametricConfiguration.build(names, (), dist)
 
 

@@ -353,25 +353,36 @@ class UltrametricConfiguration:
         """A triple where the minimum pairwise distance is attained once.
 
         A complete table is certified in O(n^2) by its maximum spanning
-        tree; the triple scan runs only on partial tables and to name the
-        first violating triple once the certificate has failed.
+        tree.  Otherwise the scan walks only the triangles whose three
+        pairs are present, in name order, so a partial table costs time in
+        proportion to its pairs and triangles; it also names the first
+        violating triple of a complete table once the certificate has
+        failed.
         """
         names = self.names()
         if len(names) < 3 or self._spanning_tree_certifies(names):
             return None
-        for i, p in enumerate(names):
-            for j in range(i + 1, len(names)):
-                for k in range(j + 1, len(names)):
-                    q, r = names[j], names[k]
-                    if not (self.has_distance(p, q) and self.has_distance(p, r)
-                            and self.has_distance(q, r)):
-                        continue
-                    d1, d2, d3 = (self.distance(p, q), self.distance(p, r),
-                                  self.distance(q, r))
+        later = self._later(names)
+        for i, after_i in enumerate(later):
+            for j in sorted(after_i):
+                after_j = later[j]
+                for k in sorted(after_i.keys() & after_j.keys()):
+                    d1, d2, d3 = after_i[j], after_i[k], after_j[k]
                     lo = min(d1, d2, d3)
                     if sum(1 for d in (d1, d2, d3) if d == lo) < 2:
-                        return (p, q, r)
+                        return (names[i], names[j], names[k])
         return None
+
+    def _later(self, names: Sequence[str]) -> list[dict[int, Value]]:
+        """later[i][k]: the recorded distance of names[i] and names[k] for
+        k > i, over the pairs with both ends in names (self-pairs skipped)."""
+        index = {p: i for i, p in enumerate(names)}
+        later: list[dict[int, Value]] = [{} for _ in names]
+        for (p, q), v in self.dist.items():
+            i, k = index.get(p), index.get(q)
+            if i is not None and k is not None and i != k:
+                later[min(i, k)][max(i, k)] = v
+        return later
 
     def _spanning_tree_certifies(self, names: tuple[str, ...]) -> bool:
         """Whether the table is complete and ultrametric.
@@ -429,11 +440,10 @@ def classify_from_prefix(cfg: UltrametricConfiguration) -> tuple[PmsKind, list[V
                "strictly decreasing, nor all equal")
     if kind is None:
         raise NotAPms(neither)
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            if not cfg.has_distance(zs[i], zs[j]):
-                continue
-            if cfg.distance(zs[i], zs[j]) != pattern_distance(kind, consec, i, j):
+    # Only the recorded pairs are checked, smallest (i, j) first.
+    for i, after_i in enumerate(cfg._later(zs)):
+        for j in sorted(after_i):
+            if after_i[j] != pattern_distance(kind, consec, i, j):
                 # Equal consecutive distances admit only the pcts pattern.
                 if kind is PmsKind.PCTS:
                     raise NotAPms(neither)

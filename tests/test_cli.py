@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import pytest
 
-from pmsval import oracle, ranktree
+from pmsval import cli, oracle, ranktree
 from pmsval.cli import main
 
 
@@ -149,6 +150,33 @@ def test_exit_code_indeterminate(capsys, tmp_path):
     assert code == 4 and rep["error"] == "indeterminate"
 
 
+@pytest.mark.parametrize("reverse, at", [(False, 12), (True, 0)],
+                         ids=["pcs-last-repeated", "pds-first-repeated"])
+def test_repeated_oracle_term_is_an_invariant_error(capsys, tmp_path,
+                                                    reverse, at):
+    raw = json.loads(resources.files("pmsval").joinpath(
+        "problems", "example-cauchy-5adic.json").read_text())
+    terms = raw["oracle"]["sequence"]
+    if reverse:
+        terms.reverse()
+    terms.insert(at, terms[at])
+    problem = tmp_path / "repeated.json"
+    problem.write_text(json.dumps(raw))
+    code, rep = run(capsys, "oracle-check", "--in", str(problem))
+    assert code == 3 and rep == {
+        "error": "invariant",
+        "detail": f"sequence terms {at} and {at + 1} are equal"}
+
+
+def test_exit_code_internal_error(capsys, monkeypatch):
+    def broken(problem):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_sup", broken)
+    code, rep = run(capsys, "sup", "--in", "example-rank3.json")
+    assert code == 5
+    assert rep == {"error": "internal", "detail": "RuntimeError: boom"}
+
+
 def test_reports_byte_identical(capsys, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["rank", "--in", "example-rank3.json", "--out", str(out1)]) == 0
@@ -208,8 +236,10 @@ def test_oracle_check_builds_and_classifies_the_sequence_once(capsys,
     code, rep = run(capsys, "oracle-check", "--in",
                     "example-composite-rank2.json")
     assert code == 0 and len(rep["functions"]) == 2
+    # N = 9 strictly monotone terms: 8 consecutive distances, then per
+    # function the lead and one root at each term.
     assert calls == {"sequence_configuration": 1, "classify_from_prefix": 1,
-                     "valuate": 56}
+                     "valuate": 8 + 2 * 10}
 
 
 def test_ve_on_transcendental_pcs_has_no_extended_group(capsys, tmp_path):

@@ -9,10 +9,11 @@ import pytest
 
 from pmsval import PmsKind, Value, classify_from_prefix, oracle
 from pmsval.engine import FactoredRationalFunction, TaggedRoot
-from pmsval.errors import InvariantError, SchemaError
+from pmsval.errors import InvariantError, NotAPms, SchemaError
 from pmsval.oracle import (CompositeField, ConcreteRationalFunction,
                            PadicRationals, QtElement, cross_check, fit_pattern,
                            padic_valuation, sequence_configuration)
+from pmsval.sequences import pattern_distance
 
 from gen import random_composite_instance, random_padic_instance
 
@@ -168,6 +169,36 @@ def test_sequence_configuration_classifies():
     assert kind2 is PmsKind.PDS
 
 
+def test_monotone_sequence_distances_follow_the_pattern():
+    rng = random.Random(1006)
+    kinds = set()
+    for make in [random_padic_instance] * 8 + [random_composite_instance] * 8:
+        field, terms = make(rng)[:2]
+        for seq in (terms, terms[::-1]):
+            cfg = sequence_configuration(field, seq)
+            assert len(cfg.dist) == len(seq) - 1
+            kind, deltas = classify_from_prefix(cfg)
+            kinds.add(kind)
+            for i in range(len(seq)):
+                for j in range(i + 1, len(seq)):
+                    assert field.valuate(seq[i] - seq[j]) == \
+                        pattern_distance(kind, deltas, i, j)
+    assert kinds == {PmsKind.PCS, PmsKind.PDS}
+
+
+@pytest.mark.parametrize("terms", [[0, 5, 30, 35], [0, 5, 25]],
+                         ids=["up-down", "equal-steps-far-pair-off"])
+def test_non_monotone_sequence_keeps_the_full_table(monkeypatch, terms):
+    calls = counting_valuate(monkeypatch, PadicRationals)
+    cfg = sequence_configuration(F5, [Fraction(z) for z in terms])
+    n = len(terms)
+    assert len(calls) == len(cfg.dist) == n * (n - 1) // 2
+    with pytest.raises(NotAPms, match="^consecutive distances are neither "
+                       "strictly increasing, strictly decreasing, nor all "
+                       "equal$"):
+        classify_from_prefix(cfg)
+
+
 def test_qt_element_arithmetic():
     x = QtElement.of([1, 2], [1])
     y = QtElement.of([0, 1])
@@ -201,7 +232,7 @@ def test_cross_check_valuates_each_factor_once(monkeypatch):
         calls_qt.clear()
         assert cross_check(field, terms, [(phi, tagged)],
                            tail_window=window)[0].agree
-        assert len(calls) + len(calls_qt) == n * (n - 1) // 2 + 1 + n * r
+        assert len(calls) + len(calls_qt) == n - 1 + 1 + n * r
 
 
 def test_cross_check_pole_raises_before_any_fit(monkeypatch):
@@ -235,7 +266,7 @@ def test_cross_check_valuates_the_sequence_once_for_all_functions(monkeypatch):
         functions = [(phi, tagged)] + [make(rng)[2:4]
                                        for _ in range(rng.randint(1, 3))]
         n = len(terms)
-        expected = n * (n - 1) // 2 + sum(
+        expected = n - 1 + sum(
             1 + n * (len(f.num_roots) + len(f.den_roots))
             for f, _ in functions)
         calls.clear()

@@ -17,8 +17,8 @@ from pmsval.groups import INFINITY, Cyclic, GroupDescriptor, Value
 from pmsval.oracle import PadicRationals, sequence_configuration
 from pmsval.sequences import (Direction, PmsDescriptor, PmsKind,
                               StageChain, Terminal, Tri, Unbounded,
-                              UltrametricConfiguration, is_limit,
-                              limit_dichotomy_check)
+                              UltrametricConfiguration, classify_from_prefix,
+                              is_limit, limit_dichotomy_check)
 
 from gen import random_value
 
@@ -82,6 +82,39 @@ def test_isosceles_violation_matches_triple_scan():
     assert complete > 500 and partial > 300 and violating > 200
 
 
+def test_isosceles_scan_follows_name_order_not_table_order():
+    rng = random.Random(20212)
+    for _ in range(400):
+        cfg = random_table(rng)
+        items = list(cfg.dist.items())
+        rng.shuffle(items)
+        shuffled = UltrametricConfiguration(cfg.sequence, cfg.points,
+                                            dict(items))
+        assert shuffled.isosceles_violation() == brute_force_violation(cfg)
+
+
+def test_self_pairs_are_skipped():
+    z = ["z0", "z1", "z2", "z3"]
+    dist = {("z0", "z0"): Value.of(0), ("z0", "z1"): Value.of(1),
+            ("z1", "z2"): Value.of(2), ("z2", "z3"): Value.of(3)}
+    cfg = UltrametricConfiguration.build(z, (), dist)
+    assert classify_from_prefix(cfg) == (
+        PmsKind.PCS, [Value.of(1), Value.of(2), Value.of(3)])
+
+
+def test_classify_names_the_first_contradicting_pair():
+    # Consecutive distances 1..5 and two far pairs off the pcs pattern that
+    # share no triangle, the later one listed first.
+    z = [f"z{i}" for i in range(6)]
+    dist = {("z0", "z5"): Value.of(9)}
+    dist.update({(z[i], z[i + 1]): Value.of(i + 1) for i in range(5)})
+    dist[("z0", "z3")] = Value.of(9)
+    cfg = UltrametricConfiguration.build(z, (), dist)
+    with pytest.raises(InvalidConfiguration,
+                       match="^distance z0,z3 contradicts the pcs pattern$"):
+        classify_from_prefix(cfg)
+
+
 def test_isosceles_violation_on_surd_levels_and_infinity():
     sqrt2 = ExactReal.surd(0, 1, 2)
     lo, hi = Value((sqrt2, ExactReal.rational(1))), Value.of(2, 0)
@@ -113,10 +146,53 @@ def test_complete_build_makes_quadratically_many_compares(monkeypatch):
     n = 80
     terms = [sum(Fraction(5) ** k for k in range(i + 1)) for i in range(n)]
     field = PadicRationals(5)
+    z = [f"z{i}" for i in range(n)]
+    dist = {(z[i], z[j]): field.valuate(terms[i] - terms[j])
+            for i in range(n) for j in range(i + 1, n)}
     calls = counting_compares(monkeypatch)
-    cfg = sequence_configuration(field, terms)
+    cfg = UltrametricConfiguration.build(z, (), dist)
     assert len(cfg.dist) == n * (n - 1) // 2
     assert 0 < calls[0] <= 2 * n * n
+
+
+def test_monotone_oracle_sequence_is_built_in_linear_time(monkeypatch):
+    n = 1000
+    terms = [Fraction(5 ** (i + 1) - 1, 4) for i in range(n)]
+    valuations = [0]
+    valuate = PadicRationals.valuate
+
+    def counting_valuate(self, x):
+        valuations[0] += 1
+        return valuate(self, x)
+
+    monkeypatch.setattr(PadicRationals, "valuate", counting_valuate)
+    calls = counting_compares(monkeypatch)
+    cfg = sequence_configuration(PadicRationals(5), terms)
+    assert valuations[0] == len(cfg.dist) == n - 1
+    assert calls[0] <= 2 * n
+
+
+def test_classify_consecutive_only_table_is_linear(monkeypatch):
+    n = 400
+    group = {"components": [{"kind": "cyclic", "gen": "1"}]}
+    z = [f"z{i}" for i in range(n)]
+    dist = [{"pair": [z[i], z[i + 1]], "v": [str(i)]} for i in range(n - 1)]
+    text = json.dumps({"version": "1", "group": group, "configuration": {
+        "sequence": z, "points": [], "distances": dist}})
+    calls = counting_compares(monkeypatch)
+    probes = [0]
+    has_distance = UltrametricConfiguration.has_distance
+
+    def counting_has_distance(self, p, q):
+        probes[0] += 1
+        return has_distance(self, p, q)
+
+    monkeypatch.setattr(UltrametricConfiguration, "has_distance",
+                        counting_has_distance)
+    kind, prefix = jsonio.loads_problem(text).configuration.classification
+    assert kind is PmsKind.PCS
+    assert prefix == tuple(Value.of(i) for i in range(n - 1))
+    assert calls[0] + probes[0] <= 4 * n
 
 
 @pytest.mark.parametrize("pattern", ["pds", "pcts"])
