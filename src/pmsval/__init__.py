@@ -5,9 +5,8 @@ oracle over concrete p-adic and composite rational-function fields."""
 
 from .engine import (DominatingForm, FactoredRationalFunction, TaggedRoot,
                      check_pcs_equivalence_iii, check_pds_equivalence_iii,
-                     classify_alpha_position, delta_of_polynomial,
                      dominating_degree, extension_report, induced_configuration,
-                     max_distance_check, monomial_value, pair_equality, v_e)
+                     monomial_value, v_e)
 from .exact import ExactReal
 from .groups import (AdjoinedSurd, Cyclic, FormalInteger, FullRational,
                      GroupDescriptor, INFINITY, NEG_INF, POS_INF,
@@ -21,8 +20,8 @@ from .ranktree import (Branch, LeafKind, RankResult, TreeTrace, auto_probes,
 from .sequences import (Algebraic, BoundInGroup, BoundNotInGroup, ConstantFrom,
                         Direction, PmsDescriptor, PmsKind, StageChain,
                         Terminal, Transcendental, Tri, UltrametricConfiguration,
-                        Unbounded, classify_from_prefix, diverges_to_infinity,
-                        inf_of, is_cauchy, is_limit, limit_dichotomy_check,
-                        mirror, sup_of)
+                        Unbounded, beyond_all_deltas, classify_from_prefix,
+                        cofinal, extremum, is_limit, limit_dichotomy_check,
+                        mirror)
 
 __version__ = "0.1.0"

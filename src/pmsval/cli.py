@@ -177,6 +177,9 @@ def cmd_sup(problem: Problem) -> tuple[dict, int]:
 
 def cmd_oracle_check(problem: Problem,
                      tail_window: Optional[int] = None) -> tuple[dict, int]:
+    if tail_window is not None and tail_window < 2:
+        raise SchemaError(
+            f"--tail-window must be at least 2, got {tail_window}")
     section = _require(problem, "oracle")
     if not section.functions:
         raise SchemaError("oracle section lists no functions to check")
@@ -271,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("sup")
     oc = add("oracle-check")
     oc.add_argument("--tail-window", type=int, dest="tail_window",
-                    help="number of trailing points the fit must hold on")
+                    help="number of trailing points the fit must hold on: "
+                         "at least 2, capped at the number of fitted points "
+                         "(default: half of them)")
     probe = add("probe")
     probe.add_argument("--probes", help="JSON file with a probes list")
     leaves = add("leaves", needs_in=False)

@@ -9,18 +9,17 @@ counts limit roots of the numerator minus the denominator.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import IndeterminateError, InvariantError, KindError
-from .groups import GroupDescriptor, INFINITY, Value, contains_embedded
+from .errors import IndeterminateError, InvariantError
+from .groups import INFINITY, Value
 # The chain checkers live with the rank walk that verifies alpha; they are
 # re-exported here.
 from .ranktree import (RankResult, check_pcs_equivalence_iii,
                        check_pds_equivalence_iii, rank_of_vE)
 from .sequences import (PmsDescriptor, PmsKind, UltrametricConfiguration,
-                        cofinal, pattern_distance)
+                        pattern_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -172,102 +171,6 @@ def monomial_value(coeff_values: Iterable[tuple[int, Value]],
         # All coefficients vanish: the zero polynomial has value +infinity.
         return INFINITY
     return best
-
-
-def pair_equality(alpha: Value, alpha_prime: Value, v_ab: Value) -> bool:
-    """Two pairs define the same monomial valuation iff the values agree and
-    the points are at distance at least alpha."""
-    return alpha == alpha_prime and v_ab >= alpha
-
-
-# ---------------------------------------------------------------------------
-# Maximum-distance reasoning
-
-
-@dataclass(frozen=True)
-class MaxDistanceOutcome:
-    status: str  # "confirmed" | "not-applicable" | "violation"
-    point: Optional[str] = None
-    alpha: Optional[Value] = None
-    violator: Optional[str] = None
-
-
-def max_distance_check(cfg: UltrametricConfiguration, y: str,
-                       group: GroupDescriptor,
-                       insert_position: Optional[int] = None
-                       ) -> MaxDistanceOutcome:
-    """If some distance from y lies outside the group, it must be the maximum
-    distance from y; a violating point proves the configuration invalid.
-
-    insert_position handles configurations over an extended descriptor: the
-    membership test then runs against the embedded image of the group.
-    """
-    witness = None
-    for other in cfg.names():
-        if other == y or not cfg.has_distance(y, other):
-            continue
-        d = cfg.distance(y, other)
-        if not d.is_infinity and not contains_embedded(group, d, insert_position):
-            witness = other
-            break
-    if witness is None:
-        return MaxDistanceOutcome("not-applicable")
-    alpha = cfg.distance(y, witness)
-    for other in cfg.names():
-        if other == y or not cfg.has_distance(y, other):
-            continue
-        if cfg.distance(y, other) > alpha:
-            return MaxDistanceOutcome("violation", point=witness, alpha=alpha,
-                                      violator=other)
-    return MaxDistanceOutcome("confirmed", point=witness, alpha=alpha)
-
-
-class AlphaPosition(enum.Enum):
-    ABOVE_ALL = "above-all"
-    BELOW_ALL = "below-all"
-    INSIDE = "inside"
-
-
-def classify_alpha_position(E: PmsDescriptor) -> AlphaPosition:
-    """Where the value of X minus a limit sits relative to the group: above
-    everything exactly for Cauchy sequences of algebraic type, below
-    everything exactly for divergence to infinity."""
-    if E.kind is PmsKind.PCTS:
-        return AlphaPosition.INSIDE
-    if E.is_transcendental_pcs():
-        raise KindError(
-            "a pcs of transcendental type induces an immediate extension; "
-            "there is no pair of definition to position")
-    if not cofinal(E):
-        return AlphaPosition.INSIDE
-    return AlphaPosition.ABOVE_ALL if E.sign > 0 else AlphaPosition.BELOW_ALL
-
-
-def delta_of_polynomial(distances: Sequence[Value]) -> Value:
-    """Max over the roots of the value of X minus the root."""
-    if not distances:
-        raise InvariantError("delta of a constant polynomial is undefined")
-    return max(distances)
-
-
-def root_distances(phi: FactoredRationalFunction, E: PmsDescriptor,
-                   rank_result: Optional[RankResult] = None) -> list[Value]:
-    """v_E(X - root) for each numerator root entry: alpha for limit roots,
-    the ultimate distance beta, embedded by the walk, otherwise."""
-    if phi.den_roots:
-        raise InvariantError("root distances apply to polynomials only")
-    if not phi.num_roots:
-        raise InvariantError("delta of a constant polynomial is undefined")
-    if rank_result is None:
-        rank_result = rank_of_vE(E)
-    alpha = E.pcts_delta if E.kind is PmsKind.PCTS else rank_result.alpha
-    if alpha is None and any(r.is_limit for r in phi.num_roots):
-        raise IndeterminateError("no placement for limit-root distances")
-    out = []
-    for root in phi.num_roots:
-        value = alpha if root.is_limit else rank_result.embed(root.beta)
-        out.extend([value] * root.multiplicity)
-    return out
 
 
 # ---------------------------------------------------------------------------

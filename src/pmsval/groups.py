@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import DescriptorMismatch, InvalidAdjoin, InvariantError
 from .exact import ExactReal, RationalLike
@@ -418,15 +418,14 @@ class GroupDescriptor:
         return all(component_contains(c, x)
                    for c, x in zip(self.components, value.coords))
 
-    def insert_formal_integer(
-            self, position: int) -> tuple["GroupDescriptor", Callable[[Value], Value]]:
-        """Insert a Z factor at position; returns the extended descriptor and
-        the order-preserving embedding (a zero coordinate at position)."""
+    def insert_formal_integer(self, position: int) -> "GroupDescriptor":
+        """Insert a Z factor at position; insert_zero embeds the old group
+        into the new one."""
         if not 0 <= position <= len(self.components):
             raise InvariantError(f"insert position {position} out of range")
         comps = (self.components[:position] + (FormalInteger(),)
                  + self.components[position:])
-        return GroupDescriptor(comps), lambda v: insert_zero(v, position)
+        return GroupDescriptor(comps)
 
     def adjoin_at(self, position: int, r: ExactReal) -> "GroupDescriptor":
         if not 0 <= position < len(self.components):
@@ -448,30 +447,3 @@ def insert_zero(value: Value, position: int) -> Value:
         raise InvariantError(f"insert position {position} out of range")
     return Value(coords[:position] + (ExactReal.rational(0),) + coords[position:])
 
-
-def drop_coordinate(value: Value, position: int) -> Value:
-    if value.is_infinity:
-        return value
-    coords = value.coords
-    return Value(coords[:position] + coords[position + 1:])
-
-
-def contains_embedded(group: GroupDescriptor, value: Value,
-                      insert_position: Optional[int] = None) -> bool:
-    """Membership of value in (the embedded image of) group.
-
-    With insert_position set, value has one extra coordinate from a formal
-    integer insertion; it lies in the image iff that coordinate is zero and
-    the rest is a member.
-    """
-    if insert_position is None:
-        return group.contains(value)
-    if not value.is_finite:
-        return False
-    if value.arity != group.rank() + 1:
-        raise DescriptorMismatch(
-            f"element arity {value.arity} vs embedded rank {group.rank()} + 1")
-    extra = value.coords[insert_position]
-    if extra != ExactReal.rational(0):
-        return False
-    return group.contains(drop_coordinate(value, insert_position))

@@ -285,7 +285,7 @@ def decode_configuration(raw: Any, path: str = "configuration"
     if not isinstance(raw, dict):
         raise _fail(path, "configuration must be an object")
     seq, pts = _list(raw, "sequence", path), _list(raw, "points", path)
-    dist = {}
+    dist, given_at = {}, {}
     for i, entry in enumerate(_list(raw, "distances", path)):
         p = f"{path}.distances[{i}]"
         if not isinstance(entry, dict) or "pair" not in entry or "v" not in entry:
@@ -293,7 +293,14 @@ def decode_configuration(raw: Any, path: str = "configuration"
         pair = entry["pair"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise _fail(p, "pair must name two points")
-        dist[(str(pair[0]), str(pair[1]))] = decode_value(entry["v"], f"{p}.v")
+        a, b = str(pair[0]), str(pair[1])
+        key = (a, b) if a <= b else (b, a)
+        v = decode_value(entry["v"], f"{p}.v")
+        if key not in dist:
+            dist[key], given_at[key] = v, p
+        elif dist[key] != v:
+            raise _fail(p, f"pair {key[0]},{key[1]} already has a different "
+                           f"value at {given_at[key]}")
     return UltrametricConfiguration.build([str(s) for s in seq],
                                           [str(s) for s in pts], dist)
 

@@ -93,7 +93,7 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
     step = ExactReal.rational(E.sign)  # one unit toward the chain's side
     if isinstance(bound, Unbounded):
         branch = Branch.SUP_INFINITE
-        extended, _ = E.group.insert_formal_integer(j - 1)
+        extended = E.group.insert_formal_integer(j - 1)
         insert_position = j - 1
         alpha_coords = consts + [step] + [zero] * (n - j + 1)
     elif isinstance(bound, BoundNotInGroup):
@@ -103,7 +103,7 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
         alpha_coords = consts + [bound.r] + [zero] * (n - j)
     elif isinstance(bound, BoundInGroup):
         branch = Branch.BOUND_IN_GROUP_STRICT
-        extended, _ = E.group.insert_formal_integer(j)
+        extended = E.group.insert_formal_integer(j)
         insert_position = j
         alpha_coords = consts + [bound.r, -step] + [zero] * (n - j)
     else:

@@ -313,6 +313,9 @@ class UltrametricConfiguration:
                 raise InvalidConfiguration(f"distance references unknown point {p},{q}")
             if (p, q) != _pair(p, q):
                 raise InvalidConfiguration("distance keys must be sorted pairs")
+            if p == q and not v.is_infinity:
+                raise InvalidConfiguration(
+                    f"self-distance of {p} must be plus-infinity, not {v}")
             if not v.is_infinity:
                 arities.add(v.arity)
         if len(arities) > 1:
@@ -481,23 +484,6 @@ def beyond_all_deltas(beta: Value, E: PmsDescriptor) -> bool:
     return beta.coords[chain.terminal_level - 1].compare(bound.r) * s >= 0
 
 
-def exceeds_all_deltas(beta: Value, E: PmsDescriptor) -> bool:
-    """beta > delta_nu for every index nu (pcs chains)."""
-    _require_kind(E, PmsKind.PCS, "exceeds_all_deltas")
-    return beyond_all_deltas(beta, E)
-
-
-def below_all_deltas(beta: Value, E: PmsDescriptor) -> bool:
-    """beta < delta_nu for every index nu (pds chains)."""
-    _require_kind(E, PmsKind.PDS, "below_all_deltas")
-    return beyond_all_deltas(beta, E)
-
-
-def _require_kind(E: PmsDescriptor, kind: PmsKind, name: str) -> None:
-    if E.kind is not kind:
-        raise KindError(f"{name} applies to {kind.value} descriptors")
-
-
 # ---------------------------------------------------------------------------
 # Cauchy / divergence, sup / inf
 
@@ -512,16 +498,6 @@ def cofinal(E: PmsDescriptor) -> bool:
     if chain is None:
         raise KindError("a pcts has constant distance values")
     return chain.terminal_level == 1 and isinstance(chain.terminal.bound, Unbounded)
-
-
-def is_cauchy(E: PmsDescriptor) -> bool:
-    _require_kind(E, PmsKind.PCS, "is_cauchy")
-    return cofinal(E)
-
-
-def diverges_to_infinity(E: PmsDescriptor) -> bool:
-    _require_kind(E, PmsKind.PDS, "diverges_to_infinity")
-    return cofinal(E)
 
 
 @dataclass(frozen=True)
@@ -547,16 +523,6 @@ def extremum(E: PmsDescriptor) -> SupInf:
     coords.extend([-end] * (n - j))
     in_group = j == n and isinstance(bound, BoundInGroup)
     return SupInf(Value(tuple(coords)), in_group)
-
-
-def sup_of(E: PmsDescriptor) -> SupInf:
-    _require_kind(E, PmsKind.PCS, "sup_of")
-    return extremum(E)
-
-
-def inf_of(E: PmsDescriptor) -> SupInf:
-    _require_kind(E, PmsKind.PDS, "inf_of")
-    return extremum(E)
 
 
 # ---------------------------------------------------------------------------
@@ -593,19 +559,14 @@ def _delta_at(E: PmsDescriptor, cfg: UltrametricConfiguration,
     return consec[k] if k < len(consec) else None
 
 
-def is_limit(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration,
-             known_limit: Optional[str] = None) -> Tri:
+def is_limit(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration) -> Tri:
     """Is v(y - z_nu) = delta_nu on the witnessed tail?
 
     Sequence members are decided outright: every member of a pds or pcts is
-    a limit, no member of a pcs is.  With a known limit point the check runs
-    through the distance to that point instead (the two are equivalent by
-    the ultrametric law).
+    a limit, no member of a pcs is.
     """
     if y in cfg.sequence:
         return Tri.FALSE if E.kind is PmsKind.PCS else Tri.TRUE
-    if known_limit is not None:
-        return _is_limit_via(y, E, cfg, known_limit)
     checked = 0
     for nu in _tail_indices(E, cfg, y):
         delta = _delta_at(E, cfg, nu)
@@ -615,21 +576,6 @@ def is_limit(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration,
             return Tri.FALSE
         checked += 1
     return Tri.TRUE if checked else Tri.INDETERMINATE
-
-
-def _is_limit_via(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration,
-                  known_limit: str) -> Tri:
-    if not cfg.has_distance(y, known_limit):
-        return Tri.INDETERMINATE
-    d = cfg.distance(y, known_limit)
-    if d.is_infinity:
-        return Tri.TRUE
-    if E.kind is PmsKind.PCTS:
-        return Tri.TRUE if d >= E.pcts_delta else Tri.FALSE
-    # A pcs limit lies weakly above every distance value, which a strict
-    # never-attained bound makes the same as lying past them all; a pds
-    # limit is one that does not lie below them all.
-    return Tri.TRUE if beyond_all_deltas(d, E) == (E.sign > 0) else Tri.FALSE
 
 
 @dataclass(frozen=True)

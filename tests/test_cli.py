@@ -298,3 +298,52 @@ def test_non_list_fields_are_schema_errors(capsys, tmp_path, raw):
     code, rep = run(capsys, "classify", "--in", str(problem))
     assert code == 2 and rep["error"] == "schema"
     assert "must be a list" in rep["detail"]
+
+
+def classify_file(tmp_path, distances) -> str:
+    """A classify input over z0..z3 with the consecutive pairs at 1, 2, 3
+    and the given extra distance entries."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"version": "1", "configuration": {
+        "sequence": ["z0", "z1", "z2", "z3"],
+        "distances": [{"pair": [f"z{i}", f"z{i + 1}"], "v": str(i + 1)}
+                      for i in range(3)] + distances}}))
+    return str(path)
+
+
+def test_classify_refuses_finite_self_pair(capsys, tmp_path):
+    cfg = classify_file(tmp_path, [{"pair": ["z0", "z0"], "v": "5"}])
+    code, rep = run(capsys, "classify", "--in", cfg)
+    assert code == 3 and rep["error"] == "invariant"
+    assert "self-distance of z0" in rep["detail"]
+    cfg = classify_file(tmp_path, [{"pair": ["z0", "z0"], "v": "inf"}])
+    assert run(capsys, "classify", "--in", cfg)[0] == 0
+
+
+@pytest.mark.parametrize("pair", [["z1", "z2"], ["z2", "z1"]],
+                         ids=["same-order", "swapped"])
+def test_classify_refuses_conflicting_duplicate_pair(capsys, tmp_path, pair):
+    cfg = classify_file(tmp_path, [{"pair": pair, "v": "7"}])
+    code, rep = run(capsys, "classify", "--in", cfg)
+    assert code == 2 and rep["error"] == "schema"
+    assert rep["detail"].startswith("configuration.distances[3]: ")
+    assert rep["detail"].endswith("at configuration.distances[1]")
+    # Repeating a pair with its own value changes nothing.
+    cfg = classify_file(tmp_path, [{"pair": pair, "v": "2"}])
+    code, rep = run(capsys, "classify", "--in", cfg)
+    assert code == 0 and rep["kind"] == "pcs"
+    assert rep["delta_prefix"] == [[{"rat": str(k)}] for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("window", ["-5", "0", "1"])
+def test_oracle_check_refuses_tail_window_below_two(capsys, monkeypatch,
+                                                    window):
+    def no_valuation(*args, **kwargs):
+        raise AssertionError("cross_check ran on a refused window")
+
+    monkeypatch.setattr(oracle, "cross_check", no_valuation)
+    code, rep = run(capsys, "oracle-check", "--in",
+                    "example-cauchy-5adic.json", "--tail-window", window)
+    assert code == 2 and rep == {
+        "error": "schema",
+        "detail": f"--tail-window must be at least 2, got {window}"}

@@ -12,16 +12,13 @@ from pmsval import (Algebraic, BoundInGroup, Cyclic, Direction, ExactReal,
                     GroupDescriptor, INFINITY, PPowerDivisible, PmsDescriptor,
                     PmsKind, StageChain, Terminal, Transcendental, Tri,
                     Unbounded, Value, classify_from_prefix, is_limit)
-from pmsval.engine import (AlphaPosition, FactoredRationalFunction,
-                           TaggedRoot,
+from pmsval.engine import (FactoredRationalFunction, TaggedRoot,
                            check_pcs_equivalence_iii, check_pds_equivalence_iii,
-                           classify_alpha_position, delta_of_polynomial,
                            dominating_degree, extension_report,
-                           induced_configuration, max_distance_check,
-                           monomial_value, pair_equality, root_distances, v_e)
-from pmsval.errors import InvariantError, KindError
+                           induced_configuration, monomial_value, v_e)
+from pmsval.errors import InvariantError
 from pmsval.ranktree import auto_probes, rank_of_vE
-from pmsval.sequences import UltrametricConfiguration, mirror
+from pmsval.sequences import cofinal, mirror
 
 from gen import random_descriptor, random_group, random_member
 
@@ -203,80 +200,71 @@ def test_monomial_value_against_oracle_evaluation():
 
 
 # ---------------------------------------------------------------------------
-# Pair equality, max distance, alpha position, delta
+# Distances from X, alpha position, v_E(X - root)
 
 
-def test_pair_equality():
-    a = Value.of(0, -1)
-    assert pair_equality(a, a, INFINITY)
-    assert pair_equality(a, a, Value.of(0, 0))
-    assert not pair_equality(a, Value.of(0, 0), INFINITY)
-    assert not pair_equality(a, a, Value.of(-1, 0))
+def x_minus(root: TaggedRoot, arity: int) -> FactoredRationalFunction:
+    """(X - root)^multiplicity with lead value zero."""
+    return FactoredRationalFunction(Value.of(*[0] * arity), (root,), ())
 
 
 def test_max_distance_check_confirms_pds_plateau():
+    # X sits at the constant distance alpha from every member of a pds, and
+    # alpha lies outside the embedded group: the one distance from X off the
+    # group is also the largest.
     E = mirror(pcs_to_zero())
     result = rank_of_vE(E)
     cfg = induced_configuration(E, result)
-    out = max_distance_check(cfg, "X", E.group, result.insert_position)
-    assert out.status == "confirmed"
-    assert out.alpha == result.alpha
+    assert [cfg.distance("X", z) for z in cfg.sequence] \
+        == [result.alpha] * len(cfg.sequence)
+    assert result.alpha.coords[result.insert_position] != ExactReal.rational(0)
 
 
 def test_max_distance_check_not_applicable():
-    dist = {("a", "b"): Value.of(1)}
-    cfg = UltrametricConfiguration.build((), ("a", "b"), dist)
-    assert max_distance_check(cfg, "a", Z).status == "not-applicable"
-
-
-def test_max_distance_check_violation():
-    half = Value.of(Fraction(1, 2))
-    dist = {("a", "y"): half, ("b", "y"): Value.of(1), ("a", "b"): half}
-    cfg = UltrametricConfiguration.build((), ("a", "b", "y"), dist)
-    out = max_distance_check(cfg, "y", Z)
-    assert out.status == "violation" and out.violator == "b"
+    # X is a limit of a pcs: its distances are the deltas, all group members,
+    # so there is no distance off the group whose maximality could fail.
+    E = pcs_to_zero()
+    cfg = induced_configuration(E)
+    from_x = [cfg.distance("X", z) for z in cfg.sequence[:len(E.prefix)]]
+    assert from_x == list(E.prefix)
+    assert all(E.group.contains(d) for d in from_x)
 
 
 def test_classify_alpha_position():
-    assert classify_alpha_position(cauchy_pcs(deg=2)) is AlphaPosition.ABOVE_ALL
-    assert classify_alpha_position(pcs_to_zero()) is AlphaPosition.INSIDE
-    assert classify_alpha_position(mirror(cauchy_pcs())) is AlphaPosition.BELOW_ALL
-    assert classify_alpha_position(mirror(pcs_to_zero())) is AlphaPosition.INSIDE
+    # alpha lies above every probe for a Cauchy pcs, below every probe for a
+    # pds diverging to infinity, and between probes otherwise.
+    for E in (cauchy_pcs(deg=2), pcs_to_zero(), mirror(cauchy_pcs()),
+              mirror(pcs_to_zero())):
+        result = rank_of_vE(E)
+        sides = {result.embed(b).compare(result.alpha) for b in auto_probes(E)}
+        assert sides == ({-E.sign} if cofinal(E) else {-1, 1})
+    # A pcts or a pcs of transcendental type has no alpha to position.
     pcts = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=Value.of(0))
-    assert classify_alpha_position(pcts) is AlphaPosition.INSIDE
     chain = StageChain((Terminal(Direction.INCREASING, Unbounded()),))
     trans = PmsDescriptor(PmsKind.PCS, Z, chain=chain, pcs_type=Transcendental())
-    with pytest.raises(KindError):
-        classify_alpha_position(trans)
-
-
-def test_delta_of_polynomial():
-    assert delta_of_polynomial([Value.of(1), Value.of(2)]) == Value.of(2)
-    with pytest.raises(InvariantError):
-        delta_of_polynomial([])
+    assert rank_of_vE(pcts).alpha is None and rank_of_vE(trans).alpha is None
 
 
 def test_delta_of_linear_and_minimal_polynomials():
-    # delta(X - z_nu) = delta_nu; delta(Q) = alpha exceeds them all.
+    # v_E(X - z_nu) = delta_nu; v_E(X - a) = alpha for a limit a exceeds
+    # them all, and a double root doubles it.
     E = pcs_to_zero()
     result = rank_of_vE(E)
-    q = FactoredRationalFunction(Value.of(0), (TaggedRoot.limit(2),), ())
-    dq = delta_of_polynomial(root_distances(q, E, result))
-    assert dq == result.alpha
-    for nu, delta in enumerate(E.prefix):
-        lin = FactoredRationalFunction(
-            Value.of(0), (TaggedRoot.at_distance(delta),), ())
-        dl = delta_of_polynomial(root_distances(lin, E, result))
-        assert dl == result.embed(delta)
-        assert dl < dq
+    assert v_e(x_minus(TaggedRoot.limit(), 1), E, result).value == result.alpha
+    dq = v_e(x_minus(TaggedRoot.limit(2), 1), E, result).value
+    assert dq == result.alpha.scale(2)
+    for delta in E.prefix:
+        dl = v_e(x_minus(TaggedRoot.at_distance(delta), 1), E, result).value
+        assert dl == delta
+        assert result.embed(dl) < result.alpha
 
 
 def test_root_distances_same_with_or_without_walk():
-    # Without limit roots the distances still live in the extended group.
+    # v_E(X - root) is m*alpha for a limit root of multiplicity m and
+    # m*beta otherwise, whether or not the walk is passed in.
     E = pcs_to_zero()
-    beta_only = FactoredRationalFunction(
-        Value.of(0), (TaggedRoot.at_distance(Value.of(1)),), ())
-    assert root_distances(beta_only, E) == [Value.of(1, 0)]
+    beta_only = x_minus(TaggedRoot.at_distance(Value.of(1)), 1)
+    assert v_e(beta_only, E).value == Value.of(1)
     rng = random.Random(404)
     for trial in range(60):
         E = random_descriptor(rng, rng.randint(1, 4))
@@ -290,11 +278,17 @@ def test_root_distances_same_with_or_without_walk():
         if trial % 2:
             roots.insert(rng.randint(0, len(roots)),
                          TaggedRoot.limit(rng.randint(1, 2)))
+        walk = rank_of_vE(E)
+        for root in roots:
+            phi = x_minus(root, len(comps))
+            walked = v_e(phi, E, walk)
+            assert v_e(phi, E) == walked
+            m = root.multiplicity
+            assert walked.value == (walk.alpha if root.is_limit
+                                    else root.beta).scale(m)
         phi = FactoredRationalFunction(Value.of(*[0] * len(comps)),
                                        tuple(roots), ())
-        walked = root_distances(phi, E, rank_of_vE(E))
-        assert root_distances(phi, E) == walked
-        assert len(walked) == sum(r.multiplicity for r in roots)
+        assert v_e(phi, E) == v_e(phi, E, walk)
 
 
 # ---------------------------------------------------------------------------

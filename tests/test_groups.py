@@ -15,7 +15,7 @@ from pmsval import (AdjoinedSurd, Cyclic, ExactReal, FormalInteger,
 from pmsval.errors import (DescriptorMismatch, InvalidAdjoin, InvariantError,
                            SchemaError)
 from pmsval.groups import (PRIME_BOUND, component_adjoin, component_contains,
-                           component_generator, drop_coordinate, is_prime)
+                           component_generator, insert_zero, is_prime)
 from pmsval.jsonio import decode_component
 
 from gen import random_value
@@ -116,23 +116,23 @@ def test_rank_counts_components():
 
 def test_insert_formal_integer_and_embedding():
     g = GroupDescriptor.of(FullRational(), Cyclic(Fraction(1)))
-    ext, embed = g.insert_formal_integer(1)
+    ext = g.insert_formal_integer(1)
     assert ext.rank() == 3
     assert isinstance(ext.components[1], FormalInteger)
     v = Value.of(Fraction(1, 2), 3)
-    assert embed(v) == Value.of(Fraction(1, 2), 0, 3)
-    assert drop_coordinate(embed(v), 1) == v
-    ext0, embed0 = g.insert_formal_integer(0)
-    assert embed0(v) == Value.of(0, Fraction(1, 2), 3)
+    assert insert_zero(v, 1) == Value.of(Fraction(1, 2), 0, 3)
+    assert ext.contains(insert_zero(v, 1))
+    assert not ext.contains(Value.of(Fraction(1, 2), Fraction(1, 2), 3))
+    ext0 = g.insert_formal_integer(0)
+    assert insert_zero(v, 0) == Value.of(0, Fraction(1, 2), 3)
+    assert ext0.contains(insert_zero(v, 0))
 
 
 def test_embedding_preserves_order():
     rng = random.Random(3)
-    g = GroupDescriptor.of(FullRational(), FullRational())
-    _, embed = g.insert_formal_integer(1)
     for _ in range(200):
         x, y = random_value(rng, 2), random_value(rng, 2)
-        assert (x < y) == (embed(x) < embed(y))
+        assert (x < y) == (insert_zero(x, 1) < insert_zero(y, 1))
 
 
 def test_adjoin_surd_to_rationals_keeps_rank():

@@ -1,6 +1,6 @@
-"""Module structure of the package: imports sit at module top, and the
+"""Module structure of the package: imports sit at module top, the
 intra-package import graph has no cycle (sequences -> ranktree -> engine,
-never back)."""
+never back), and every top-level definition has a caller."""
 
 from __future__ import annotations
 
@@ -8,7 +8,24 @@ import ast
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pmsval"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pmsval"
+
+# Top-level definitions no other package code refers to, each kept for the
+# caller outside the package named here: a pmsbench call, an acceptance
+# criterion or a decoder round trip.
+OUTSIDE_CALLERS = {
+    "limit_dichotomy_check": ("pmsbench/workloads.py",
+                              "the witness-config workload calls it"),
+    "induced_configuration": ("tests/test_acceptance.py", "criterion 8"),
+    "monomial_value": ("tests/test_acceptance.py", "criterion 8"),
+    "theorem_rank_check": ("tests/test_acceptance.py", "criterion 3"),
+    "mirror": ("tests/test_acceptance.py", "criterion 7"),
+    "encode_descriptor": ("tests/test_jsonio.py",
+                          "round trip of decode_descriptor"),
+    "encode_function": ("tests/test_jsonio.py",
+                        "round trip of decode_function"),
+}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -55,3 +72,28 @@ def test_package_import_graph_is_acyclic():
         raise AssertionError(f"import cycle: {exc.args[1]}") from None
     assert order.index("sequences") < order.index("ranktree") \
         < order.index("engine")
+
+
+def test_every_definition_has_a_caller():
+    """A top-level function or class is referenced by a name or attribute
+    somewhere in the package outside its own definition and __init__, or
+    its outside caller is listed in OUTSIDE_CALLERS."""
+    defined: dict[str, tuple[str, int]] = {}
+    names: dict[tuple[str, int], set[str]] = {}
+    for module, tree in _trees().items():
+        if module == "__init__":
+            continue
+        for i, stmt in enumerate(tree.body):
+            names[(module, i)] = {n.id if isinstance(n, ast.Name) else n.attr
+                                  for n in ast.walk(stmt)
+                                  if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined[stmt.name] = (module, i)
+    orphans = {name for name, where in defined.items()
+               if not any(name in used for key, used in names.items()
+                          if key != where)}
+    assert sorted(orphans - OUTSIDE_CALLERS.keys()) == []
+    # A listed name that gains a caller inside the package leaves the list.
+    assert sorted(OUTSIDE_CALLERS.keys() - orphans) == []
+    for name, (path, _reason) in OUTSIDE_CALLERS.items():
+        assert f"{name}(" in (ROOT / path).read_text(), (name, path)

@@ -13,13 +13,12 @@ from pmsval import (AdjoinedSurd, Algebraic, BoundInGroup, BoundNotInGroup,
                     GroupDescriptor, PPowerDivisible, PmsDescriptor, PmsKind,
                     StageChain, Terminal, Tri,
                     UltrametricConfiguration, Unbounded, Value,
-                    classify_from_prefix, diverges_to_infinity, inf_of,
-                    is_cauchy, is_limit, limit_dichotomy_check, mirror, sup_of)
+                    beyond_all_deltas, classify_from_prefix, cofinal,
+                    extremum, is_limit, limit_dichotomy_check, mirror)
 from pmsval.errors import (IndeterminateError, InvalidConfiguration,
                            InvariantError, KindError, NotAPms)
 from pmsval.groups import NEG_INF, POS_INF
 from pmsval.oracle import PadicRationals, sequence_configuration
-from pmsval.sequences import below_all_deltas, exceeds_all_deltas
 
 from gen import make_descriptor, random_descriptor, random_member
 from pmsval.ranktree import Branch, auto_probes
@@ -220,34 +219,6 @@ def test_is_limit_indeterminate_without_witnesses():
     assert is_limit("y", E, cfg) is Tri.INDETERMINATE
 
 
-def test_is_limit_via_known_limit():
-    # Under an unbounded chain no finite distance reaches the tail, so only
-    # coincidence with the limit qualifies.
-    E = simple_pcs([1, 2, 3, 4])
-    cfg = config_from(list(E.prefix), PmsKind.PCS,
-                      extra={"X": [Value.of(k + 1) for k in range(4)] + [None]})
-    with_y = dict(cfg.dist)
-    with_y[("X", "y")] = Value.of(100)
-    cfg2 = UltrametricConfiguration.build(cfg.sequence, ("X", "y"), with_y)
-    assert is_limit("y", E, cfg2, known_limit="X") is Tri.FALSE
-
-    # With a bounded chain, distance at or above the bound witnesses a limit.
-    g = GroupDescriptor.of(PPowerDivisible(2, Fraction(1)))
-    E2 = simple_pcs([Fraction(-1), Fraction(-1, 2), Fraction(-1, 4),
-                     Fraction(-1, 8)],
-                    bound=BoundInGroup(ExactReal.rational(0)), group=g, deg=2)
-    cfg3 = config_from(list(E2.prefix), PmsKind.PCS,
-                       extra={"X": list(E2.prefix) + [None]})
-    over = dict(cfg3.dist)
-    over[("X", "y")] = Value.of(0)
-    cfg4 = UltrametricConfiguration.build(cfg3.sequence, ("X", "y"), over)
-    assert is_limit("y", E2, cfg4, known_limit="X") is Tri.TRUE
-    under = dict(cfg3.dist)
-    under[("X", "y")] = Value.of(Fraction(-1, 2))
-    cfg5 = UltrametricConfiguration.build(cfg3.sequence, ("X", "y"), under)
-    assert is_limit("y", E2, cfg5, known_limit="X") is Tri.FALSE
-
-
 def test_limit_dichotomy():
     E = simple_pcs([1, 2, 3, 4])
     cfg = config_from(list(E.prefix), PmsKind.PCS,
@@ -278,23 +249,21 @@ def test_limit_dichotomy_rejects_garbage():
 
 def test_cauchy_iff_leading_coordinate_unbounded():
     E = simple_pcs([1, 2, 3])
-    assert is_cauchy(E)
+    assert cofinal(E)
     chain = StageChain((ConstantFrom(ExactReal.rational(2), 0),
                         Terminal(Direction.INCREASING, Unbounded())))
     E2 = PmsDescriptor(PmsKind.PCS, ZZ, chain=chain, pcs_type=Algebraic(1),
                        prefix=tuple(Value.of(2, k) for k in range(4)))
-    assert not is_cauchy(E2)
+    assert not cofinal(E2)
     # Brute lex check: (g+1, 0) exceeds every witnessed distance value.
     above = Value.of(3, 0)
     assert all(above > v for v in E2.prefix)
-    assert exceeds_all_deltas(above, E2)
-    with pytest.raises(KindError):
-        is_cauchy(mirror(E))
+    assert beyond_all_deltas(above, E2)
 
 
 def test_diverges_to_infinity_mirror():
     E = mirror(simple_pcs([1, 2, 3]))
-    assert diverges_to_infinity(E)
+    assert cofinal(E)
     assert E.kind is PmsKind.PDS
 
 
@@ -302,14 +271,14 @@ def test_exceeds_and_below_all_deltas():
     g = GroupDescriptor.of(PPowerDivisible(2, Fraction(1)))
     E = simple_pcs([Fraction(-1), Fraction(-1, 2), Fraction(-1, 4)],
                    bound=BoundInGroup(ExactReal.rational(0)), group=g, deg=2)
-    assert exceeds_all_deltas(Value.of(0), E)
-    assert exceeds_all_deltas(Value.of(1), E)
-    assert not exceeds_all_deltas(Value.of(Fraction(-1, 2)), E)
+    assert beyond_all_deltas(Value.of(0), E)
+    assert beyond_all_deltas(Value.of(1), E)
+    assert not beyond_all_deltas(Value.of(Fraction(-1, 2)), E)
     M = mirror(E)
-    assert below_all_deltas(Value.of(0), M)
-    assert not below_all_deltas(Value.of(Fraction(1, 2)), M)
+    assert beyond_all_deltas(Value.of(0), M)
+    assert not beyond_all_deltas(Value.of(Fraction(1, 2)), M)
     with pytest.raises(InvariantError):
-        exceeds_all_deltas(Value.of(Fraction(1, 3)), E)  # not a group member
+        beyond_all_deltas(Value.of(Fraction(1, 3)), E)  # not a group member
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +290,14 @@ def test_sup_examples():
                         Terminal(Direction.INCREASING, Unbounded())))
     g = GroupDescriptor.of(Cyclic(Fraction(1, 2)), Cyclic(Fraction(1)))
     E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(1))
-    out = sup_of(E)
+    out = extremum(E)
     assert out.value == Value((ExactReal.rational(Fraction(1, 2)), POS_INF))
     assert not out.in_group
 
     g2 = GroupDescriptor.of(PPowerDivisible(2, Fraction(1)))
     E2 = simple_pcs([Fraction(-1), Fraction(-1, 2)],
                     bound=BoundInGroup(ExactReal.rational(0)), group=g2, deg=2)
-    out2 = sup_of(E2)
+    out2 = extremum(E2)
     assert out2.value == Value.of(0) and out2.in_group
 
     sqrt2 = ExactReal.surd(0, 1, 2)
@@ -337,17 +306,19 @@ def test_sup_examples():
     chain3 = StageChain((Terminal(Direction.INCREASING,
                                   BoundNotInGroup(sqrt2)),))
     E3 = PmsDescriptor(PmsKind.PCS, g3, chain=chain3, pcs_type=Algebraic(2))
-    out3 = sup_of(E3)
+    out3 = extremum(E3)
     assert out3.value == Value((sqrt2, NEG_INF, NEG_INF))
     assert not out3.in_group
 
 
 def test_kind_errors():
-    E = simple_pcs([1, 2, 3])
+    # A pcts has constant distance values: no side to pass them on.
+    E = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=Value.of(0))
+    for rule in (cofinal, extremum):
+        with pytest.raises(KindError):
+            rule(E)
     with pytest.raises(KindError):
-        inf_of(E)
-    with pytest.raises(KindError):
-        sup_of(mirror(E))
+        beyond_all_deltas(Value.of(1), E)
 
 
 def test_mirror_sup_inf_duality():
@@ -355,7 +326,7 @@ def test_mirror_sup_inf_duality():
     for _ in range(40):
         E = random_descriptor(rng, rng.randint(1, 3), kind=PmsKind.PCS)
         M = mirror(E)
-        s, i = sup_of(E), inf_of(M)
+        s, i = extremum(E), extremum(M)
         assert s.in_group == i.in_group
         flipped = tuple(
             -c if not isinstance(c, type(POS_INF)) else (NEG_INF if c is POS_INF
@@ -363,12 +334,12 @@ def test_mirror_sup_inf_duality():
             for c in s.value.coords)
         assert Value(flipped) == i.value
         # Pointwise: negation carries each rule of E to its mirror twin.
-        assert is_cauchy(E) == diverges_to_infinity(M)
+        assert cofinal(E) == cofinal(M)
         members = [Value(tuple(random_member(rng, c)
                                for c in E.group.components))
                    for _ in range(4)]
         for beta in members + list(E.prefix) + auto_probes(E):
-            assert exceeds_all_deltas(beta, E) == below_all_deltas(-beta, M)
+            assert beyond_all_deltas(beta, E) == beyond_all_deltas(-beta, M)
 
 
 def test_mirror_round_trip():

@@ -95,7 +95,7 @@ def test_isosceles_scan_follows_name_order_not_table_order():
 
 def test_self_pairs_are_skipped():
     z = ["z0", "z1", "z2", "z3"]
-    dist = {("z0", "z0"): Value.of(0), ("z0", "z1"): Value.of(1),
+    dist = {("z0", "z0"): INFINITY, ("z0", "z1"): Value.of(1),
             ("z1", "z2"): Value.of(2), ("z2", "z3"): Value.of(3)}
     cfg = UltrametricConfiguration.build(z, (), dist)
     assert classify_from_prefix(cfg) == (
