@@ -285,7 +285,9 @@ def decode_configuration(raw: Any, path: str = "configuration"
     if not isinstance(raw, dict):
         raise _fail(path, "configuration must be an object")
     seq, pts = _list(raw, "sequence", path), _list(raw, "points", path)
-    dist, given_at = {}, {}
+    # Equal encodings decode once and share one Value; a bad encoding is
+    # never stored, so it still fails at its own path.
+    dist, given_at, decoded = {}, {}, {}
     for i, entry in enumerate(_list(raw, "distances", path)):
         p = f"{path}.distances[{i}]"
         if not isinstance(entry, dict) or "pair" not in entry or "v" not in entry:
@@ -295,7 +297,10 @@ def decode_configuration(raw: Any, path: str = "configuration"
             raise _fail(p, "pair must name two points")
         a, b = str(pair[0]), str(pair[1])
         key = (a, b) if a <= b else (b, a)
-        v = decode_value(entry["v"], f"{p}.v")
+        text = repr(entry["v"])
+        v = decoded.get(text)
+        if v is None:
+            v = decoded[text] = decode_value(entry["v"], f"{p}.v")
         if key not in dist:
             dist[key], given_at[key] = v, p
         elif dist[key] != v:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Sequence, Union
+from functools import cached_property, cmp_to_key
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (IndeterminateError, InvalidConfiguration, InvariantError,
                      KindError, NotAPms)
@@ -324,7 +324,14 @@ class UltrametricConfiguration:
     @staticmethod
     def build(sequence: Sequence[str], points: Sequence[str],
               distances: dict[tuple[str, str], Value]) -> "UltrametricConfiguration":
-        canon = {_pair(p, q): v for (p, q), v in distances.items()}
+        canon: dict[tuple[str, str], Value] = {}
+        for (p, q), v in distances.items():
+            key = _pair(p, q)
+            if key in canon and canon[key] != v:
+                raise InvalidConfiguration(
+                    f"pair {key[0]},{key[1]} is given two different values, "
+                    f"{canon[key]} and {v}")
+            canon[key] = v
         cfg = UltrametricConfiguration(tuple(sequence), tuple(points), canon)
         bad = cfg.isosceles_violation()
         if bad is not None:
@@ -356,11 +363,11 @@ class UltrametricConfiguration:
         """A triple where the minimum pairwise distance is attained once.
 
         A complete table is certified in O(n^2) by its maximum spanning
-        tree.  Otherwise the scan walks only the triangles whose three
-        pairs are present, in name order, so a partial table costs time in
-        proportion to its pairs and triangles; it also names the first
-        violating triple of a complete table once the certificate has
-        failed.
+        tree, built on the ranks of its distinct values.  Otherwise the
+        scan walks only the triangles whose three pairs are present, in
+        name order, so a partial table costs time in proportion to its
+        pairs and triangles; it also names the first violating triple of a
+        complete table once the certificate has failed.
         """
         names = self.names()
         if len(names) < 3 or self._spanning_tree_certifies(names):
@@ -396,35 +403,51 @@ class UltrametricConfiguration:
         u joins through its largest distance w to the tree, at parent.  The
         pairs inside the tree already passed, so the path minimum from a
         tree point x to u is min(d(x, parent), w), and d(x, u) <= w by the
-        choice of w.  Returns False on a missing pair or a failed check.
+        choice of w.  The tree runs on the integer ranks of the distinct
+        distance values, so a table of k distinct values costs one sort of
+        k values.  Returns False on a missing pair or a failed check.
         """
-        dist = self.dist
-        root, *rest = names
-        best = {y: dist.get(_pair(root, y)) for y in rest}
-        if None in best.values():
+        n = len(names)
+        pairs = [(p, q, v) for (p, q), v in self.dist.items() if p != q]
+        # Keys are sorted pairs of known names, so the count decides
+        # completeness; a partial table is left to the triangle scan.
+        if len(pairs) != n * (n - 1) // 2:
             return False
-        parent = dict.fromkeys(rest, root)
-        tree = [root]
+        rank = _value_ranks(v for _, _, v in pairs)
+        index = {p: i for i, p in enumerate(names)}
+        d = [[0] * n for _ in names]
+        for p, q, v in pairs:
+            i, k = index[p], index[q]
+            d[i][k] = d[k][i] = rank[id(v)]
+        best = dict(enumerate(d[0]))
+        del best[0]
+        parent = dict.fromkeys(best, 0)
+        tree = [0]
         while best:
             u = max(best, key=best.__getitem__)
             w = best.pop(u)
             up = parent.pop(u)
-            # Every pair of u with a tree point was looked up when the
-            # point joined, so these keys are present.
+            du, dp = d[u], d[up]
             for x in tree:
-                if x == up:
-                    continue
-                dxu, dxp = dist[_pair(x, u)], dist[_pair(x, up)]
-                if not (dxp >= w if dxu == w else dxp == dxu):
+                if x != up and not (dp[x] >= w if du[x] == w
+                                    else dp[x] == du[x]):
                     return False
             tree.append(u)
             for y, by in best.items():
-                d = dist.get(_pair(u, y))
-                if d is None:
-                    return False
-                if d > by:
-                    best[y], parent[y] = d, u
+                if du[y] > by:
+                    best[y], parent[y] = du[y], u
         return True
+
+
+def _value_ranks(values: Iterable[Value]) -> dict[int, int]:
+    """Rank of each value object, keyed by its id: ranks follow
+    Value.compare and equal values share one.  Each object is hashed once
+    and each distinct value is sorted once."""
+    objects = {id(v): v for v in values}
+    rank = dict.fromkeys(objects.values(), 0)
+    for r, v in enumerate(sorted(rank, key=cmp_to_key(Value.compare))):
+        rank[v] = r
+    return {i: rank[v] for i, v in objects.items()}
 
 
 def classify_from_prefix(cfg: UltrametricConfiguration) -> tuple[PmsKind, list[Value]]:

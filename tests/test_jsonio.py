@@ -125,6 +125,22 @@ def test_malformed_values_are_schema_errors():
         decode_exact("1/0")
 
 
+def test_repeated_bad_distance_fails_at_its_first_path():
+    bad = {"surd": {"a": "1", "b": "1", "d": 0}}
+    dist = [{"pair": ["z0", "z1"], "v": ["1"]},
+            {"pair": ["z0", "z2"], "v": ["1"]},
+            {"pair": ["z1", "z2"], "v": [bad]},
+            {"pair": ["z0", "z3"], "v": [bad]}]
+    raw = {"sequence": ["z0", "z1", "z2", "z3"], "points": [],
+           "distances": dist}
+    with pytest.raises(SchemaError) as err:
+        jsonio.decode_configuration(raw)
+    with pytest.raises(SchemaError) as alone:
+        decode_value([bad], "configuration.distances[2].v")
+    assert str(err.value) == str(alone.value)
+    assert str(err.value).startswith("configuration.distances[2].v[0]: ")
+
+
 @pytest.mark.parametrize("p", [0, 1, 4])
 @pytest.mark.parametrize("kind", ["padic", "composite"])
 def test_oracle_field_needs_a_prime(kind, p):

@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, log2
 
 import pytest
 
@@ -142,6 +143,13 @@ def counting_compares(monkeypatch):
     return calls
 
 
+def sort_bound(dist):
+    """k * ceil(log2 k) for the k distinct values of a table: what one
+    comparison sort of them may cost (0 when k = 1)."""
+    k = len(set(dist.values()))
+    return k * ceil(log2(k))
+
+
 def test_complete_build_makes_quadratically_many_compares(monkeypatch):
     n = 80
     terms = [sum(Fraction(5) ** k for k in range(i + 1)) for i in range(n)]
@@ -152,7 +160,7 @@ def test_complete_build_makes_quadratically_many_compares(monkeypatch):
     calls = counting_compares(monkeypatch)
     cfg = UltrametricConfiguration.build(z, (), dist)
     assert len(cfg.dist) == n * (n - 1) // 2
-    assert 0 < calls[0] <= 2 * n * n
+    assert calls[0] <= sort_bound(dist)
 
 
 def test_monotone_oracle_sequence_is_built_in_linear_time(monkeypatch):
@@ -170,6 +178,73 @@ def test_monotone_oracle_sequence_is_built_in_linear_time(monkeypatch):
     cfg = sequence_configuration(PadicRationals(5), terms)
     assert valuations[0] == len(cfg.dist) == n - 1
     assert calls[0] <= 2 * n
+
+
+@pytest.mark.parametrize("kind", ["pcs", "pds"])
+def test_oracle_sequence_compares_no_more_than_before(monkeypatch, kind):
+    # The consecutive-only table is refused by the certificate before any
+    # ranking, so the compares are the classification's alone.
+    n = 1000
+    terms = [Fraction(5 ** (i + 1) - 1, 4) if kind == "pcs"
+             else Fraction(1, 5 ** i) for i in range(n)]
+    calls = counting_compares(monkeypatch)
+    sequence_configuration(PadicRationals(5), terms)
+    assert calls[0] <= {"pcs": n - 2, "pds": n - 1}[kind]
+
+
+def test_build_refuses_a_pair_given_two_values():
+    z = ["z0", "z1", "z2"]
+    dist = {("z0", "z1"): Value.of(1), ("z1", "z2"): Value.of(2),
+            ("z2", "z1"): Value.of(7)}
+    with pytest.raises(InvalidConfiguration,
+                       match="^pair z1,z2 is given two different values"):
+        UltrametricConfiguration.build(z, (), dist)
+    dist[("z2", "z1")] = Value.of(2)
+    cfg = UltrametricConfiguration.build(z, (), dist)
+    assert cfg.dist == {("z0", "z1"): Value.of(1), ("z1", "z2"): Value.of(2)}
+
+
+def test_mixed_encodings_of_one_value_share_a_rank(monkeypatch):
+    # A pcs over z0..z3 with delta = 1, 2, 3; the three pairs at 1 write
+    # it three ways, so the table holds three distinct values.
+    ones = ["1", ["1"], [{"rat": "1"}]]
+    dist = [{"pair": ["z0", f"z{j}"], "v": ones[j - 1]} for j in (1, 2, 3)]
+    dist += [{"pair": ["z1", "z2"], "v": ["2"]},
+             {"pair": ["z1", "z3"], "v": ["2"]},
+             {"pair": ["z2", "z3"], "v": ["3"]}]
+    raw = {"sequence": ["z0", "z1", "z2", "z3"], "points": [],
+           "distances": dist}
+    calls = counting_compares(monkeypatch)
+    cfg = jsonio.decode_configuration(raw)
+    # The triangle scan would compare every triangle's three distances.
+    assert calls[0] <= sort_bound(cfg.dist)
+    assert len({id(v) for v in cfg.dist.values()}) == 5
+    assert cfg.classification == (
+        PmsKind.PCS, (Value.of(1), Value.of(2), Value.of(3)))
+    # All six pairs at one value, written three ways: no comparison at all.
+    for i, entry in enumerate(dist):
+        entry["v"] = ones[i % 3]
+    calls[0] = 0
+    cfg = jsonio.decode_configuration(raw)
+    assert calls[0] == 0
+    assert cfg.classification[0] is PmsKind.PCTS
+
+
+def test_large_table_with_one_wrong_entry_names_the_first_triple():
+    # The pcs table d(z_i, z_j) = i over 120 points, with d(z10, z40)
+    # raised to 11: (z10, z11, z40) is the first triple in name order
+    # whose minimum is attained once.
+    n = 120
+    z = [f"z{i}" for i in range(n)]
+    levels = [Value.of(i) for i in range(n)]
+    dist = {(z[i], z[j]): levels[i] for i in range(n) for j in range(i + 1, n)}
+    dist[("z10", "z40")] = levels[11]
+    cfg = UltrametricConfiguration(tuple(z), (), {
+        (p, q) if p <= q else (q, p): v for (p, q), v in dist.items()})
+    assert brute_force_violation(cfg) == ("z10", "z11", "z40")
+    with pytest.raises(InvalidConfiguration,
+                       match="^isosceles law fails on points z10, z11, z40$"):
+        UltrametricConfiguration.build(z, (), dist)
 
 
 def test_classify_consecutive_only_table_is_linear(monkeypatch):
@@ -203,7 +278,9 @@ def test_complete_pds_and_pcts_builds_stay_quadratic(monkeypatch, pattern):
             for i in range(n) for j in range(i + 1, n)}
     calls = counting_compares(monkeypatch)
     UltrametricConfiguration.build(z, (), dist)
-    assert 0 < calls[0] <= 2 * n * n
+    assert calls[0] <= sort_bound(dist)
+    if pattern == "pcts":
+        assert calls[0] == 0
 
 
 def witness_problem(n):
@@ -223,6 +300,23 @@ def witness_problem(n):
                      "pcs_type": {"algebraic": {"deg": 1}}},
         "configuration": {"sequence": z, "points": ["y", "w"],
                           "distances": dist}})
+
+
+def test_each_distinct_encoding_is_decoded_once(monkeypatch):
+    n = 64
+    raws = []
+    decode_exact = jsonio.decode_exact
+
+    def counting(raw, path="value"):
+        if path.startswith("configuration."):
+            raws.append(raw)
+        return decode_exact(raw, path)
+
+    monkeypatch.setattr(jsonio, "decode_exact", counting)
+    cfg = jsonio.loads_problem(witness_problem(n)).configuration
+    # The distances are ["0"] ... ["63"] over 2,145 pairs.
+    assert sorted(raws, key=int) == [str(i) for i in range(n)]
+    assert len(cfg.dist) == n * (n - 1) // 2 + n + n + 1
 
 
 def test_limit_checks_classify_once(monkeypatch):
