@@ -3,7 +3,7 @@
     python3 bench/scale.py --out BENCH.json            # measure and write
     python3 bench/scale.py --diff OLD.json NEW.json    # compare two files
 
-Three series; each point is the median of five runs with its quartiles:
+Four series; each point is the median of five runs with its quartiles:
 
 - ``oracle-check``: ``python3 -m pmsval oracle-check`` on the 5-adic Cauchy
   sequence z_n = (5^(n+1) - 1)/4, N = 40 ... 2560 doubling.  CPU time (user
@@ -15,16 +15,28 @@ Three series; each point is the median of five runs with its quartiles:
   of rank n over the rationals with constants in front of a bounded
   terminal coordinate, n = 1 ... 6.  In-process CPU time, garbage
   collector off.
+- ``cli-commands``: ``cli.main`` running one of the five commands of the
+  benchmark's symbolic-batch workload (classify, ve, rank, sup, probe) on
+  the bundled ``example-3-6-not-1.json``, after one untimed call; n names
+  the command.  In-process CPU time per call, averaged over a batch of
+  calls, garbage collector off.
 
-The file also records the machine, the Python version and the git commit
-of the checkout measured (``dirty`` when its working tree differs from
-that commit).  The measured code is the ``src/`` next to this script.
+Each point also records the machine's pace while it ran: the median CPU
+time of the benchmark's reference computation (``pmsbench/reference.py``),
+run a few times before each of the point's runs.  ``--diff`` scales each
+new median by the ratio of the two points' paces, so a machine that ran
+slower in one session does not read as a code change.  The file also
+records the machine, the Python version and the git commit of the
+checkout measured (``dirty`` when its working tree differs from that
+commit).  The measured code is the ``src/`` next to this script.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import platform
@@ -39,9 +51,10 @@ from importlib import resources
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from pmsval import jsonio  # noqa: E402
+from pmsbench.reference import time_reference  # noqa: E402
+from pmsval import cli, jsonio  # noqa: E402
 from pmsval.exact import ExactReal  # noqa: E402
 from pmsval.groups import FullRational, GroupDescriptor  # noqa: E402
 from pmsval.ranktree import rank_of_vE  # noqa: E402
@@ -52,12 +65,24 @@ from pmsval.sequences import (Algebraic, BoundInGroup, ConstantFrom,  # noqa: E4
 ORACLE_SIZES = (40, 80, 160, 320, 640, 1280, 2560)
 CONFIG_SIZES = (10, 20, 40, 80, 160)
 RANKS = (1, 2, 3, 4, 5, 6)
+CLI_PROBLEM = "example-3-6-not-1.json"
+CLI_COMMANDS = ("classify", "ve", "rank", "sup", "probe")
+CLI_BATCH = 20
+PACE_RUNS = 5
 REPEAT = 5
 
 
-def summary(runs: list[float]) -> dict:
+def paced(run) -> dict:
+    """REPEAT calls of run(), which returns seconds, each just after
+    PACE_RUNS runs of the reference computation: the runs' median and
+    quartiles, and the median reference time as the pace of this point."""
+    runs, pace = [], []
+    for _ in range(REPEAT):
+        pace += [time_reference() for _ in range(PACE_RUNS)]
+        runs.append(run())
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": runs}
+    return {"median": median, "q1": q1, "q3": q3, "runs": runs,
+            "pace_s": statistics.median(pace)}
 
 
 def oracle_problem(n: int) -> str:
@@ -87,9 +112,9 @@ def oracle_series() -> list[dict]:
             path.write_text(oracle_problem(n))
             argv = [sys.executable, "-m", "pmsval", "oracle-check", "--in",
                     str(path)]
-            runs = [child_cpu(argv) for _ in range(REPEAT)]
             out.append({"series": "oracle-check", "n": n,
-                        "clock": "child CPU s", **summary(runs)})
+                        "clock": "child CPU s",
+                        **paced(lambda: child_cpu(argv))})
     return out
 
 
@@ -133,9 +158,9 @@ def config_series() -> list[dict]:
                     is not Tri.TRUE:
                 raise SystemExit(f"config-limit N={n}: y is not a limit")
 
-        runs = [timed(build_and_check) for _ in range(REPEAT)]
         out.append({"series": "config-limit", "n": n,
-                    "clock": "process CPU s", **summary(runs)})
+                    "clock": "process CPU s",
+                    **paced(lambda: timed(build_and_check))})
     return out
 
 
@@ -159,9 +184,26 @@ def rank_series() -> list[dict]:
             if result.alpha_check is None or not result.alpha_check.holds:
                 raise SystemExit(f"rank-alpha n={n}: alpha check failed")
 
-        runs = [timed(walk) for _ in range(REPEAT)]
         out.append({"series": "rank-alpha", "n": n,
-                    "clock": "process CPU s", **summary(runs)})
+                    "clock": "process CPU s", **paced(lambda: timed(walk))})
+    return out
+
+
+def cli_series() -> list[dict]:
+    out = []
+    for command in CLI_COMMANDS:
+        argv = [command, "--in", CLI_PROBLEM]
+
+        def batch():
+            with contextlib.redirect_stdout(io.StringIO()):
+                for _ in range(CLI_BATCH):
+                    if cli.main(argv) != 0:
+                        raise SystemExit(f"cli-commands {command}: nonzero exit")
+
+        batch()
+        out.append({"series": "cli-commands", "n": command,
+                    "clock": "process CPU s per call",
+                    **paced(lambda: timed(batch) / CLI_BATCH)})
     return out
 
 
@@ -186,21 +228,30 @@ def measure() -> dict:
     return {"commit": git("rev-parse", "HEAD"),
             "dirty": bool(git("status", "--porcelain", "--", "src", "bench")),
             "machine": machine(), "repeat": REPEAT,
-            "entries": oracle_series() + config_series() + rank_series()}
+            "entries": oracle_series() + config_series() + rank_series()
+            + cli_series()}
 
 
 def diff(old: dict, new: dict) -> list[str]:
-    """One line per entry in both files: the medians, their ratio, and
-    whether the move exceeds the old file's quartile spread."""
+    """One line per entry in both files: the ratio of the two paces
+    (old/new), the old median, the new median scaled by that ratio, their
+    ratio, and whether the move exceeds the larger of the two entries'
+    quartile spreads.  An entry written before the pace was recorded is
+    compared unscaled."""
     before = {(e["series"], e["n"]): e for e in old["entries"]}
     lines = [f"old {old['commit'][:12]} -> new {new['commit'][:12]}"]
     for e in new["entries"]:
         o = before.get((e["series"], e["n"]))
         if o is None:
             continue
-        moved = abs(e["median"] - o["median"]) > o["q3"] - o["q1"]
-        lines.append(f"{e['series']:>13} {e['n']:>5}  {o['median']:.6f} -> "
-                     f"{e['median']:.6f}  x{e['median'] / o['median']:.3f}  "
+        pace = (o["pace_s"] / e["pace_s"]
+                if "pace_s" in o and "pace_s" in e else 1.0)
+        median = e["median"] * pace
+        spread = max(o["q3"] - o["q1"], (e["q3"] - e["q1"]) * pace)
+        moved = abs(median - o["median"]) > spread
+        lines.append(f"{e['series']:>13} {e['n']:>8}  pace x{pace:.3f}  "
+                     f"{o['median']:.6f} -> {median:.6f}  "
+                     f"x{median / o['median']:.3f}  "
                      f"{'beyond' if moved else 'within'} noise")
     return lines
 

@@ -11,6 +11,7 @@ traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from importlib import resources
@@ -251,7 +252,13 @@ def cmd_leaves(levels: int, kind: str, dot: Optional[str] = None
 # Entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused for the process.
+
+    Each ``parse_args`` call starts from a fresh namespace filled from the
+    defaults, so one call leaves nothing behind for the next.
+    """
     parser = argparse.ArgumentParser(
         prog="pmsval",
         description="Classify pseudo monotone sequences, evaluate the induced "
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--probes", help="JSON file with a probes list")
     leaves = add("leaves", needs_in=False)
     leaves.add_argument("--levels", type=int, default=3,
-                        help="tree depth to enumerate (1..4)")
+                        help="tree depth to enumerate (1..6)")
     leaves.add_argument("--kind", choices=["pcs", "pds"], default="pcs",
                         help="which tree to render with --dot")
     leaves.add_argument("--dot", help="write the full decision tree here")

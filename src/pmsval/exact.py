@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd
+from math import gcd, isqrt
 from typing import Union
 
 from .errors import InvariantError
@@ -136,6 +136,19 @@ class ExactReal:
 
     def sign(self) -> int:
         return _sign_a_plus_b_sqrt_d(self.a, self.b, self.d)
+
+    def floor(self) -> int:
+        """The largest integer m with m <= self, exactly: the integer square
+        root of b^2*d gives a guess at most one off, and compare corrects it."""
+        root = Fraction(isqrt(self.b.numerator ** 2 * self.d),
+                        self.b.denominator)
+        guess = self.a + (root if self.b > 0 else -root)
+        m = guess.numerator // guess.denominator
+        while ExactReal.rational(m).compare(self) > 0:
+            m -= 1
+        while ExactReal.rational(m + 1).compare(self) <= 0:
+            m += 1
+        return m
 
     def compare(self, other: "ExactReal") -> int:
         """Exact three-way comparison; handles distinct radicands."""

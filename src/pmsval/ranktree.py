@@ -187,7 +187,8 @@ def check_alpha(E: PmsDescriptor, result: RankResult,
 
 def auto_probes(E: PmsDescriptor) -> list[Value]:
     """Group elements straddling the chain: at each level the constant (or
-    bound) nudged by the component generator, zero-padded."""
+    bound, or for a bound outside the group the member of the component next
+    below it) nudged by the component generator, zero-padded."""
     chain = E.chain
     if chain is None:
         raise KindError("probes are generated from a stage chain")
@@ -212,6 +213,10 @@ def auto_probes(E: PmsDescriptor) -> list[Value]:
             center = consts[level - 1]
         elif isinstance(bound, BoundInGroup):
             center = bound.r
+        elif isinstance(bound, BoundNotInGroup):
+            # The group member floor(r/g)*g next below a bound r outside the
+            # group, so the probes straddle alpha.
+            center = gen.scaled(bound.r.scaled(1 / gen.rational_value).floor())
         else:
             center = zero
         for k in (-2, -1, 0, 1, 2):
@@ -235,9 +240,12 @@ class LeafShape:
 
 def enumerate_leaves(n: int) -> list[LeafShape]:
     """All leaves of the depth-n tree: three per level, constant descends;
-    a constant coordinate at the last level is contradictory and excluded."""
-    if not 1 <= n <= 4:
-        raise InvariantError("leaf enumeration supports ranks 1..4")
+    a constant coordinate at the last level is contradictory and excluded.
+
+    n is capped at 6, the largest rank the rank walk is exercised on, so a
+    requested depth cannot cost unbounded time or output."""
+    if not 1 <= n <= 6:
+        raise InvariantError("leaf enumeration supports ranks 1..6")
     out = []
     for level in range(1, n + 1):
         for branch in (Branch.SUP_INFINITE, Branch.BOUND_NOT_IN_GROUP,

@@ -1,0 +1,46 @@
+"""bench/scale.py --diff: pace scaling and the noise rule."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "scale.py"
+spec = importlib.util.spec_from_file_location("scale", SCRIPT)
+scale = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(scale)
+
+
+def bench_file(pace_s: float, entries: list[tuple]) -> dict:
+    """A file as --out writes it; each entry is (n, q1, median, q3)."""
+    return {"commit": "0" * 40, "entries": [
+        {"series": "rank-alpha", "n": n, "q1": q1, "median": median, "q3": q3,
+         "pace_s": pace_s} for n, q1, median, q3 in entries]}
+
+
+def test_diff_cancels_a_slower_pace():
+    old = bench_file(0.004, [(1, 0.9, 1.0, 1.1), (2, 1.9, 2.0, 2.1)])
+    new = bench_file(0.008, [(1, 1.8, 2.0, 2.2), (2, 3.8, 4.0, 4.2)])
+    lines = scale.diff(old, new)[1:]
+    assert [line.split()[3:] for line in lines] == [
+        ["x0.500", "1.000000", "->", "1.000000", "x1.000", "within", "noise"],
+        ["x0.500", "2.000000", "->", "2.000000", "x1.000", "within", "noise"]]
+
+
+def test_diff_needs_a_move_beyond_both_spreads():
+    old = bench_file(0.004, [(1, 0.99, 1.0, 1.01), (2, 0.99, 1.0, 1.01)])
+    # n = 1 moves by 0.3, inside the new file's spread of 0.4; n = 2 moves
+    # by 0.3 with both spreads at 0.02.
+    new = bench_file(0.004, [(1, 1.1, 1.3, 1.5), (2, 1.29, 1.3, 1.31)])
+    first, second = scale.diff(old, new)[1:]
+    assert first.endswith("x1.300  within noise")
+    assert second.endswith("x1.300  beyond noise")
+
+
+def test_diff_of_files_without_a_pace_is_unscaled():
+    old = bench_file(0.004, [(1, 0.9, 1.0, 1.1)])
+    new = bench_file(0.008, [(1, 1.8, 2.0, 2.2)])
+    del old["entries"][0]["pace_s"]
+    (line,) = scale.diff(old, new)[1:]
+    assert line.split()[3:] == ["x1.000", "1.000000", "->", "2.000000",
+                                "x2.000", "beyond", "noise"]

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
 from importlib import resources
 
 import pytest
 
 from pmsval import cli, oracle, ranktree
 from pmsval.cli import main
+
+from test_golden import GOLDEN, cases, run_case
 
 
 def run(capsys, *argv) -> tuple[int, dict]:
@@ -93,6 +96,11 @@ def test_leaves_command(capsys, tmp_path):
                     "--dot", str(dot))
     assert code == 0 and len(rep["leaves"]) == 9
     assert dot.read_text().startswith("digraph")
+    code, rep = run(capsys, "leaves", "--levels", "6")
+    assert code == 0 and len(rep["leaves"]) == 18
+    for levels in ("0", "7"):
+        code, rep = run(capsys, "leaves", "--levels", levels)
+        assert code == 3 and rep["error"] == "invariant"
 
 
 def test_exit_code_schema_error(capsys, tmp_path):
@@ -347,3 +355,58 @@ def test_oracle_check_refuses_tail_window_below_two(capsys, monkeypatch,
     assert code == 2 and rep == {
         "error": "schema",
         "detail": f"--tail-window must be at least 2, got {window}"}
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_forgets_rank_dot(capsys, tmp_path):
+    dot = tmp_path / "walk.dot"
+    assert run(capsys, "rank", "--in", "example-rank3.json",
+               "--dot", str(dot))[1]["dot"] == str(dot)
+    code, rep = run(capsys, "rank", "--in", "example-rank3.json")
+    assert code == 0 and "dot" not in rep
+
+
+def test_reused_parser_forgets_tail_window(capsys, monkeypatch):
+    windows = []
+    inner = oracle.cross_check
+
+    def recording(*args):
+        windows.append(args[-1])
+        return inner(*args)
+
+    monkeypatch.setattr(oracle, "cross_check", recording)
+    for extra in (["--tail-window", "3"], []):
+        code, rep = run(capsys, "oracle-check", "--in",
+                        "example-composite-rank2.json", *extra)
+        assert code == 0 and rep["all_agree"] is True
+    assert windows == [3, None]
+
+
+def test_reused_parser_forgets_probes(capsys, tmp_path):
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps({"version": "1", "probes": [["0"], ["1"]]}))
+    code, rep = run(capsys, "probe", "--in", "example-3-6-not-1.json",
+                    "--probes", str(probes))
+    assert code == 0 and rep["auto_probes"] is False
+    code, rep = run(capsys, "probe", "--in", "example-3-6-not-1.json")
+    assert code == 0 and rep["auto_probes"] is True
+
+
+def test_reused_parser_recovers_from_a_bad_argument_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--in", "example-rank3.json", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "usage: pmsval" in capsys.readouterr().err
+    code, rep = run(capsys, "rank", "--in", "example-rank3.json")
+    assert code == 0 and rep["output_rank"] == 3
+
+
+def test_golden_reports_in_shuffled_order_in_one_process(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    order = sorted(cases().items())
+    random.Random(9).shuffle(order)
+    for case, argv in order:
+        assert run_case(argv, tmp_path) == golden[case], case

@@ -125,6 +125,16 @@ def test_sign_matches_decimal(a_num, a_den, b_num, b_den, d):
         assert (dec > 0) == (x.sign() > 0)
 
 
+@given(st.integers(-600, 600), st.integers(1, 12),
+       st.integers(-300, 300), st.integers(1, 12),
+       st.sampled_from([2, 3, 5, 7, 10]))
+def test_floor_matches_decimal(a_num, a_den, b_num, b_den, d):
+    x = ExactReal.surd(Fraction(a_num, a_den), Fraction(b_num, b_den), d)
+    m = x.floor()
+    assert m <= to_decimal(x) < m + 1
+    assert ExactReal.rational(m) <= x < ExactReal.rational(m + 1)
+
+
 def test_radicand_near_the_bound_decodes_quickly():
     start = time.perf_counter()
     x = decode_exact({"surd": {"a": "0", "b": "1", "d": 4294967291}})

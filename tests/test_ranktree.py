@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,9 @@ from pmsval import (Algebraic, BoundInGroup, BoundNotInGroup, ConstantFrom,
                     mirror)
 from pmsval.errors import InvariantError, KindError
 from pmsval.groups import AdjoinedSurd, FormalInteger
-from pmsval.ranktree import (Branch, LeafKind, auto_probes, enumerate_leaves,
-                             rank_of_vE, theorem_rank_check, tree_dot)
+from pmsval.ranktree import (Branch, LeafKind, auto_probes, check_alpha,
+                             enumerate_leaves, rank_of_vE, theorem_rank_check,
+                             tree_dot)
 
 from gen import make_descriptor, random_descriptor, random_group
 
@@ -110,13 +112,13 @@ def test_output_rank_matches_recount():
 
 
 def test_enumerate_leaves_counts():
-    assert len(enumerate_leaves(1)) == 3
-    assert len(enumerate_leaves(2)) == 6
-    assert len(enumerate_leaves(3)) == 9
+    for n in range(1, 7):
+        assert len(enumerate_leaves(n)) == 3 * n
     deltas = [s.rank_delta for s in enumerate_leaves(1)]
     assert deltas == [1, 0, 1]
-    with pytest.raises(InvariantError):
-        enumerate_leaves(0)
+    for n in (0, 7):
+        with pytest.raises(InvariantError):
+            enumerate_leaves(n)
 
 
 def test_every_leaf_realizes_its_delta():
@@ -189,6 +191,18 @@ def test_auto_probes_are_group_members():
         E = random_descriptor(rng, rng.randint(1, 3))
         for beta in auto_probes(E):
             assert E.group.contains(beta)
+
+
+def test_auto_probes_catch_alpha_moved_past_a_bound_outside_the_group():
+    # The probes of a bound outside the group straddle it, so an alpha moved
+    # 100 units past the bound fails the chain check.
+    rng = random.Random(1729)
+    for _ in range(300):
+        E = random_descriptor(rng, 1, branch=Branch.BOUND_NOT_IN_GROUP)
+        r = rank_of_vE(E)
+        moved = r.alpha + Value.of(100 * E.sign)
+        assert r.alpha_check.holds
+        assert not check_alpha(E, replace(r, alpha=moved), auto_probes(E)).holds
 
 
 def test_tree_dot_structure():
