@@ -21,14 +21,20 @@ Four series; each point is the median of five runs with its quartiles:
   the command.  In-process CPU time per call, averaged over a batch of
   calls, garbage collector off.
 
-Each point also records the machine's pace while it ran: the median CPU
-time of the benchmark's reference computation (``pmsbench/reference.py``),
-run a few times before each of the point's runs.  ``--diff`` scales each
-new median by the ratio of the two points' paces, so a machine that ran
-slower in one session does not read as a code change.  The file also
-records the machine, the Python version and the git commit of the
-checkout measured (``dirty`` when its working tree differs from that
-commit).  The measured code is the ``src/`` next to this script.
+Each run is paced as the benchmark paces its problems: blocks of runs of
+the benchmark's reference computation (``pmsbench/reference.py``) sit
+before, between and after a point's runs, and each run's time is divided
+by the mean pace of the blocks on either side of it and multiplied by
+``REFERENCE_S``, giving seconds at reference speed.  A machine that slows
+for a while then slows a run and its pace alike, and the quartiles are
+taken over the paced runs.  Each point also records its pace, the median
+reference time.  ``--diff`` compares two files at reference speed, so a
+machine that ran slower in one session does not read as a code change;
+a file written before runs were paced one by one is converted by its
+points' paces.  The file also records the machine, the Python version and
+the git commit of the checkout measured (``dirty`` when its working tree
+differs from that commit).  The measured code is the ``src/`` next to this
+script.
 """
 
 from __future__ import annotations
@@ -53,14 +59,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from pmsbench.reference import time_reference  # noqa: E402
+from pmsbench.reference import REFERENCE_S, time_reference  # noqa: E402
 from pmsval import cli, jsonio  # noqa: E402
 from pmsval.exact import ExactReal  # noqa: E402
 from pmsval.groups import FullRational, GroupDescriptor  # noqa: E402
 from pmsval.ranktree import rank_of_vE  # noqa: E402
 from pmsval.sequences import (Algebraic, BoundInGroup, ConstantFrom,  # noqa: E402
-                              Direction, PmsDescriptor, PmsKind, StageChain,
-                              Terminal, Tri, is_limit)
+                              PmsDescriptor, PmsKind, StageChain, Tri,
+                              is_limit)
 
 ORACLE_SIZES = (40, 80, 160, 320, 640, 1280, 2560)
 CONFIG_SIZES = (10, 20, 40, 80, 160)
@@ -73,16 +79,24 @@ REPEAT = 5
 
 
 def paced(run) -> dict:
-    """REPEAT calls of run(), which returns seconds, each just after
-    PACE_RUNS runs of the reference computation: the runs' median and
-    quartiles, and the median reference time as the pace of this point."""
-    runs, pace = [], []
+    """REPEAT calls of run(), which returns seconds, paced as
+    pmsbench/run.py paces its problems: each call's time over the mean
+    reference time just before and just after it, times REFERENCE_S.  The
+    reference time on each side is the median of a block of PACE_RUNS
+    runs, shared by the calls before and after the block.  Returns the
+    paced runs with their median and quartiles, and the median reference
+    time as the pace of this point."""
+    def block() -> float:
+        return statistics.median(time_reference() for _ in range(PACE_RUNS))
+
+    runs, paces = [], [block()]
     for _ in range(REPEAT):
-        pace += [time_reference() for _ in range(PACE_RUNS)]
-        runs.append(run())
+        spent = run()
+        paces.append(block())
+        runs.append(2 * spent / (paces[-2] + paces[-1]) * REFERENCE_S)
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": runs,
-            "pace_s": statistics.median(pace)}
+            "pace_s": statistics.median(paces)}
 
 
 def oracle_problem(n: int) -> str:
@@ -113,7 +127,7 @@ def oracle_series() -> list[dict]:
             argv = [sys.executable, "-m", "pmsval", "oracle-check", "--in",
                     str(path)]
             out.append({"series": "oracle-check", "n": n,
-                        "clock": "child CPU s",
+                        "clock": "child CPU s at reference speed",
                         **paced(lambda: child_cpu(argv))})
     return out
 
@@ -159,7 +173,7 @@ def config_series() -> list[dict]:
                 raise SystemExit(f"config-limit N={n}: y is not a limit")
 
         out.append({"series": "config-limit", "n": n,
-                    "clock": "process CPU s",
+                    "clock": "process CPU s at reference speed",
                     **paced(lambda: timed(build_and_check))})
     return out
 
@@ -168,8 +182,7 @@ def rank_descriptor(n: int) -> PmsDescriptor:
     zero = ExactReal.rational(0)
     group = GroupDescriptor.of(*[FullRational()] * n)
     chain = StageChain(tuple(ConstantFrom(ExactReal.rational(Fraction(k, 2)), 0)
-                             for k in range(n - 1))
-                       + (Terminal(Direction.INCREASING, BoundInGroup(zero)),))
+                             for k in range(n - 1)), BoundInGroup(zero))
     return PmsDescriptor(PmsKind.PCS, group, chain=chain,
                          pcs_type=Algebraic(1))
 
@@ -185,7 +198,8 @@ def rank_series() -> list[dict]:
                 raise SystemExit(f"rank-alpha n={n}: alpha check failed")
 
         out.append({"series": "rank-alpha", "n": n,
-                    "clock": "process CPU s", **paced(lambda: timed(walk))})
+                    "clock": "process CPU s at reference speed",
+                    **paced(lambda: timed(walk))})
     return out
 
 
@@ -202,7 +216,7 @@ def cli_series() -> list[dict]:
 
         batch()
         out.append({"series": "cli-commands", "n": command,
-                    "clock": "process CPU s per call",
+                    "clock": "process CPU s per call at reference speed",
                     **paced(lambda: timed(batch) / CLI_BATCH)})
     return out
 
@@ -228,24 +242,35 @@ def measure() -> dict:
     return {"commit": git("rev-parse", "HEAD"),
             "dirty": bool(git("status", "--porcelain", "--", "src", "bench")),
             "machine": machine(), "repeat": REPEAT,
+            "reference_s": REFERENCE_S,
             "entries": oracle_series() + config_series() + rank_series()
             + cli_series()}
 
 
+def to_reference(f: dict, e: dict) -> float | None:
+    """The factor that turns entry e of file f into seconds at reference
+    speed: 1 when f paced each run, REFERENCE_S over e's pace when f only
+    recorded the pace, None when f predates the pace."""
+    if "reference_s" in f:
+        return 1.0
+    return REFERENCE_S / e["pace_s"] if "pace_s" in e else None
+
+
 def diff(old: dict, new: dict) -> list[str]:
-    """One line per entry in both files: the ratio of the two paces
-    (old/new), the old median, the new median scaled by that ratio, their
-    ratio, and whether the move exceeds the larger of the two entries'
-    quartile spreads.  An entry written before the pace was recorded is
-    compared unscaled."""
+    """One line per entry in both files: the factor that brings the new
+    entry to the old one's pace, the old median, the new median scaled by
+    it, their ratio, and whether the move exceeds the larger of the two
+    entries' quartile spreads.  Two files paced run by run compare as they
+    are (factor 1); an entry of a file written before the pace was
+    recorded is compared unscaled."""
     before = {(e["series"], e["n"]): e for e in old["entries"]}
     lines = [f"old {old['commit'][:12]} -> new {new['commit'][:12]}"]
     for e in new["entries"]:
         o = before.get((e["series"], e["n"]))
         if o is None:
             continue
-        pace = (o["pace_s"] / e["pace_s"]
-                if "pace_s" in o and "pace_s" in e else 1.0)
+        fo, fe = to_reference(old, o), to_reference(new, e)
+        pace = fe / fo if fo and fe else 1.0
         median = e["median"] * pace
         spread = max(o["q3"] - o["q1"], (e["q3"] - e["q1"]) * pace)
         moved = abs(median - o["median"]) > spread

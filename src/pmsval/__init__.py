@@ -18,10 +18,9 @@ from .ranktree import (Branch, LeafKind, RankResult, TreeTrace, auto_probes,
                        enumerate_leaves, rank_of_vE, theorem_rank_check,
                        tree_dot)
 from .sequences import (Algebraic, BoundInGroup, BoundNotInGroup, ConstantFrom,
-                        Direction, PmsDescriptor, PmsKind, StageChain,
-                        Terminal, Transcendental, Tri, UltrametricConfiguration,
-                        Unbounded, beyond_all_deltas, classify_from_prefix,
-                        cofinal, extremum, is_limit, limit_dichotomy_check,
-                        mirror)
+                        PmsDescriptor, PmsKind, StageChain, Transcendental,
+                        Tri, UltrametricConfiguration, Unbounded,
+                        beyond_all_deltas, classify_from_prefix, cofinal,
+                        extremum, is_limit, limit_dichotomy_check, mirror)
 
 __version__ = "0.1.0"

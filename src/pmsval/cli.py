@@ -318,21 +318,21 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise SchemaError(f"unknown command {args.command}")
     except SchemaError as exc:
         _write(jsonio.dump_report({"error": "schema", "detail": str(exc)}),
-               getattr(args, "outfile", None))
+               args.outfile)
         return EXIT_SCHEMA
     except IndeterminateError as exc:
         _write(jsonio.dump_report({"error": "indeterminate", "detail": str(exc)}),
-               getattr(args, "outfile", None))
+               args.outfile)
         return EXIT_INDETERMINATE
     except PmsvalError as exc:
         _write(jsonio.dump_report({"error": "invariant", "detail": str(exc)}),
-               getattr(args, "outfile", None))
+               args.outfile)
         return EXIT_INVARIANT
     except Exception as exc:
         traceback.print_exc()
         _write(jsonio.dump_report({"error": "internal",
                                    "detail": f"{type(exc).__name__}: {exc}"}),
-               getattr(args, "outfile", None))
+               args.outfile)
         return EXIT_INTERNAL
     _write(jsonio.dump_report(report), args.outfile)
     return code

@@ -60,16 +60,6 @@ class FactoredRationalFunction:
     num_roots: tuple[TaggedRoot, ...] = ()
     den_roots: tuple[TaggedRoot, ...] = ()
 
-    def degree(self) -> int:
-        return (sum(r.multiplicity for r in self.num_roots)
-                - sum(r.multiplicity for r in self.den_roots))
-
-    def product(self, other: "FactoredRationalFunction") -> "FactoredRationalFunction":
-        return FactoredRationalFunction(
-            self.lead_value + other.lead_value,
-            self.num_roots + other.num_roots,
-            self.den_roots + other.den_roots)
-
     def dominating_form(self) -> "DominatingForm":
         """d = limit roots of the numerator minus the denominator (counted
         with multiplicity); beta = lead value plus the non-limit distance

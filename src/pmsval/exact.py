@@ -134,9 +134,6 @@ class ExactReal:
             return ExactReal.rational(0)
         return ExactReal(self.a * q, self.b * q, self.d if self.b * q else 1)
 
-    def sign(self) -> int:
-        return _sign_a_plus_b_sqrt_d(self.a, self.b, self.d)
-
     def floor(self) -> int:
         """The largest integer m with m <= self, exactly: the integer square
         root of b^2*d gives a guess at most one off, and compare corrects it."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import DescriptorMismatch, InvalidAdjoin, InvariantError
 from .exact import ExactReal, RationalLike
@@ -282,10 +282,6 @@ class Value:
 
     @staticmethod
     def of(*coords: Union[Coord, RationalLike]) -> "Value":
-        return Value(tuple(_as_coord(c) for c in coords))
-
-    @staticmethod
-    def from_seq(coords: Iterable[Union[Coord, RationalLike]]) -> "Value":
         return Value(tuple(_as_coord(c) for c in coords))
 
     @property

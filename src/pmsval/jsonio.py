@@ -22,9 +22,8 @@ from .groups import (AdjoinedSurd, Component, Cyclic, FormalInteger,
 from .oracle import (CompositeField, ConcreteField, ConcreteRationalFunction,
                      PadicRationals, QtElement)
 from .sequences import (Algebraic, BoundInGroup, BoundNotInGroup,
-                        ConstantFrom, Direction, PmsDescriptor, PmsKind,
-                        StageChain, Terminal, Transcendental,
-                        UltrametricConfiguration, Unbounded)
+                        ConstantFrom, PmsDescriptor, PmsKind, StageChain,
+                        Transcendental, UltrametricConfiguration, Unbounded)
 
 SCHEMA_VERSION = "1"
 
@@ -173,22 +172,23 @@ def decode_group(raw: Any, path: str = "group") -> GroupDescriptor:
 # Sequence descriptors
 
 
-def encode_chain(chain: StageChain) -> list:
+def encode_chain(chain: StageChain, sign: int) -> list:
     out: list = []
     for e in chain.constants:
         out.append({"const": {"v": encode_exact(e.value), "from": e.stage}})
-    t = chain.terminal
-    if isinstance(t.bound, Unbounded):
+    if isinstance(chain.bound, Unbounded):
         bound: Any = "unbounded"
-    elif isinstance(t.bound, BoundInGroup):
-        bound = {"in_group": encode_exact(t.bound.r)}
+    elif isinstance(chain.bound, BoundInGroup):
+        bound = {"in_group": encode_exact(chain.bound.r)}
     else:
-        bound = {"not_in_group": encode_exact(t.bound.r)}
-    out.append({"terminal": {"dir": t.direction.value, "bound": bound}})
+        bound = {"not_in_group": encode_exact(chain.bound.r)}
+    out.append({"terminal": {"dir": "inc" if sign > 0 else "dec",
+                             "bound": bound}})
     return out
 
 
-def decode_chain(raw: Any, path: str) -> StageChain:
+def decode_chain(raw: Any, path: str) -> tuple[StageChain, str]:
+    """The chain and its terminal's dir, which the kind must match."""
     if not isinstance(raw, list) or not raw:
         raise _fail(path, "chain must be a nonempty list")
     entries: list = []
@@ -208,9 +208,7 @@ def decode_chain(raw: Any, path: str) -> StageChain:
             t = e["terminal"]
             if not isinstance(t, dict) or "dir" not in t or "bound" not in t:
                 raise _fail(p, "terminal entry needs dir and bound")
-            try:
-                direction = Direction(t["dir"])
-            except ValueError:
+            if t["dir"] not in ("inc", "dec"):
                 raise _fail(p, f"unknown direction {t['dir']!r}")
             b = t["bound"]
             if b == "unbounded":
@@ -222,16 +220,24 @@ def decode_chain(raw: Any, path: str) -> StageChain:
                                                      f"{p}.bound"))
             else:
                 raise _fail(p, f"unknown bound {b!r}")
-            entries.append(Terminal(direction, bound))
+            entries.append((t["dir"], bound))
         else:
             raise _fail(p, "chain entry must be const or terminal")
-    return StageChain(tuple(entries))
+    *front, last = entries
+    if isinstance(last, ConstantFrom):
+        raise InvariantError(
+            "chain must end in a terminal entry: an all-constant chain "
+            "contradicts strict monotonicity")
+    if not all(isinstance(e, ConstantFrom) for e in front):
+        raise InvariantError("only the last chain entry may be terminal")
+    direction, bound = last
+    return StageChain(tuple(front), bound), direction
 
 
 def encode_descriptor(E: PmsDescriptor) -> dict:
     out: dict = {"kind": E.kind.value, "group": encode_group(E.group)}
     if E.chain is not None:
-        out["chain"] = encode_chain(E.chain)
+        out["chain"] = encode_chain(E.chain, E.sign)
     if E.pcts_delta is not None:
         out["pcts_delta"] = encode_value(E.pcts_delta)
     if E.pcs_type is not None:
@@ -252,7 +258,8 @@ def decode_descriptor(raw: Any, path: str = "sequence") -> PmsDescriptor:
     if "group" not in raw:
         raise _fail(path, "sequence needs its group")
     group = decode_group(raw["group"], f"{path}.group")
-    chain = decode_chain(raw["chain"], f"{path}.chain") if "chain" in raw else None
+    chain, direction = (decode_chain(raw["chain"], f"{path}.chain")
+                        if "chain" in raw else (None, None))
     pcts_delta = (decode_value(raw["pcts_delta"], f"{path}.pcts_delta")
                   if "pcts_delta" in raw else None)
     pcs_type = None
@@ -272,6 +279,10 @@ def decode_descriptor(raw: Any, path: str = "sequence") -> PmsDescriptor:
     if "prefix" in raw:
         prefix = tuple(decode_value(v, f"{path}.prefix[{i}]")
                        for i, v in enumerate(_list(raw, "prefix", path)))
+    want = "inc" if kind is PmsKind.PCS else "dec"
+    if chain is not None and kind is not PmsKind.PCTS and direction != want:
+        raise InvariantError(
+            f"a {kind.value} requires a {want} terminal coordinate")
     return PmsDescriptor(kind, group, chain=chain, pcts_delta=pcts_delta,
                          pcs_type=pcs_type, prefix=prefix)
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 from .engine import DominatingForm, FactoredRationalFunction, dominating_degree
 from .errors import InvariantError, SchemaError
-from .groups import Cyclic, GroupDescriptor, INFINITY, Value, is_prime
+from .groups import INFINITY, Value, is_prime
 from .sequences import (PmsDescriptor, PmsKind, UltrametricConfiguration,
                         classify_from_prefix, delta_shift, moves)
 
@@ -144,12 +144,6 @@ class PadicRationals:
         if not is_prime(self.p):
             raise InvariantError(f"field p must be prime, got {self.p}")
 
-    def group(self) -> GroupDescriptor:
-        return GroupDescriptor.of(Cyclic(Fraction(1)))
-
-    def element(self, raw) -> Fraction:
-        return Fraction(raw)
-
     def valuate(self, x: Union[int, Fraction]) -> Value:
         x = Fraction(x)
         if x == 0:
@@ -166,14 +160,6 @@ class CompositeField:
     def __post_init__(self):
         if not is_prime(self.p):
             raise InvariantError(f"field p must be prime, got {self.p}")
-
-    def group(self) -> GroupDescriptor:
-        return GroupDescriptor.of(Cyclic(Fraction(1)), Cyclic(Fraction(1)))
-
-    def element(self, raw) -> QtElement:
-        if isinstance(raw, QtElement):
-            return raw
-        return QtElement.constant(raw)
 
     def valuate(self, x: QtElement) -> Value:
         if x.is_zero:
@@ -365,4 +351,4 @@ def cross_check(field: ConcreteField, terms: Sequence,
 
 
 def _zero_like(v: Value) -> Value:
-    return Value.from_seq([0] * v.arity)
+    return Value.of(*[0] * v.arity)

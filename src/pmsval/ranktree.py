@@ -88,7 +88,7 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
     j = chain.terminal_level
     consts = [e.value for e in chain.constants]
     steps = [(i + 1, Branch.BOUND_IN_GROUP_CONSTANT) for i in range(j - 1)]
-    bound = chain.terminal.bound
+    bound = chain.bound
     zero = ExactReal.rational(0)
     step = ExactReal.rational(E.sign)  # one unit toward the chain's side
     if isinstance(bound, Unbounded):
@@ -205,7 +205,7 @@ def auto_probes(E: PmsDescriptor) -> list[Value]:
             seen.add(v)
             probes.append(v)
 
-    bound = chain.terminal.bound
+    bound = chain.bound
     for level in range(1, j + 1):
         comp = E.group.components[level - 1]
         gen = component_generator(comp)

@@ -27,11 +27,6 @@ class PmsKind(enum.Enum):
     PCTS = "pcts"
 
 
-class Direction(enum.Enum):
-    INCREASING = "inc"
-    DECREASING = "dec"
-
-
 class Tri(enum.Enum):
     """Three-valued answer; INDETERMINATE means not enough witness data."""
 
@@ -101,47 +96,24 @@ class ConstantFrom:
 
 
 @dataclass(frozen=True)
-class Terminal:
-    """The first strictly moving coordinate: its direction and bound.
+class StageChain:
+    """The constant coordinates, then the bound of the first strictly
+    moving one (the terminal coordinate).  The kind of the sequence sets the
+    side: a pcs increases toward a strict upper bound, a pds decreases
+    toward a strict lower bound, neither attained."""
 
-    For increasing chains the bound is a strict upper bound never attained;
-    for decreasing chains a strict lower bound.
-    """
-
-    direction: Direction
+    constants: tuple[ConstantFrom, ...]
     bound: Bound
 
-
-@dataclass(frozen=True)
-class StageChain:
-    entries: tuple[Union[ConstantFrom, Terminal], ...]
-
     def __post_init__(self):
-        if not self.entries:
-            raise InvariantError("stage chain cannot be empty")
-        *front, last = self.entries
-        if not isinstance(last, Terminal):
-            raise InvariantError(
-                "chain must end in a terminal entry: an all-constant chain "
-                "contradicts strict monotonicity")
-        if any(not isinstance(e, ConstantFrom) for e in front):
-            raise InvariantError("only the last chain entry may be terminal")
-        stages = [e.stage for e in front]
+        stages = [e.stage for e in self.constants]
         if any(s < 0 for s in stages) or stages != sorted(stages):
             raise InvariantError("stage labels must be nonnegative and nondecreasing")
 
     @property
-    def constants(self) -> tuple[ConstantFrom, ...]:
-        return self.entries[:-1]
-
-    @property
-    def terminal(self) -> Terminal:
-        return self.entries[-1]
-
-    @property
     def terminal_level(self) -> int:
         """1-based coordinate index of the strictly moving coordinate."""
-        return len(self.entries)
+        return len(self.constants) + 1
 
     @property
     def tail_start(self) -> int:
@@ -205,16 +177,11 @@ class PmsDescriptor:
         if chain.terminal_level > n:
             raise InvariantError(
                 f"chain length {chain.terminal_level} exceeds group rank {n}")
-        want = (Direction.INCREASING if self.kind is PmsKind.PCS
-                else Direction.DECREASING)
-        if chain.terminal.direction is not want:
-            raise InvariantError(
-                f"a {self.kind.value} requires a {want.value} terminal coordinate")
         for i, entry in enumerate(chain.constants):
             if not component_contains(self.group.components[i], entry.value):
                 raise InvariantError(
                     f"chain constant {entry.value} is not a member of component {i}")
-        bound = chain.terminal.bound
+        bound = chain.bound
         comp = self.group.components[chain.terminal_level - 1]
         if isinstance(bound, BoundInGroup) and not component_contains(comp, bound.r):
             raise InvariantError(
@@ -260,7 +227,7 @@ class PmsDescriptor:
         if not moves(coords, self.sign):
             raise InvariantError(
                 "terminal coordinate must move strictly with the chain direction")
-        bound = chain.terminal.bound
+        bound = chain.bound
         if isinstance(bound, (BoundInGroup, BoundNotInGroup)):
             for c in coords:
                 if not (c < bound.r if inc else c > bound.r):
@@ -275,9 +242,9 @@ class PmsDescriptor:
     def sign(self) -> int:
         """+1 for a pcs, whose distance values increase; -1 for a pds, whose
         distance values decrease.  Negating every value swaps the two."""
-        if self.chain is None:
+        if self.kind is PmsKind.PCTS:
             raise KindError("a pcts has no chain direction")
-        return 1 if self.chain.terminal.direction is Direction.INCREASING else -1
+        return 1 if self.kind is PmsKind.PCS else -1
 
     def is_transcendental_pcs(self) -> bool:
         return self.kind is PmsKind.PCS and isinstance(self.pcs_type, Transcendental)
@@ -501,7 +468,7 @@ def beyond_all_deltas(beta: Value, E: PmsDescriptor) -> bool:
         cmp = beta.coords[i].compare(entry.value)
         if cmp:
             return cmp == s
-    bound = chain.terminal.bound
+    bound = chain.bound
     if isinstance(bound, Unbounded):
         return False
     return beta.coords[chain.terminal_level - 1].compare(bound.r) * s >= 0
@@ -520,7 +487,7 @@ def cofinal(E: PmsDescriptor) -> bool:
     chain = E.chain
     if chain is None:
         raise KindError("a pcts has constant distance values")
-    return chain.terminal_level == 1 and isinstance(chain.terminal.bound, Unbounded)
+    return chain.terminal_level == 1 and isinstance(chain.bound, Unbounded)
 
 
 @dataclass(frozen=True)
@@ -541,7 +508,7 @@ def extremum(E: PmsDescriptor) -> SupInf:
     n = E.group.rank()
     j = chain.terminal_level
     coords: list = [e.value for e in chain.constants]
-    bound = chain.terminal.bound
+    bound = chain.bound
     coords.append(end if isinstance(bound, Unbounded) else bound.r)
     coords.extend([-end] * (n - j))
     in_group = j == n and isinstance(bound, BoundInGroup)
@@ -647,17 +614,15 @@ def mirror(E: PmsDescriptor, pcs_type: Optional[PcsType] = None) -> PmsDescripto
     if E.kind is PmsKind.PCTS:
         return PmsDescriptor(PmsKind.PCTS, E.group, pcts_delta=-E.pcts_delta,
                              prefix=tuple(-v for v in E.prefix) if E.prefix else None)
-    chain = E.chain
-    flipped = Direction.DECREASING if E.kind is PmsKind.PCS else Direction.INCREASING
-    bound = chain.terminal.bound
+    bound = E.chain.bound
     if not isinstance(bound, Unbounded):
         bound = type(bound)(-bound.r)
-    entries = tuple(ConstantFrom(-e.value, e.stage) for e in chain.constants)
-    entries += (Terminal(flipped, bound),)
+    chain = StageChain(tuple(ConstantFrom(-e.value, e.stage)
+                             for e in E.chain.constants), bound)
     kind = PmsKind.PDS if E.kind is PmsKind.PCS else PmsKind.PCS
     if kind is PmsKind.PCS and pcs_type is None:
         pcs_type = E.pcs_type if E.pcs_type is not None else Algebraic(1)
     return PmsDescriptor(
-        kind, E.group, chain=StageChain(entries),
+        kind, E.group, chain=chain,
         pcs_type=pcs_type if kind is PmsKind.PCS else None,
         prefix=tuple(-v for v in E.prefix) if E.prefix else None)

@@ -12,9 +12,9 @@ import random
 from fractions import Fraction
 
 from pmsval import (Algebraic, BoundInGroup, BoundNotInGroup, ConstantFrom,
-                    Cyclic, Direction, ExactReal, FullRational,
-                    GroupDescriptor, PPowerDivisible, PmsDescriptor, PmsKind,
-                    StageChain, Terminal, Unbounded, Value)
+                    Cyclic, ExactReal, FullRational, GroupDescriptor,
+                    PPowerDivisible, PmsDescriptor, PmsKind, StageChain,
+                    Unbounded, Value)
 from pmsval.engine import FactoredRationalFunction, TaggedRoot
 from pmsval.groups import component_contains, component_generator
 from pmsval.oracle import CompositeField, ConcreteRationalFunction, \
@@ -100,14 +100,12 @@ def make_descriptor(rng: random.Random, group: GroupDescriptor, kind: PmsKind,
         r = coords[-1] + eps.scaled(sign)
         assert not component_contains(comp_j, r)
         bound = BoundNotInGroup(r)
-    entries = tuple(ConstantFrom(c, 0) for c in consts)
-    entries += (Terminal(Direction.INCREASING if inc else Direction.DECREASING,
-                         bound),)
+    chain = StageChain(tuple(ConstantFrom(c, 0) for c in consts), bound)
     zero = ExactReal.rational(0)
     prefix = tuple(
         Value(tuple(consts + [c] + [zero] * (n - level))) for c in coords)
     return PmsDescriptor(
-        kind, group, chain=StageChain(entries),
+        kind, group, chain=chain,
         pcs_type=Algebraic(pcs_degree or rng.randint(1, 3)) if inc else None,
         prefix=prefix)
 

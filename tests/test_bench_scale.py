@@ -1,9 +1,11 @@
-"""bench/scale.py --diff: pace scaling and the noise rule."""
+"""bench/scale.py: pacing each run, and --diff's scaling and noise rule."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "scale.py"
 spec = importlib.util.spec_from_file_location("scale", SCRIPT)
@@ -44,3 +46,41 @@ def test_diff_of_files_without_a_pace_is_unscaled():
     (line,) = scale.diff(old, new)[1:]
     assert line.split()[3:] == ["x1.000", "1.000000", "->", "2.000000",
                                 "x2.000", "beyond", "noise"]
+
+
+def test_paced_runs_cancel_a_steady_drift(monkeypatch):
+    # The machine slows by a tenth with every call, reference and run alike;
+    # a run sits halfway between the reference blocks on either side of it.
+    calls = []
+
+    def slowing(seconds):
+        calls.append(None)
+        return seconds * (1 + len(calls) / 10)
+
+    monkeypatch.setattr(scale, "PACE_RUNS", 1)
+    monkeypatch.setattr(scale, "time_reference", lambda: slowing(0.002))
+    point = scale.paced(lambda: slowing(0.1))
+    assert point["runs"] == pytest.approx([0.1 / 0.002 * scale.REFERENCE_S]
+                                          * scale.REPEAT)
+    assert point["q3"] - point["q1"] == pytest.approx(0)
+    assert point["pace_s"] == pytest.approx(0.002 * (1 + 6 / 10))
+
+
+def test_diff_of_files_paced_run_by_run_is_unscaled():
+    old = bench_file(0.004, [(1, 0.99, 1.0, 1.01)])
+    new = bench_file(0.008, [(1, 0.98, 1.0, 1.02)])
+    old["reference_s"] = new["reference_s"] = scale.REFERENCE_S
+    (line,) = scale.diff(old, new)[1:]
+    assert line.split()[3:] == ["x1.000", "1.000000", "->", "1.000000",
+                                "x1.000", "within", "noise"]
+
+
+def test_diff_converts_a_file_paced_per_point():
+    # The old file recorded only each point's pace: at twice the reference
+    # time, its 2.0 s is 1.0 s at reference speed.
+    old = bench_file(2 * scale.REFERENCE_S, [(1, 1.98, 2.0, 2.02)])
+    new = bench_file(0.0, [(1, 0.99, 1.0, 1.01)])
+    new["reference_s"] = scale.REFERENCE_S
+    (line,) = scale.diff(old, new)[1:]
+    assert line.split()[3:] == ["x2.000", "2.000000", "->", "2.000000",
+                                "x1.000", "within", "noise"]

@@ -61,12 +61,47 @@ def test_descriptor_round_trip():
 def test_chain_round_trip_and_wire_shape():
     raw = [{"const": {"v": "2", "from": 3}},
            {"terminal": {"dir": "inc", "bound": {"in_group": "0"}}}]
-    chain = decode_chain(raw, "chain")
+    chain, direction = decode_chain(raw, "chain")
+    assert direction == "inc"
     assert chain.terminal_level == 2
     assert chain.tail_start == 3
-    assert decode_chain(encode_chain(chain), "chain") == chain
-    with pytest.raises(SchemaError):
+    assert decode_chain(encode_chain(chain, 1), "chain") == (chain, "inc")
+    assert decode_chain(encode_chain(chain, -1), "chain") == (chain, "dec")
+    with pytest.raises(SchemaError,
+                       match=r"^chain\[0\]: unknown direction 'sideways'$"):
         decode_chain([{"terminal": {"dir": "sideways", "bound": "unbounded"}}],
+                     "chain")
+
+
+def test_descriptor_requires_matching_direction():
+    for kind, want, wrong, sign in (("pcs", "inc", "dec", 1),
+                                    ("pds", "dec", "inc", -1)):
+        raw = {"kind": kind,
+               "group": {"components": [{"kind": "cyclic", "gen": "1"}]},
+               "chain": [{"terminal": {"dir": wrong, "bound": "unbounded"}}]}
+        if kind == "pcs":
+            raw["pcs_type"] = {"algebraic": {"deg": 1}}
+        with pytest.raises(InvariantError, match=(
+                f"^a {kind} requires a {want} terminal coordinate$")):
+            decode_descriptor(raw)
+        raw["chain"][0]["terminal"]["dir"] = want
+        assert decode_descriptor(raw).sign == sign
+
+
+def test_all_constant_chain_rejected():
+    with pytest.raises(InvariantError,
+                       match="^chain must end in a terminal entry: an "
+                             "all-constant chain contradicts strict "
+                             "monotonicity$"):
+        decode_chain([{"const": {"v": "1"}}], "chain")
+
+
+def test_only_the_last_chain_entry_may_be_terminal():
+    with pytest.raises(InvariantError,
+                       match="^only the last chain entry may be terminal$"):
+        decode_chain([{"terminal": {"dir": "inc", "bound": "unbounded"}},
+                      {"const": {"v": "1"}},
+                      {"terminal": {"dir": "inc", "bound": "unbounded"}}],
                      "chain")
 
 

@@ -8,10 +8,9 @@ from fractions import Fraction
 import pytest
 
 from pmsval import (AdjoinedSurd, Algebraic, BoundInGroup, BoundNotInGroup,
-                    ConstantFrom, Cyclic, Direction, ExactReal, FormalInteger,
-                    FullRational,
-                    GroupDescriptor, PPowerDivisible, PmsDescriptor, PmsKind,
-                    StageChain, Terminal, Tri,
+                    ConstantFrom, Cyclic, ExactReal, FormalInteger,
+                    FullRational, GroupDescriptor, PPowerDivisible,
+                    PmsDescriptor, PmsKind, StageChain, Tri,
                     UltrametricConfiguration, Unbounded, Value,
                     beyond_all_deltas, classify_from_prefix, cofinal,
                     extremum, is_limit, limit_dichotomy_check, mirror)
@@ -27,12 +26,8 @@ Z = GroupDescriptor.of(Cyclic(Fraction(1)))
 ZZ = GroupDescriptor.of(Cyclic(Fraction(1)), Cyclic(Fraction(1)))
 
 
-def chain_pcs(*entries) -> StageChain:
-    return StageChain(tuple(entries))
-
-
 def simple_pcs(prefix, bound=Unbounded(), group=Z, deg=1) -> PmsDescriptor:
-    chain = StageChain((Terminal(Direction.INCREASING, bound),))
+    chain = StageChain((), bound)
     return PmsDescriptor(PmsKind.PCS, group, chain=chain,
                          pcs_type=Algebraic(deg),
                          prefix=tuple(Value.of(p) for p in prefix))
@@ -142,24 +137,11 @@ def test_classify_needs_three_points():
 # Descriptor validation
 
 
-def test_descriptor_requires_matching_direction():
-    chain = StageChain((Terminal(Direction.DECREASING, Unbounded()),))
-    with pytest.raises(InvariantError):
-        PmsDescriptor(PmsKind.PCS, Z, chain=chain, pcs_type=Algebraic(1))
-
-
-def test_all_constant_chain_rejected():
-    with pytest.raises(InvariantError):
-        StageChain((ConstantFrom(ExactReal.rational(1), 0),))
-
-
 def test_bound_membership_validated():
-    bad = StageChain((Terminal(Direction.INCREASING,
-                               BoundInGroup(ExactReal.rational(Fraction(1, 2)))),))
+    bad = StageChain((), BoundInGroup(ExactReal.rational(Fraction(1, 2))))
     with pytest.raises(InvariantError):
         PmsDescriptor(PmsKind.PCS, Z, chain=bad, pcs_type=Algebraic(1))
-    bad2 = StageChain((Terminal(Direction.INCREASING,
-                                BoundNotInGroup(ExactReal.rational(3))),))
+    bad2 = StageChain((), BoundNotInGroup(ExactReal.rational(3)))
     with pytest.raises(InvariantError):
         PmsDescriptor(PmsKind.PCS, Z, chain=bad2, pcs_type=Algebraic(1))
 
@@ -174,8 +156,8 @@ def test_prefix_monotonicity_validated():
 
 
 def test_prefix_respects_declared_constants():
-    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 1),
-                        Terminal(Direction.INCREASING, Unbounded())))
+    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 1),),
+                       Unbounded())
     g = GroupDescriptor.of(Cyclic(Fraction(1, 2)), Cyclic(Fraction(1)))
     ok = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(1),
                        prefix=(Value.of(0, 0), Value.of(Fraction(1, 2), 1),
@@ -250,8 +232,7 @@ def test_limit_dichotomy_rejects_garbage():
 def test_cauchy_iff_leading_coordinate_unbounded():
     E = simple_pcs([1, 2, 3])
     assert cofinal(E)
-    chain = StageChain((ConstantFrom(ExactReal.rational(2), 0),
-                        Terminal(Direction.INCREASING, Unbounded())))
+    chain = StageChain((ConstantFrom(ExactReal.rational(2), 0),), Unbounded())
     E2 = PmsDescriptor(PmsKind.PCS, ZZ, chain=chain, pcs_type=Algebraic(1),
                        prefix=tuple(Value.of(2, k) for k in range(4)))
     assert not cofinal(E2)
@@ -286,8 +267,8 @@ def test_exceeds_and_below_all_deltas():
 
 
 def test_sup_examples():
-    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 0),
-                        Terminal(Direction.INCREASING, Unbounded())))
+    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 0),),
+                       Unbounded())
     g = GroupDescriptor.of(Cyclic(Fraction(1, 2)), Cyclic(Fraction(1)))
     E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(1))
     out = extremum(E)
@@ -303,8 +284,7 @@ def test_sup_examples():
     sqrt2 = ExactReal.surd(0, 1, 2)
     g3 = GroupDescriptor.of(FullRational(), Cyclic(Fraction(1)),
                             Cyclic(Fraction(1)))
-    chain3 = StageChain((Terminal(Direction.INCREASING,
-                                  BoundNotInGroup(sqrt2)),))
+    chain3 = StageChain((), BoundNotInGroup(sqrt2))
     E3 = PmsDescriptor(PmsKind.PCS, g3, chain=chain3, pcs_type=Algebraic(2))
     out3 = extremum(E3)
     assert out3.value == Value((sqrt2, NEG_INF, NEG_INF))
@@ -368,11 +348,8 @@ BOUNDS = {"in_group": BoundInGroup, "not_in_group": BoundNotInGroup}
 
 
 def bounded(kind: PmsKind, comp, bound) -> PmsDescriptor:
-    direction = (Direction.INCREASING if kind is PmsKind.PCS
-                 else Direction.DECREASING)
     return PmsDescriptor(
-        kind, GroupDescriptor.of(comp),
-        chain=StageChain((Terminal(direction, bound),)),
+        kind, GroupDescriptor.of(comp), chain=StageChain((), bound),
         pcs_type=Algebraic(2) if kind is PmsKind.PCS else None)
 
 

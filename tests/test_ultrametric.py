@@ -16,10 +16,10 @@ from pmsval.exact import ExactReal
 from pmsval.errors import InvalidConfiguration
 from pmsval.groups import INFINITY, Cyclic, GroupDescriptor, Value
 from pmsval.oracle import PadicRationals, sequence_configuration
-from pmsval.sequences import (Direction, PmsDescriptor, PmsKind,
-                              StageChain, Terminal, Tri, Unbounded,
-                              UltrametricConfiguration, classify_from_prefix,
-                              is_limit, limit_dichotomy_check)
+from pmsval.sequences import (PmsDescriptor, PmsKind, StageChain, Tri,
+                              Unbounded, UltrametricConfiguration,
+                              classify_from_prefix, is_limit,
+                              limit_dichotomy_check)
 
 from gen import random_value
 
@@ -342,8 +342,7 @@ def test_kind_mismatch_still_raises_per_call():
     problem = jsonio.loads_problem(witness_problem(6))
     cfg = problem.configuration
     Z = GroupDescriptor.of(Cyclic(Fraction(1)))
-    pds = PmsDescriptor(PmsKind.PDS, Z, chain=StageChain(
-        (Terminal(Direction.DECREASING, Unbounded()),)))
+    pds = PmsDescriptor(PmsKind.PDS, Z, chain=StageChain((), Unbounded()))
     for _ in range(2):
         with pytest.raises(InvalidConfiguration,
                            match="classifies as pcs"):
