@@ -9,8 +9,7 @@ from .engine import (DominatingForm, FactoredRationalFunction, TaggedRoot,
                      monomial_value, v_e)
 from .exact import ExactReal
 from .groups import (AdjoinedSurd, Cyclic, FormalInteger, FullRational,
-                     GroupDescriptor, INFINITY, NEG_INF, POS_INF,
-                     PPowerDivisible, Value)
+                     GroupDescriptor, INFINITY, PPowerDivisible, Value)
 from .oracle import (CompositeField, ConcreteRationalFunction, FitOutcome,
                      PadicRationals, QtElement, cross_check, fit_pattern,
                      padic_valuation, sequence_configuration)

@@ -62,7 +62,9 @@ def _require(problem: Problem, attr: str):
 
 
 def _supinf_dict(si: sequences.SupInf) -> dict:
-    return {"value": jsonio.encode_value(si.value), "in_group": si.in_group}
+    value = ([jsonio.encode_exact(c) for c in si.finite]
+             + ["inf" if s > 0 else "-inf" for s in si.infinite])
+    return {"value": value, "in_group": si.in_group}
 
 
 def _rank_dict(result: ranktree.RankResult, E) -> dict:

@@ -84,7 +84,7 @@ class DominatingForm:
 
 
 def _validate_tags(phi: FactoredRationalFunction, E: PmsDescriptor) -> None:
-    if not phi.lead_value.is_finite or not E.group.contains(phi.lead_value):
+    if not E.group.contains(phi.lead_value):
         raise InvariantError("lead value must be a member of the group")
     for root in phi.num_roots + phi.den_roots:
         if root.is_limit:
@@ -92,7 +92,7 @@ def _validate_tags(phi: FactoredRationalFunction, E: PmsDescriptor) -> None:
                 raise InvariantError(
                     "a pcs of transcendental type admits no root limits")
         else:
-            if not root.beta.is_finite or not E.group.contains(root.beta):
+            if not E.group.contains(root.beta):
                 raise InvariantError(
                     "root distance must be a member of the group")
 

@@ -3,9 +3,9 @@
 A group descriptor is an ordered list of rank-1 components (most significant
 first).  Components are subgroups of the rationals, optionally extended by a
 single adjoined quadratic surd, plus the formal integer factors inserted by
-the rank construction.  Elements are coordinate tuples ordered
-lexicographically; extended values adjoin +/-infinity per coordinate and a
-global plus-infinity for the value of zero.
+the rank construction.  Elements are tuples of exact reals ordered
+lexicographically; the value of zero is a single plus-infinity above every
+tuple.
 """
 
 from __future__ import annotations
@@ -17,37 +17,6 @@ from typing import Optional, Union
 
 from .errors import DescriptorMismatch, InvalidAdjoin, InvariantError
 from .exact import ExactReal, RationalLike
-
-
-# ---------------------------------------------------------------------------
-# Infinity sentinels for extended coordinates
-
-
-class _Infinity:
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        self.sign = sign
-
-    def __neg__(self) -> "_Infinity":
-        return NEG_INF if self is POS_INF else POS_INF
-
-    def __repr__(self) -> str:
-        return "+inf" if self.sign > 0 else "-inf"
-
-
-POS_INF = _Infinity(1)
-NEG_INF = _Infinity(-1)
-
-Coord = Union[ExactReal, _Infinity]
-
-
-def coord_compare(x: Coord, y: Coord) -> int:
-    if isinstance(x, _Infinity) or isinstance(y, _Infinity):
-        sx = x.sign * 2 if isinstance(x, _Infinity) else 0
-        sy = y.sign * 2 if isinstance(y, _Infinity) else 0
-        return (sx > sy) - (sx < sy)
-    return x.compare(y)
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +239,25 @@ def component_label(comp: Component) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Values (group elements and extended tuples)
+# Values (group elements and the value of zero)
 
 
 @dataclass(frozen=True)
 class Value:
-    """A lex-ordered tuple value; coords None encodes the scalar +infinity
-    assigned to v(0), greater than every tuple."""
+    """A group element, a lex-ordered tuple of exact reals; coords None
+    encodes the scalar +infinity assigned to v(0), greater than every
+    tuple."""
 
-    coords: Optional[tuple[Coord, ...]]
+    coords: Optional[tuple[ExactReal, ...]]
 
     @staticmethod
-    def of(*coords: Union[Coord, RationalLike]) -> "Value":
-        return Value(tuple(_as_coord(c) for c in coords))
+    def of(*coords: Union[ExactReal, RationalLike]) -> "Value":
+        return Value(tuple(c if isinstance(c, ExactReal)
+                           else ExactReal.rational(c) for c in coords))
 
     @property
     def is_infinity(self) -> bool:
         return self.coords is None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.coords is not None and all(
-            isinstance(c, ExactReal) for c in self.coords)
 
     @property
     def arity(self) -> int:
@@ -310,7 +276,7 @@ class Value:
             raise DescriptorMismatch(
                 f"arity {len(self.coords)} vs {len(other.coords)}")
         for x, y in zip(self.coords, other.coords):
-            c = coord_compare(x, y)
+            c = x.compare(y)
             if c:
                 return c
         return 0
@@ -332,7 +298,7 @@ class Value:
             return INFINITY
         if len(self.coords) != len(other.coords):
             raise DescriptorMismatch("cannot add values of different arity")
-        return Value(tuple(_coord_add(x, y) for x, y in zip(self.coords, other.coords)))
+        return Value(tuple(x + y for x, y in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Value":
         if self.is_infinity:
@@ -347,15 +313,7 @@ class Value:
             if n <= 0:
                 raise InvariantError("cannot scale plus-infinity by n <= 0")
             return INFINITY
-        out = []
-        for c in self.coords:
-            if isinstance(c, _Infinity):
-                if n == 0:
-                    raise InvariantError("cannot scale an infinite coordinate by 0")
-                out.append(c if n > 0 else -c)
-            else:
-                out.append(c.scaled(n))
-        return Value(tuple(out))
+        return Value(tuple(c.scaled(n) for c in self.coords))
 
     def __repr__(self) -> str:
         if self.is_infinity:
@@ -364,25 +322,6 @@ class Value:
 
 
 INFINITY = Value(None)
-
-
-def _as_coord(c: Union[Coord, RationalLike]) -> Coord:
-    if isinstance(c, (ExactReal, _Infinity)):
-        return c
-    return ExactReal.rational(c)
-
-
-def _coord_add(x: Coord, y: Coord) -> Coord:
-    xi, yi = isinstance(x, _Infinity), isinstance(y, _Infinity)
-    if xi and yi:
-        if x.sign != y.sign:
-            raise InvariantError("cannot add opposite infinities")
-        return x
-    if xi:
-        return x
-    if yi:
-        return y
-    return x + y
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +345,7 @@ class GroupDescriptor:
         return len(self.components)
 
     def contains(self, value: Value) -> bool:
-        if not value.is_finite:
+        if value.is_infinity:
             return False
         if value.arity != len(self.components):
             raise DescriptorMismatch(

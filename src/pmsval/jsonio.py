@@ -1,14 +1,16 @@
 """JSON encoding and decoding of problem files and reports.
 
 Reports are serialized deterministically (sorted keys) so identical inputs
-produce byte-identical outputs.  Rationals travel as strings "p/q"; exact
-reals as {"rat": ...} or {"surd": {"a", "b", "d"}}; infinities as "inf" and
-"-inf"; the scalar value of zero as "inf" in value position.
+produce byte-identical outputs.  A rational is a JSON integer or a string
+"n" or "n/d"; exact reals travel as {"rat": ...} or {"surd": {"a", "b",
+"d"}}; a value is a list of exact reals, or "inf" for the value of zero.
+Only sup/inf reports write "inf" and "-inf" as coordinates.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
@@ -17,8 +19,8 @@ from .engine import FactoredRationalFunction, TaggedRoot
 from .errors import InvariantError, SchemaError
 from .exact import ExactReal
 from .groups import (AdjoinedSurd, Component, Cyclic, FormalInteger,
-                     FullRational, GroupDescriptor, INFINITY, NEG_INF,
-                     POS_INF, PPowerDivisible, Value, _Infinity)
+                     FullRational, GroupDescriptor, INFINITY,
+                     PPowerDivisible, Value)
 from .oracle import (CompositeField, ConcreteField, ConcreteRationalFunction,
                      PadicRationals, QtElement)
 from .sequences import (Algebraic, BoundInGroup, BoundNotInGroup,
@@ -40,11 +42,30 @@ def _list(raw: dict, key: str, path: str) -> list:
     return value
 
 
+def _int(raw: Any, path: str, msg: str, least: Optional[int] = None) -> int:
+    """raw as an integer, at least least when given; a JSON boolean is not
+    an integer."""
+    if isinstance(raw, bool) or not isinstance(raw, int) or \
+            (least is not None and raw < least):
+        raise _fail(path, msg)
+    return raw
+
+
+_NUMERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _fraction(raw: Any, path: str) -> Fraction:
-    try:
-        return Fraction(str(raw))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _fail(path, f"not a rational number: {raw!r} ({exc})")
+    """A JSON integer, or a string n or n/d of decimal digits with d
+    nonzero; decimals, exponents, whitespace and floats are refused."""
+    if not isinstance(raw, str):
+        return Fraction(_int(raw, path, "not a rational numeral n or n/d"))
+    if _NUMERAL.fullmatch(raw):
+        num, _, den = raw.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except (ValueError, ZeroDivisionError):
+            pass  # a zero denominator, or past Python's int digit limit
+    raise _fail(path, f"not a rational numeral n or n/d: {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -67,34 +88,19 @@ def decode_exact(raw: Any, path: str = "value") -> ExactReal:
             s = raw["surd"]
             if not isinstance(s, dict) or not {"a", "b", "d"} <= set(s):
                 raise _fail(path, "surd needs fields a, b, d")
-            if not isinstance(s["d"], int):
-                raise _fail(path, "surd radicand d must be an integer")
+            d = _int(s["d"], path, "surd radicand d must be an integer")
             try:
                 return ExactReal.surd(_fraction(s["a"], path),
-                                      _fraction(s["b"], path), s["d"])
+                                      _fraction(s["b"], path), d)
             except InvariantError as exc:
                 raise _fail(path, str(exc))
     raise _fail(path, f"not an exact real: {raw!r}")
 
 
-def encode_coord(c) -> Any:
-    if isinstance(c, _Infinity):
-        return "inf" if c is POS_INF else "-inf"
-    return encode_exact(c)
-
-
-def decode_coord(raw: Any, path: str):
-    if raw == "inf":
-        return POS_INF
-    if raw == "-inf":
-        return NEG_INF
-    return decode_exact(raw, path)
-
-
 def encode_value(v: Value) -> Any:
     if v.is_infinity:
         return "inf"
-    return [encode_coord(c) for c in v.coords]
+    return [encode_exact(c) for c in v.coords]
 
 
 def decode_value(raw: Any, path: str = "value") -> Value:
@@ -103,7 +109,7 @@ def decode_value(raw: Any, path: str = "value") -> Value:
     if isinstance(raw, (str, int)):
         return Value.of(decode_exact(raw, path))
     if isinstance(raw, list):
-        return Value(tuple(decode_coord(c, f"{path}[{i}]")
+        return Value(tuple(decode_exact(c, f"{path}[{i}]")
                            for i, c in enumerate(raw)))
     raise _fail(path, f"not a value tuple: {raw!r}")
 
@@ -135,10 +141,9 @@ def decode_component(raw: Any, path: str) -> Component:
         if kind == "cyclic":
             return Cyclic(_fraction(raw.get("gen", 1), f"{path}.gen"))
         if kind == "p_divisible":
-            if not isinstance(raw.get("p"), int):
-                raise _fail(path, "p_divisible needs an integer p")
-            return PPowerDivisible(raw["p"], _fraction(raw.get("scale", 1),
-                                                       f"{path}.scale"))
+            p = _int(raw.get("p"), path, "p_divisible needs an integer p")
+            return PPowerDivisible(p, _fraction(raw.get("scale", 1),
+                                                f"{path}.scale"))
         if kind == "rationals":
             return FullRational()
         if kind == "formal_integer":
@@ -200,9 +205,8 @@ def decode_chain(raw: Any, path: str) -> tuple[StageChain, str]:
             c = e["const"]
             if not isinstance(c, dict) or "v" not in c:
                 raise _fail(p, "const entry needs a value v")
-            stage = c.get("from", 0)
-            if not isinstance(stage, int) or stage < 0:
-                raise _fail(p, "const stage must be a nonnegative integer")
+            stage = _int(c.get("from", 0), p,
+                         "const stage must be a nonnegative integer", 0)
             entries.append(ConstantFrom(decode_exact(c["v"], f"{p}.v"), stage))
         elif "terminal" in e:
             t = e["terminal"]
@@ -270,9 +274,8 @@ def decode_descriptor(raw: Any, path: str = "sequence") -> PmsDescriptor:
         elif isinstance(pt, dict) and "algebraic" in pt:
             deg = pt["algebraic"].get("deg") if isinstance(pt["algebraic"], dict) \
                 else None
-            if not isinstance(deg, int):
-                raise _fail(path, "algebraic pcs_type needs an integer deg")
-            pcs_type = Algebraic(deg)
+            pcs_type = Algebraic(_int(deg, path,
+                                      "algebraic pcs_type needs an integer deg"))
         else:
             raise _fail(path, f"unknown pcs_type {pt!r}")
     prefix = None
@@ -349,9 +352,7 @@ def decode_function(raw: Any, path: str) -> FactoredRationalFunction:
             p = f"{path}.{key}[{i}]"
             if not isinstance(r, dict):
                 raise _fail(p, "root must be an object")
-            mult = r.get("mult", 1)
-            if not isinstance(mult, int) or mult < 1:
-                raise _fail(p, "mult must be a positive integer")
+            mult = _int(r.get("mult", 1), p, "mult must be a positive integer", 1)
             if r.get("limit"):
                 out.append(TaggedRoot.limit(mult))
             elif "beta" in r:
@@ -372,9 +373,7 @@ def decode_function(raw: Any, path: str) -> FactoredRationalFunction:
 def decode_field(raw: Any, path: str) -> ConcreteField:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise _fail(path, "field must be an object with a kind")
-    p = raw.get("p")
-    if not isinstance(p, int):
-        raise _fail(path, "field needs an integer prime p")
+    p = _int(raw.get("p"), path, "field needs an integer prime p")
     try:
         if raw["kind"] == "padic":
             return PadicRationals(p)
@@ -472,7 +471,8 @@ def decode_problem(raw: Any) -> Problem:
 def loads_problem(text: str) -> Problem:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past Python's digit limit
         raise SchemaError(f"invalid JSON: {exc}")
     return decode_problem(raw)
 

@@ -17,8 +17,8 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import (IndeterminateError, InvalidConfiguration, InvariantError,
                      KindError, NotAPms)
 from .exact import ExactReal
-from .groups import (INFINITY, NEG_INF, POS_INF, Cyclic, FormalInteger,
-                     GroupDescriptor, Value, component_contains)
+from .groups import (INFINITY, Cyclic, FormalInteger, GroupDescriptor,
+                     Value, component_contains)
 
 
 class PmsKind(enum.Enum):
@@ -200,7 +200,7 @@ class PmsDescriptor:
         prefix = self.prefix
         n = self.group.rank()
         for v in prefix:
-            if not v.is_finite or v.arity != n:
+            if v.is_infinity or v.arity != n:
                 raise InvariantError("prefix entries must be finite group tuples")
             if not self.group.contains(v):
                 raise InvariantError(f"prefix entry {v} is not a group member")
@@ -492,10 +492,13 @@ def cofinal(E: PmsDescriptor) -> bool:
 
 @dataclass(frozen=True)
 class SupInf:
-    """sup or inf of the distance set in the coordinatewise completion,
-    with the membership verdict for the ambient group."""
+    """sup or inf of the distance set, read in the completion: its finite
+    leading coordinates, then the signs (+1 or -1) of the infinite
+    coordinates after them, with the membership verdict for the ambient
+    group."""
 
-    value: Value
+    finite: tuple[ExactReal, ...]
+    infinite: tuple[int, ...]
     in_group: bool
 
 
@@ -503,16 +506,15 @@ def extremum(E: PmsDescriptor) -> SupInf:
     """sup of the distance values of a pcs, inf of those of a pds: the chain
     constants, then the terminal bound (or the infinity on the chain's
     side), padded with the opposite infinity."""
-    end = POS_INF if E.sign > 0 else NEG_INF
+    s = E.sign
     chain = E.chain
-    n = E.group.rank()
-    j = chain.terminal_level
-    coords: list = [e.value for e in chain.constants]
+    pad = E.group.rank() - chain.terminal_level
+    finite = tuple(e.value for e in chain.constants)
     bound = chain.bound
-    coords.append(end if isinstance(bound, Unbounded) else bound.r)
-    coords.extend([-end] * (n - j))
-    in_group = j == n and isinstance(bound, BoundInGroup)
-    return SupInf(Value(tuple(coords)), in_group)
+    if isinstance(bound, Unbounded):
+        return SupInf(finite, (s,) + (-s,) * pad, False)
+    return SupInf(finite + (bound.r,), (-s,) * pad,
+                  pad == 0 and isinstance(bound, BoundInGroup))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ PROBLEMS = {p.name: json.loads(p.read_text()) for p in
             if p.name.endswith(".json")}
 COMMANDS = ("classify", "ve", "rank", "sup", "oracle-check", "probe")
 JUNK = (None, True, False, 0, -1, 7, 2 ** 40, 1.5, "", "x", "1/0", "-3/4",
-        "inf", "-inf", [], {}, ["1"], [0, 0], {"rat": "1/2"},
-        {"surd": {"a": "0", "b": "1", "d": 2}}, {"kind": "cyclic"})
+        "1e3", "inf", "-inf", [], {}, ["1"], ["1", "inf"], [0, 0],
+        {"rat": "1/2"}, {"surd": {"a": "0", "b": "1", "d": 2}},
+        {"kind": "cyclic"})
 CONST = {"const": {"v": "1/2", "from": 0}}
 TERMINAL = {"terminal": {"dir": "inc", "bound": "unbounded"}}
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pmsval import (AdjoinedSurd, Cyclic, ExactReal, FormalInteger,
-                    FullRational, GroupDescriptor, INFINITY, NEG_INF, POS_INF,
-                    PPowerDivisible, Value)
+                    FullRational, GroupDescriptor, INFINITY, PPowerDivisible,
+                    Value)
 from pmsval.errors import (DescriptorMismatch, InvalidAdjoin, InvariantError,
                            SchemaError)
 from pmsval.groups import (PRIME_BOUND, component_adjoin, component_contains,
@@ -188,13 +188,9 @@ def test_generators_are_members():
 # Lex order and arithmetic laws
 
 
-def test_compare_infinite_coordinates():
+def test_compare_lex_and_the_value_of_zero():
     assert Value.of(0, -1) < Value.of(0, 0)
-    g = ExactReal.rational(Fraction(1, 2))
-    with_inf = Value((g, POS_INF))
-    assert with_inf > Value.of(g, 10 ** 9)
-    assert Value((g, NEG_INF)) < Value.of(g, -10 ** 9)
-    assert INFINITY > with_inf
+    assert INFINITY > Value.of(Fraction(1, 2), 10 ** 9)
 
 
 def test_compare_arity_mismatch():
@@ -212,13 +208,8 @@ def test_group_laws_examples():
 def test_infinity_arithmetic():
     v = Value.of(1)
     assert (INFINITY + v).is_infinity
-    assert Value((POS_INF,)) + v == Value((POS_INF,))
-    with pytest.raises(InvariantError):
-        Value((POS_INF,)) + Value((NEG_INF,))
     with pytest.raises(InvariantError):
         -INFINITY
-    with pytest.raises(InvariantError):
-        Value((POS_INF,)).scale(0)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))

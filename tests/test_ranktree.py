@@ -47,7 +47,8 @@ def test_rank_example_p_divisible_bound_zero():
     r = rank_of_vE(E)
     assert (r.input_rank, r.output_rank) == (1, 2)
     assert r.alpha == Value.of(0, -1)
-    assert r.sup_or_inf.value == Value.of(0) and r.sup_or_inf.in_group
+    assert r.sup_or_inf.finite == (ExactReal.rational(0),)
+    assert not r.sup_or_inf.infinite and r.sup_or_inf.in_group
 
 
 def test_rank_example_surd_bound_keeps_rank():

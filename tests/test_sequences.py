@@ -16,7 +16,6 @@ from pmsval import (AdjoinedSurd, Algebraic, BoundInGroup, BoundNotInGroup,
                     extremum, is_limit, limit_dichotomy_check, mirror)
 from pmsval.errors import (IndeterminateError, InvalidConfiguration,
                            InvariantError, KindError, NotAPms)
-from pmsval.groups import NEG_INF, POS_INF
 from pmsval.oracle import PadicRationals, sequence_configuration
 
 from gen import make_descriptor, random_descriptor, random_member
@@ -272,14 +271,16 @@ def test_sup_examples():
     g = GroupDescriptor.of(Cyclic(Fraction(1, 2)), Cyclic(Fraction(1)))
     E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(1))
     out = extremum(E)
-    assert out.value == Value((ExactReal.rational(Fraction(1, 2)), POS_INF))
+    assert out.finite == (ExactReal.rational(Fraction(1, 2)),)
+    assert out.infinite == (1,)
     assert not out.in_group
 
     g2 = GroupDescriptor.of(PPowerDivisible(2, Fraction(1)))
     E2 = simple_pcs([Fraction(-1), Fraction(-1, 2)],
                     bound=BoundInGroup(ExactReal.rational(0)), group=g2, deg=2)
     out2 = extremum(E2)
-    assert out2.value == Value.of(0) and out2.in_group
+    assert out2.finite == (ExactReal.rational(0),) and not out2.infinite
+    assert out2.in_group
 
     sqrt2 = ExactReal.surd(0, 1, 2)
     g3 = GroupDescriptor.of(FullRational(), Cyclic(Fraction(1)),
@@ -287,7 +288,7 @@ def test_sup_examples():
     chain3 = StageChain((), BoundNotInGroup(sqrt2))
     E3 = PmsDescriptor(PmsKind.PCS, g3, chain=chain3, pcs_type=Algebraic(2))
     out3 = extremum(E3)
-    assert out3.value == Value((sqrt2, NEG_INF, NEG_INF))
+    assert out3.finite == (sqrt2,) and out3.infinite == (-1, -1)
     assert not out3.in_group
 
 
@@ -308,11 +309,8 @@ def test_mirror_sup_inf_duality():
         M = mirror(E)
         s, i = extremum(E), extremum(M)
         assert s.in_group == i.in_group
-        flipped = tuple(
-            -c if not isinstance(c, type(POS_INF)) else (NEG_INF if c is POS_INF
-                                                         else POS_INF)
-            for c in s.value.coords)
-        assert Value(flipped) == i.value
+        assert tuple(-c for c in s.finite) == i.finite
+        assert tuple(-sign for sign in s.infinite) == i.infinite
         # Pointwise: negation carries each rule of E to its mirror twin.
         assert cofinal(E) == cofinal(M)
         members = [Value(tuple(random_member(rng, c)
