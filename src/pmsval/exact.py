@@ -16,6 +16,7 @@ from typing import Union
 from .errors import InvariantError
 
 RationalLike = Union[int, str, Fraction]
+_ZERO = Fraction(0)
 
 
 def _as_fraction(q: RationalLike) -> Fraction:
@@ -48,20 +49,21 @@ def split_square(n: int) -> tuple[int, int]:
 
 
 def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
+    n = q.numerator
+    return (n > 0) - (n < 0)
 
 
 def _sign_a_plus_b_sqrt_d(a: Fraction, b: Fraction, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for squarefree d >= 1."""
-    if b == 0 or d == 1:
+    if not b or d == 1:
         return _sign(a + b)
-    if a == 0:
-        return _sign(b)
     sa, sb = _sign(a), _sign(b)
     if sa == sb:
         return sa
-    # Opposite signs: the larger of a^2 and b^2*d decides.
-    t = a * a - b * b * d
+    # Opposite signs, or a == 0: the larger of a^2 and b^2*d decides,
+    # compared as integers over the common denominator (a.den * b.den)^2.
+    t = ((a.numerator * b.denominator) ** 2
+         - (b.numerator * a.denominator) ** 2 * d)
     if t == 0:
         # a = -b*sqrt(d) would make sqrt(d) rational; cannot happen.
         raise InvariantError("squarefree radicand produced a rational surd")
@@ -71,14 +73,17 @@ def _sign_a_plus_b_sqrt_d(a: Fraction, b: Fraction, d: int) -> int:
 @total_ordering
 @dataclass(frozen=True)
 class ExactReal:
-    """Canonical a + b*sqrt(d): b == 0 forces d == 1, else d squarefree >= 2."""
+    """Canonical a + b*sqrt(d): b == 0 forces d == 1, else d squarefree >= 2.
+
+    A Fraction is always in lowest terms, so equality and hashing read the
+    five integers (d, a, b as numerator and denominator) directly."""
 
     a: Fraction
     b: Fraction
     d: int
 
     def __post_init__(self) -> None:
-        if self.b == 0:
+        if not self.b:
             if self.d != 1:
                 raise InvariantError("rational value must carry radicand 1")
         elif self.d < 2:
@@ -86,7 +91,7 @@ class ExactReal:
 
     @staticmethod
     def rational(q: RationalLike) -> "ExactReal":
-        return ExactReal(_as_fraction(q), Fraction(0), 1)
+        return ExactReal(_as_fraction(q), _ZERO, 1)
 
     @staticmethod
     def surd(a: RationalLike, b: RationalLike, d: int) -> "ExactReal":
@@ -102,7 +107,8 @@ class ExactReal:
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        # The canonical form makes b == 0 equivalent to d == 1.
+        return self.d == 1
 
     @property
     def rational_value(self) -> Fraction:
@@ -110,10 +116,27 @@ class ExactReal:
             raise InvariantError(f"{self} is not rational")
         return self.a
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ExactReal:
+            return NotImplemented
+        a, b, oa, ob = self.a, self.b, other.a, other.b
+        return (self.d == other.d
+                and a.numerator == oa.numerator
+                and a.denominator == oa.denominator
+                and b.numerator == ob.numerator
+                and b.denominator == ob.denominator)
+
+    def __hash__(self) -> int:
+        a, b = self.a, self.b
+        return hash((self.d, a.numerator, a.denominator,
+                     b.numerator, b.denominator))
+
     def __add__(self, other: "ExactReal") -> "ExactReal":
         if not isinstance(other, ExactReal):
             return NotImplemented
-        if self.is_rational or other.is_rational or self.d == other.d:
+        if other.is_rational:  # the surd part, if any, is self's
+            return ExactReal(self.a + other.a, self.b, self.d)
+        if self.is_rational or self.d == other.d:
             # Radicands are squarefree already: only a vanishing b changes d.
             a, b = self.a + other.a, self.b + other.b
             return ExactReal(a, b, max(self.d, other.d)) if b \
@@ -130,9 +153,10 @@ class ExactReal:
 
     def scaled(self, q: RationalLike) -> "ExactReal":
         q = _as_fraction(q)
-        if q == 0:
+        if not q:
             return ExactReal.rational(0)
-        return ExactReal(self.a * q, self.b * q, self.d if self.b * q else 1)
+        # q != 0 keeps b == 0 exactly when it was, so d stays canonical.
+        return ExactReal(self.a * q, self.b * q, self.d)
 
     def floor(self) -> int:
         """The largest integer m with m <= self, exactly: the integer square
@@ -149,13 +173,20 @@ class ExactReal:
 
     def compare(self, other: "ExactReal") -> int:
         """Exact three-way comparison; handles distinct radicands."""
-        if self.d == other.d and self.b == other.b:
-            # Rationals, or the same surd part: the rational parts decide.
-            return (self.a > other.a) - (self.a < other.a)
-        if self.d == other.d:
-            return _sign_a_plus_b_sqrt_d(self.a - other.a, self.b - other.b, self.d)
-        if self.is_rational or other.is_rational:
-            diff_b, d = (self.b, self.d) if not self.is_rational else (-other.b, other.d)
+        d = self.d
+        if d == other.d:
+            b, ob = self.b, other.b
+            if d == 1 or (b.numerator == ob.numerator
+                          and b.denominator == ob.denominator):
+                # Rationals, or the same surd part: the rational parts
+                # decide, cross-multiplied over positive denominators.
+                a, oa = self.a, other.a
+                x = a.numerator * oa.denominator
+                y = oa.numerator * a.denominator
+                return (x > y) - (x < y)
+            return _sign_a_plus_b_sqrt_d(self.a - other.a, b - ob, d)
+        if d == 1 or other.d == 1:
+            diff_b, d = (self.b, d) if d != 1 else (-other.b, other.d)
             return _sign_a_plus_b_sqrt_d(self.a - other.a, diff_b, d)
         return _compare_mixed_surds(self, other)
 

@@ -116,28 +116,37 @@ def _p_free_part(n: int, p: int) -> int:
 
 
 def component_contains(comp: Component, x: ExactReal) -> bool:
-    """Decide membership of an exact real in a rank-1 component."""
+    """Decide membership of an exact real in a rank-1 component, by
+    divisibility of the numerators and denominators."""
     if isinstance(comp, AdjoinedSurd):
         if x.is_rational:
             return component_contains(comp.base, x)
-        if x.d != comp.tau.d:
+        tau = comp.tau
+        if x.d != tau.d:
             return False
-        n = x.b / comp.tau.b
-        if n.denominator != 1:
+        # x = k*tau + rest needs k = x.b / tau.b integral and rest in base.
+        num = x.b.numerator * tau.b.denominator
+        den = x.b.denominator * tau.b.numerator
+        if num % den:
             return False
-        rest = x - comp.tau.scaled(n)
+        rest = ExactReal.rational(x.a - tau.a * (num // den))
         return component_contains(comp.base, rest)
     if not x.is_rational:
         return False
-    q = x.rational_value
+    q = x.a
     if isinstance(comp, FullRational):
         return True
     if isinstance(comp, FormalInteger):
         return q.denominator == 1
     if isinstance(comp, Cyclic):
-        return (q / comp.gen).denominator == 1
+        gen = comp.gen
+        return (q.numerator * gen.denominator) % (q.denominator
+                                                  * gen.numerator) == 0
     if isinstance(comp, PPowerDivisible):
-        return _p_free_part((q / comp.scale).denominator, comp.p) == 1
+        # The denominator of q/scale in lowest terms must be a power of p.
+        num = q.numerator * comp.scale.denominator
+        den = q.denominator * comp.scale.numerator
+        return _p_free_part(den // gcd(num, den), comp.p) == 1
     raise InvariantError(f"unknown component {comp!r}")
 
 

@@ -474,6 +474,8 @@ def loads_problem(text: str) -> Problem:
     except ValueError as exc:
         # JSONDecodeError, or an integer literal past Python's digit limit
         raise SchemaError(f"invalid JSON: {exc}")
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     return decode_problem(raw)
 
 

@@ -201,8 +201,9 @@ def auto_probes(E: PmsDescriptor) -> list[Value]:
 
     def push(coords: list[ExactReal]) -> None:
         v = Value(tuple(coords))
-        if v not in seen:
-            seen.add(v)
+        size = len(seen)
+        seen.add(v)  # one hash per probe: a new value grows the set
+        if len(seen) > size:
             probes.append(v)
 
     bound = chain.bound

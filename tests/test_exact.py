@@ -12,7 +12,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pmsval import ExactReal, exact
 from pmsval.errors import InvariantError, SchemaError
@@ -20,6 +20,9 @@ from pmsval.exact import RADICAND_BOUND, _split_square_product, split_square
 from pmsval.jsonio import decode_exact
 
 getcontext().prec = 50
+
+seeded = settings(max_examples=400, deadline=None, derandomize=True,
+                  database=None)
 
 
 def to_decimal(x: ExactReal) -> Decimal:
@@ -167,3 +170,163 @@ def test_surd_sum_does_not_refactor_the_radicand(monkeypatch):
     assert x + ExactReal.rational(Fraction(1, 2)) == \
         ExactReal(Fraction(3, 2), Fraction(2), 1000000007)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The integer fast paths against the Fraction formulas they replace
+
+
+BIG = 10 ** 30
+SQUAREFREE = [2, 3, 5, 6, 7, 10, 11]
+# Small rationals make ties and shared surd parts common; big ones reach
+# 10^30 in numerator and denominator.
+rationals = st.one_of(
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+exact_reals = st.one_of(
+    st.builds(ExactReal.rational, rationals),
+    st.builds(ExactReal.surd, rationals, rationals, st.sampled_from(SQUAREFREE)))
+
+
+@st.composite
+def exact_pairs(draw) -> tuple[ExactReal, ExactReal]:
+    """Two exact reals of one of the shapes compare distinguishes: any two,
+    one radicand, one surd part, or one value built twice."""
+    x = draw(exact_reals)
+    shape = draw(st.sampled_from(["any", "radicand", "surd part", "equal"]))
+    if shape == "any":
+        return x, draw(exact_reals)
+    if shape == "radicand":
+        return x, ExactReal.surd(draw(rationals), draw(rationals), x.d)
+    if shape == "surd part":
+        return x, ExactReal(draw(rationals), x.b, x.d)
+    return x, ExactReal.surd(Fraction(x.a.numerator, x.a.denominator),
+                             Fraction(x.b.numerator, x.b.denominator), x.d)
+
+
+def ref_sign(q: Fraction) -> int:
+    return (q > 0) - (q < 0)
+
+
+def ref_sign_surd(a: Fraction, b: Fraction, d: int) -> int:
+    if b == 0 or d == 1:
+        return ref_sign(a + b)
+    if a == 0:
+        return ref_sign(b)
+    sa, sb = ref_sign(a), ref_sign(b)
+    if sa == sb:
+        return sa
+    return sa if a * a - b * b * d > 0 else sb
+
+
+def ref_sign_sqrt_diff(b1: Fraction, d1: int, b2: Fraction, d2: int) -> int:
+    s1, s2 = ref_sign(b1), ref_sign(b2)
+    if s1 != s2:
+        return s1 if s1 != 0 else -s2
+    if s1 == 0:
+        return 0
+    return s1 if b1 * b1 * d1 - b2 * b2 * d2 > 0 else -s1
+
+
+def ref_compare(x: ExactReal, y: ExactReal) -> int:
+    """Three-way comparison written with Fraction operators only."""
+    if x.d == y.d and x.b == y.b:
+        return ref_sign(x.a - y.a)
+    if x.d == y.d:
+        return ref_sign_surd(x.a - y.a, x.b - y.b, x.d)
+    if x.b == 0 or y.b == 0:
+        diff_b, d = (x.b, x.d) if x.b != 0 else (-y.b, y.d)
+        return ref_sign_surd(x.a - y.a, diff_b, d)
+    r = y.a - x.a
+    su = ref_sign_sqrt_diff(x.b, x.d, y.b, y.d)
+    if r == 0 or su != ref_sign(r):
+        return su
+    s, dprod = split_square(x.d * y.d)
+    usq_a = x.b * x.b * x.d + y.b * y.b * y.d
+    usq_b = Fraction(-2) * x.b * y.b * s
+    cmp_sq = ref_sign_surd(usq_a - r * r, usq_b, dprod)
+    return cmp_sq if su > 0 else -cmp_sq
+
+
+@seeded
+@given(exact_pairs())
+def test_compare_agrees_with_the_fraction_formula(pair):
+    x, y = pair
+    assert x.compare(y) == ref_compare(x, y)
+    assert y.compare(x) == -x.compare(y)
+
+
+@seeded
+@given(exact_pairs())
+def test_equality_is_compare_zero_and_equal_values_hash_equal(pair):
+    x, y = pair
+    assert (x == y) == (x.compare(y) == 0) == (x.a == y.a and x.b == y.b
+                                                and x.d == y.d)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert x != (x.a, x.b, x.d) and x != x.a
+
+
+def test_a_half_written_two_ways_is_one_value():
+    half = ExactReal.rational(Fraction(2, 4))
+    assert half == ExactReal.rational(Fraction(1, 2))
+    assert hash(half) == hash(ExactReal.rational(Fraction(1, 2)))
+    assert ExactReal.surd(1, 1, 12) == ExactReal.surd(1, 2, 3)
+    assert hash(ExactReal.surd(1, 1, 12)) == hash(ExactReal.surd(1, 2, 3))
+
+
+@seeded
+@given(rationals, rationals, st.sampled_from(SQUAREFREE), st.integers(1, 50),
+       st.integers(1, BIG))
+def test_unnormalised_inputs_of_one_value_are_equal(a, b, d, s, k):
+    scaled_a = Fraction(a.numerator * k, a.denominator * k)
+    assert ExactReal.rational(scaled_a) == ExactReal.rational(a)
+    assert hash(ExactReal.rational(scaled_a)) == hash(ExactReal.rational(a))
+    for x, y in ((ExactReal.surd(a, b, 4 * d), ExactReal.surd(a, 2 * b, d)),
+                 (ExactReal.surd(a, b, s * s * d), ExactReal.surd(a, s * b, d))):
+        assert x == y and hash(x) == hash(y) and x.compare(y) == 0
+
+
+# ---------------------------------------------------------------------------
+# Canonical form: b == 0 exactly when d == 1
+
+
+def assert_canonical(x: ExactReal) -> None:
+    assert (x.b == 0) == (x.d == 1) == x.is_rational
+    assert x.d == 1 or split_square(x.d)[0] == 1
+
+
+@seeded
+@given(rationals, rationals, st.sampled_from(SQUAREFREE), st.integers(1, 40),
+       rationals)
+def test_every_way_of_making_an_exact_real_is_canonical(a, b, d, s, q):
+    surd = ExactReal.surd(a, b, d)
+    made = [
+        ExactReal.rational(a),
+        surd,
+        ExactReal.surd(a, b, s * s),  # a square radicand
+        ExactReal.surd(a, b, s * s * d),
+        surd + ExactReal.surd(0, -b, d),  # the surd part cancels
+        surd + ExactReal.rational(q),
+        ExactReal.rational(q) + surd,
+        surd - surd,
+        surd.scaled(0),
+        surd.scaled(q),
+        -surd,
+        -ExactReal.rational(a),
+        decode_exact({"rat": str(a)}),
+        decode_exact({"surd": {"a": str(a), "b": str(b), "d": d}}),
+        decode_exact({"surd": {"a": str(a), "b": str(b), "d": s * s}}),
+        decode_exact({"surd": {"a": str(a), "b": "0", "d": d}}),
+    ]
+    for x in made:
+        assert_canonical(x)
+    assert made[2].is_rational and made[4].is_rational
+    assert made[7] == made[8] == ExactReal.rational(0)
+
+
+@pytest.mark.parametrize("a, b, d", [(1, 0, 2), (0, 0, 6), (1, 1, 1), (0, 2, 0),
+                                     (1, -1, -3)])
+def test_direct_construction_outside_the_canonical_form_is_refused(a, b, d):
+    with pytest.raises(InvariantError):
+        ExactReal(Fraction(a), Fraction(b), d)

@@ -7,15 +7,16 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pmsval import (AdjoinedSurd, Cyclic, ExactReal, FormalInteger,
                     FullRational, GroupDescriptor, INFINITY, PPowerDivisible,
                     Value)
 from pmsval.errors import (DescriptorMismatch, InvalidAdjoin, InvariantError,
                            SchemaError)
-from pmsval.groups import (PRIME_BOUND, component_adjoin, component_contains,
-                           component_generator, insert_zero, is_prime)
+from pmsval.groups import (PRIME_BOUND, Component, component_adjoin,
+                           component_contains, component_generator,
+                           insert_zero, is_prime)
 from pmsval.jsonio import decode_component
 
 from gen import random_value
@@ -100,6 +101,105 @@ def test_adjoined_surd_membership_needs_matching_coset():
 def test_formal_integer_membership():
     assert component_contains(FormalInteger(), ExactReal.rational(-4))
     assert not component_contains(FormalInteger(), ExactReal.rational(Fraction(1, 3)))
+
+
+def ref_contains(comp: Component, x: ExactReal) -> bool:
+    """Membership by Fraction division: the quotient by the generator (or
+    by tau's coefficient) must have the right denominator."""
+    if isinstance(comp, AdjoinedSurd):
+        if x.b == 0:
+            return ref_contains(comp.base, x)
+        if x.d != comp.tau.d:
+            return False
+        n = x.b / comp.tau.b
+        if n.denominator != 1:
+            return False
+        return ref_contains(comp.base, ExactReal.rational(x.a - n * comp.tau.a))
+    if x.b != 0:
+        return False
+    if isinstance(comp, FullRational):
+        return True
+    if isinstance(comp, FormalInteger):
+        return x.a.denominator == 1
+    if isinstance(comp, Cyclic):
+        return (x.a / comp.gen).denominator == 1
+    den = (x.a / comp.scale).denominator
+    while den % comp.p == 0:
+        den //= comp.p
+    return den == 1
+
+
+BIG = 10 ** 30
+positive = st.one_of(st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)),
+                     st.builds(Fraction, st.integers(1, BIG), st.integers(1, BIG)))
+rationals = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+bases = st.one_of(st.builds(Cyclic, positive),
+                  st.builds(PPowerDivisible, st.sampled_from([2, 3, 5, 7]),
+                            positive),
+                  st.just(FullRational()), st.just(FormalInteger()))
+# tau may carry a negative rational part or a negative surd coefficient.
+taus = st.builds(ExactReal.surd, rationals,
+                 rationals.filter(bool), st.sampled_from([2, 3, 5, 6]))
+components = st.booleans().flatmap(
+    lambda adjoined: st.builds(AdjoinedSurd, bases, taus) if adjoined else bases)
+
+
+@st.composite
+def near_members(draw, comp: Component) -> ExactReal:
+    """A member of comp built from its generators, shifted by a small
+    rational or surd half of the time so that both answers occur."""
+    base = comp.base if isinstance(comp, AdjoinedSurd) else comp
+    k = draw(st.integers(-10 ** 6, 10 ** 6))
+    if isinstance(base, Cyclic):
+        q = base.gen * k
+    elif isinstance(base, PPowerDivisible):
+        q = base.scale * Fraction(k, base.p ** draw(st.integers(0, 12)))
+    elif isinstance(base, FormalInteger):
+        q = Fraction(k)
+    else:
+        q = draw(rationals)
+    x = ExactReal.rational(q)
+    d = 2
+    if isinstance(comp, AdjoinedSurd):
+        x = x + comp.tau.scaled(draw(st.integers(-50, 50)))
+        d = comp.tau.d
+    shift = draw(st.one_of(st.just(ExactReal.rational(0)),
+                           st.builds(ExactReal.rational, rationals),
+                           st.builds(ExactReal.surd, rationals, rationals,
+                                     st.sampled_from([d, 2, 3, 5, 6]))))
+    return x + shift if (x.d == 1 or shift.d in (1, x.d)) else shift
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_membership_agrees_with_fraction_division(data):
+    comp = data.draw(components)
+    x = data.draw(near_members(comp))
+    assert component_contains(comp, x) == ref_contains(comp, x)
+
+
+@pytest.mark.parametrize("comp, x, inside", [
+    # A surd over a p-divisible base: 3*tau + 1/8 is in, 3*tau + 1/3 is not.
+    (AdjoinedSurd(PPowerDivisible(2, Fraction(1)), ExactReal.surd(-1, -2, 3)),
+     ExactReal.surd(Fraction(-3 * 8 + 1, 8), -6, 3), True),
+    (AdjoinedSurd(PPowerDivisible(2, Fraction(1)), ExactReal.surd(-1, -2, 3)),
+     ExactReal.surd(Fraction(-3 * 3 + 1, 3), -6, 3), False),
+    # The coefficient of sqrt(3) must be an integer multiple of tau's.
+    (AdjoinedSurd(FullRational(), ExactReal.surd(0, Fraction(-2, 3), 3)),
+     ExactReal.surd(7, Fraction(4, 3), 3), True),
+    (AdjoinedSurd(FullRational(), ExactReal.surd(0, Fraction(-2, 3), 3)),
+     ExactReal.surd(7, Fraction(1, 3), 3), False),
+    (Cyclic(Fraction(2, 3)), ExactReal.rational(Fraction(-10, 3)), True),
+    (Cyclic(Fraction(2, 3)), ExactReal.rational(Fraction(-1, 3)), False),
+    (PPowerDivisible(5, Fraction(3, 7)), ExactReal.rational(Fraction(6, 175)),
+     True),
+    (PPowerDivisible(5, Fraction(3, 7)), ExactReal.rational(Fraction(1, 7)),
+     False),
+])
+def test_membership_examples_with_negative_and_p_divisible_parts(comp, x, inside):
+    assert component_contains(comp, x) == ref_contains(comp, x) == inside
 
 
 # ---------------------------------------------------------------------------

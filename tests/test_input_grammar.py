@@ -8,6 +8,7 @@ names its path, before any mathematics runs.
 - A coordinate is an exact real: "inf" and "-inf" stand only for the whole
   value v(0), never for one coordinate.
 - An integer literal past Python's digit limit is invalid JSON.
+- JSON nested past the parser's recursion limit is invalid JSON.
 """
 
 from __future__ import annotations
@@ -188,3 +189,34 @@ def test_an_integer_literal_past_the_digit_limit_is_a_schema_error(
     assert main(["classify", "--in", str(file)]) == 2
     rep = json.loads(capsys.readouterr().out)
     assert rep["error"] == "schema" and "invalid JSON" in rep["detail"]
+
+
+# ---------------------------------------------------------------------------
+# Nesting past the parser's recursion limit
+
+
+IN_COMMANDS = ["classify", "ve", "rank", "sup", "oracle-check", "probe"]
+
+
+def deep_json(depth: int = 100_000) -> str:
+    return '{"version": "1", "x": ' + "[" * depth + "]" * depth + "}"
+
+
+@pytest.mark.parametrize("command", IN_COMMANDS)
+def test_json_nested_too_deeply_is_a_schema_error(capsys, tmp_path, command):
+    file = tmp_path / "deep.json"
+    file.write_text(deep_json())
+    assert main([command, "--in", str(file)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"error": "schema",
+                   "detail": "invalid JSON: nested too deeply"}
+
+
+def test_a_probes_file_nested_too_deeply_is_a_schema_error(capsys, tmp_path):
+    file = tmp_path / "deep.json"
+    file.write_text(deep_json())
+    assert main(["probe", "--in", "example-rank3.json", "--probes",
+                 str(file)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"error": "schema",
+                   "detail": "invalid JSON: nested too deeply"}
