@@ -74,7 +74,11 @@ def test_rational_vs_surd_squaring():
 
 def test_equality_is_structural_on_canonical_form():
     assert ExactReal.surd(1, 2, 3) == ExactReal.surd(1, 1, 12)
+    assert hash(ExactReal.surd(1, 2, 3)) == hash(ExactReal.surd(1, 1, 12))
     assert ExactReal.surd(0, 1, 2) != ExactReal.surd(0, 1, 3)
+    half = ExactReal.rational(Fraction(2, 4))
+    assert half == ExactReal.rational(Fraction(1, 2))
+    assert hash(half) == hash(ExactReal.rational(Fraction(1, 2)))
 
 
 def test_addition_and_scaling():
@@ -265,14 +269,6 @@ def test_equality_is_compare_zero_and_equal_values_hash_equal(pair):
     if x == y:
         assert hash(x) == hash(y)
     assert x != (x.a, x.b, x.d) and x != x.a
-
-
-def test_a_half_written_two_ways_is_one_value():
-    half = ExactReal.rational(Fraction(2, 4))
-    assert half == ExactReal.rational(Fraction(1, 2))
-    assert hash(half) == hash(ExactReal.rational(Fraction(1, 2)))
-    assert ExactReal.surd(1, 1, 12) == ExactReal.surd(1, 2, 3)
-    assert hash(ExactReal.surd(1, 1, 12)) == hash(ExactReal.surd(1, 2, 3))
 
 
 @seeded
