@@ -3,7 +3,7 @@
     python3 bench/scale.py --out BENCH.json            # measure and write
     python3 bench/scale.py --diff OLD.json NEW.json    # compare two files
 
-Four series; each point is the median of five runs with its quartiles:
+Five series; each point is the median of five runs with its quartiles:
 
 - ``oracle-check``: ``python3 -m pmsval oracle-check`` on the 5-adic Cauchy
   sequence z_n = (5^(n+1) - 1)/4, N = 40 ... 2560 doubling.  CPU time (user
@@ -20,6 +20,12 @@ Four series; each point is the median of five runs with its quartiles:
   the bundled ``example-3-6-not-1.json``, after one untimed call; n names
   the command.  In-process CPU time per call, averaged over a batch of
   calls, garbage collector off.
+- ``decode-dump``: ``jsonio.loads_problem`` on a problem in the shape of
+  the benchmark's symbolic-batch problems (the group written twice, a
+  chain of constants, a prefix of six values repeating them, one tagged
+  function) of rank n = 1 ... 6, and ``jsonio.dump_report`` on its ``rank``
+  report; n is ``decode-<rank>`` or ``dump-<rank>``.  In-process CPU time
+  per call, averaged over a batch of calls, garbage collector off.
 
 Each run is paced as the benchmark paces its problems: blocks of runs of
 the benchmark's reference computation (``pmsbench/reference.py``) sit
@@ -74,6 +80,7 @@ RANKS = (1, 2, 3, 4, 5, 6)
 CLI_PROBLEM = "example-3-6-not-1.json"
 CLI_COMMANDS = ("classify", "ve", "rank", "sup", "probe")
 CLI_BATCH = 20
+IO_BATCH = 50
 PACE_RUNS = 5
 REPEAT = 5
 
@@ -221,6 +228,44 @@ def cli_series() -> list[dict]:
     return out
 
 
+def symbolic_problem(n: int) -> str:
+    """A pcs of rank n: cyclic components (1/2)Z in front of a rational
+    one, the constants 0, 1/2, ... and a terminal coordinate increasing to
+    the bound 0, written as a symbolic-batch problem is."""
+    group = {"components": [{"kind": "cyclic", "gen": "1/2"}] * (n - 1)
+             + [{"kind": "rationals"}]}
+    consts = [str(Fraction(k, 2)) for k in range(n - 1)]
+    chain = ([{"const": {"v": c, "from": 0}} for c in consts]
+             + [{"terminal": {"dir": "inc", "bound": {"in_group": "0"}}}])
+    function = {"lead": ["0"] * n,
+                "num": [{"limit": True, "mult": 1},
+                        {"beta": consts + ["1"], "mult": 2}],
+                "den": [{"beta": ["0"] * n, "mult": 1}]}
+    return json.dumps({
+        "version": "1", "group": group,
+        "sequence": {"kind": "pcs", "group": group, "chain": chain,
+                     "pcs_type": {"algebraic": {"deg": 1}},
+                     "prefix": [consts + [f"-1/{k + 1}"] for k in range(6)]},
+        "functions": [function]})
+
+
+def io_series() -> list[dict]:
+    out = []
+    for n in RANKS:
+        text = symbolic_problem(n)
+        report, _ = cli.cmd_rank(jsonio.loads_problem(text))
+        for layer, call in (("decode", lambda: jsonio.loads_problem(text)),
+                            ("dump", lambda: jsonio.dump_report(report))):
+            def batch():
+                for _ in range(IO_BATCH):
+                    call()
+
+            out.append({"series": "decode-dump", "n": f"{layer}-{n}",
+                        "clock": "process CPU s per call at reference speed",
+                        **paced(lambda: timed(batch) / IO_BATCH)})
+    return out
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -244,7 +289,7 @@ def measure() -> dict:
             "machine": machine(), "repeat": REPEAT,
             "reference_s": REFERENCE_S,
             "entries": oracle_series() + config_series() + rank_series()
-            + cli_series()}
+            + cli_series() + io_series()}
 
 
 def to_reference(f: dict, e: dict) -> float | None:

@@ -3,9 +3,11 @@
 Reads a JSON problem file, dispatches to the engines and writes a JSON
 report (sorted keys, so identical inputs give byte-identical outputs).
 Exit codes: 0 success, 1 negative outcome (oracle disagreement, failed
-probe), 2 schema error, 3 invariant violation, 4 indeterminate, 5 internal
-error (any other exception: a fault in pmsval, reported as JSON with the
-traceback on stderr).
+probe), 2 schema error (an input file that cannot be read, or an output
+file that cannot be written, included), 3 invariant violation, 4
+indeterminate, 5 internal error (any other exception: a fault in pmsval,
+reported as JSON with the traceback on stderr).  When the report itself
+cannot be written to --out, the schema error report goes to stdout.
 """
 
 from __future__ import annotations
@@ -36,18 +38,23 @@ EXIT_INTERNAL = 5
 def _load_problem(name: str) -> Problem:
     path = Path(name)
     if path.exists():
-        return jsonio.loads_problem(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"cannot read problem file {name}: "
+                              f"{getattr(exc, 'strerror', None) or exc}")
+        return jsonio.loads_problem(text)
     bundled = resources.files("pmsval").joinpath("problems", name)
     if bundled.is_file():
         return jsonio.loads_problem(bundled.read_text())
     raise SchemaError(f"no such problem file or bundled problem: {name}")
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _require(problem: Problem, attr: str):
@@ -160,8 +167,8 @@ def cmd_rank(problem: Problem, dot: Optional[str] = None) -> tuple[dict, int]:
     result = ranktree.rank_of_vE(E)
     report = {"command": "rank", **_rank_dict(result, E)}
     if dot:
-        trace = result.trace
-        Path(dot).write_text(ranktree.tree_dot(E.kind, E.group.rank(), trace))
+        _write_file(dot, ranktree.tree_dot(E.kind, E.group.rank(),
+                                           result.trace))
         report["dot"] = dot
     return report, EXIT_OK
 
@@ -244,8 +251,7 @@ def cmd_leaves(levels: int, kind: str, dot: Optional[str] = None
                     "rank_delta": s.rank_delta} for s in shapes],
     }
     if dot:
-        Path(dot).write_text(
-            ranktree.tree_dot(PmsKind(kind), levels, None))
+        _write_file(dot, ranktree.tree_dot(PmsKind(kind), levels, None))
         report["dot"] = dot
     return report, EXIT_OK
 
@@ -297,8 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def _error(kind: str, detail: str) -> str:
+    return jsonio.dump_report({"error": kind, "detail": detail})
+
+
+def _run(args: argparse.Namespace) -> tuple[str, int]:
+    """The report text of one parsed command line and its exit code; every
+    failure becomes an error report."""
     try:
         if args.command == "leaves":
             report, code = cmd_leaves(args.levels, args.kind, args.dot)
@@ -318,25 +329,30 @@ def main(argv: Optional[list[str]] = None) -> int:
                 report, code = cmd_probe(problem, args.probes)
             else:  # pragma: no cover
                 raise SchemaError(f"unknown command {args.command}")
+        return jsonio.dump_report(report), code
     except SchemaError as exc:
-        _write(jsonio.dump_report({"error": "schema", "detail": str(exc)}),
-               args.outfile)
-        return EXIT_SCHEMA
+        return _error("schema", str(exc)), EXIT_SCHEMA
     except IndeterminateError as exc:
-        _write(jsonio.dump_report({"error": "indeterminate", "detail": str(exc)}),
-               args.outfile)
-        return EXIT_INDETERMINATE
+        return _error("indeterminate", str(exc)), EXIT_INDETERMINATE
     except PmsvalError as exc:
-        _write(jsonio.dump_report({"error": "invariant", "detail": str(exc)}),
-               args.outfile)
-        return EXIT_INVARIANT
+        return _error("invariant", str(exc)), EXIT_INVARIANT
     except Exception as exc:
         traceback.print_exc()
-        _write(jsonio.dump_report({"error": "internal",
-                                   "detail": f"{type(exc).__name__}: {exc}"}),
-               args.outfile)
-        return EXIT_INTERNAL
-    _write(jsonio.dump_report(report), args.outfile)
+        return (_error("internal", f"{type(exc).__name__}: {exc}"),
+                EXIT_INTERNAL)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    text, code = _run(args)
+    if not args.outfile:
+        sys.stdout.write(text)
+        return code
+    try:
+        _write_file(args.outfile, text)
+    except SchemaError as exc:
+        sys.stdout.write(_error("schema", str(exc)))
+        return EXIT_SCHEMA
     return code
 
 

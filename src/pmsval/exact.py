@@ -71,7 +71,7 @@ def _sign_a_plus_b_sqrt_d(a: Fraction, b: Fraction, d: int) -> int:
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactReal:
     """Canonical a + b*sqrt(d): b == 0 forces d == 1, else d squarefree >= 2.
 

@@ -251,7 +251,7 @@ def component_label(comp: Component) -> str:
 # Values (group elements and the value of zero)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """A group element, a lex-ordered tuple of exact reals; coords None
     encodes the scalar +infinity assigned to v(0), greater than every

@@ -5,6 +5,11 @@ produce byte-identical outputs.  A rational is a JSON integer or a string
 "n" or "n/d"; exact reals travel as {"rat": ...} or {"surd": {"a", "b",
 "d"}}; a value is a list of exact reals, or "inf" for the value of zero.
 Only sup/inf reports write "inf" and "-inf" as coordinates.
+
+The decoders take an optional ``numerals`` dict.  ``decode_problem`` makes
+one for the length of its call, so that each distinct numeral of a problem
+is decoded once and its ExactReal shared; a decoder called without one
+decodes every numeral it meets.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .engine import FactoredRationalFunction, TaggedRoot
@@ -68,6 +74,20 @@ def _fraction(raw: Any, path: str) -> Fraction:
     raise _fail(path, f"not a rational numeral n or n/d: {raw!r}")
 
 
+def _rational(raw: Any, path: str, numerals: Optional[dict]) -> ExactReal:
+    """The numeral raw as a rational ExactReal, looked up in and added to
+    numerals when given.  Only a JSON string or integer is a key; a numeral
+    that fails raises before it is stored, so it fails again at its next
+    path."""
+    if numerals is None or raw.__class__ not in (str, int):
+        return ExactReal.rational(_fraction(raw, path))
+    key = (raw.__class__, raw)
+    x = numerals.get(key)
+    if x is None:
+        x = numerals[key] = ExactReal.rational(_fraction(raw, path))
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Exact reals and values
 
@@ -78,20 +98,21 @@ def encode_exact(x: ExactReal) -> Any:
     return {"surd": {"a": str(x.a), "b": str(x.b), "d": x.d}}
 
 
-def decode_exact(raw: Any, path: str = "value") -> ExactReal:
+def decode_exact(raw: Any, path: str = "value",
+                 numerals: Optional[dict] = None) -> ExactReal:
     if isinstance(raw, (str, int)):
-        return ExactReal.rational(_fraction(raw, path))
+        return _rational(raw, path, numerals)
     if isinstance(raw, dict):
         if "rat" in raw:
-            return ExactReal.rational(_fraction(raw["rat"], path))
+            return _rational(raw["rat"], path, numerals)
         if "surd" in raw:
             s = raw["surd"]
             if not isinstance(s, dict) or not {"a", "b", "d"} <= set(s):
                 raise _fail(path, "surd needs fields a, b, d")
             d = _int(s["d"], path, "surd radicand d must be an integer")
             try:
-                return ExactReal.surd(_fraction(s["a"], path),
-                                      _fraction(s["b"], path), d)
+                return ExactReal.surd(_rational(s["a"], path, numerals).a,
+                                      _rational(s["b"], path, numerals).a, d)
             except InvariantError as exc:
                 raise _fail(path, str(exc))
     raise _fail(path, f"not an exact real: {raw!r}")
@@ -103,13 +124,14 @@ def encode_value(v: Value) -> Any:
     return [encode_exact(c) for c in v.coords]
 
 
-def decode_value(raw: Any, path: str = "value") -> Value:
+def decode_value(raw: Any, path: str = "value",
+                 numerals: Optional[dict] = None) -> Value:
     if raw == "inf":
         return INFINITY
     if isinstance(raw, (str, int)):
-        return Value.of(decode_exact(raw, path))
+        return Value.of(decode_exact(raw, path, numerals))
     if isinstance(raw, list):
-        return Value(tuple(decode_exact(c, f"{path}[{i}]")
+        return Value(tuple(decode_exact(c, f"{path}[{i}]", numerals)
                            for i, c in enumerate(raw)))
     raise _fail(path, f"not a value tuple: {raw!r}")
 
@@ -133,17 +155,19 @@ def encode_component(c: Component) -> dict:
     raise SchemaError(f"unknown component {c!r}")
 
 
-def decode_component(raw: Any, path: str) -> Component:
+def decode_component(raw: Any, path: str,
+                     numerals: Optional[dict] = None) -> Component:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise _fail(path, "component must be an object with a kind")
     kind = raw["kind"]
     try:
         if kind == "cyclic":
-            return Cyclic(_fraction(raw.get("gen", 1), f"{path}.gen"))
+            return Cyclic(_rational(raw.get("gen", 1), f"{path}.gen",
+                                    numerals).a)
         if kind == "p_divisible":
             p = _int(raw.get("p"), path, "p_divisible needs an integer p")
-            return PPowerDivisible(p, _fraction(raw.get("scale", 1),
-                                                f"{path}.scale"))
+            return PPowerDivisible(p, _rational(raw.get("scale", 1),
+                                                f"{path}.scale", numerals).a)
         if kind == "rationals":
             return FullRational()
         if kind == "formal_integer":
@@ -151,8 +175,9 @@ def decode_component(raw: Any, path: str) -> Component:
         if kind == "adjoined_surd":
             if "base" not in raw or "tau" not in raw:
                 raise _fail(path, "adjoined_surd needs base and tau")
-            return AdjoinedSurd(decode_component(raw["base"], f"{path}.base"),
-                                decode_exact(raw["tau"], f"{path}.tau"))
+            return AdjoinedSurd(
+                decode_component(raw["base"], f"{path}.base", numerals),
+                decode_exact(raw["tau"], f"{path}.tau", numerals))
     except InvariantError as exc:
         raise _fail(path, str(exc))
     raise _fail(path, f"unknown component kind {kind!r}")
@@ -162,14 +187,15 @@ def encode_group(g: GroupDescriptor) -> dict:
     return {"components": [encode_component(c) for c in g.components]}
 
 
-def decode_group(raw: Any, path: str = "group") -> GroupDescriptor:
+def decode_group(raw: Any, path: str = "group",
+                 numerals: Optional[dict] = None) -> GroupDescriptor:
     if not isinstance(raw, dict) or "components" not in raw:
         raise _fail(path, "group must be an object with components")
     comps = raw["components"]
     if not isinstance(comps, list) or not comps:
         raise _fail(path, "components must be a nonempty list")
     return GroupDescriptor(tuple(
-        decode_component(c, f"{path}.components[{i}]")
+        decode_component(c, f"{path}.components[{i}]", numerals)
         for i, c in enumerate(comps)))
 
 
@@ -192,7 +218,8 @@ def encode_chain(chain: StageChain, sign: int) -> list:
     return out
 
 
-def decode_chain(raw: Any, path: str) -> tuple[StageChain, str]:
+def decode_chain(raw: Any, path: str, numerals: Optional[dict] = None
+                 ) -> tuple[StageChain, str]:
     """The chain and its terminal's dir, which the kind must match."""
     if not isinstance(raw, list) or not raw:
         raise _fail(path, "chain must be a nonempty list")
@@ -207,7 +234,8 @@ def decode_chain(raw: Any, path: str) -> tuple[StageChain, str]:
                 raise _fail(p, "const entry needs a value v")
             stage = _int(c.get("from", 0), p,
                          "const stage must be a nonnegative integer", 0)
-            entries.append(ConstantFrom(decode_exact(c["v"], f"{p}.v"), stage))
+            entries.append(ConstantFrom(decode_exact(c["v"], f"{p}.v",
+                                                     numerals), stage))
         elif "terminal" in e:
             t = e["terminal"]
             if not isinstance(t, dict) or "dir" not in t or "bound" not in t:
@@ -218,10 +246,11 @@ def decode_chain(raw: Any, path: str) -> tuple[StageChain, str]:
             if b == "unbounded":
                 bound: Any = Unbounded()
             elif isinstance(b, dict) and "in_group" in b:
-                bound = BoundInGroup(decode_exact(b["in_group"], f"{p}.bound"))
+                bound = BoundInGroup(decode_exact(b["in_group"], f"{p}.bound",
+                                                  numerals))
             elif isinstance(b, dict) and "not_in_group" in b:
                 bound = BoundNotInGroup(decode_exact(b["not_in_group"],
-                                                     f"{p}.bound"))
+                                                     f"{p}.bound", numerals))
             else:
                 raise _fail(p, f"unknown bound {b!r}")
             entries.append((t["dir"], bound))
@@ -252,7 +281,12 @@ def encode_descriptor(E: PmsDescriptor) -> dict:
     return out
 
 
-def decode_descriptor(raw: Any, path: str = "sequence") -> PmsDescriptor:
+def decode_descriptor(raw: Any, path: str = "sequence",
+                      numerals: Optional[dict] = None,
+                      group: Optional[GroupDescriptor] = None
+                      ) -> PmsDescriptor:
+    """The descriptor raw; group, when given, is raw["group"] already
+    decoded."""
     if not isinstance(raw, dict):
         raise _fail(path, "sequence must be an object")
     try:
@@ -261,10 +295,12 @@ def decode_descriptor(raw: Any, path: str = "sequence") -> PmsDescriptor:
         raise _fail(path, f"unknown kind {raw.get('kind')!r}")
     if "group" not in raw:
         raise _fail(path, "sequence needs its group")
-    group = decode_group(raw["group"], f"{path}.group")
-    chain, direction = (decode_chain(raw["chain"], f"{path}.chain")
+    if group is None:
+        group = decode_group(raw["group"], f"{path}.group", numerals)
+    chain, direction = (decode_chain(raw["chain"], f"{path}.chain", numerals)
                         if "chain" in raw else (None, None))
-    pcts_delta = (decode_value(raw["pcts_delta"], f"{path}.pcts_delta")
+    pcts_delta = (decode_value(raw["pcts_delta"], f"{path}.pcts_delta",
+                               numerals)
                   if "pcts_delta" in raw else None)
     pcs_type = None
     if "pcs_type" in raw:
@@ -280,7 +316,7 @@ def decode_descriptor(raw: Any, path: str = "sequence") -> PmsDescriptor:
             raise _fail(path, f"unknown pcs_type {pt!r}")
     prefix = None
     if "prefix" in raw:
-        prefix = tuple(decode_value(v, f"{path}.prefix[{i}]")
+        prefix = tuple(decode_value(v, f"{path}.prefix[{i}]", numerals)
                        for i, v in enumerate(_list(raw, "prefix", path)))
     want = "inc" if kind is PmsKind.PCS else "dec"
     if chain is not None and kind is not PmsKind.PCTS and direction != want:
@@ -294,7 +330,8 @@ def decode_descriptor(raw: Any, path: str = "sequence") -> PmsDescriptor:
 # Configurations
 
 
-def decode_configuration(raw: Any, path: str = "configuration"
+def decode_configuration(raw: Any, path: str = "configuration",
+                         numerals: Optional[dict] = None
                          ) -> UltrametricConfiguration:
     if not isinstance(raw, dict):
         raise _fail(path, "configuration must be an object")
@@ -314,7 +351,7 @@ def decode_configuration(raw: Any, path: str = "configuration"
         text = repr(entry["v"])
         v = decoded.get(text)
         if v is None:
-            v = decoded[text] = decode_value(entry["v"], f"{p}.v")
+            v = decoded[text] = decode_value(entry["v"], f"{p}.v", numerals)
         if key not in dist:
             dist[key], given_at[key] = v, p
         elif dist[key] != v:
@@ -342,7 +379,8 @@ def encode_function(phi: FactoredRationalFunction) -> dict:
             "den": enc(phi.den_roots)}
 
 
-def decode_function(raw: Any, path: str) -> FactoredRationalFunction:
+def decode_function(raw: Any, path: str, numerals: Optional[dict] = None
+                    ) -> FactoredRationalFunction:
     if not isinstance(raw, dict) or "lead" not in raw:
         raise _fail(path, "function needs a lead value")
 
@@ -356,14 +394,15 @@ def decode_function(raw: Any, path: str) -> FactoredRationalFunction:
             if r.get("limit"):
                 out.append(TaggedRoot.limit(mult))
             elif "beta" in r:
-                out.append(TaggedRoot.at_distance(decode_value(r["beta"],
-                                                               f"{p}.beta"), mult))
+                out.append(TaggedRoot.at_distance(
+                    decode_value(r["beta"], f"{p}.beta", numerals), mult))
             else:
                 raise _fail(p, "root must be tagged limit or carry beta")
         return tuple(out)
 
-    return FactoredRationalFunction(decode_value(raw["lead"], f"{path}.lead"),
-                                    dec("num"), dec("den"))
+    return FactoredRationalFunction(
+        decode_value(raw["lead"], f"{path}.lead", numerals),
+        dec("num"), dec("den"))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +445,8 @@ class OracleSection:
     functions: tuple[tuple[ConcreteRationalFunction, FactoredRationalFunction], ...]
 
 
-def decode_oracle(raw: Any, path: str = "oracle") -> OracleSection:
+def decode_oracle(raw: Any, path: str = "oracle",
+                  numerals: Optional[dict] = None) -> OracleSection:
     if not isinstance(raw, dict):
         raise _fail(path, "oracle must be an object")
     if "field" not in raw or "sequence" not in raw:
@@ -428,7 +468,7 @@ def decode_oracle(raw: Any, path: str = "oracle") -> OracleSection:
         den = tuple(decode_field_element(field, r, f"{p}.den_roots[{k}]")
                     for k, r in enumerate(_list(f, "den_roots", p)))
         concrete = ConcreteRationalFunction(lead, num, den)
-        tagged = decode_function(f["tagged"], f"{p}.tagged")
+        tagged = decode_function(f["tagged"], f"{p}.tagged", numerals)
         functions.append((concrete, tagged))
     return OracleSection(field, terms, tuple(functions))
 
@@ -453,17 +493,28 @@ def decode_problem(raw: Any) -> Problem:
     version = raw.get("version", SCHEMA_VERSION)
     if str(version) != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {version!r}")
-    group = decode_group(raw["group"]) if "group" in raw else None
-    sequence = decode_descriptor(raw["sequence"]) if "sequence" in raw else None
+    numerals: dict = {}  # numeral leaf -> ExactReal, for this call only
+    group = (decode_group(raw["group"], numerals=numerals) if "group" in raw
+             else None)
+    sequence = None
+    if "sequence" in raw:
+        seq = raw["sequence"]
+        # A sequence group written as the top-level group is decoded once;
+        # repr, unlike ==, tells 1 from 1.0 and true.
+        shared = (group if group is not None and isinstance(seq, dict)
+                  and repr(seq.get("group")) == repr(raw["group"]) else None)
+        sequence = decode_descriptor(seq, numerals=numerals, group=shared)
     functions = tuple(
-        decode_function(f, f"functions[{i}]")
+        decode_function(f, f"functions[{i}]", numerals)
         for i, f in enumerate(_list(raw, "functions", "problem")))
-    configuration = (decode_configuration(raw["configuration"])
+    configuration = (decode_configuration(raw["configuration"],
+                                          numerals=numerals)
                      if "configuration" in raw else None)
-    oracle = decode_oracle(raw["oracle"]) if "oracle" in raw else None
+    oracle = (decode_oracle(raw["oracle"], numerals=numerals)
+              if "oracle" in raw else None)
     probes = None
     if "probes" in raw:
-        probes = tuple(decode_value(v, f"probes[{i}]")
+        probes = tuple(decode_value(v, f"probes[{i}]", numerals)
                        for i, v in enumerate(_list(raw, "probes", "problem")))
     return Problem(group, sequence, functions, configuration, oracle, probes)
 
@@ -480,5 +531,55 @@ def loads_problem(text: str) -> Problem:
 
 
 def dump_report(report: Any) -> str:
-    """Canonical serialization: sorted keys, two-space indent."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, ASCII only,
+    and a final newline; the text of json.dumps(report, sort_keys=True,
+    indent=2) + "\n".  A report holds dicts with str keys, lists, str, int,
+    bool and None; anything else, a float included, is a TypeError."""
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o: Any, newline: str, out: list[str]) -> None:
+    """Append the text of o to out; newline is a line break followed by
+    the indent of o's own line."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not "
+                                f"{type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(o[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, list):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"a report cannot hold a {type(o).__name__}")

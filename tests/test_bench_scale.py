@@ -84,3 +84,11 @@ def test_diff_converts_a_file_paced_per_point():
     (line,) = scale.diff(old, new)[1:]
     assert line.split()[3:] == ["x2.000", "2.000000", "->", "2.000000",
                                 "x1.000", "within", "noise"]
+
+
+@pytest.mark.parametrize("n", scale.RANKS)
+def test_decode_dump_problem_is_a_rank_n_pcs(n):
+    problem = scale.jsonio.loads_problem(scale.symbolic_problem(n))
+    assert problem.sequence.group is problem.group
+    report, code = scale.cli.cmd_rank(problem)
+    assert code == 0 and report["input_rank"] == n

@@ -410,3 +410,56 @@ def test_golden_reports_in_shuffled_order_in_one_process(tmp_path):
     random.Random(9).shuffle(order)
     for case, argv in order:
         assert run_case(argv, tmp_path) == golden[case], case
+
+
+# Unreadable inputs and unwritable outputs are schema errors (exit 2) with a
+# JSON report on stdout, never exit 1 or 5.
+
+
+def schema_error_on_stdout(capsys, argv, detail) -> None:
+    code = main(argv)
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert rep == {"error": "schema", "detail": detail}
+
+
+def test_directory_as_problem_file(capsys, tmp_path):
+    schema_error_on_stdout(
+        capsys, ["classify", "--in", str(tmp_path)],
+        f"cannot read problem file {tmp_path}: Is a directory")
+
+
+def test_directory_as_probes_file(capsys, tmp_path):
+    schema_error_on_stdout(
+        capsys, ["probe", "--in", "example-3-6-not-1.json",
+                 "--probes", str(tmp_path)],
+        f"cannot read problem file {tmp_path}: Is a directory")
+
+
+def test_problem_file_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    code = main(["classify", "--in", str(bad)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2 and rep["error"] == "schema"
+    assert rep["detail"].startswith(f"cannot read problem file {bad}: "
+                                    "'utf-8' codec can't decode byte 0xff")
+
+
+def test_directory_as_dot_file(capsys, tmp_path):
+    schema_error_on_stdout(
+        capsys, ["rank", "--in", "example-rank3.json", "--dot", str(tmp_path)],
+        f"cannot write {tmp_path}: Is a directory")
+
+
+def test_directory_as_out_file(capsys, tmp_path):
+    schema_error_on_stdout(
+        capsys, ["rank", "--in", "example-rank3.json", "--out", str(tmp_path)],
+        f"cannot write {tmp_path}: Is a directory")
+
+
+def test_float_in_a_report_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_sup", lambda problem: ({"x": 0.5}, 0))
+    code, rep = run(capsys, "sup", "--in", "example-rank3.json")
+    assert code == 5 and rep["error"] == "internal"
+    assert rep["detail"].startswith("TypeError: ")

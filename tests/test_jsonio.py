@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+from collections import Counter
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmsval import ExactReal, INFINITY, Value, groups, jsonio, oracle
 from pmsval.errors import InvariantError, SchemaError
-from pmsval.jsonio import (decode_chain, decode_descriptor, decode_exact,
-                           decode_function, decode_group, decode_problem,
-                           decode_value, dump_report, encode_chain,
-                           encode_descriptor, encode_exact, encode_function,
-                           encode_group, encode_value, loads_problem)
+from pmsval.jsonio import (decode_chain, decode_configuration,
+                           decode_descriptor, decode_exact, decode_function,
+                           decode_group, decode_problem, decode_value,
+                           dump_report, encode_chain, encode_descriptor,
+                           encode_exact, encode_function, encode_group,
+                           encode_value, loads_problem)
 
 from gen import random_descriptor, random_value
 
@@ -224,3 +229,160 @@ def test_decoder_fuzz_only_package_errors():
             decode_problem(junk())
         except PmsvalError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# The report writer is json.dumps(..., sort_keys=True, indent=2) + "\n"
+
+strings = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\n\t\r '
+                              'a\u00e9\u2028\u20ac\U0001f600')
+report_leaves = (st.none() | st.booleans() | strings
+                 | st.integers(-10 ** 300, 10 ** 300))
+reports = st.recursive(
+    report_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(strings, inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reports)
+def test_dump_report_is_the_indent_encoder(report):
+    assert dump_report(report) == json.dumps(report, sort_keys=True,
+                                             indent=2) + "\n"
+
+
+def test_dump_report_empty_containers():
+    report = {"a": {}, "b": [], "c": [{}, []]}
+    assert dump_report(report) == json.dumps(report, sort_keys=True,
+                                             indent=2) + "\n"
+    assert dump_report({}) == "{}\n" and dump_report([]) == "[]\n"
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, (1, 2), {1, 2}, {1: "x"},
+                                 {"a": [1, {"b": float("nan")}]},
+                                 {"a": "x", 2: "y"}, {None: 1}],
+                         ids=["float", "whole-float", "tuple", "set",
+                              "int-key", "nested-nan", "mixed-keys",
+                              "none-key"])
+def test_dump_report_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        dump_report(bad)
+
+
+# ---------------------------------------------------------------------------
+# Each numeral is decoded once per problem
+
+
+def bundled(name: str) -> str:
+    return resources.files("pmsval").joinpath("problems", name).read_text()
+
+
+def symbolic_problems() -> list[str]:
+    return sorted(p.name for p in resources.files("pmsval")
+                  .joinpath("problems").iterdir()
+                  if p.name.endswith(".json")
+                  and "oracle" not in json.loads(p.read_text()))
+
+
+@pytest.fixture
+def numerals_seen(monkeypatch) -> list:
+    seen = []
+    inner = jsonio._fraction
+
+    def counting(raw, path):
+        seen.append((raw.__class__, raw))
+        return inner(raw, path)
+
+    monkeypatch.setattr(jsonio, "_fraction", counting)
+    return seen
+
+
+@pytest.mark.parametrize("name", symbolic_problems())
+def test_each_numeral_is_decoded_once_per_problem(name, numerals_seen):
+    raw = json.loads(bundled(name))
+    # The public decoders, called on their own, decode every occurrence.
+    decode_group(raw["group"])
+    decode_descriptor(raw["sequence"])
+    for i, f in enumerate(raw.get("functions", [])):
+        decode_function(f, f"functions[{i}]")
+    if "configuration" in raw:
+        decode_configuration(raw["configuration"])
+    every = list(numerals_seen)
+    numerals_seen.clear()
+    for _ in range(2):
+        loads_problem(bundled(name))
+        assert Counter(numerals_seen) == Counter(set(every))
+        numerals_seen.clear()
+    assert len(every) > len(set(every))  # the problem repeats numerals
+
+
+def exact_reals(obj, found: dict) -> dict:
+    """Every ExactReal reachable from obj through dataclass fields, tuples
+    and lists, by id."""
+    if isinstance(obj, ExactReal):
+        found[id(obj)] = obj
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            exact_reals(x, found)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            exact_reals(getattr(obj, f.name), found)
+    return found
+
+
+def test_no_decoded_numeral_outlives_its_problem():
+    text = bundled("example-rank3.json")
+    first, second = loads_problem(text), loads_problem(text)
+    ids1, ids2 = exact_reals(first, {}), exact_reals(second, {})
+    assert ids1 and not ids1.keys() & ids2.keys()
+    # Inside one problem, the repeated "1/2" is one object.
+    E = first.sequence
+    halves = {id(v.coords[0]) for v in E.prefix}
+    assert halves == {id(E.chain.constants[0].value)}
+
+
+def test_repeated_bad_numeral_fails_at_its_first_path():
+    raw = json.loads(bundled("example-rank3.json"))
+    prefix = raw["sequence"]["prefix"]
+    prefix[1][0] = prefix[3][0] = "1/0"
+    with pytest.raises(SchemaError) as err:
+        decode_problem(raw)
+    assert str(err.value) == ("sequence.prefix[1][0]: not a rational "
+                              "numeral n or n/d: '1/0'")
+
+
+def test_numeral_spellings_decode_equal():
+    probes = decode_problem(
+        {"probes": [["1"], [1], [{"rat": "1"}], "1", 1, [{"rat": 1}]]}).probes
+    assert set(probes) == {Value.of(1)}
+
+
+def test_group_written_twice_is_decoded_once():
+    problem = loads_problem(bundled("example-rank3.json"))
+    assert problem.sequence.group is problem.group
+
+
+def rank1_problem(top_gen, sequence_gen) -> dict:
+    return {"group": {"components": [{"kind": "cyclic", "gen": top_gen}]},
+            "sequence": {"kind": "pcs", "group": {"components": [
+                {"kind": "cyclic", "gen": sequence_gen}]},
+                "chain": [{"terminal": {"dir": "inc",
+                                        "bound": "unbounded"}}],
+                "pcs_type": {"algebraic": {"deg": 1}}}}
+
+
+def test_distinct_top_level_group_is_decoded_and_checked():
+    problem = decode_problem(rank1_problem("1/2", "1"))
+    assert problem.group != problem.sequence.group
+    with pytest.raises(SchemaError, match=r"^group\.components\[0\]: "):
+        decode_problem(rank1_problem("0", "1"))
+
+
+@pytest.mark.parametrize("spelling", [True, 1.0])
+def test_group_sharing_tells_json_types_apart(spelling):
+    # true and 1.0 equal 1 in Python; the sequence's group must still be
+    # decoded, and refused, on its own.
+    with pytest.raises(SchemaError, match=r"^sequence\.group\.components"
+                                          r"\[0\]\.gen: "):
+        decode_problem(rank1_problem(1, spelling))

@@ -307,10 +307,10 @@ def test_each_distinct_encoding_is_decoded_once(monkeypatch):
     raws = []
     decode_exact = jsonio.decode_exact
 
-    def counting(raw, path="value"):
+    def counting(raw, path="value", numerals=None):
         if path.startswith("configuration."):
             raws.append(raw)
-        return decode_exact(raw, path)
+        return decode_exact(raw, path, numerals)
 
     monkeypatch.setattr(jsonio, "decode_exact", counting)
     cfg = jsonio.loads_problem(witness_problem(n)).configuration
