@@ -3,11 +3,16 @@
     python3 bench/scale.py --out BENCH.json            # measure and write
     python3 bench/scale.py --diff OLD.json NEW.json    # compare two files
 
-Five series; each point is the median of five runs with its quartiles:
+Six series; each point is the median of five runs with its quartiles:
 
 - ``oracle-check``: ``python3 -m pmsval oracle-check`` on the 5-adic Cauchy
   sequence z_n = (5^(n+1) - 1)/4, N = 40 ... 2560 doubling.  CPU time (user
   plus system) of the child process, interpreter start included.
+- ``composite-check``: the same on the Q(t) pcs z_n = t + t^(n+2) under
+  the composite valuation with p = 5 (one terminal chain, increasing and
+  unbounded, and the functions of the bundled
+  ``example-composite-rank2.json``), N = 40 ... 640 doubling.  Its terms
+  are written as dense coefficient lists of length up to N + 2.
 - ``config-limit``: decoding a JSON configuration (a pcs over Z with
   delta_i = i and a limit y; every pair listed) plus ``is_limit``,
   N = 10 ... 160 doubling.  In-process CPU time, garbage collector off.
@@ -75,6 +80,7 @@ from pmsval.sequences import (Algebraic, BoundInGroup, ConstantFrom,  # noqa: E4
                               is_limit)
 
 ORACLE_SIZES = (40, 80, 160, 320, 640, 1280, 2560)
+COMPOSITE_SIZES = (40, 80, 160, 320, 640)
 CONFIG_SIZES = (10, 20, 40, 80, 160)
 RANKS = (1, 2, 3, 4, 5, 6)
 CLI_PROBLEM = "example-3-6-not-1.json"
@@ -106,10 +112,24 @@ def paced(run) -> dict:
             "pace_s": statistics.median(paces)}
 
 
+def bundled(name: str) -> dict:
+    return json.loads(resources.files("pmsval").joinpath(
+        "problems", name).read_text())
+
+
 def oracle_problem(n: int) -> str:
-    raw = json.loads(resources.files("pmsval").joinpath(
-        "problems", "example-cauchy-5adic.json").read_text())
+    raw = bundled("example-cauchy-5adic.json")
     raw["oracle"]["sequence"] = [str((5 ** (k + 1) - 1) // 4)
+                                 for k in range(n)]
+    return json.dumps(raw)
+
+
+def composite_problem(n: int) -> str:
+    raw = bundled("example-composite-rank2.json")
+    del raw["sequence"]["prefix"]
+    raw["sequence"]["chain"] = [{"terminal": {"dir": "inc",
+                                              "bound": "unbounded"}}]
+    raw["oracle"]["sequence"] = [{"num": ["0", "1"] + ["0"] * k + ["1"]}
                                  for k in range(n)]
     return json.dumps(raw)
 
@@ -125,15 +145,16 @@ def child_cpu(argv: list[str]) -> float:
     return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
 
 
-def oracle_series() -> list[dict]:
+def child_series(series: str, sizes: tuple, problem) -> list[dict]:
+    """``oracle-check`` in a child process on problem(n) for each size n."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        for n in ORACLE_SIZES:
-            path = Path(tmp) / f"oracle-{n}.json"
-            path.write_text(oracle_problem(n))
+        for n in sizes:
+            path = Path(tmp) / f"{series}-{n}.json"
+            path.write_text(problem(n))
             argv = [sys.executable, "-m", "pmsval", "oracle-check", "--in",
                     str(path)]
-            out.append({"series": "oracle-check", "n": n,
+            out.append({"series": series, "n": n,
                         "clock": "child CPU s at reference speed",
                         **paced(lambda: child_cpu(argv))})
     return out
@@ -288,8 +309,11 @@ def measure() -> dict:
             "dirty": bool(git("status", "--porcelain", "--", "src", "bench")),
             "machine": machine(), "repeat": REPEAT,
             "reference_s": REFERENCE_S,
-            "entries": oracle_series() + config_series() + rank_series()
-            + cli_series() + io_series()}
+            "entries": child_series("oracle-check", ORACLE_SIZES,
+                                    oracle_problem)
+            + child_series("composite-check", COMPOSITE_SIZES,
+                           composite_problem)
+            + config_series() + rank_series() + cli_series() + io_series()}
 
 
 def to_reference(f: dict, e: dict) -> float | None:

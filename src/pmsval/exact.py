@@ -134,11 +134,16 @@ class ExactReal:
     def __add__(self, other: "ExactReal") -> "ExactReal":
         if not isinstance(other, ExactReal):
             return NotImplemented
+        a, oa = self.a, other.a
+        # Integer rational parts add as integers, without Fraction's
+        # operator dispatch and gcd.
+        a = Fraction(a.numerator + oa.numerator) \
+            if a.denominator == 1 == oa.denominator else a + oa
         if other.is_rational:  # the surd part, if any, is self's
-            return ExactReal(self.a + other.a, self.b, self.d)
+            return ExactReal(a, self.b, self.d)
         if self.is_rational or self.d == other.d:
             # Radicands are squarefree already: only a vanishing b changes d.
-            a, b = self.a + other.a, self.b + other.b
+            b = self.b + other.b
             return ExactReal(a, b, max(self.d, other.d)) if b \
                 else ExactReal.rational(a)
         raise InvariantError(
@@ -152,6 +157,9 @@ class ExactReal:
         return self + (-other)
 
     def scaled(self, q: RationalLike) -> "ExactReal":
+        # An integer times an integer rational stays an integer.
+        if q.__class__ is int and self.d == 1 and self.a.denominator == 1:
+            return ExactReal(Fraction(self.a.numerator * q), _ZERO, 1)
         q = _as_fraction(q)
         if not q:
             return ExactReal.rational(0)

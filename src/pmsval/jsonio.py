@@ -433,8 +433,11 @@ def decode_field_element(field: ConcreteField, raw: Any, path: str):
         den = raw.get("den", ["1"])
         if not isinstance(num, list) or not isinstance(den, list):
             raise _fail(path, "t-polynomial coefficients must be lists")
-        return QtElement.of([_fraction(c, path) for c in num],
-                            [_fraction(c, path) for c in den])
+        num = [_fraction(c, f"{path}.num[{k}]") for k, c in enumerate(num)]
+        den = [_fraction(c, f"{path}.den[{k}]") for k, c in enumerate(den)]
+        if not any(den):
+            raise _fail(f"{path}.den", "denominator must be nonzero")
+        return QtElement.of(num, den)
     raise _fail(path, f"not a field element: {raw!r}")
 
 
@@ -469,6 +472,9 @@ def decode_oracle(raw: Any, path: str = "oracle",
                     for k, r in enumerate(_list(f, "den_roots", p)))
         concrete = ConcreteRationalFunction(lead, num, den)
         tagged = decode_function(f["tagged"], f"{p}.tagged", numerals)
+        if not lead:
+            raise InvariantError(f"{p}.lead: a zero lead makes the function "
+                                 "zero, which has no tail pattern")
         functions.append((concrete, tagged))
     return OracleSection(field, terms, tuple(functions))
 

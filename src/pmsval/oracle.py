@@ -20,13 +20,16 @@ from .sequences import (PmsDescriptor, PmsKind, UltrametricConfiguration,
                         classify_from_prefix, delta_shift, moves)
 
 
-def padic_valuation(q: Fraction, p: int) -> int:
-    """Exact exponent of p in q, q nonzero."""
+def padic_valuation(q: Union[int, Fraction], p: int) -> int:
+    """Exact exponent of p in q, q nonzero.  Numerator and denominator are
+    coprime, so at most one of them is divisible by p."""
     if q == 0:
         raise InvariantError("the zero element has value plus-infinity")
     if p < 2:
         raise InvariantError(f"no {p}-adic valuation")
-    return _multiplicity(q.numerator, p) - _multiplicity(q.denominator, p)
+    if q.numerator % p == 0:
+        return _multiplicity(q.numerator, p)
+    return -_multiplicity(q.denominator, p)
 
 
 def _multiplicity(n: int, p: int) -> int:
@@ -47,38 +50,45 @@ def _multiplicity(n: int, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Exact rational functions in t over Q
+#
+# A polynomial is sparse: a tuple of (power, coefficient) pairs in
+# increasing power, with no zero coefficient, so its cost follows the terms
+# present, not its degree.
+
+Poly = tuple[tuple[int, Fraction], ...]
 
 
-def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return _trim([ (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                   for i in range(n) ])
-
-
-def _poly_mul(a, b):
+def _poly_add(a: Poly, b: Poly) -> Poly:
+    """a + b: the pairs merged by power, a zero sum dropped."""
     if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
+        return a or b
+    acc = dict(a)
+    for e, c in b:
+        s = acc[e] + c if e in acc else c
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+    return tuple(sorted(acc.items()))
+
+
+def _poly_mul(a: Poly, b: Poly) -> Poly:
+    """a * b, term by term."""
+    acc: dict[int, Fraction] = {}
+    for e, x in a:
+        for f, y in b:
+            k = e + f
+            acc[k] = acc[k] + x * y if k in acc else x * y
+    return tuple(sorted((e, c) for e, c in acc.items() if c))
 
 
 @dataclass(frozen=True)
 class QtElement:
-    """num/den with polynomial parts over exact rationals; den nonzero."""
+    """num/den, sparse polynomials over exact rationals; den nonzero.  Zero
+    is false, as for a Fraction."""
 
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
+    num: Poly
+    den: Poly
 
     def __post_init__(self):
         if not self.den:
@@ -87,25 +97,32 @@ class QtElement:
     @staticmethod
     def of(num: Sequence[Union[int, str, Fraction]],
            den: Sequence[Union[int, str, Fraction]] = (1,)) -> "QtElement":
-        return QtElement(_trim([Fraction(c) for c in num]),
-                         _trim([Fraction(c) for c in den]))
+        """The element with dense coefficient lists num and den, constant
+        term first; a Fraction coefficient is kept as it is."""
+        def sparse(coeffs) -> Poly:
+            pairs = [(e, c if isinstance(c, Fraction) else Fraction(c))
+                     for e, c in enumerate(coeffs)]
+            return tuple((e, c) for e, c in pairs if c)
+
+        return QtElement(sparse(num), sparse(den))
 
     @staticmethod
     def constant(q: Union[int, str, Fraction]) -> "QtElement":
         return QtElement.of([Fraction(q)])
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def __add__(self, other: "QtElement") -> "QtElement":
+        if self.den == other.den:
+            return QtElement(_poly_add(self.num, other.num), self.den)
         return QtElement(
             _poly_add(_poly_mul(self.num, other.den),
                       _poly_mul(other.num, self.den)),
             _poly_mul(self.den, other.den))
 
     def __neg__(self) -> "QtElement":
-        return QtElement(tuple(-c for c in self.num), self.den)
+        return QtElement(tuple((e, -c) for e, c in self.num), self.den)
 
     def __sub__(self, other: "QtElement") -> "QtElement":
         return self + (-other)
@@ -117,17 +134,10 @@ class QtElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QtElement):
             return NotImplemented
-        return (self - other).is_zero
+        return not self - other
 
     def __hash__(self):
         raise TypeError("QtElement is not hashable (non-canonical form)")
-
-
-def _poly_ord_and_low(coeffs: tuple[Fraction, ...]) -> tuple[int, Fraction]:
-    for i, c in enumerate(coeffs):
-        if c:
-            return i, c
-    raise InvariantError("the zero polynomial has no order")
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +155,7 @@ class PadicRationals:
             raise InvariantError(f"field p must be prime, got {self.p}")
 
     def valuate(self, x: Union[int, Fraction]) -> Value:
-        x = Fraction(x)
-        if x == 0:
+        if not x:
             return INFINITY
         return Value.of(padic_valuation(x, self.p))
 
@@ -162,10 +171,10 @@ class CompositeField:
             raise InvariantError(f"field p must be prime, got {self.p}")
 
     def valuate(self, x: QtElement) -> Value:
-        if x.is_zero:
+        if not x:
             return INFINITY
-        on, oc = _poly_ord_and_low(x.num)
-        dn, dc = _poly_ord_and_low(x.den)
+        # The lowest pairs give the order in t and the lowest coefficient.
+        (on, oc), (dn, dc) = x.num[0], x.den[0]
         return Value.of(on - dn, padic_valuation(oc, self.p)
                         - padic_valuation(dc, self.p))
 

@@ -232,7 +232,7 @@ def random_composite_instance(rng: random.Random, prefix_len: int = 9):
             u = _unit(rng, p) * Fraction(p) ** rng.randint(-2, 2)
             e = _qt_monomial(u, m)
             root = L + e
-            if any((z - root).is_zero for z in terms):
+            if any(not z - root for z in terms):
                 continue
             if shape == "pcs-first":
                 lim = False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,15 @@ def test_decode_dump_problem_is_a_rank_n_pcs(n):
     assert problem.sequence.group is problem.group
     report, code = scale.cli.cmd_rank(problem)
     assert code == 0 and report["input_rank"] == n
+
+
+def test_composite_check_problem_agrees(capsys, tmp_path):
+    file = tmp_path / "composite.json"
+    file.write_text(scale.composite_problem(40))
+    assert scale.cli.main(["oracle-check", "--in", str(file)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_agree"]
+    assert [(f["kind"], f["fit"]["kind"]) for f in report["functions"]] == [
+        ("pcs", "affine"), ("pcs", "constant")]
+    assert report["functions"][0]["delta_prefix"][-1] == [{"rat": "40"},
+                                                          {"rat": "0"}]

@@ -123,6 +123,43 @@ def test_exit_code_non_prime_oracle_field(capsys, tmp_path):
         assert code == 2 and rep["error"] == "schema"
 
 
+def edited_oracle(tmp_path, problem: str, edit) -> str:
+    """A bundled problem with edit applied to its oracle section, written
+    to a file; returns the file's path."""
+    raw = json.loads(resources.files("pmsval").joinpath(
+        "problems", problem).read_text())
+    edit(raw["oracle"])
+    file = tmp_path / "edited.json"
+    file.write_text(json.dumps(raw))
+    return str(file)
+
+
+@pytest.mark.parametrize("den", [["0"], [], ["0", "0/7"]])
+def test_zero_denominator_is_a_schema_error_at_its_path(capsys, tmp_path, den):
+    def edit(section):
+        section["sequence"][3] = {"num": ["1"], "den": den}
+    code, rep = run(capsys, "oracle-check", "--in",
+                    edited_oracle(tmp_path, "example-composite-rank2.json",
+                                  edit))
+    assert code == 2 and rep == {
+        "error": "schema",
+        "detail": "oracle.sequence[3].den: denominator must be nonzero"}
+
+
+@pytest.mark.parametrize("problem, lead", [
+    ("example-composite-rank2.json", "0"),
+    ("example-composite-rank2.json", {"num": ["0", "0/3"]}),
+    ("example-cauchy-5adic.json", "0/5")])
+def test_zero_concrete_lead_is_an_invariant_error(capsys, tmp_path, problem,
+                                                   lead):
+    def edit(section):
+        section["functions"][0]["lead"] = lead
+    code, rep = run(capsys, "oracle-check", "--in",
+                    edited_oracle(tmp_path, problem, edit))
+    assert code == 3 and rep["error"] == "invariant"
+    assert rep["detail"].startswith("oracle.functions[0].lead: "), rep
+
+
 def test_exit_code_invariant_violation(capsys, tmp_path):
     bad = tmp_path / "mixed.json"
     bad.write_text(json.dumps({

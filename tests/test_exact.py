@@ -283,6 +283,52 @@ def test_unnormalised_inputs_of_one_value_are_equal(a, b, d, s, k):
         assert x == y and hash(x) == hash(y) and x.compare(y) == 0
 
 
+# Integer rational parts are common (oracle values are integer tuples):
+# + and scaled take an integer path for them.
+integral = st.builds(Fraction, st.integers(-BIG, BIG))
+parts = st.one_of(integral, rationals)
+
+
+@st.composite
+def summands(draw) -> tuple[ExactReal, ExactReal]:
+    """Two exact reals that can be added: rational parts often integers,
+    and the second rational, over the first one's radicand, or cancelling
+    the first one's surd part."""
+    x = draw(st.one_of(
+        st.builds(ExactReal.rational, parts),
+        st.builds(ExactReal.surd, parts, rationals,
+                  st.sampled_from(SQUAREFREE))))
+    shape = draw(st.sampled_from(["rational", "radicand", "cancel"]))
+    if shape == "rational" or x.is_rational:
+        return x, ExactReal.rational(draw(parts))
+    b = -x.b if shape == "cancel" else draw(rationals)
+    return x, ExactReal.surd(draw(parts), b, x.d)
+
+
+def fraction_sum(x: ExactReal, y: ExactReal) -> tuple:
+    b = x.b + y.b
+    return (x.a + y.a, b, max(x.d, y.d) if b else 1)
+
+
+def assert_exact_real(x: ExactReal, expected: tuple) -> None:
+    assert (x.a, x.b, x.d) == expected
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert_canonical(x)
+
+
+@seeded
+@given(summands(), st.one_of(st.just(0), st.integers(-BIG, BIG), rationals))
+def test_sum_and_scaled_agree_with_the_fraction_route(pair, n):
+    x, y = pair
+    assert_exact_real(x + y, fraction_sum(x, y))
+    assert_exact_real(y + x, fraction_sum(x, y))
+    assert_exact_real(x - y, fraction_sum(x, -y))
+    q = Fraction(n)
+    for z in (x, y):
+        assert_exact_real(z.scaled(n),
+                          (z.a * q, z.b * q, z.d) if q else (0, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # Canonical form: b == 0 exactly when d == 1
 

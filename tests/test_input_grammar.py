@@ -70,7 +70,7 @@ NUMERAL_SITES = {
                     ("oracle", "sequence", 0), "oracle.sequence[0]"),
     "t-coefficient": ("oracle-check", "example-composite-rank2",
                       ("oracle", "sequence", 0, "num", 1),
-                      "oracle.sequence[0]"),
+                      "oracle.sequence[0].num[1]"),
     "cyclic-gen": ("rank", "example-rank3",
                    ("group", "components", 0, "gen"),
                    "group.components[0].gen"),
@@ -93,6 +93,20 @@ def test_numerals_outside_the_grammar_exit_2_within_budget(
                                   numeral)
     assert_schema_error(code, rep, where)
     assert spent < CPU_BUDGET_S, f"{spent:.2f}s of CPU"
+
+
+@pytest.mark.parametrize("path, leaf, where", [
+    (("oracle", "functions", 0, "num_roots", 0, "num", 1), "1.5",
+     "oracle.functions[0].num_roots[0].num[1]"),
+    (("oracle", "functions", 1, "lead"), {"num": ["1"], "den": ["1", "1e3"]},
+     "oracle.functions[1].lead.den[1]"),
+    (("oracle", "sequence", 2, "den"), ["1", True],
+     "oracle.sequence[2].den[1]")])
+def test_a_bad_t_coefficient_is_named_by_its_index(capsys, tmp_path, path,
+                                                  leaf, where):
+    code, rep, _ = run_edited(capsys, tmp_path, "oracle-check",
+                              "example-composite-rank2", path, leaf)
+    assert_schema_error(code, rep, where)
 
 
 @pytest.mark.parametrize("numeral", ["-7", "007", "-0/5", "3/6", 12, -4])

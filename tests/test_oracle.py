@@ -202,10 +202,41 @@ def test_non_monotone_sequence_keeps_the_full_table(monkeypatch, terms):
 def test_qt_element_arithmetic():
     x = QtElement.of([1, 2], [1])
     y = QtElement.of([0, 1])
-    assert (x * y - y * x).is_zero
+    assert not x * y - y * x
     assert x - x == QtElement.of([0])
     with pytest.raises(InvariantError):
         QtElement.of([1], [0])
+
+
+def test_equal_denominators_subtract_without_multiplying(monkeypatch):
+    calls = []
+    inner = oracle._poly_mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(oracle, "_poly_mul", counting)
+    den = [1, 0, 3]
+    x, y = QtElement.of([2, 0, 0, 5], den), QtElement.of([2, 1], den)
+    diff = x - y
+    assert calls == []
+    assert diff.num == ((1, Fraction(-1)), (3, Fraction(5)))
+    assert diff.den == ((0, Fraction(1)), (2, Fraction(3)))
+    assert not x - x and x == x and calls == []
+    # Distinct denominators still cross-multiply.
+    assert QtElement.of([1], [1, 1]) - x
+    assert len(calls) == 3
+
+
+def test_qt_elements_are_sparse():
+    x = QtElement.of(["0", "7/2"] + ["0"] * 40 + ["-1"], ["5", "0", "0/4"])
+    assert x.num == ((1, Fraction(7, 2)), (42, Fraction(-1)))
+    assert x.den == ((0, Fraction(5)),)
+    assert (x + x).num == ((1, Fraction(7)), (42, Fraction(-2)))
+    assert C5.valuate(x) == Value.of(1, -1)
+    with pytest.raises(TypeError, match="not hashable"):
+        hash(x)
 
 
 def counting_valuate(monkeypatch, field_cls) -> list:

@@ -1,5 +1,7 @@
 """Exact arithmetic checked against sympy, an independent computer algebra
-system: mixed-radicand comparisons and the square-free split."""
+system: mixed-radicand comparisons, the square-free split, and sums,
+differences, products and equality of sparse elements of Q(t) under the
+composite valuation."""
 
 from __future__ import annotations
 
@@ -9,8 +11,9 @@ from math import isqrt, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pmsval import ExactReal
+from pmsval import ExactReal, Value
 from pmsval.exact import RADICAND_BOUND, split_square
+from pmsval.oracle import CompositeField, QtElement
 
 sympy = pytest.importorskip("sympy")
 
@@ -62,3 +65,62 @@ def test_split_square_matches_factorint(n):
     factors = sympy.factorint(n)
     assert s == prod(p ** (e // 2) for p, e in factors.items())
     assert d == prod(p for p, e in factors.items() if e % 2)
+
+
+# ---------------------------------------------------------------------------
+# Sparse Q(t) elements against sympy's cancelled fractions
+
+t = sympy.Symbol("t")
+coefficients = st.builds(Fraction, st.integers(-300, 300).filter(bool),
+                         st.integers(1, 60))
+# Degree up to 12 with a few nonzero terms: power -> coefficient.
+sparse = st.dictionaries(st.integers(0, 12), coefficients, min_size=1,
+                         max_size=4)
+
+
+def element(num: dict, den: dict) -> QtElement:
+    """The element num/den, given to QtElement.of as dense lists."""
+    return QtElement.of(*([poly.get(e, 0) for e in range(max(poly) + 1)]
+                          for poly in (num, den)))
+
+
+def sympy_poly(poly: dict):
+    return sympy.Poly.from_dict(
+        {(e,): sympy.Rational(c.numerator, c.denominator)
+         for e, c in poly.items()}, t, domain="QQ")
+
+
+def sympy_value(num, den, p: int) -> Value:
+    """(ord_t, v_p of the lowest coefficient) of num/den, read from the
+    numerator and denominator sympy leaves after cancelling their gcd (and
+    the constant factors it splits off)."""
+    if num.is_zero:
+        return Value(None)
+    c, num, den = num.cancel(den)
+    (on, cn), (od, cd) = (min(part.terms()) for part in (num, den))
+    return Value.of(on[0] - od[0], sympy.multiplicity(p, c * cn)
+                    - sympy.multiplicity(p, cd))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sparse, sparse, sparse, sparse,
+       st.sampled_from(["distinct", "shared", "cancel"]),
+       st.sampled_from((2, 3, 5)))
+def test_composite_valuation_of_sums_and_products_matches_sympy(
+        xn, xd, yn, yd, shape, p):
+    if shape != "distinct":  # the equal-denominator path of addition
+        yd = xd
+    if shape == "cancel":  # the terms at x's lowest power cancel in x + y
+        low = min(xn)
+        yn = {**yn, low: -xn[low]}
+    x, y = element(xn, xd), element(yn, yd)
+    (a, b), (c, d) = ((sympy_poly(n), sympy_poly(d))
+                      for n, d in ((xn, xd), (yn, yd)))
+    field = CompositeField(p)
+    for got, num, den in ((x + y, a * d + c * b, b * d),
+                          (x - y, a * d - c * b, b * d),
+                          (x * y, a * c, b * d)):
+        assert field.valuate(got) == sympy_value(num, den, p), (num, den)
+    assert (x == y) == (a * d - c * b).is_zero
+    assert x == element({e: 2 * c for e, c in xn.items()},
+                        {e: 2 * c for e, c in xd.items()})
