@@ -367,13 +367,9 @@ def decode_configuration(raw: Any, path: str = "configuration",
 
 def encode_function(phi: FactoredRationalFunction) -> dict:
     def enc(roots):
-        out = []
-        for r in roots:
-            if r.is_limit:
-                out.append({"limit": True, "mult": r.multiplicity})
-            else:
-                out.append({"beta": encode_value(r.beta), "mult": r.multiplicity})
-        return out
+        return [{"limit": True, "mult": r.multiplicity} if r.is_limit else
+                {"beta": encode_value(r.beta), "mult": r.multiplicity}
+                for r in roots]
 
     return {"lead": encode_value(phi.lead_value), "num": enc(phi.num_roots),
             "den": enc(phi.den_roots)}
@@ -423,18 +419,19 @@ def decode_field(raw: Any, path: str) -> ConcreteField:
     raise _fail(path, f"unknown field kind {raw['kind']!r}")
 
 
-def decode_field_element(field: ConcreteField, raw: Any, path: str):
+def decode_field_element(field: ConcreteField, raw: Any, path: str,
+                         numerals: Optional[dict] = None):
     if isinstance(field, PadicRationals):
-        return _fraction(raw, path)
+        return _rational(raw, path, numerals).a
     if isinstance(raw, (str, int)):
-        return QtElement.constant(_fraction(raw, path))
+        return QtElement.constant(_rational(raw, path, numerals).a)
     if isinstance(raw, dict) and "num" in raw:
-        num = raw["num"]
-        den = raw.get("den", ["1"])
+        num, den = raw["num"], raw.get("den", ["1"])
         if not isinstance(num, list) or not isinstance(den, list):
             raise _fail(path, "t-polynomial coefficients must be lists")
-        num = [_fraction(c, f"{path}.num[{k}]") for k, c in enumerate(num)]
-        den = [_fraction(c, f"{path}.den[{k}]") for k, c in enumerate(den)]
+        num, den = ([_rational(c, f"{path}.{key}[{k}]", numerals).a
+                     for k, c in enumerate(coeffs)]
+                    for key, coeffs in (("num", num), ("den", den)))
         if not any(den):
             raise _fail(f"{path}.den", "denominator must be nonzero")
         return QtElement.of(num, den)
@@ -458,24 +455,26 @@ def decode_oracle(raw: Any, path: str = "oracle",
     seq = raw["sequence"]
     if not isinstance(seq, list) or len(seq) < 3:
         raise _fail(path, "oracle sequence needs at least three terms")
-    terms = tuple(decode_field_element(field, t, f"{path}.sequence[{i}]")
+
+    def element(x, p):
+        return decode_field_element(field, x, p, numerals)
+
+    terms = tuple(element(t, f"{path}.sequence[{i}]")
                   for i, t in enumerate(seq))
     functions = []
     for i, f in enumerate(_list(raw, "functions", path)):
         p = f"{path}.functions[{i}]"
         if not isinstance(f, dict) or "tagged" not in f:
             raise _fail(p, "oracle function needs its tagged counterpart")
-        lead = decode_field_element(field, f.get("lead", "1"), f"{p}.lead")
-        num = tuple(decode_field_element(field, r, f"{p}.num_roots[{k}]")
-                    for k, r in enumerate(_list(f, "num_roots", p)))
-        den = tuple(decode_field_element(field, r, f"{p}.den_roots[{k}]")
-                    for k, r in enumerate(_list(f, "den_roots", p)))
-        concrete = ConcreteRationalFunction(lead, num, den)
+        lead = element(f.get("lead", "1"), f"{p}.lead")
+        num, den = (tuple(element(r, f"{p}.{key}[{k}]")
+                          for k, r in enumerate(_list(f, key, p)))
+                    for key in ("num_roots", "den_roots"))
         tagged = decode_function(f["tagged"], f"{p}.tagged", numerals)
         if not lead:
             raise InvariantError(f"{p}.lead: a zero lead makes the function "
                                  "zero, which has no tail pattern")
-        functions.append((concrete, tagged))
+        functions.append((ConcreteRationalFunction(lead, num, den), tagged))
     return OracleSection(field, terms, tuple(functions))
 
 

@@ -134,6 +134,8 @@ class QtElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QtElement):
             return NotImplemented
+        if self.den == other.den:  # the sparse numerators are canonical
+            return self.num == other.num
         return not self - other
 
     def __hash__(self):
@@ -235,31 +237,40 @@ class FitOutcome:
         return self.kind != "inconsistent"
 
 
-def fit_pattern(delta_prefix: Sequence[Value], values: Sequence[Value],
+def _window(m: int, tail_window: Optional[int]) -> int:
+    """How many of the m aligned points the fit reads: tail_window, by
+    default the last half, kept within 2..m."""
+    return max(2, min(m // 2 if tail_window is None else tail_window, m))
+
+
+_DIRECTION = {PmsKind.PCS: 1, PmsKind.PDS: -1, PmsKind.PCTS: 0}
+
+
+def fit_pattern(kind: PmsKind, deltas: Sequence[Value],
+                values: Sequence[Value],
                 tail_window: Optional[int] = None) -> FitOutcome:
     """Fit values_nu = d*delta_nu + beta on the tail, solving from the last
-    two points and verifying over the window (default: the last half)."""
-    m = min(len(delta_prefix), len(values))
+    two points and verifying over the window (default: the last half of the
+    m = len(deltas) points).  values ends where deltas ends; only its last
+    window entries are read, so it may hold those alone.  kind is the
+    direction of the deltas, which the last two of them must show."""
+    m = len(deltas)
     if m < 4:
         raise InvariantError("pattern fitting needs at least four tail points")
-    deltas, values = list(delta_prefix[:m]), list(values[:m])
-    window = tail_window if tail_window is not None else m // 2
-    window = max(2, min(window, m))
-    tail = range(m - window, m)
-    if any(values[i].is_infinity for i in tail):
-        return FitOutcome("inconsistent")
-    if moves(deltas, 0):
-        if moves(values[m - window:], 0):
-            return FitOutcome("constant", 0, values[m - 1])
-        return FitOutcome("inconsistent")
-    if not (moves(deltas, 1) or moves(deltas, -1)):
+    window = _window(m, tail_window)
+    if len(values) < window:
+        raise InvariantError(f"pattern fitting needs the last {window} values")
+    if deltas[-1].compare(deltas[-2]) != _DIRECTION[kind]:
         raise InvariantError("distance prefix is neither monotone nor constant")
-    d = _solve_degree(deltas[m - 1] - deltas[m - 2], values[m - 1] - values[m - 2])
+    deltas, values = deltas[m - window:], values[len(values) - window:]
+    if any(v.is_infinity for v in values):
+        return FitOutcome("inconsistent")
+    d = _solve_degree(deltas[-1] - deltas[-2], values[-1] - values[-2])
     if d is None:
         return FitOutcome("inconsistent")
-    beta = values[m - 1] - deltas[m - 1].scale(d)
-    for i in tail:
-        if values[i] != deltas[i].scale(d) + beta:
+    beta = values[-1] - deltas[-1].scale(d)
+    for delta, value in zip(deltas, values):
+        if value != delta.scale(d) + beta:
             return FitOutcome("inconsistent")
     if d == 0:
         return FitOutcome("constant", 0, beta)
@@ -267,21 +278,22 @@ def fit_pattern(delta_prefix: Sequence[Value], values: Sequence[Value],
 
 
 def _solve_degree(ddelta: Value, dvalue: Value) -> Optional[int]:
-    """Integer d with dvalue = d*ddelta, coordinate by coordinate."""
+    """Integer d with dvalue = d*ddelta, coordinate by coordinate: y = d*x
+    for rationals x = a/b and y = c/e reads c*b = d*a*e."""
     d: Optional[int] = None
     for x, y in zip(ddelta.coords, dvalue.coords):
         if not x.is_rational or not y.is_rational:
             return None
-        if x.rational_value == 0:
-            if y.rational_value != 0:
+        a, b = x.a.numerator, x.a.denominator
+        c, e = y.a.numerator, y.a.denominator
+        if not a:
+            if c:
                 return None
-            continue
-        q = y.rational_value / x.rational_value
-        if q.denominator != 1:
-            return None
-        if d is None:
-            d = int(q)
-        elif d != int(q):
+        elif d is None:
+            d, r = divmod(c * b, a * e)
+            if r:
+                return None
+        elif c * b != d * a * e:
             return None
     return d if d is not None else 0
 
@@ -308,34 +320,37 @@ def cross_check(field: ConcreteField, terms: Sequence,
     """Evaluate each concrete function along the sequence, fit the tail
     pattern and compare the result with the function's root tagging;
     mismatches name the offending root by side and position.  The sequence
-    is valuated and classified once, for all the functions."""
+    is valuated and classified once, for all the functions.  The fit reads
+    only the tail window, so each factor is valuated at those terms alone;
+    a pole is sought at every term, by equality."""
     for phi, tagged in functions:
         if len(phi.num_roots) != len(tagged.num_roots) or \
                 len(phi.den_roots) != len(tagged.den_roots):
             raise SchemaError("tagged and concrete root lists differ in shape")
     kind, deltas = classify_from_prefix(sequence_configuration(field, terms))
-    shift = delta_shift(kind)
-
-    def align(series: list[Value]) -> list[Value]:
-        """Match term index nu with the consecutive-distance index."""
-        return series[shift:shift + len(deltas)]
+    # Aligned point i is term delta_shift(kind) + i, and the fit reads the
+    # last window of the m points.
+    m = len(deltas)
+    window = _window(m, tail_window)
+    start = delta_shift(kind) + m - window
+    tail = terms[start:start + window]
 
     reports = []
     for phi, tagged in functions:
-        # v(z_nu - root) once per term and root; the function's values follow.
-        lead = field.valuate(phi.lead)
-        num = [[field.valuate(z - root) for z in terms] for root in phi.num_roots]
-        den = [[field.valuate(z - root) for z in terms] for root in phi.den_roots]
-        if any(v.is_infinity for dists in den for v in dists):
+        if any(z == root for root in phi.den_roots for z in terms):
             raise InvariantError("evaluation at a pole")
+        # v(z_nu - root) once per tail term and root; the values follow.
+        lead = field.valuate(phi.lead)
+        num = [[field.valuate(z - root) for z in tail] for root in phi.num_roots]
+        den = [[field.valuate(z - root) for z in tail] for root in phi.den_roots]
         values = [sum([dists[k] for dists in num] + [-dists[k] for dists in den],
-                      lead) for k in range(len(terms))]
-        fit = fit_pattern(deltas, align(values), tail_window)
+                      lead) for k in range(window)]
+        fit = fit_pattern(kind, deltas, values, tail_window)
         mismatches: list[str] = []
         for side, rows, tags in (("num", num, tagged.num_roots),
                                  ("den", den, tagged.den_roots)):
             for idx, (dists, tag) in enumerate(zip(rows, tags)):
-                root_fit = fit_pattern(deltas, align(dists), tail_window)
+                root_fit = fit_pattern(kind, deltas, dists, tail_window)
                 actual_limit = root_fit.kind == "affine" and root_fit.degree == 1 \
                     and root_fit.beta == _zero_like(root_fit.beta)
                 actual_beta = root_fit.beta if root_fit.kind == "constant" else None

@@ -282,9 +282,9 @@ def test_oracle_check_builds_and_classifies_the_sequence_once(capsys,
                     "example-composite-rank2.json")
     assert code == 0 and len(rep["functions"]) == 2
     # N = 9 strictly monotone terms: 8 consecutive distances, then per
-    # function the lead and one root at each term.
+    # function the lead and one root at each of the 8 // 2 = 4 tail terms.
     assert calls == {"sequence_configuration": 1, "classify_from_prefix": 1,
-                     "valuate": 8 + 2 * 10}
+                     "valuate": 8 + 2 * (1 + 4)}
 
 
 def test_ve_on_transcendental_pcs_has_no_extended_group(capsys, tmp_path):

@@ -352,6 +352,42 @@ def test_repeated_bad_numeral_fails_at_its_first_path():
                               "numeral n or n/d: '1/0'")
 
 
+@pytest.mark.parametrize("name", ["example-cauchy-5adic.json",
+                                  "example-composite-rank2.json"])
+def test_oracle_numerals_are_decoded_once_per_problem(name, numerals_seen):
+    loads_problem(bundled(name))
+    assert numerals_seen and len(numerals_seen) == len(set(numerals_seen))
+
+
+def oracle_problems_with(value) -> list[tuple[dict, str]]:
+    """The bundled p-adic and Q(t) oracle problems with value at terms 2 and
+    5 (for Q(t), as the t-coefficient), and the path of the first one."""
+    padic = json.loads(bundled("example-cauchy-5adic.json"))
+    padic["oracle"]["sequence"][2] = padic["oracle"]["sequence"][5] = value
+    composite = json.loads(bundled("example-composite-rank2.json"))
+    terms = composite["oracle"]["sequence"]
+    terms[2]["num"][1] = terms[5]["num"][1] = value
+    return [(padic, "oracle.sequence[2]"),
+            (composite, "oracle.sequence[2].num[1]")]
+
+
+def test_repeated_bad_coefficient_fails_at_its_first_path():
+    for raw, path in oracle_problems_with("1/0"):
+        with pytest.raises(SchemaError) as err:
+            decode_problem(raw)
+        assert str(err.value) == \
+            f"{path}: not a rational numeral n or n/d: '1/0'"
+
+
+def test_oracle_coefficient_true_is_refused():
+    # true equals 1 in Python, and the Q(t) terms around it hold "1" there;
+    # it must not pass as that numeral.
+    for raw, path in oracle_problems_with(True):
+        with pytest.raises(SchemaError) as err:
+            decode_problem(raw)
+        assert str(err.value).startswith(f"{path}: not a rational numeral")
+
+
 def test_numeral_spellings_decode_equal():
     probes = decode_problem(
         {"probes": [["1"], [1], [{"rat": "1"}], "1", 1, [{"rat": 1}]]}).probes

@@ -10,10 +10,12 @@ import pytest
 from pmsval import PmsKind, Value, classify_from_prefix, oracle
 from pmsval.engine import FactoredRationalFunction, TaggedRoot
 from pmsval.errors import InvariantError, NotAPms, SchemaError
+from pmsval.groups import INFINITY
 from pmsval.oracle import (CompositeField, ConcreteRationalFunction,
-                           PadicRationals, QtElement, cross_check, fit_pattern,
+                           CrossCheckReport, FitOutcome, PadicRationals,
+                           QtElement, cross_check, fit_pattern,
                            padic_valuation, sequence_configuration)
-from pmsval.sequences import pattern_distance
+from pmsval.sequences import delta_shift, moves, pattern_distance
 
 from gen import random_composite_instance, random_padic_instance
 
@@ -87,27 +89,74 @@ def test_valuation_axioms_randomized():
             assert s.is_infinity or s >= min(vx, vy)
 
 
+PCS, PDS, PCTS = PmsKind.PCS, PmsKind.PDS, PmsKind.PCTS
+
+
 def test_fit_pattern_affine_and_constant():
     deltas = [Value.of(k) for k in range(8)]
-    assert fit_pattern(deltas, deltas).kind == "affine"
-    fit = fit_pattern(deltas, [Value.of(2 * k + 3) for k in range(8)])
+    assert fit_pattern(PCS, deltas, deltas).kind == "affine"
+    fit = fit_pattern(PCS, deltas, [Value.of(2 * k + 3) for k in range(8)])
     assert (fit.degree, fit.beta) == (2, Value.of(3))
-    const = fit_pattern(deltas, [Value.of(3)] * 8)
+    const = fit_pattern(PCS, deltas, [Value.of(3)] * 8)
     assert const.kind == "constant" and const.beta == Value.of(3)
     ragged = [Value.of(3)] * 7 + [Value.of(4)]
-    assert fit_pattern(deltas, ragged).kind == "inconsistent"
-    with pytest.raises(InvariantError):
-        fit_pattern(deltas[:3], deltas[:3])
+    assert fit_pattern(PCS, deltas, ragged).kind == "inconsistent"
+    with pytest.raises(InvariantError, match="four tail points"):
+        fit_pattern(PCS, deltas[:3], deltas[:3])
 
 
 def test_fit_pattern_vector_degree():
     deltas = [Value.of(2, k) for k in range(8)]
     values = [Value.of(4, 2 * k + 1) for k in range(8)]
-    fit = fit_pattern(deltas, values)
+    fit = fit_pattern(PCS, deltas, values)
     assert (fit.degree, fit.beta) == (2, Value.of(0, 1))
     # A drifting coordinate the distance values never move is unfittable.
     bad = [Value.of(2 * k, k) for k in range(8)]
-    assert fit_pattern(deltas, bad).kind == "inconsistent"
+    assert fit_pattern(PCS, deltas, bad).kind == "inconsistent"
+
+
+def test_fit_pattern_reads_only_the_window():
+    deltas = [Value.of(Fraction(k, 3)) for k in range(10)]
+    values = [Value.of(Fraction(2 * k, 3) + 1) for k in range(10)]
+    fit = FitOutcome("affine", 2, Value.of(1))
+    assert fit_pattern(PCS, deltas, values) == fit
+    # Only the last window values are read, so they may come alone, and
+    # anything before them is ignored.
+    assert fit_pattern(PCS, deltas, values[5:]) == fit
+    assert fit_pattern(PCS, deltas, [INFINITY] * 7 + values[7:],
+                       tail_window=3) == fit
+    assert fit_pattern(PCS, deltas, [INFINITY] * 7 + values[7:],
+                       tail_window=4).kind == "inconsistent"
+    with pytest.raises(InvariantError, match="last 5 values"):
+        fit_pattern(PCS, deltas, values[6:])
+
+
+def test_fit_pattern_pds_and_pcts():
+    down = [Value.of(-k) for k in range(8)]
+    fit = fit_pattern(PDS, down, [Value.of(2 * k + 5) for k in range(8)])
+    assert (fit.kind, fit.degree, fit.beta) == ("affine", -2, Value.of(5))
+    halves = [Value.of(Fraction(3 * k, 2)) for k in range(8)]
+    assert fit_pattern(PDS, down, halves).kind == "inconsistent"
+    flat = [Value.of(3, 1)] * 8
+    const = fit_pattern(PCTS, flat, [Value.of(1, k % 2) for k in range(4)]
+                        + [Value.of(-2, 7)] * 4)
+    assert const == FitOutcome("constant", 0, Value.of(-2, 7))
+    drift = [Value.of(-2, 7)] * 7 + [Value.of(-2, 8)]
+    assert fit_pattern(PCTS, flat, drift).kind == "inconsistent"
+
+
+@pytest.mark.parametrize("kind, deltas", [
+    (PDS, [Value.of(k) for k in range(8)]),
+    (PCTS, [Value.of(k) for k in range(8)]),
+    (PCS, [Value.of(8 - k) for k in range(8)]),
+    (PCS, [Value.of(1)] * 8),
+    # Only the last two deltas are checked against the kind.
+    (PCS, [Value.of(k) for k in range(7)] + [Value.of(0)]),
+], ids=["pds-rising", "pcts-rising", "pcs-falling", "pcs-flat", "pcs-last-step"])
+def test_fit_pattern_refuses_a_kind_the_deltas_contradict(kind, deltas):
+    with pytest.raises(InvariantError,
+                       match="^distance prefix is neither monotone nor constant$"):
+        fit_pattern(kind, deltas, deltas)
 
 
 def test_cross_check_5adic_worked_example():
@@ -157,6 +206,123 @@ def test_random_composite_instances_agree():
         assert rep.kind is kind
         assert rep.agree, rep.mismatches
         assert rep.fit.degree == d and rep.fit.beta == beta
+
+
+def reference_fit(deltas, values, tail_window=None) -> FitOutcome:
+    """The fit as it was before it took the kind: every aligned value, the
+    direction from a scan of the whole prefix, d by Fraction division."""
+    m = min(len(deltas), len(values))
+    if m < 4:
+        raise InvariantError("pattern fitting needs at least four tail points")
+    window = tail_window if tail_window is not None else m // 2
+    window = max(2, min(window, m))
+    tail = range(m - window, m)
+    if any(values[i].is_infinity for i in tail):
+        return FitOutcome("inconsistent")
+    if moves(deltas, 0):
+        if moves(values[m - window:m], 0):
+            return FitOutcome("constant", 0, values[m - 1])
+        return FitOutcome("inconsistent")
+    assert moves(deltas, 1) or moves(deltas, -1)
+    d = None
+    ddelta, dvalue = deltas[m - 1] - deltas[m - 2], values[m - 1] - values[m - 2]
+    for x, y in zip(ddelta.coords, dvalue.coords):
+        if not x.is_rational or not y.is_rational:
+            return FitOutcome("inconsistent")
+        if x.rational_value == 0:
+            if y.rational_value != 0:
+                return FitOutcome("inconsistent")
+            continue
+        q = y.rational_value / x.rational_value
+        if q.denominator != 1 or d not in (None, int(q)):
+            return FitOutcome("inconsistent")
+        d = int(q)
+    d = d or 0
+    beta = values[m - 1] - deltas[m - 1].scale(d)
+    if any(values[i] != deltas[i].scale(d) + beta for i in tail):
+        return FitOutcome("inconsistent")
+    return FitOutcome("constant" if d == 0 else "affine", d, beta)
+
+
+def reference_cross_check(field, terms, phi, tagged, tail_window):
+    """cross_check of one function with every term valuated: over (Q, v_p)
+    f(z_nu) is computed in Q and valuated, over Q(t) the factor valuations
+    are summed at every term."""
+    kind, deltas = classify_from_prefix(sequence_configuration(field, terms))
+    shift = delta_shift(kind)
+    aligned = terms[shift:shift + len(deltas)]
+    if any(z == b for b in phi.den_roots for z in terms):
+        raise InvariantError("evaluation at a pole")
+    num = [[field.valuate(z - a) for z in aligned] for a in phi.num_roots]
+    den = [[field.valuate(z - b) for z in aligned] for b in phi.den_roots]
+    if isinstance(field, PadicRationals):
+        def f(z):
+            out = phi.lead
+            for a in phi.num_roots:
+                out *= z - a
+            for b in phi.den_roots:
+                out /= z - b
+            return out
+        values = [field.valuate(f(z)) for z in aligned]
+    else:
+        lead = field.valuate(phi.lead)
+        values = [sum([row[k] for row in num] + [-row[k] for row in den], lead)
+                  for k in range(len(aligned))]
+    fit = reference_fit(deltas, values, tail_window)
+    mismatches = []
+    for side, rows, tags in (("num", num, tagged.num_roots),
+                             ("den", den, tagged.den_roots)):
+        for idx, (row, tag) in enumerate(zip(rows, tags)):
+            root_fit = reference_fit(deltas, row, tail_window)
+            limit = (root_fit.kind, root_fit.degree) == ("affine", 1) and \
+                root_fit.beta == Value.of(*[0] * root_fit.beta.arity)
+            beta = root_fit.beta if root_fit.kind == "constant" else None
+            if (tag.is_limit, tag.beta) != (limit, beta):
+                mismatches.append(
+                    f"{side}[{idx}]: declared "
+                    f"{'limit' if tag.is_limit else f'beta={tag.beta}'}, "
+                    f"oracle saw {'limit' if limit else f'beta={beta}'}")
+    form = tagged.dominating_form()
+    if fit.is_consistent and (fit.degree, fit.beta) != (form.degree, form.beta):
+        mismatches.append(
+            f"overall: oracle fit d={fit.degree}, beta={fit.beta}; tags give "
+            f"d={form.degree}, beta={form.beta}")
+    return CrossCheckReport(fit.is_consistent and not mismatches, kind,
+                            tuple(deltas), fit, form, tuple(mismatches))
+
+
+def with_root(phi, tagged, side, root):
+    """phi and tagged with root, tagged as a limit, added on side."""
+    concrete = {"num_roots": phi.num_roots, "den_roots": phi.den_roots}
+    tags = {"num_roots": tagged.num_roots, "den_roots": tagged.den_roots}
+    concrete[side] += (root,)
+    tags[side] += (TaggedRoot.limit(),)
+    return (ConcreteRationalFunction(phi.lead, **concrete),
+            FactoredRationalFunction(tagged.lead_value, **tags))
+
+
+@pytest.mark.parametrize("window", [None, 2, 3, "N"])
+def test_cross_check_matches_the_every_term_reference(monkeypatch, window):
+    fits = []
+    inner = oracle.fit_pattern
+    monkeypatch.setattr(oracle, "fit_pattern",
+                        lambda *args: fits.append(args) or inner(*args))
+    rng = random.Random(1008)
+    for make in [random_padic_instance] * 8 + [random_composite_instance] * 8:
+        field, terms, phi, tagged = make(rng)[:4]
+        tail_window = len(terms) if window == "N" else window
+        # A numerator root at z_0 makes v(f(z_0)) infinite; only a window
+        # that reaches z_0 (a pcs with window N) may see it.
+        for f, t in ((phi, tagged),
+                     with_root(phi, tagged, "num_roots", terms[0])):
+            expected = reference_cross_check(field, terms, f, t, tail_window)
+            assert cross_check(field, terms, [(f, t)],
+                               tail_window=tail_window) == [expected]
+        fits.clear()
+        pole = with_root(phi, tagged, "den_roots", terms[0])
+        with pytest.raises(InvariantError, match="evaluation at a pole"):
+            cross_check(field, terms, [pole], tail_window=tail_window)
+        assert fits == []
 
 
 def test_sequence_configuration_classifies():
@@ -263,7 +429,8 @@ def test_cross_check_valuates_each_factor_once(monkeypatch):
         calls_qt.clear()
         assert cross_check(field, terms, [(phi, tagged)],
                            tail_window=window)[0].agree
-        assert len(calls) + len(calls_qt) == n - 1 + 1 + n * r
+        # The lead once, then each root at the window's tail terms.
+        assert len(calls) + len(calls_qt) == n - 1 + 1 + window * r
 
 
 def test_cross_check_pole_raises_before_any_fit(monkeypatch):
@@ -297,8 +464,9 @@ def test_cross_check_valuates_the_sequence_once_for_all_functions(monkeypatch):
         functions = [(phi, tagged)] + [make(rng)[2:4]
                                        for _ in range(rng.randint(1, 3))]
         n = len(terms)
+        window = (n - 1) // 2  # the default: half of the n - 1 distances
         expected = n - 1 + sum(
-            1 + n * (len(f.num_roots) + len(f.den_roots))
+            1 + window * (len(f.num_roots) + len(f.den_roots))
             for f, _ in functions)
         calls.clear()
         calls_qt.clear()
