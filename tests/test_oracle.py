@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from pmsval import PmsKind, Value, classify_from_prefix, oracle
+from pmsval import INFINITY, PmsKind, Value, classify_from_prefix, oracle
 from pmsval.engine import FactoredRationalFunction, TaggedRoot
 from pmsval.errors import InvariantError, NotAPms, SchemaError
-from pmsval.groups import INFINITY
 from pmsval.oracle import (CompositeField, ConcreteRationalFunction,
                            CrossCheckReport, FitOutcome, PadicRationals,
                            QtElement, cross_check, fit_pattern,
