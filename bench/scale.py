@@ -75,9 +75,8 @@ from pmsval import cli, jsonio  # noqa: E402
 from pmsval.exact import ExactReal  # noqa: E402
 from pmsval.groups import FullRational, GroupDescriptor  # noqa: E402
 from pmsval.ranktree import rank_of_vE  # noqa: E402
-from pmsval.sequences import (Algebraic, BoundInGroup, ConstantFrom,  # noqa: E402
-                              PmsDescriptor, PmsKind, StageChain, Tri,
-                              is_limit)
+from pmsval.sequences import (Algebraic, ConstantFrom, PmsDescriptor,  # noqa: E402
+                              PmsKind, StageChain, Tri, is_limit)
 
 ORACLE_SIZES = (40, 80, 160, 320, 640, 1280, 2560)
 COMPOSITE_SIZES = (40, 80, 160, 320, 640)
@@ -210,7 +209,7 @@ def rank_descriptor(n: int) -> PmsDescriptor:
     zero = ExactReal.rational(0)
     group = GroupDescriptor.of(*[FullRational()] * n)
     chain = StageChain(tuple(ConstantFrom(ExactReal.rational(Fraction(k, 2)), 0)
-                             for k in range(n - 1)), BoundInGroup(zero))
+                             for k in range(n - 1)), zero, True)
     return PmsDescriptor(PmsKind.PCS, group, chain=chain,
                          pcs_type=Algebraic(1))
 

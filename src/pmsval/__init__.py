@@ -16,10 +16,10 @@ from .oracle import (CompositeField, ConcreteRationalFunction, FitOutcome,
 from .ranktree import (Branch, LeafKind, RankResult, TreeTrace, auto_probes,
                        enumerate_leaves, rank_of_vE, theorem_rank_check,
                        tree_dot)
-from .sequences import (Algebraic, BoundInGroup, BoundNotInGroup, ConstantFrom,
-                        PmsDescriptor, PmsKind, StageChain, Transcendental,
-                        Tri, UltrametricConfiguration, Unbounded,
-                        beyond_all_deltas, classify_from_prefix, cofinal,
-                        extremum, is_limit, limit_dichotomy_check, mirror)
+from .sequences import (Algebraic, ConstantFrom, Cut, PmsDescriptor, PmsKind,
+                        StageChain, Transcendental, Tri,
+                        UltrametricConfiguration, beyond_all_deltas,
+                        classify_from_prefix, cofinal, is_limit,
+                        limit_dichotomy_check, mirror)
 
 __version__ = "0.1.0"

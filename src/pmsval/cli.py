@@ -68,10 +68,17 @@ def _require(problem: Problem, attr: str):
 # Report builders
 
 
-def _supinf_dict(si: sequences.SupInf) -> dict:
-    value = ([jsonio.encode_exact(c) for c in si.finite]
-             + ["inf" if s > 0 else "-inf" for s in si.infinite])
-    return {"value": value, "in_group": si.in_group}
+def _supinf_dict(E: sequences.PmsDescriptor) -> dict:
+    """sup of the distance values of a pcs, inf of those of a pds, read in
+    the completion from the cut: the chain constants, then the bound (or the
+    infinity on the chain's side), padded with the opposite infinity."""
+    cut, n = E.cut, E.group.rank()
+    infinity = {1: "inf", -1: "-inf"}
+    value = [jsonio.encode_exact(c) for c in cut.constants]
+    value.append(infinity[E.sign] if cut.r is None
+                 else jsonio.encode_exact(cut.r))
+    value += [infinity[-E.sign]] * (n - len(value))
+    return {"value": value, "in_group": cut.in_group(n)}
 
 
 def _rank_dict(result: ranktree.RankResult, E) -> dict:
@@ -89,8 +96,8 @@ def _rank_dict(result: ranktree.RankResult, E) -> dict:
                   if result.trace is not None else None),
         "leaf": result.trace.leaf.value if result.trace is not None else None,
     }
-    if result.sup_or_inf is not None:
-        out["sup" if E.sign > 0 else "inf"] = _supinf_dict(result.sup_or_inf)
+    if result.alpha is not None:
+        out["sup" if E.sign > 0 else "inf"] = _supinf_dict(E)
     return out
 
 
@@ -181,7 +188,7 @@ def cmd_sup(problem: Problem) -> tuple[dict, int]:
         report["sup"] = report["inf"] = d
     else:
         key = "sup" if E.sign > 0 else "inf"
-        report[key] = _supinf_dict(sequences.extremum(E))
+        report[key] = _supinf_dict(E)
     return report, EXIT_OK
 
 

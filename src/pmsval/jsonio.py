@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
@@ -29,9 +30,8 @@ from .groups import (AdjoinedSurd, Component, Cyclic, FormalInteger,
                      PPowerDivisible, Value)
 from .oracle import (CompositeField, ConcreteField, ConcreteRationalFunction,
                      PadicRationals, QtElement)
-from .sequences import (Algebraic, BoundInGroup, BoundNotInGroup,
-                        ConstantFrom, PmsDescriptor, PmsKind, StageChain,
-                        Transcendental, UltrametricConfiguration, Unbounded)
+from .sequences import (Algebraic, ConstantFrom, PmsDescriptor, PmsKind,
+                        StageChain, Transcendental, UltrametricConfiguration)
 
 SCHEMA_VERSION = "1"
 
@@ -92,10 +92,21 @@ def _rational(raw: Any, path: str, numerals: Optional[dict]) -> ExactReal:
 # Exact reals and values
 
 
+def _numeral(q: Fraction | int) -> str:
+    """q as n or n/d, exact at any length: str of an int stops at the
+    interpreter's digit limit, and past it decimal at exponent 0 writes
+    the digits."""
+    try:
+        return str(q)
+    except ValueError:
+        n = str(Decimal(q.numerator))
+        return n if q.denominator == 1 else f"{n}/{Decimal(q.denominator)}"
+
+
 def encode_exact(x: ExactReal) -> Any:
     if x.is_rational:
-        return {"rat": str(x.a)}
-    return {"surd": {"a": str(x.a), "b": str(x.b), "d": x.d}}
+        return {"rat": _numeral(x.a)}
+    return {"surd": {"a": _numeral(x.a), "b": _numeral(x.b), "d": x.d}}
 
 
 def decode_exact(raw: Any, path: str = "value",
@@ -142,9 +153,9 @@ def decode_value(raw: Any, path: str = "value",
 
 def encode_component(c: Component) -> dict:
     if isinstance(c, Cyclic):
-        return {"kind": "cyclic", "gen": str(c.gen)}
+        return {"kind": "cyclic", "gen": _numeral(c.gen)}
     if isinstance(c, PPowerDivisible):
-        return {"kind": "p_divisible", "p": c.p, "scale": str(c.scale)}
+        return {"kind": "p_divisible", "p": c.p, "scale": _numeral(c.scale)}
     if isinstance(c, FullRational):
         return {"kind": "rationals"}
     if isinstance(c, FormalInteger):
@@ -207,12 +218,10 @@ def encode_chain(chain: StageChain, sign: int) -> list:
     out: list = []
     for e in chain.constants:
         out.append({"const": {"v": encode_exact(e.value), "from": e.stage}})
-    if isinstance(chain.bound, Unbounded):
-        bound: Any = "unbounded"
-    elif isinstance(chain.bound, BoundInGroup):
-        bound = {"in_group": encode_exact(chain.bound.r)}
-    else:
-        bound = {"not_in_group": encode_exact(chain.bound.r)}
+    bound: Any = "unbounded"
+    if chain.bound is not None:
+        key = "in_group" if chain.bound_in_group else "not_in_group"
+        bound = {key: encode_exact(chain.bound)}
     out.append({"terminal": {"dir": "inc" if sign > 0 else "dec",
                              "bound": bound}})
     return out
@@ -244,13 +253,12 @@ def decode_chain(raw: Any, path: str, numerals: Optional[dict] = None
                 raise _fail(p, f"unknown direction {t['dir']!r}")
             b = t["bound"]
             if b == "unbounded":
-                bound: Any = Unbounded()
-            elif isinstance(b, dict) and "in_group" in b:
-                bound = BoundInGroup(decode_exact(b["in_group"], f"{p}.bound",
-                                                  numerals))
-            elif isinstance(b, dict) and "not_in_group" in b:
-                bound = BoundNotInGroup(decode_exact(b["not_in_group"],
-                                                     f"{p}.bound", numerals))
+                bound: Any = (None, False)
+            elif isinstance(b, dict) and ("in_group" in b
+                                          or "not_in_group" in b):
+                key = "in_group" if "in_group" in b else "not_in_group"
+                bound = (decode_exact(b[key], f"{p}.bound", numerals),
+                         key == "in_group")
             else:
                 raise _fail(p, f"unknown bound {b!r}")
             entries.append((t["dir"], bound))
@@ -263,8 +271,8 @@ def decode_chain(raw: Any, path: str, numerals: Optional[dict] = None
             "contradicts strict monotonicity")
     if not all(isinstance(e, ConstantFrom) for e in front):
         raise InvariantError("only the last chain entry may be terminal")
-    direction, bound = last
-    return StageChain(tuple(front), bound), direction
+    direction, (r, in_group) = last
+    return StageChain(tuple(front), r, in_group), direction
 
 
 def encode_descriptor(E: PmsDescriptor) -> dict:
@@ -558,7 +566,7 @@ def _write_json(o: Any, newline: str, out: list[str]) -> None:
     elif o is False:
         out.append("false")
     elif isinstance(o, int):
-        out.append(int.__repr__(o))
+        out.append(_numeral(o))
     elif isinstance(o, dict):
         if not o:
             out.append("{}")

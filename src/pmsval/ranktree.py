@@ -19,9 +19,7 @@ from typing import Callable, Optional, Sequence
 from .errors import InvariantError, KindError
 from .exact import ExactReal
 from .groups import (GroupDescriptor, Value, component_generator, insert_zero)
-from .sequences import (BoundInGroup, BoundNotInGroup, PmsDescriptor, PmsKind,
-                        SupInf, Unbounded, beyond_all_deltas, cofinal,
-                        extremum)
+from .sequences import PmsDescriptor, PmsKind, beyond_all_deltas, cofinal
 
 
 class Branch(enum.Enum):
@@ -56,7 +54,6 @@ class RankResult:
     extended_group: GroupDescriptor
     alpha: Optional[Value]
     trace: Optional[TreeTrace]
-    sup_or_inf: Optional[SupInf]
     insert_position: Optional[int]
     group_note: str
     alpha_check: Optional[CheckOutcome] = None
@@ -82,40 +79,30 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
     """
     n = E.group.rank()
     if E.kind is PmsKind.PCTS or E.is_transcendental_pcs():
-        return RankResult(n, n, E.group, None, None, None, None,
+        return RankResult(n, n, E.group, None, None, None,
                           "value group unchanged")
-    chain = E.chain
-    j = chain.terminal_level
-    consts = [e.value for e in chain.constants]
-    steps = [(i + 1, Branch.BOUND_IN_GROUP_CONSTANT) for i in range(j - 1)]
-    bound = chain.bound
-    zero = ExactReal.rational(0)
-    step = ExactReal.rational(E.sign)  # one unit toward the chain's side
-    if isinstance(bound, Unbounded):
-        branch = Branch.SUP_INFINITE
-        extended = E.group.insert_formal_integer(j - 1)
-        insert_position = j - 1
-        alpha_coords = consts + [step] + [zero] * (n - j + 1)
-    elif isinstance(bound, BoundNotInGroup):
-        branch = Branch.BOUND_NOT_IN_GROUP
-        extended = E.group.adjoin_at(j - 1, bound.r)
-        insert_position = None
-        alpha_coords = consts + [bound.r] + [zero] * (n - j)
-    elif isinstance(bound, BoundInGroup):
-        branch = Branch.BOUND_IN_GROUP_STRICT
-        extended = E.group.insert_formal_integer(j)
-        insert_position = j
-        alpha_coords = consts + [bound.r, -step] + [zero] * (n - j)
+    cut = E.cut
+    j = len(cut.constants) + 1
+    # alpha is the cut as an element of the extended group: the constants
+    # and the bound, if any, then the side of a cut beside r or at an
+    # infinity as the coordinate of a new formal integer factor.  A bound
+    # outside the component is adjoined to it instead.
+    head = cut.constants + (() if cut.r is None else (cut.r,))
+    if cut.side:
+        insert_position = len(head)
+        extended = E.group.insert_formal_integer(insert_position)
+        head += (ExactReal.rational(cut.side),)
     else:
-        raise InvariantError(f"unknown bound {bound!r}")
-    steps.append((j, branch))
-    leaf = _LEAF_OF_BRANCH[branch]
-    trace = TreeTrace(tuple(steps), leaf)
-    alpha = Value(tuple(alpha_coords))
-    output_rank = extended.rank()
-    if output_rank != n + (1 if leaf is LeafKind.RANK_PLUS_ONE else 0):
-        raise InvariantError("constructed group rank disagrees with the leaf")
-    result = RankResult(n, output_rank, extended, alpha, trace, extremum(E),
+        insert_position = None
+        extended = E.group.adjoin_at(j - 1, cut.r)
+    pad = extended.rank() - len(head)
+    alpha = Value(head + (ExactReal.rational(0),) * pad)
+    branch = (Branch.SUP_INFINITE if cut.r is None
+              else Branch.BOUND_IN_GROUP_STRICT if cut.side
+              else Branch.BOUND_NOT_IN_GROUP)
+    steps = tuple((i, Branch.BOUND_IN_GROUP_CONSTANT) for i in range(1, j))
+    trace = TreeTrace(steps + ((j, branch),), _LEAF_OF_BRANCH[branch])
+    result = RankResult(n, extended.rank(), extended, alpha, trace,
                         insert_position,
                         "model of the extended value group over the "
                         "algebraic closure")
@@ -189,12 +176,10 @@ def auto_probes(E: PmsDescriptor) -> list[Value]:
     """Group elements straddling the chain: at each level the constant (or
     bound, or for a bound outside the group the member of the component next
     below it) nudged by the component generator, zero-padded."""
-    chain = E.chain
-    if chain is None:
-        raise KindError("probes are generated from a stage chain")
+    cut = E.cut
     n = E.group.rank()
-    j = chain.terminal_level
-    consts = [e.value for e in chain.constants]
+    consts = list(cut.constants)
+    j = len(consts) + 1
     zero = ExactReal.rational(0)
     probes: list[Value] = []
     seen: set = set()
@@ -206,20 +191,19 @@ def auto_probes(E: PmsDescriptor) -> list[Value]:
         if len(seen) > size:
             probes.append(v)
 
-    bound = chain.bound
     for level in range(1, j + 1):
         comp = E.group.components[level - 1]
         gen = component_generator(comp)
         if level < j:
             center = consts[level - 1]
-        elif isinstance(bound, BoundInGroup):
-            center = bound.r
-        elif isinstance(bound, BoundNotInGroup):
+        elif cut.r is None:
+            center = zero
+        elif cut.side:
+            center = cut.r
+        else:
             # The group member floor(r/g)*g next below a bound r outside the
             # group, so the probes straddle alpha.
-            center = gen.scaled(bound.r.scaled(1 / gen.rational_value).floor())
-        else:
-            center = zero
+            center = gen.scaled(cut.r.scaled(1 / gen.rational_value).floor())
         for k in (-2, -1, 0, 1, 2):
             coord = center + gen.scaled(k)
             push(consts[:level - 1] + [coord] + [zero] * (n - level))
@@ -275,7 +259,7 @@ def theorem_rank_check(E: PmsDescriptor) -> TheoremCheck:
         raise KindError("the rank theorem concerns algebraic-type pcs and pds")
     pcs = E.kind is PmsKind.PCS
     result = rank_of_vE(E)
-    reaches_end, in_group = cofinal(E), result.sup_or_inf.in_group
+    reaches_end, in_group = cofinal(E), E.cut.in_group(E.group.rank())
     conditions = {
         "cauchy": pcs and reaches_end,
         "sup_in_group": pcs and in_group,

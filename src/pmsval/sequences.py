@@ -1,5 +1,6 @@
 """Pseudo monotone sequences: symbolic descriptors, finite prefixes,
-classification from pairwise distances, limits, and sup/inf computation.
+classification from pairwise distances, limits, and the cut where the
+distance values end.
 
 A transfinite sequence is represented by a stage chain (the asymptotic,
 coordinate-by-coordinate truth about its distance values) together with an
@@ -70,24 +71,6 @@ def delta_shift(kind: PmsKind) -> int:
 
 
 @dataclass(frozen=True)
-class Unbounded:
-    pass
-
-
-@dataclass(frozen=True)
-class BoundInGroup:
-    r: ExactReal
-
-
-@dataclass(frozen=True)
-class BoundNotInGroup:
-    r: ExactReal
-
-
-Bound = Union[Unbounded, BoundInGroup, BoundNotInGroup]
-
-
-@dataclass(frozen=True)
 class ConstantFrom:
     """Coordinate ultimately constant at value, from prefix index stage on."""
 
@@ -97,18 +80,22 @@ class ConstantFrom:
 
 @dataclass(frozen=True)
 class StageChain:
-    """The constant coordinates, then the bound of the first strictly
-    moving one (the terminal coordinate).  The kind of the sequence sets the
-    side: a pcs increases toward a strict upper bound, a pds decreases
-    toward a strict lower bound, neither attained."""
+    """The constant coordinates, then the terminal coordinate, the first
+    strictly moving one: its bound r (None when it is unbounded) and whether
+    r is a member of the group.  The kind of the sequence sets the side: a
+    pcs increases toward a strict upper bound, a pds decreases toward a
+    strict lower bound, neither attained."""
 
     constants: tuple[ConstantFrom, ...]
-    bound: Bound
+    bound: Optional[ExactReal] = None
+    bound_in_group: bool = False
 
     def __post_init__(self):
         stages = [e.stage for e in self.constants]
         if any(s < 0 for s in stages) or stages != sorted(stages):
             raise InvariantError("stage labels must be nonnegative and nondecreasing")
+        if self.bound is None and self.bound_in_group:
+            raise InvariantError("an unbounded chain has no bound in the group")
 
     @property
     def terminal_level(self) -> int:
@@ -118,6 +105,39 @@ class StageChain:
     @property
     def tail_start(self) -> int:
         return max((e.stage for e in self.constants), default=0)
+
+
+@dataclass(frozen=True)
+class Cut:
+    """Where the distance values of a pcs or pds end, as a cut in the lex
+    group: the chain constants, then r + side*eps at the terminal level, eps
+    a positive infinitesimal.  A bound r outside the component is the cut
+    itself (side 0); an in-group bound is r- under a pcs and r+ over a pds;
+    an unbounded chain has r None and its cut at side*infinity.  A pcs and
+    a pds on one chain thus share their cut exactly when the bound lies
+    outside the group (F.-V. Kuhlmann, Trans. AMS 2004)."""
+
+    constants: tuple[ExactReal, ...]
+    r: Optional[ExactReal]
+    side: int
+
+    def compare(self, beta: Value) -> int:
+        """+1 when the group element beta lies above the cut, -1 below: the
+        first coordinate off the constants decides, lexicographically."""
+        coords = beta.coords
+        for x, c in zip(coords, self.constants):
+            cmp = x.compare(c)
+            if cmp:
+                return cmp
+        r = self.r
+        cmp = 0 if r is None else coords[len(self.constants)].compare(r)
+        return cmp or -self.side
+
+    def in_group(self, rank: int) -> bool:
+        """Whether the sup or inf at this cut is a member of a group of this
+        rank: an in-group bound at the last level."""
+        return (self.r is not None and self.side != 0
+                and len(self.constants) == rank - 1)
 
 
 @dataclass(frozen=True)
@@ -181,18 +201,18 @@ class PmsDescriptor:
             if not component_contains(self.group.components[i], entry.value):
                 raise InvariantError(
                     f"chain constant {entry.value} is not a member of component {i}")
-        bound = chain.bound
+        r = chain.bound
+        if r is None:
+            return
         comp = self.group.components[chain.terminal_level - 1]
-        if isinstance(bound, BoundInGroup) and not component_contains(comp, bound.r):
+        if component_contains(comp, r) != chain.bound_in_group:
             raise InvariantError(
-                f"declared in-group bound {bound.r} is not a component member")
-        if isinstance(bound, BoundNotInGroup) and component_contains(comp, bound.r):
+                f"declared in-group bound {r} is not a component member"
+                if chain.bound_in_group else
+                f"declared not-in-group bound {r} is a component member")
+        if isinstance(comp, (Cyclic, FormalInteger)):
             raise InvariantError(
-                f"declared not-in-group bound {bound.r} is a component member")
-        if isinstance(bound, (BoundInGroup, BoundNotInGroup)) and \
-                isinstance(comp, (Cyclic, FormalInteger)):
-            raise InvariantError(
-                f"a strictly monotone tail bounded by {bound.r} cannot be "
+                f"a strictly monotone tail bounded by {r} cannot be "
                 f"infinite in the discrete component "
                 f"{chain.terminal_level - 1}")
 
@@ -227,12 +247,12 @@ class PmsDescriptor:
         if not moves(coords, self.sign):
             raise InvariantError(
                 "terminal coordinate must move strictly with the chain direction")
-        bound = chain.bound
-        if isinstance(bound, (BoundInGroup, BoundNotInGroup)):
+        r = chain.bound
+        if r is not None:
             for c in coords:
-                if not (c < bound.r if inc else c > bound.r):
+                if c.compare(r) != -self.sign:
                     raise InvariantError(
-                        f"terminal coordinate {c} violates the strict bound {bound.r}")
+                        f"terminal coordinate {c} violates the strict bound {r}")
 
     @property
     def tail_start(self) -> int:
@@ -245,6 +265,15 @@ class PmsDescriptor:
         if self.kind is PmsKind.PCTS:
             raise KindError("a pcts has no chain direction")
         return 1 if self.kind is PmsKind.PCS else -1
+
+    @cached_property
+    def cut(self) -> Cut:
+        """The cut the distance values run up to (a pcs) or down to (a pds),
+        built once per descriptor; a pcts has none."""
+        s = self.sign
+        r = self.chain.bound
+        side = s if r is None else -s if self.chain.bound_in_group else 0
+        return Cut(tuple(e.value for e in self.chain.constants), r, side)
 
     def is_transcendental_pcs(self) -> bool:
         return self.kind is PmsKind.PCS and isinstance(self.pcs_type, Transcendental)
@@ -452,9 +481,10 @@ def classify_from_prefix(cfg: UltrametricConfiguration) -> tuple[PmsKind, list[V
 
 def beyond_all_deltas(beta: Value, E: PmsDescriptor) -> bool:
     """beta lies past every distance value on the side the chain moves
-    toward: above them all for a pcs, below them all for a pds.
+    toward, above them all for a pcs and below them all for a pds: past the
+    cut on that side.
 
-    Because the bound is never attained, lying past every delta_nu matches
+    Because the cut is never attained, lying past every delta_nu matches
     lying weakly past every one of them as well.
     """
     s = E.sign
@@ -462,20 +492,11 @@ def beyond_all_deltas(beta: Value, E: PmsDescriptor) -> bool:
         return s > 0
     if not E.group.contains(beta):
         raise InvariantError(f"{beta} is not a member of the declared group")
-    chain = E.chain
-    # Lex order: the first coordinate off the chain constants decides.
-    for i, entry in enumerate(chain.constants):
-        cmp = beta.coords[i].compare(entry.value)
-        if cmp:
-            return cmp == s
-    bound = chain.bound
-    if isinstance(bound, Unbounded):
-        return False
-    return beta.coords[chain.terminal_level - 1].compare(bound.r) * s >= 0
+    return E.cut.compare(beta) == s
 
 
 # ---------------------------------------------------------------------------
-# Cauchy / divergence, sup / inf
+# Cauchy / divergence
 
 
 def cofinal(E: PmsDescriptor) -> bool:
@@ -483,38 +504,10 @@ def cofinal(E: PmsDescriptor) -> bool:
     side: a Cauchy pcs, or a pds diverging to infinity.
 
     Cofinality in a lex group with archimedean leading component reduces to
-    unboundedness of the first coordinate."""
-    chain = E.chain
-    if chain is None:
-        raise KindError("a pcts has constant distance values")
-    return chain.terminal_level == 1 and isinstance(chain.bound, Unbounded)
-
-
-@dataclass(frozen=True)
-class SupInf:
-    """sup or inf of the distance set, read in the completion: its finite
-    leading coordinates, then the signs (+1 or -1) of the infinite
-    coordinates after them, with the membership verdict for the ambient
-    group."""
-
-    finite: tuple[ExactReal, ...]
-    infinite: tuple[int, ...]
-    in_group: bool
-
-
-def extremum(E: PmsDescriptor) -> SupInf:
-    """sup of the distance values of a pcs, inf of those of a pds: the chain
-    constants, then the terminal bound (or the infinity on the chain's
-    side), padded with the opposite infinity."""
-    s = E.sign
-    chain = E.chain
-    pad = E.group.rank() - chain.terminal_level
-    finite = tuple(e.value for e in chain.constants)
-    bound = chain.bound
-    if isinstance(bound, Unbounded):
-        return SupInf(finite, (s,) + (-s,) * pad, False)
-    return SupInf(finite + (bound.r,), (-s,) * pad,
-                  pad == 0 and isinstance(bound, BoundInGroup))
+    unboundedness of the first coordinate: a cut at infinity with no
+    constants before it.  A pcts has constant distance values and no cut."""
+    cut = E.cut
+    return not cut.constants and cut.r is None
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +605,16 @@ def limit_dichotomy_check(y: str, E: PmsDescriptor,
 
 
 def mirror(E: PmsDescriptor, pcs_type: Optional[PcsType] = None) -> PmsDescriptor:
-    """Negate every distance value: swaps the pcs and pds worlds."""
+    """Negate every distance value: swaps the pcs and pds worlds and
+    negates the cut."""
     if E.kind is PmsKind.PCTS:
         return PmsDescriptor(PmsKind.PCTS, E.group, pcts_delta=-E.pcts_delta,
                              prefix=tuple(-v for v in E.prefix) if E.prefix else None)
-    bound = E.chain.bound
-    if not isinstance(bound, Unbounded):
-        bound = type(bound)(-bound.r)
+    old = E.chain
     chain = StageChain(tuple(ConstantFrom(-e.value, e.stage)
-                             for e in E.chain.constants), bound)
+                             for e in old.constants),
+                       None if old.bound is None else -old.bound,
+                       old.bound_in_group)
     kind = PmsKind.PDS if E.kind is PmsKind.PCS else PmsKind.PCS
     if kind is PmsKind.PCS and pcs_type is None:
         pcs_type = E.pcs_type if E.pcs_type is not None else Algebraic(1)

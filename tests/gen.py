@@ -11,10 +11,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from pmsval import (Algebraic, BoundInGroup, BoundNotInGroup, ConstantFrom,
-                    Cyclic, ExactReal, FullRational, GroupDescriptor,
-                    PPowerDivisible, PmsDescriptor, PmsKind, StageChain,
-                    Unbounded, Value)
+from pmsval import (Algebraic, ConstantFrom, Cyclic, ExactReal, FullRational,
+                    GroupDescriptor, PPowerDivisible, PmsDescriptor, PmsKind,
+                    StageChain, Value)
 from pmsval.engine import FactoredRationalFunction, TaggedRoot
 from pmsval.groups import component_contains, component_generator
 from pmsval.oracle import CompositeField, ConcreteRationalFunction, \
@@ -83,11 +82,10 @@ def make_descriptor(rng: random.Random, group: GroupDescriptor, kind: PmsKind,
     gen = component_generator(comp_j)
     start = random_member(rng, comp_j)
     if branch is Branch.SUP_INFINITE:
-        bound = Unbounded()
+        r, in_group = None, False
         coords = [start + gen.scaled(sign * (i + 1)) for i in range(prefix_len)]
     elif branch is Branch.BOUND_IN_GROUP_STRICT:
-        r = start + gen.scaled(sign)
-        bound = BoundInGroup(r)
+        r, in_group = start + gen.scaled(sign), True
         coords = [r + _approach_step(comp_j, i + 1).scaled(-sign)
                   for i in range(prefix_len)]
     else:
@@ -99,8 +97,8 @@ def make_descriptor(rng: random.Random, group: GroupDescriptor, kind: PmsKind,
             eps = ExactReal.surd(0, gen.a / 2, 2)
         r = coords[-1] + eps.scaled(sign)
         assert not component_contains(comp_j, r)
-        bound = BoundNotInGroup(r)
-    chain = StageChain(tuple(ConstantFrom(c, 0) for c in consts), bound)
+        in_group = False
+    chain = StageChain(tuple(ConstantFrom(c, 0) for c in consts), r, in_group)
     zero = ExactReal.rational(0)
     prefix = tuple(
         Value(tuple(consts + [c] + [zero] * (n - level))) for c in coords)

@@ -287,6 +287,21 @@ def test_oracle_check_builds_and_classifies_the_sequence_once(capsys,
                      "valuate": 8 + 2 * (1 + 4)}
 
 
+def test_ve_writes_an_integer_past_the_str_digit_limit(capsys, tmp_path):
+    # A denominator root at distance 10^4000 with multiplicity 10^4000 puts
+    # -10^8000 in beta, past the 4,300 digits str() writes of an int.  The
+    # digits are checked as text: int() has the same limit.
+    raw = json.loads(resources.files("pmsval").joinpath(
+        "problems", "example-cauchy-5adic.json").read_text())
+    raw["functions"][1]["den"] = [{"beta": ["1" + "0" * 4000],
+                                   "mult": 10 ** 4000}]
+    problem = tmp_path / "huge-beta.json"
+    problem.write_text(json.dumps(raw))
+    code, rep = run(capsys, "ve", "--in", str(problem))
+    assert code == 0
+    assert rep["functions"][1]["beta"] == [{"rat": "-1" + "0" * 8000}]
+
+
 def test_ve_on_transcendental_pcs_has_no_extended_group(capsys, tmp_path):
     group = {"components": [{"kind": "cyclic", "gen": "1"}]}
     problem = tmp_path / "transcendental.json"

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from pmsval import (Algebraic, BoundInGroup, Cyclic, ExactReal,
-                    GroupDescriptor, INFINITY, PPowerDivisible, PmsDescriptor,
-                    PmsKind, StageChain, Transcendental, Tri, Unbounded, Value,
+from pmsval import (Algebraic, Cyclic, ExactReal, GroupDescriptor, INFINITY,
+                    PPowerDivisible, PmsDescriptor, PmsKind, StageChain,
+                    Transcendental, Tri, Value,
                     classify_from_prefix, is_limit)
 from pmsval.engine import (FactoredRationalFunction, TaggedRoot,
                            check_pcs_equivalence_iii, check_pds_equivalence_iii,
@@ -28,14 +28,14 @@ Z2 = GroupDescriptor.of(PPowerDivisible(2, Fraction(1)))
 
 def pcs_to_zero() -> PmsDescriptor:
     """Increasing negative distance values with strict in-group bound 0."""
-    chain = StageChain((), BoundInGroup(ExactReal.rational(0)))
+    chain = StageChain((), ExactReal.rational(0), True)
     return PmsDescriptor(
         PmsKind.PCS, Z2, chain=chain, pcs_type=Algebraic(2),
         prefix=tuple(Value.of(Fraction(-1, 2 ** k)) for k in range(6)))
 
 
 def cauchy_pcs(deg=1) -> PmsDescriptor:
-    chain = StageChain((), Unbounded())
+    chain = StageChain(())
     return PmsDescriptor(PmsKind.PCS, Z, chain=chain, pcs_type=Algebraic(deg),
                          prefix=tuple(Value.of(k + 1) for k in range(6)))
 
@@ -69,7 +69,7 @@ def test_dominating_degree_multiplicity():
 
 
 def test_transcendental_type_admits_no_root_limits():
-    chain = StageChain((), Unbounded())
+    chain = StageChain(())
     E = PmsDescriptor(PmsKind.PCS, Z, chain=chain, pcs_type=Transcendental())
     phi = FactoredRationalFunction(Value.of(0), (TaggedRoot.limit(),), ())
     with pytest.raises(InvariantError):
@@ -241,7 +241,7 @@ def test_classify_alpha_position():
         assert sides == ({-E.sign} if cofinal(E) else {-1, 1})
     # A pcts or a pcs of transcendental type has no alpha to position.
     pcts = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=Value.of(0))
-    chain = StageChain((), Unbounded())
+    chain = StageChain(())
     trans = PmsDescriptor(PmsKind.PCS, Z, chain=chain, pcs_type=Transcendental())
     assert rank_of_vE(pcts).alpha is None and rank_of_vE(trans).alpha is None
 
@@ -357,7 +357,7 @@ def test_checker_rejects_foreign_probe():
 
 
 def test_extension_report_transcendental_pcs_is_immediate():
-    chain = StageChain((), Unbounded())
+    chain = StageChain(())
     E = PmsDescriptor(PmsKind.PCS, Z, chain=chain, pcs_type=Transcendental())
     rep = extension_report(E)
     assert rep.extension_kind == "immediate" and rep.pure

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -257,6 +258,17 @@ def test_dump_report_empty_containers():
     assert dump_report(report) == json.dumps(report, sort_keys=True,
                                              indent=2) + "\n"
     assert dump_report({}) == "{}\n" and dump_report([]) == "[]\n"
+
+
+def test_writers_take_integers_past_the_str_digit_limit():
+    # str() of an int refuses past 4,300 digits; the digits are built as
+    # text here, since int() has the same limit.
+    big = 10 ** 5000
+    assert dump_report({"d": -big}) == '{\n  "d": -1' + "0" * 5000 + "\n}\n"
+    huge = ExactReal.rational(Fraction(big, 3))
+    assert jsonio.encode_exact(huge) == {"rat": "1" + "0" * 5000 + "/3"}
+    assert jsonio.encode_exact(huge + ExactReal.surd(0, 1, 2))["surd"]["a"] \
+        == "1" + "0" * 5000 + "/3"
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, (1, 2), {1, 2}, {1: "x"},

@@ -1,12 +1,16 @@
 """Module structure of the package: imports sit at module top, the
 intra-package import graph has no cycle (sequences -> ranktree -> engine,
-never back), and every top-level definition has a caller."""
+never back), every top-level definition has a caller, and only sequences
+and jsonio read the terminal of a stage chain."""
 
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+from pmsval.sequences import StageChain
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pmsval"
@@ -97,3 +101,16 @@ def test_every_definition_has_a_caller():
     assert sorted(OUTSIDE_CALLERS.keys() - orphans) == []
     for name, (path, _reason) in OUTSIDE_CALLERS.items():
         assert f"{name}(" in (ROOT / path).read_text(), (name, path)
+
+
+def test_only_sequences_and_jsonio_read_a_chain_terminal():
+    """The terminal of a stage chain is plain data: sequences builds the cut
+    from it and jsonio reads and writes it.  Every other module reaches the
+    cut through PmsDescriptor.cut."""
+    terminal = {f.name for f in fields(StageChain)} - {"constants"}
+    found = [f"{name}.py:{node.lineno} reads .{node.attr}"
+             for name, tree in _trees().items()
+             if name not in ("sequences", "jsonio")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in terminal]
+    assert terminal and found == []

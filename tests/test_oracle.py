@@ -104,6 +104,14 @@ def test_fit_pattern_affine_and_constant():
         fit_pattern(PCS, deltas[:3], deltas[:3])
 
 
+def test_fit_pattern_needs_four_points():
+    deltas = [Value.of(k) for k in range(4)]
+    fit = fit_pattern(PCS, deltas, deltas)
+    assert (fit.kind, fit.degree, fit.beta) == ("affine", 1, Value.of(0))
+    with pytest.raises(InvariantError, match="four tail points"):
+        fit_pattern(PCS, deltas[:3], deltas[:3])
+
+
 def test_fit_pattern_vector_degree():
     deltas = [Value.of(2, k) for k in range(8)]
     values = [Value.of(4, 2 * k + 1) for k in range(8)]
@@ -176,6 +184,28 @@ def test_cross_check_flags_mistag():
     rep = cross_check(F5, terms, [(phi, mis)])[0]
     assert not rep.agree
     assert any("num[0]" in m for m in rep.mismatches)
+
+
+def test_cross_check_overall_catches_a_wrong_degree_or_beta_alone():
+    # X + 1/4 has the limit -1/4 as its root: the fit is d = 1, beta = 0.
+    terms = [Fraction(5 ** (nu + 1) - 1, 4) for nu in range(13)]
+    phi = ConcreteRationalFunction(Fraction(1), (Fraction(-1, 4),), ())
+    # The limit tagged at distance 0 gives d = 0 and the same beta; a wrong
+    # lead value gives the same d and beta = 1.
+    wrong_d = FactoredRationalFunction(
+        Value.of(0), (TaggedRoot.at_distance(Value.of(0)),), ())
+    wrong_beta = FactoredRationalFunction(Value.of(1), (TaggedRoot.limit(),), ())
+    rep_d, rep_beta = cross_check(F5, terms, [(phi, wrong_d), (phi, wrong_beta)])
+    assert (rep_d.tagged_form.degree, rep_d.tagged_form.beta) == (0, Value.of(0))
+    assert (rep_beta.tagged_form.degree, rep_beta.tagged_form.beta) \
+        == (1, Value.of(1))
+    for rep in (rep_d, rep_beta):
+        assert (rep.fit.degree, rep.fit.beta) == (1, Value.of(0))
+        assert not rep.agree
+        assert rep.mismatches[-1].startswith("overall: oracle fit d=1")
+    # The roots of the wrong lead are tagged right: only the overall check
+    # sees it.
+    assert len(rep_beta.mismatches) == 1
 
 
 def test_cross_check_composite_worked_example():

@@ -1,20 +1,26 @@
 """hypothesis properties of random descriptors up to rank 6: mirror
-duality is an involution, JSON encoding round-trips, and the rank theorem
-holds."""
+duality is an involution, JSON encoding round-trips, the rank theorem
+holds, and a pcs and a pds on one chain share their cut exactly when the
+bound lies outside the group."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from pmsval import mirror, theorem_rank_check
+from pmsval import PmsKind, mirror, rank_of_vE, theorem_rank_check
 from pmsval.jsonio import decode_descriptor, encode_descriptor
+from pmsval.ranktree import Branch
 
 from gen import random_descriptor
 
 descriptors = st.builds(lambda n, seed: random_descriptor(random.Random(seed), n),
                         st.integers(1, 6), st.integers(0, 2 ** 32))
+pcs_descriptors = st.builds(
+    lambda n, seed: random_descriptor(random.Random(seed), n, kind=PmsKind.PCS),
+    st.integers(1, 6), st.integers(0, 2 ** 32))
 seeded = settings(max_examples=300, deadline=None, derandomize=True,
                   database=None)
 
@@ -35,3 +41,18 @@ def test_descriptor_json_round_trip(E):
 @given(descriptors)
 def test_rank_theorem_holds(E):
     assert theorem_rank_check(E).holds
+
+
+@seeded
+@given(pcs_descriptors)
+def test_pcs_and_pds_share_a_cut_iff_the_bound_is_outside_the_group(E):
+    # The same chain read from its two sides: r- against r+ for a bound in
+    # the group, +infinity against -infinity when unbounded, and r itself
+    # for a bound outside the group.
+    D = replace(E, kind=PmsKind.PDS, pcs_type=None, prefix=None)
+    r, rd = rank_of_vE(E), rank_of_vE(D)
+    outside = r.trace.steps[-1][1] is Branch.BOUND_NOT_IN_GROUP
+    assert rd.trace.steps[-1][1] is r.trace.steps[-1][1]
+    assert (E.cut == D.cut) == outside
+    assert (rd.alpha == r.alpha
+            and rd.extended_group == r.extended_group) == outside

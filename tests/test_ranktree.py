@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from pmsval import (Algebraic, BoundInGroup, BoundNotInGroup, ConstantFrom,
-                    Cyclic, ExactReal, FullRational, GroupDescriptor,
-                    PPowerDivisible, PmsDescriptor, PmsKind, StageChain,
-                    Transcendental, Unbounded, Value, mirror)
+from pmsval import (Algebraic, ConstantFrom, Cyclic, ExactReal, FullRational,
+                    GroupDescriptor, PPowerDivisible, PmsDescriptor, PmsKind,
+                    StageChain, Transcendental, Value, mirror)
+from pmsval.cli import _supinf_dict
 from pmsval.errors import InvariantError, KindError
 from pmsval.groups import AdjoinedSurd, FormalInteger
 from pmsval.ranktree import (Branch, LeafKind, auto_probes, check_alpha,
@@ -26,34 +26,32 @@ SQRT2 = ExactReal.surd(0, 1, 2)
 def test_rank_example_gamma_plus_z():
     # vK = (1/2)Z (+) Z, constant then unbounded: rank 2 -> 3.
     g = GroupDescriptor.of(Cyclic(Fraction(1, 2)), Cyclic(Fraction(1)))
-    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 0),),
-                       Unbounded())
+    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 0),))
     E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(1),
                       prefix=tuple(Value.of(Fraction(1, 2), i) for i in range(6)))
     r = rank_of_vE(E)
     assert (r.input_rank, r.output_rank) == (2, 3)
     assert r.alpha == Value.of(Fraction(1, 2), 1, 0)
     assert isinstance(r.extended_group.components[1], FormalInteger)
-    assert not r.sup_or_inf.in_group
+    assert not _supinf_dict(E)["in_group"]
     assert r.trace.leaf is LeafKind.RANK_PLUS_ONE
 
 
 def test_rank_example_p_divisible_bound_zero():
     g = GroupDescriptor.of(PPowerDivisible(2, Fraction(1)))
-    chain = StageChain((), BoundInGroup(ExactReal.rational(0)))
+    chain = StageChain((), ExactReal.rational(0), True)
     E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(2),
                       prefix=tuple(Value.of(Fraction(-1, 2 ** k))
                                    for k in range(6)))
     r = rank_of_vE(E)
     assert (r.input_rank, r.output_rank) == (1, 2)
     assert r.alpha == Value.of(0, -1)
-    assert r.sup_or_inf.finite == (ExactReal.rational(0),)
-    assert not r.sup_or_inf.infinite and r.sup_or_inf.in_group
+    assert _supinf_dict(E) == {"value": [{"rat": "0"}], "in_group": True}
 
 
 def test_rank_example_surd_bound_keeps_rank():
     g = GroupDescriptor.of(FullRational())
-    chain = StageChain((), BoundNotInGroup(SQRT2))
+    chain = StageChain((), SQRT2, False)
     E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(2),
                       prefix=(Value.of(1), Value.of(Fraction(5, 4)),
                               Value.of(Fraction(11, 8))))
@@ -67,7 +65,7 @@ def test_rank_example_surd_bound_keeps_rank():
 
 def test_rank_pds_mirror_of_bound_zero():
     g = GroupDescriptor.of(PPowerDivisible(2, Fraction(1)))
-    chain = StageChain((), BoundInGroup(ExactReal.rational(0)))
+    chain = StageChain((), ExactReal.rational(0), True)
     E = PmsDescriptor(PmsKind.PDS, g, chain=chain,
                       prefix=tuple(Value.of(Fraction(1, 2 ** k))
                                    for k in range(6)))
@@ -78,7 +76,7 @@ def test_rank_pds_mirror_of_bound_zero():
 
 def test_rank_short_circuits():
     g = GroupDescriptor.of(Cyclic(Fraction(1)))
-    chain = StageChain((), Unbounded())
+    chain = StageChain(())
     E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Transcendental())
     r = rank_of_vE(E)
     assert r.output_rank == r.input_rank == 1
@@ -138,7 +136,7 @@ def test_every_leaf_realizes_its_delta():
 def test_theorem_rank_check_examples():
     # Rank-1 Cauchy: predicate holds, rank goes up.
     g = GroupDescriptor.of(Cyclic(Fraction(1)))
-    chain = StageChain((), Unbounded())
+    chain = StageChain(())
     E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(1),
                       prefix=tuple(Value.of(k) for k in range(4)))
     out = theorem_rank_check(E)
@@ -147,15 +145,14 @@ def test_theorem_rank_check_examples():
 
     # Rank-1 surd bound: predicate false, rank unchanged.
     g2 = GroupDescriptor.of(FullRational())
-    chain2 = StageChain((), BoundNotInGroup(SQRT2))
+    chain2 = StageChain((), SQRT2, False)
     E2 = PmsDescriptor(PmsKind.PCS, g2, chain=chain2, pcs_type=Algebraic(2))
     out2 = theorem_rank_check(E2)
     assert not out2.predicate and out2.rank_delta == 0 and out2.holds
 
     # Rank 2 with sup outside the group yet rank+1: sufficiency only.
     g3 = GroupDescriptor.of(Cyclic(Fraction(1, 2)), Cyclic(Fraction(1)))
-    chain3 = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 0),),
-                        Unbounded())
+    chain3 = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 0),))
     E3 = PmsDescriptor(PmsKind.PCS, g3, chain=chain3, pcs_type=Algebraic(1))
     out3 = theorem_rank_check(E3)
     assert not out3.predicate and out3.rank_delta == 1 and out3.holds
@@ -211,8 +208,7 @@ def test_tree_dot_structure():
     assert "color=red" not in dot
 
     g = GroupDescriptor.of(Cyclic(Fraction(1, 2)), Cyclic(Fraction(1)))
-    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 0),),
-                       Unbounded())
+    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 0),))
     E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(1))
     r = rank_of_vE(E)
     hot = tree_dot(PmsKind.PCS, 2, r.trace)
@@ -255,6 +251,6 @@ def test_rank_result_keeps_its_alpha_check():
         assert r.alpha_check.holds and r.alpha_check.counterexample is None
         assert r.alpha_check.checked == len(auto_probes(E))
     g = GroupDescriptor.of(Cyclic(Fraction(1)))
-    chain = StageChain((), Unbounded())
+    chain = StageChain(())
     E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Transcendental())
     assert rank_of_vE(E).alpha is None and rank_of_vE(E).alpha_check is None

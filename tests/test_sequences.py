@@ -7,26 +7,28 @@ from fractions import Fraction
 
 import pytest
 
-from pmsval import (AdjoinedSurd, Algebraic, BoundInGroup, BoundNotInGroup,
-                    ConstantFrom, Cyclic, ExactReal, FormalInteger,
-                    FullRational, GroupDescriptor, PPowerDivisible,
-                    PmsDescriptor, PmsKind, StageChain, Tri,
-                    UltrametricConfiguration, Unbounded, Value,
+from pmsval import (INFINITY, AdjoinedSurd, Algebraic, ConstantFrom, Cut,
+                    Cyclic, ExactReal, FormalInteger, FullRational,
+                    GroupDescriptor, PPowerDivisible, PmsDescriptor, PmsKind,
+                    StageChain, Tri, UltrametricConfiguration, Value,
                     beyond_all_deltas, classify_from_prefix, cofinal,
-                    extremum, is_limit, limit_dichotomy_check, mirror)
+                    is_limit, limit_dichotomy_check, mirror)
+from pmsval.cli import _supinf_dict
 from pmsval.errors import (IndeterminateError, InvalidConfiguration,
                            InvariantError, KindError, NotAPms)
 from pmsval.oracle import PadicRationals, sequence_configuration
 
 from gen import make_descriptor, random_descriptor, random_member
 from pmsval.ranktree import Branch, auto_probes
+from pmsval.sequences import delta_shift
 
 Z = GroupDescriptor.of(Cyclic(Fraction(1)))
 ZZ = GroupDescriptor.of(Cyclic(Fraction(1)), Cyclic(Fraction(1)))
 
 
-def simple_pcs(prefix, bound=Unbounded(), group=Z, deg=1) -> PmsDescriptor:
-    chain = StageChain((), bound)
+def simple_pcs(prefix, bound=None, group=Z, deg=1) -> PmsDescriptor:
+    """A rank-1 pcs; a bound given here is a member of the group."""
+    chain = StageChain((), bound, bound is not None)
     return PmsDescriptor(PmsKind.PCS, group, chain=chain,
                          pcs_type=Algebraic(deg),
                          prefix=tuple(Value.of(p) for p in prefix))
@@ -137,10 +139,10 @@ def test_classify_needs_three_points():
 
 
 def test_bound_membership_validated():
-    bad = StageChain((), BoundInGroup(ExactReal.rational(Fraction(1, 2))))
+    bad = StageChain((), ExactReal.rational(Fraction(1, 2)), True)
     with pytest.raises(InvariantError):
         PmsDescriptor(PmsKind.PCS, Z, chain=bad, pcs_type=Algebraic(1))
-    bad2 = StageChain((), BoundNotInGroup(ExactReal.rational(3)))
+    bad2 = StageChain((), ExactReal.rational(3), False)
     with pytest.raises(InvariantError):
         PmsDescriptor(PmsKind.PCS, Z, chain=bad2, pcs_type=Algebraic(1))
 
@@ -150,13 +152,12 @@ def test_prefix_monotonicity_validated():
         simple_pcs([1, 3, 2])
     with pytest.raises(InvariantError):
         simple_pcs([Fraction(-1), Fraction(-1, 2), Fraction(1)],
-                   bound=BoundInGroup(ExactReal.rational(0)),
+                   bound=ExactReal.rational(0),
                    group=GroupDescriptor.of(PPowerDivisible(2, Fraction(1))))
 
 
 def test_prefix_respects_declared_constants():
-    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 1),),
-                       Unbounded())
+    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 1),))
     g = GroupDescriptor.of(Cyclic(Fraction(1, 2)), Cyclic(Fraction(1)))
     ok = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(1),
                        prefix=(Value.of(0, 0), Value.of(Fraction(1, 2), 1),
@@ -200,6 +201,29 @@ def test_is_limit_indeterminate_without_witnesses():
     assert is_limit("y", E, cfg) is Tri.INDETERMINATE
 
 
+def _first_tail_index_cases():
+    pcs = simple_pcs([1, 2, 3, 4])
+    # Coordinate 0 is constant from index 2 on, so the tail starts there.
+    chain = StageChain((ConstantFrom(ExactReal.rational(2), 2),))
+    late = PmsDescriptor(PmsKind.PCS, ZZ, chain=chain, pcs_type=Algebraic(1),
+                         prefix=(Value.of(0, 0), Value.of(1, 0), Value.of(2, 0),
+                                 Value.of(2, 1), Value.of(2, 2)))
+    return {"pcs": (pcs, 0), "pds": (mirror(pcs), 1), "tail_start": (late, 2)}
+
+
+@pytest.mark.parametrize("case", ["pcs", "pds", "tail_start"])
+def test_is_limit_decides_on_the_first_tail_index_alone(case):
+    # nu = max(tail_start, delta_shift) is the first tail index: 0 for a pcs,
+    # 1 for a pds, whose delta_1 is the first consecutive distance, and the
+    # stage of the last constant when that is later.
+    E, nu = _first_tail_index_cases()[case]
+    delta = E.prefix[nu - delta_shift(E.kind)]
+    for dist, want in ((delta, Tri.TRUE), (delta + delta, Tri.FALSE)):
+        only = [None] * nu + [dist] + [None] * (len(E.prefix) - nu)
+        cfg = config_from(list(E.prefix), E.kind, extra={"y": only})
+        assert is_limit("y", E, cfg) is want
+
+
 def test_limit_dichotomy():
     E = simple_pcs([1, 2, 3, 4])
     cfg = config_from(list(E.prefix), PmsKind.PCS,
@@ -231,7 +255,7 @@ def test_limit_dichotomy_rejects_garbage():
 def test_cauchy_iff_leading_coordinate_unbounded():
     E = simple_pcs([1, 2, 3])
     assert cofinal(E)
-    chain = StageChain((ConstantFrom(ExactReal.rational(2), 0),), Unbounded())
+    chain = StageChain((ConstantFrom(ExactReal.rational(2), 0),))
     E2 = PmsDescriptor(PmsKind.PCS, ZZ, chain=chain, pcs_type=Algebraic(1),
                        prefix=tuple(Value.of(2, k) for k in range(4)))
     assert not cofinal(E2)
@@ -250,7 +274,7 @@ def test_diverges_to_infinity_mirror():
 def test_exceeds_and_below_all_deltas():
     g = GroupDescriptor.of(PPowerDivisible(2, Fraction(1)))
     E = simple_pcs([Fraction(-1), Fraction(-1, 2), Fraction(-1, 4)],
-                   bound=BoundInGroup(ExactReal.rational(0)), group=g, deg=2)
+                   bound=ExactReal.rational(0), group=g, deg=2)
     assert beyond_all_deltas(Value.of(0), E)
     assert beyond_all_deltas(Value.of(1), E)
     assert not beyond_all_deltas(Value.of(Fraction(-1, 2)), E)
@@ -261,41 +285,44 @@ def test_exceeds_and_below_all_deltas():
         beyond_all_deltas(Value.of(Fraction(1, 3)), E)  # not a group member
 
 
+def test_beyond_all_deltas_at_the_value_of_zero():
+    # v(0) lies above every group element: past all the distance values of
+    # a pcs, and never below all those of its mirror pds.
+    E = simple_pcs([1, 2, 3])
+    assert beyond_all_deltas(INFINITY, E)
+    assert not beyond_all_deltas(INFINITY, mirror(E))
+
+
 # ---------------------------------------------------------------------------
 # sup / inf
 
 
 def test_sup_examples():
-    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 0),),
-                       Unbounded())
+    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 0),))
     g = GroupDescriptor.of(Cyclic(Fraction(1, 2)), Cyclic(Fraction(1)))
     E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(1))
-    out = extremum(E)
-    assert out.finite == (ExactReal.rational(Fraction(1, 2)),)
-    assert out.infinite == (1,)
-    assert not out.in_group
+    assert _supinf_dict(E) == {"value": [{"rat": "1/2"}, "inf"],
+                               "in_group": False}
 
     g2 = GroupDescriptor.of(PPowerDivisible(2, Fraction(1)))
     E2 = simple_pcs([Fraction(-1), Fraction(-1, 2)],
-                    bound=BoundInGroup(ExactReal.rational(0)), group=g2, deg=2)
-    out2 = extremum(E2)
-    assert out2.finite == (ExactReal.rational(0),) and not out2.infinite
-    assert out2.in_group
+                    bound=ExactReal.rational(0), group=g2, deg=2)
+    assert _supinf_dict(E2) == {"value": [{"rat": "0"}], "in_group": True}
 
     sqrt2 = ExactReal.surd(0, 1, 2)
     g3 = GroupDescriptor.of(FullRational(), Cyclic(Fraction(1)),
                             Cyclic(Fraction(1)))
-    chain3 = StageChain((), BoundNotInGroup(sqrt2))
+    chain3 = StageChain((), sqrt2, False)
     E3 = PmsDescriptor(PmsKind.PCS, g3, chain=chain3, pcs_type=Algebraic(2))
-    out3 = extremum(E3)
-    assert out3.finite == (sqrt2,) and out3.infinite == (-1, -1)
-    assert not out3.in_group
+    assert _supinf_dict(E3) == {
+        "value": [{"surd": {"a": "0", "b": "1", "d": 2}}, "-inf", "-inf"],
+        "in_group": False}
 
 
 def test_kind_errors():
     # A pcts has constant distance values: no side to pass them on.
     E = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=Value.of(0))
-    for rule in (cofinal, extremum):
+    for rule in (cofinal, lambda E: E.cut):
         with pytest.raises(KindError):
             rule(E)
     with pytest.raises(KindError):
@@ -307,10 +334,10 @@ def test_mirror_sup_inf_duality():
     for _ in range(40):
         E = random_descriptor(rng, rng.randint(1, 3), kind=PmsKind.PCS)
         M = mirror(E)
-        s, i = extremum(E), extremum(M)
-        assert s.in_group == i.in_group
-        assert tuple(-c for c in s.finite) == i.finite
-        assert tuple(-sign for sign in s.infinite) == i.infinite
+        n, cut = E.group.rank(), E.cut
+        assert M.cut == Cut(tuple(-c for c in cut.constants),
+                            None if cut.r is None else -cut.r, -cut.side)
+        assert M.cut.in_group(n) == cut.in_group(n)
         # Pointwise: negation carries each rule of E to its mirror twin.
         assert cofinal(E) == cofinal(M)
         members = [Value(tuple(random_member(rng, c)
@@ -342,12 +369,11 @@ def test_generated_prefixes_classify_as_declared():
 # Bounded chains need a dense terminal component
 
 SQRT2 = ExactReal.surd(0, 1, 2)
-BOUNDS = {"in_group": BoundInGroup, "not_in_group": BoundNotInGroup}
 
 
-def bounded(kind: PmsKind, comp, bound) -> PmsDescriptor:
+def bounded(kind: PmsKind, comp, r=None, in_group=False) -> PmsDescriptor:
     return PmsDescriptor(
-        kind, GroupDescriptor.of(comp), chain=StageChain((), bound),
+        kind, GroupDescriptor.of(comp), chain=StageChain((), r, in_group),
         pcs_type=Algebraic(2) if kind is PmsKind.PCS else None)
 
 
@@ -361,9 +387,9 @@ def bounded(kind: PmsKind, comp, bound) -> PmsDescriptor:
 def test_bounded_chain_on_discrete_component_is_rejected(kind, bound_kind, r,
                                                          comp):
     with pytest.raises(InvariantError, match="discrete component"):
-        bounded(kind, comp, BOUNDS[bound_kind](r))
+        bounded(kind, comp, r, bound_kind == "in_group")
     # Unbounded chains on the same component stay valid.
-    bounded(kind, comp, Unbounded())
+    bounded(kind, comp)
 
 
 @pytest.mark.parametrize("kind", [PmsKind.PCS, PmsKind.PDS], ids=["pcs", "pds"])
@@ -376,5 +402,5 @@ def test_bounded_chain_on_discrete_component_is_rejected(kind, bound_kind, r,
     ids=["p_divisible", "rationals", "surd_over_cyclic"])
 def test_bounded_chain_on_dense_component_is_accepted(kind, comp, inside,
                                                       outside):
-    bounded(kind, comp, BoundInGroup(inside))
-    bounded(kind, comp, BoundNotInGroup(outside))
+    bounded(kind, comp, inside, True)
+    bounded(kind, comp, outside, False)

@@ -17,7 +17,7 @@ from pmsval.errors import InvalidConfiguration
 from pmsval.groups import INFINITY, Cyclic, GroupDescriptor, Value
 from pmsval.oracle import PadicRationals, sequence_configuration
 from pmsval.sequences import (PmsDescriptor, PmsKind, StageChain, Tri,
-                              Unbounded, UltrametricConfiguration,
+                              UltrametricConfiguration,
                               classify_from_prefix, is_limit,
                               limit_dichotomy_check)
 
@@ -342,7 +342,7 @@ def test_kind_mismatch_still_raises_per_call():
     problem = jsonio.loads_problem(witness_problem(6))
     cfg = problem.configuration
     Z = GroupDescriptor.of(Cyclic(Fraction(1)))
-    pds = PmsDescriptor(PmsKind.PDS, Z, chain=StageChain((), Unbounded()))
+    pds = PmsDescriptor(PmsKind.PDS, Z, chain=StageChain(()))
     for _ in range(2):
         with pytest.raises(InvalidConfiguration,
                            match="classifies as pcs"):
