@@ -10,9 +10,9 @@ from .engine import (DominatingForm, FactoredRationalFunction, TaggedRoot,
 from .exact import ExactReal
 from .groups import (AdjoinedSurd, Cyclic, FormalInteger, FullRational,
                      GroupDescriptor, INFINITY, PPowerDivisible, Value)
-from .oracle import (CompositeField, ConcreteRationalFunction, FitOutcome,
-                     PadicRationals, QtElement, cross_check, fit_pattern,
-                     padic_valuation, sequence_configuration)
+from .oracle import (CompositeField, ConcreteRationalFunction, PadicRationals,
+                     QtElement, cross_check, fit_pattern, padic_valuation,
+                     sequence_configuration)
 from .ranktree import (Branch, LeafKind, RankResult, TreeTrace, auto_probes,
                        enumerate_leaves, rank_of_vE, theorem_rank_check,
                        tree_dot)

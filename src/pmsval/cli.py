@@ -192,6 +192,13 @@ def cmd_sup(problem: Problem) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+def _fit_dict(fit: Optional[engine.DominatingForm]) -> dict:
+    if fit is None:
+        return {"kind": "inconsistent", "degree": None, "beta": None}
+    return {"kind": "constant" if fit.degree == 0 else "affine",
+            "degree": fit.degree, "beta": jsonio.encode_value(fit.beta)}
+
+
 def cmd_oracle_check(problem: Problem,
                      tail_window: Optional[int] = None) -> tuple[dict, int]:
     if tail_window is not None and tail_window < 2:
@@ -207,9 +214,7 @@ def cmd_oracle_check(problem: Problem,
         "agree": rep.agree,
         "kind": rep.kind.value,
         "delta_prefix": [jsonio.encode_value(v) for v in rep.delta_prefix],
-        "fit": {"kind": rep.fit.kind, "degree": rep.fit.degree,
-                "beta": (jsonio.encode_value(rep.fit.beta)
-                         if rep.fit.beta is not None else None)},
+        "fit": _fit_dict(rep.fit),
         "tagged": {"degree": rep.tagged_form.degree,
                    "beta": jsonio.encode_value(rep.tagged_form.beta)},
         "mismatches": list(rep.mismatches),

@@ -16,8 +16,9 @@ from typing import Optional, Sequence, Union
 from .engine import DominatingForm, FactoredRationalFunction, dominating_degree
 from .errors import InvariantError, SchemaError
 from .groups import INFINITY, Value, is_prime
-from .sequences import (PmsDescriptor, PmsKind, UltrametricConfiguration,
-                        classify_from_prefix, delta_shift, moves)
+from .sequences import (DIRECTION, PmsDescriptor, PmsKind,
+                        UltrametricConfiguration, classify_from_prefix,
+                        delta_shift, moves)
 
 
 def padic_valuation(q: Union[int, Fraction], p: int) -> int:
@@ -226,55 +227,40 @@ def sequence_configuration(field: ConcreteField,
 # Pattern fitting
 
 
-@dataclass(frozen=True)
-class FitOutcome:
-    kind: str  # "constant" | "affine" | "inconsistent"
-    degree: Optional[int] = None
-    beta: Optional[Value] = None
-
-    @property
-    def is_consistent(self) -> bool:
-        return self.kind != "inconsistent"
-
-
 def _window(m: int, tail_window: Optional[int]) -> int:
     """How many of the m aligned points the fit reads: tail_window, by
     default the last half, kept within 2..m."""
     return max(2, min(m // 2 if tail_window is None else tail_window, m))
 
 
-_DIRECTION = {PmsKind.PCS: 1, PmsKind.PDS: -1, PmsKind.PCTS: 0}
-
-
 def fit_pattern(kind: PmsKind, deltas: Sequence[Value],
                 values: Sequence[Value],
-                tail_window: Optional[int] = None) -> FitOutcome:
+                tail_window: Optional[int] = None) -> Optional[DominatingForm]:
     """Fit values_nu = d*delta_nu + beta on the tail, solving from the last
     two points and verifying over the window (default: the last half of the
-    m = len(deltas) points).  values ends where deltas ends; only its last
-    window entries are read, so it may hold those alone.  kind is the
-    direction of the deltas, which the last two of them must show."""
+    m = len(deltas) points); None when the window follows no such pattern.
+    values ends where deltas ends; only its last window entries are read,
+    so it may hold those alone.  kind is the direction of the deltas, which
+    the last two of them must show."""
     m = len(deltas)
     if m < 4:
         raise InvariantError("pattern fitting needs at least four tail points")
     window = _window(m, tail_window)
     if len(values) < window:
         raise InvariantError(f"pattern fitting needs the last {window} values")
-    if deltas[-1].compare(deltas[-2]) != _DIRECTION[kind]:
+    if deltas[-1].compare(deltas[-2]) != DIRECTION[kind]:
         raise InvariantError("distance prefix is neither monotone nor constant")
     deltas, values = deltas[m - window:], values[len(values) - window:]
     if any(v.is_infinity for v in values):
-        return FitOutcome("inconsistent")
+        return None
     d = _solve_degree(deltas[-1] - deltas[-2], values[-1] - values[-2])
     if d is None:
-        return FitOutcome("inconsistent")
+        return None
     beta = values[-1] - deltas[-1].scale(d)
     for delta, value in zip(deltas, values):
         if value != delta.scale(d) + beta:
-            return FitOutcome("inconsistent")
-    if d == 0:
-        return FitOutcome("constant", 0, beta)
-    return FitOutcome("affine", d, beta)
+            return None
+    return DominatingForm(d, beta)
 
 
 def _solve_degree(ddelta: Value, dvalue: Value) -> Optional[int]:
@@ -307,7 +293,7 @@ class CrossCheckReport:
     agree: bool
     kind: PmsKind
     delta_prefix: tuple[Value, ...]
-    fit: FitOutcome
+    fit: Optional[DominatingForm]
     tagged_form: Optional[DominatingForm]
     mismatches: tuple[str, ...]
 
@@ -318,7 +304,9 @@ def cross_check(field: ConcreteField, terms: Sequence,
                 E: Optional[PmsDescriptor] = None,
                 tail_window: Optional[int] = None) -> list[CrossCheckReport]:
     """Evaluate each concrete function along the sequence, fit the tail
-    pattern and compare the result with the function's root tagging;
+    pattern and compare the result with the function's root tagging: each
+    root's fit with its tag's form (1, 0) for a limit and (0, beta) at
+    distance beta, and the function's fit with the tags' dominating form;
     mismatches name the offending root by side and position.  The sequence
     is valuated and classified once, for all the functions.  The fit reads
     only the tail window, so each factor is valuated at those terms alone;
@@ -334,6 +322,7 @@ def cross_check(field: ConcreteField, terms: Sequence,
     window = _window(m, tail_window)
     start = delta_shift(kind) + m - window
     tail = terms[start:start + window]
+    limit_form = DominatingForm(1, Value.of(*[0] * deltas[0].arity))
 
     reports = []
     for phi, tagged in functions:
@@ -351,28 +340,28 @@ def cross_check(field: ConcreteField, terms: Sequence,
                                  ("den", den, tagged.den_roots)):
             for idx, (dists, tag) in enumerate(zip(rows, tags)):
                 root_fit = fit_pattern(kind, deltas, dists, tail_window)
-                actual_limit = root_fit.kind == "affine" and root_fit.degree == 1 \
-                    and root_fit.beta == _zero_like(root_fit.beta)
-                actual_beta = root_fit.beta if root_fit.kind == "constant" else None
-                if (tag.is_limit, tag.beta) != (actual_limit, actual_beta):
+                declared = (limit_form if tag.is_limit
+                            else DominatingForm(0, tag.beta))
+                if root_fit != declared:
                     mismatches.append(
                         f"{side}[{idx}]: declared "
-                        f"{'limit' if tag.is_limit else f'beta={tag.beta}'}, "
-                        f"oracle saw "
-                        f"{'limit' if actual_limit else f'beta={actual_beta}'}")
+                        f"{_root_text(declared, limit_form)}, oracle saw "
+                        f"{_root_text(root_fit, limit_form)}")
         tagged_form = (dominating_degree(tagged, E) if E is not None
                        else tagged.dominating_form())
-        if fit.is_consistent:
-            fit_d = fit.degree if fit.degree is not None else 0
-            if fit_d != tagged_form.degree or fit.beta != tagged_form.beta:
-                mismatches.append(
-                    f"overall: oracle fit d={fit_d}, beta={fit.beta}; tags give "
-                    f"d={tagged_form.degree}, beta={tagged_form.beta}")
-        agree = fit.is_consistent and not mismatches
-        reports.append(CrossCheckReport(agree, kind, tuple(deltas), fit,
-                                        tagged_form, tuple(mismatches)))
+        if fit is not None and fit != tagged_form:
+            mismatches.append(
+                f"overall: oracle fit d={fit.degree}, beta={fit.beta}; tags "
+                f"give d={tagged_form.degree}, beta={tagged_form.beta}")
+        reports.append(CrossCheckReport(fit is not None and not mismatches,
+                                        kind, tuple(deltas), fit, tagged_form,
+                                        tuple(mismatches)))
     return reports
 
 
-def _zero_like(v: Value) -> Value:
-    return Value.of(*[0] * v.arity)
+def _root_text(form: Optional[DominatingForm], limit: DominatingForm) -> str:
+    """A root's form as a mismatch names it: a limit, or the constant
+    distance beta (None when the distances are not constant)."""
+    if form == limit:
+        return "limit"
+    return f"beta={form.beta if form is not None and form.degree == 0 else None}"

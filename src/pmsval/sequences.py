@@ -28,6 +28,10 @@ class PmsKind(enum.Enum):
     PCTS = "pcts"
 
 
+# How each kind's distance values move: up, down or not at all.
+DIRECTION = {PmsKind.PCS: 1, PmsKind.PDS: -1, PmsKind.PCTS: 0}
+
+
 class Tri(enum.Enum):
     """Three-valued answer; INDETERMINATE means not enough witness data."""
 
@@ -247,12 +251,12 @@ class PmsDescriptor:
         if not moves(coords, self.sign):
             raise InvariantError(
                 "terminal coordinate must move strictly with the chain direction")
-        r = chain.bound
-        if r is not None:
-            for c in coords:
-                if c.compare(r) != -self.sign:
-                    raise InvariantError(
-                        f"terminal coordinate {c} violates the strict bound {r}")
+        cut, s = self.cut, self.sign
+        for v in prefix:
+            if cut.compare(v) != -s:
+                raise InvariantError(
+                    f"prefix entry {v} is not {'below' if inc else 'above'} "
+                    f"the cut of the chain")
 
     @property
     def tail_start(self) -> int:
@@ -260,11 +264,10 @@ class PmsDescriptor:
 
     @property
     def sign(self) -> int:
-        """+1 for a pcs, whose distance values increase; -1 for a pds, whose
-        distance values decrease.  Negating every value swaps the two."""
+        """The chain direction, +1 for a pcs and -1 for a pds."""
         if self.kind is PmsKind.PCTS:
             raise KindError("a pcts has no chain direction")
-        return 1 if self.kind is PmsKind.PCS else -1
+        return DIRECTION[self.kind]
 
     @cached_property
     def cut(self) -> Cut:
@@ -456,8 +459,7 @@ def classify_from_prefix(cfg: UltrametricConfiguration) -> tuple[PmsKind, list[V
     if len(zs) < 3:
         raise IndeterminateError("need at least three sequence points to classify")
     consec = [cfg.distance(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
-    kind = next((k for k, s in ((PmsKind.PCS, 1), (PmsKind.PDS, -1),
-                                (PmsKind.PCTS, 0)) if moves(consec, s)), None)
+    kind = next((k for k, s in DIRECTION.items() if moves(consec, s)), None)
     neither = ("consecutive distances are neither strictly increasing, "
                "strictly decreasing, nor all equal")
     if kind is None:
@@ -516,12 +518,13 @@ def cofinal(E: PmsDescriptor) -> bool:
 
 def _tail_indices(E: PmsDescriptor, cfg: UltrametricConfiguration,
                   y: str) -> list[int]:
+    """The tail indices nu with v(y - z_nu) recorded; a member's tail
+    starts after it."""
+    zs = cfg.sequence
     floor = max(E.tail_start, delta_shift(E.kind))
-    out = []
-    for nu in range(len(cfg.sequence)):
-        if nu >= floor and cfg.has_distance(y, cfg.sequence[nu]):
-            out.append(nu)
-    return out
+    if y in zs:
+        floor = max(floor, zs.index(y) + 1)
+    return [nu for nu in range(floor, len(zs)) if cfg.has_distance(y, zs[nu])]
 
 
 def _delta_at(E: PmsDescriptor, cfg: UltrametricConfiguration,
@@ -532,8 +535,6 @@ def _delta_at(E: PmsDescriptor, cfg: UltrametricConfiguration,
     for a pcs that is delta_k, for a pds delta_{k+1}.
     """
     k = nu - delta_shift(E.kind)
-    if k < 0:
-        return None
     if E.prefix is not None and k < len(E.prefix):
         return E.prefix[k]
     kind, consec = cfg.classification

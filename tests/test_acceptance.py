@@ -16,9 +16,9 @@ from pmsval import (Algebraic, ConstantFrom, Cyclic, ExactReal,
                     GroupDescriptor, INFINITY, PPowerDivisible, PmsDescriptor,
                     PmsKind, StageChain, Tri, Value, is_limit, mirror)
 from pmsval.cli import _supinf_dict
-from pmsval.engine import (check_pcs_equivalence_iii, check_pds_equivalence_iii,
-                           dominating_degree, induced_configuration,
-                           monomial_value)
+from pmsval.engine import (DominatingForm, check_pcs_equivalence_iii,
+                           check_pds_equivalence_iii, dominating_degree,
+                           induced_configuration, monomial_value)
 from pmsval.groups import component_generator
 from pmsval.oracle import cross_check
 from pmsval.ranktree import (auto_probes, enumerate_leaves, rank_of_vE,
@@ -125,8 +125,7 @@ def test_criterion_5_padic_oracle_equivalence():
         field, terms, phi, tagged, d, beta = random_padic_instance(
             rng, prefix_len=16)
         rep = cross_check(field, terms, [(phi, tagged)], tail_window=8)[0]
-        if not (rep.agree and rep.fit.is_consistent
-                and rep.fit.degree == d and rep.fit.beta == beta):
+        if not (rep.agree and rep.fit == DominatingForm(d, beta)):
             failures.append((i, rep.mismatches))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 10.0

@@ -395,6 +395,43 @@ def test_classify_refuses_conflicting_duplicate_pair(capsys, tmp_path, pair):
     assert rep["delta_prefix"] == [[{"rat": str(k)}] for k in (1, 2, 3)]
 
 
+Z_GROUP = {"components": [{"kind": "cyclic", "gen": "1"}]}
+UNBOUNDED = {"terminal": {"dir": "inc", "bound": "unbounded"}}
+
+
+@pytest.mark.parametrize("sequence, detail", [
+    ({"kind": "pds", "chain": [{"terminal": {"dir": "dec",
+                                             "bound": "unbounded"}}]},
+     "configuration classifies as pcs but the descriptor declares pds"),
+    ({"kind": "pcs", "pcs_type": {"algebraic": {"deg": 1}},
+      "chain": [UNBOUNDED], "prefix": [["1"], ["2"], ["4"]]},
+     "configuration distance 2 is (3), declared prefix says (4)"),
+], ids=["kind", "prefix"])
+def test_classify_refuses_a_descriptor_the_configuration_contradicts(
+        capsys, tmp_path, sequence, detail):
+    path = tmp_path / "both.json"
+    problem = json.loads(open(classify_file(tmp_path, [])).read())
+    problem["sequence"] = {"group": Z_GROUP, **sequence}
+    path.write_text(json.dumps(problem))
+    code, rep = run(capsys, "classify", "--in", str(path))
+    assert code == 3 and rep["error"] == "invariant"
+    assert rep["detail"] == detail
+
+
+def test_classify_refuses_a_prefix_past_the_cut(capsys, tmp_path):
+    # Coordinate 0 settles at 2 from index 5, so an increasing prefix
+    # cannot start at (3, 0).
+    problem = tmp_path / "past.json"
+    problem.write_text(json.dumps({"version": "1", "sequence": {
+        "kind": "pcs", "pcs_type": {"algebraic": {"deg": 1}},
+        "group": {"components": Z_GROUP["components"] * 2},
+        "chain": [{"const": {"v": "2", "from": 5}}, UNBOUNDED],
+        "prefix": [["3", "0"], ["3", "1"], ["3", "2"]]}}))
+    code, rep = run(capsys, "classify", "--in", str(problem))
+    assert code == 3 and rep["error"] == "invariant"
+    assert "prefix entry (3, 0)" in rep["detail"]
+
+
 @pytest.mark.parametrize("window", ["-5", "0", "1"])
 def test_oracle_check_refuses_tail_window_below_two(capsys, monkeypatch,
                                                     window):

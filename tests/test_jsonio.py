@@ -12,12 +12,14 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsval import ExactReal, INFINITY, Value, groups, jsonio, oracle
+from pmsval import (AdjoinedSurd, Cyclic, ExactReal, INFINITY, Value, groups,
+                    jsonio, oracle)
 from pmsval.errors import InvariantError, SchemaError
-from pmsval.jsonio import (decode_chain, decode_configuration,
-                           decode_descriptor, decode_exact, decode_function,
-                           decode_group, decode_problem, decode_value,
-                           dump_report, encode_chain, encode_descriptor,
+from pmsval.jsonio import (decode_chain, decode_component,
+                           decode_configuration, decode_descriptor,
+                           decode_exact, decode_function, decode_group,
+                           decode_problem, decode_value, dump_report,
+                           encode_chain, encode_component, encode_descriptor,
                            encode_exact, encode_function, encode_group,
                            encode_value, loads_problem)
 
@@ -55,6 +57,18 @@ def test_group_round_trip():
         decode_group({"components": []})
     with pytest.raises(SchemaError):
         decode_group({"components": [{"kind": "galaxy"}]})
+
+
+def test_adjoined_surd_component_round_trip():
+    comp = AdjoinedSurd(Cyclic(Fraction(1, 2)), ExactReal.surd(0, 1, 2))
+    raw = encode_component(comp)
+    assert raw == {"kind": "adjoined_surd",
+                   "base": {"kind": "cyclic", "gen": "1/2"},
+                   "tau": {"surd": {"a": "0", "b": "1", "d": 2}}}
+    assert decode_component(raw, "c") == comp
+    with pytest.raises(SchemaError,
+                       match=r"^c: adjoined_surd needs base and tau$"):
+        decode_component({"kind": "adjoined_surd", "base": raw["base"]}, "c")
 
 
 def test_descriptor_round_trip():

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from pmsval import INFINITY, PmsKind, Value, classify_from_prefix, oracle
-from pmsval.engine import FactoredRationalFunction, TaggedRoot
+from pmsval.engine import DominatingForm, FactoredRationalFunction, TaggedRoot
 from pmsval.errors import InvariantError, NotAPms, SchemaError
 from pmsval.oracle import (CompositeField, ConcreteRationalFunction,
-                           CrossCheckReport, FitOutcome, PadicRationals,
-                           QtElement, cross_check, fit_pattern,
-                           padic_valuation, sequence_configuration)
+                           CrossCheckReport, PadicRationals, QtElement,
+                           cross_check, fit_pattern, padic_valuation,
+                           sequence_configuration)
 from pmsval.sequences import delta_shift, moves, pattern_distance
 
 from gen import random_composite_instance, random_padic_instance
@@ -93,21 +94,20 @@ PCS, PDS, PCTS = PmsKind.PCS, PmsKind.PDS, PmsKind.PCTS
 
 def test_fit_pattern_affine_and_constant():
     deltas = [Value.of(k) for k in range(8)]
-    assert fit_pattern(PCS, deltas, deltas).kind == "affine"
+    assert fit_pattern(PCS, deltas, deltas) == DominatingForm(1, Value.of(0))
     fit = fit_pattern(PCS, deltas, [Value.of(2 * k + 3) for k in range(8)])
-    assert (fit.degree, fit.beta) == (2, Value.of(3))
+    assert fit == DominatingForm(2, Value.of(3))
     const = fit_pattern(PCS, deltas, [Value.of(3)] * 8)
-    assert const.kind == "constant" and const.beta == Value.of(3)
+    assert const == DominatingForm(0, Value.of(3))
     ragged = [Value.of(3)] * 7 + [Value.of(4)]
-    assert fit_pattern(PCS, deltas, ragged).kind == "inconsistent"
+    assert fit_pattern(PCS, deltas, ragged) is None
     with pytest.raises(InvariantError, match="four tail points"):
         fit_pattern(PCS, deltas[:3], deltas[:3])
 
 
 def test_fit_pattern_needs_four_points():
     deltas = [Value.of(k) for k in range(4)]
-    fit = fit_pattern(PCS, deltas, deltas)
-    assert (fit.kind, fit.degree, fit.beta) == ("affine", 1, Value.of(0))
+    assert fit_pattern(PCS, deltas, deltas) == DominatingForm(1, Value.of(0))
     with pytest.raises(InvariantError, match="four tail points"):
         fit_pattern(PCS, deltas[:3], deltas[:3])
 
@@ -115,17 +115,16 @@ def test_fit_pattern_needs_four_points():
 def test_fit_pattern_vector_degree():
     deltas = [Value.of(2, k) for k in range(8)]
     values = [Value.of(4, 2 * k + 1) for k in range(8)]
-    fit = fit_pattern(PCS, deltas, values)
-    assert (fit.degree, fit.beta) == (2, Value.of(0, 1))
+    assert fit_pattern(PCS, deltas, values) == DominatingForm(2, Value.of(0, 1))
     # A drifting coordinate the distance values never move is unfittable.
     bad = [Value.of(2 * k, k) for k in range(8)]
-    assert fit_pattern(PCS, deltas, bad).kind == "inconsistent"
+    assert fit_pattern(PCS, deltas, bad) is None
 
 
 def test_fit_pattern_reads_only_the_window():
     deltas = [Value.of(Fraction(k, 3)) for k in range(10)]
     values = [Value.of(Fraction(2 * k, 3) + 1) for k in range(10)]
-    fit = FitOutcome("affine", 2, Value.of(1))
+    fit = DominatingForm(2, Value.of(1))
     assert fit_pattern(PCS, deltas, values) == fit
     # Only the last window values are read, so they may come alone, and
     # anything before them is ignored.
@@ -133,7 +132,7 @@ def test_fit_pattern_reads_only_the_window():
     assert fit_pattern(PCS, deltas, [INFINITY] * 7 + values[7:],
                        tail_window=3) == fit
     assert fit_pattern(PCS, deltas, [INFINITY] * 7 + values[7:],
-                       tail_window=4).kind == "inconsistent"
+                       tail_window=4) is None
     with pytest.raises(InvariantError, match="last 5 values"):
         fit_pattern(PCS, deltas, values[6:])
 
@@ -141,15 +140,15 @@ def test_fit_pattern_reads_only_the_window():
 def test_fit_pattern_pds_and_pcts():
     down = [Value.of(-k) for k in range(8)]
     fit = fit_pattern(PDS, down, [Value.of(2 * k + 5) for k in range(8)])
-    assert (fit.kind, fit.degree, fit.beta) == ("affine", -2, Value.of(5))
+    assert fit == DominatingForm(-2, Value.of(5))
     halves = [Value.of(Fraction(3 * k, 2)) for k in range(8)]
-    assert fit_pattern(PDS, down, halves).kind == "inconsistent"
+    assert fit_pattern(PDS, down, halves) is None
     flat = [Value.of(3, 1)] * 8
     const = fit_pattern(PCTS, flat, [Value.of(1, k % 2) for k in range(4)]
                         + [Value.of(-2, 7)] * 4)
-    assert const == FitOutcome("constant", 0, Value.of(-2, 7))
+    assert const == DominatingForm(0, Value.of(-2, 7))
     drift = [Value.of(-2, 7)] * 7 + [Value.of(-2, 8)]
-    assert fit_pattern(PCTS, flat, drift).kind == "inconsistent"
+    assert fit_pattern(PCTS, flat, drift) is None
 
 
 @pytest.mark.parametrize("kind, deltas", [
@@ -237,7 +236,7 @@ def test_random_composite_instances_agree():
         assert rep.fit.degree == d and rep.fit.beta == beta
 
 
-def reference_fit(deltas, values, tail_window=None) -> FitOutcome:
+def reference_fit(deltas, values, tail_window=None) -> Optional[DominatingForm]:
     """The fit as it was before it took the kind: every aligned value, the
     direction from a scan of the whole prefix, d by Fraction division."""
     m = min(len(deltas), len(values))
@@ -247,30 +246,30 @@ def reference_fit(deltas, values, tail_window=None) -> FitOutcome:
     window = max(2, min(window, m))
     tail = range(m - window, m)
     if any(values[i].is_infinity for i in tail):
-        return FitOutcome("inconsistent")
+        return None
     if moves(deltas, 0):
         if moves(values[m - window:m], 0):
-            return FitOutcome("constant", 0, values[m - 1])
-        return FitOutcome("inconsistent")
+            return DominatingForm(0, values[m - 1])
+        return None
     assert moves(deltas, 1) or moves(deltas, -1)
     d = None
     ddelta, dvalue = deltas[m - 1] - deltas[m - 2], values[m - 1] - values[m - 2]
     for x, y in zip(ddelta.coords, dvalue.coords):
         if not x.is_rational or not y.is_rational:
-            return FitOutcome("inconsistent")
+            return None
         if x.rational_value == 0:
             if y.rational_value != 0:
-                return FitOutcome("inconsistent")
+                return None
             continue
         q = y.rational_value / x.rational_value
         if q.denominator != 1 or d not in (None, int(q)):
-            return FitOutcome("inconsistent")
+            return None
         d = int(q)
     d = d or 0
     beta = values[m - 1] - deltas[m - 1].scale(d)
     if any(values[i] != deltas[i].scale(d) + beta for i in tail):
-        return FitOutcome("inconsistent")
-    return FitOutcome("constant" if d == 0 else "affine", d, beta)
+        return None
+    return DominatingForm(d, beta)
 
 
 def reference_cross_check(field, terms, phi, tagged, tail_window):
@@ -303,20 +302,21 @@ def reference_cross_check(field, terms, phi, tagged, tail_window):
                              ("den", den, tagged.den_roots)):
         for idx, (row, tag) in enumerate(zip(rows, tags)):
             root_fit = reference_fit(deltas, row, tail_window)
-            limit = (root_fit.kind, root_fit.degree) == ("affine", 1) and \
+            limit = root_fit is not None and root_fit.degree == 1 and \
                 root_fit.beta == Value.of(*[0] * root_fit.beta.arity)
-            beta = root_fit.beta if root_fit.kind == "constant" else None
+            beta = root_fit.beta if root_fit is not None and \
+                root_fit.degree == 0 else None
             if (tag.is_limit, tag.beta) != (limit, beta):
                 mismatches.append(
                     f"{side}[{idx}]: declared "
                     f"{'limit' if tag.is_limit else f'beta={tag.beta}'}, "
                     f"oracle saw {'limit' if limit else f'beta={beta}'}")
     form = tagged.dominating_form()
-    if fit.is_consistent and (fit.degree, fit.beta) != (form.degree, form.beta):
+    if fit is not None and (fit.degree, fit.beta) != (form.degree, form.beta):
         mismatches.append(
             f"overall: oracle fit d={fit.degree}, beta={fit.beta}; tags give "
             f"d={form.degree}, beta={form.beta}")
-    return CrossCheckReport(fit.is_consistent and not mismatches, kind,
+    return CrossCheckReport(fit is not None and not mismatches, kind,
                             tuple(deltas), fit, form, tuple(mismatches))
 
 

@@ -169,6 +169,29 @@ def test_prefix_respects_declared_constants():
                               Value.of(Fraction(1, 2), 2)))
 
 
+@pytest.mark.parametrize("kind, sign", [(PmsKind.PCS, 1), (PmsKind.PDS, -1)],
+                         ids=["pcs", "pds"])
+def test_prefix_before_the_last_stage_is_checked_against_the_cut(kind, sign):
+    # Coordinate 0 settles at 2 from index 5 on, so no distance value of a
+    # pcs passes (2, *) and none of a pds falls below (-2, *), even in a
+    # prefix that ends before index 5.
+    chain = StageChain((ConstantFrom(ExactReal.rational(2 * sign), 5),))
+
+    def build(prefix):
+        return PmsDescriptor(
+            kind, ZZ, chain=chain,
+            pcs_type=Algebraic(1) if kind is PmsKind.PCS else None,
+            prefix=tuple(Value.of(sign * a, sign * b) for a, b in prefix))
+
+    side = "below" if kind is PmsKind.PCS else "above"
+    past = rf"^prefix entry \({3 * sign}, 0\) is not {side} the cut of the chain$"
+    with pytest.raises(InvariantError, match=past):
+        build([(3, 0), (3, 1), (3, 2)])
+    E = build([(1, 0), (1, 5), (2, 0)])
+    assert E.tail_start == 5
+    assert not beyond_all_deltas(Value.of(sign, 5), E)
+
+
 # ---------------------------------------------------------------------------
 # Limits
 
@@ -233,6 +256,65 @@ def test_limit_dichotomy():
     cfg2 = config_from(list(E.prefix), PmsKind.PCS,
                        extra={"y": [Value.of(k + 1) for k in range(4)] + [None]})
     assert limit_dichotomy_check("y", E, cfg2).is_limit
+
+
+def test_dichotomy_of_a_pcs_member_is_its_own_distance_value():
+    # v(z_mu - z_nu) = delta_mu for every later nu: z_mu is no limit, and
+    # the distances settle at delta_mu.
+    E = simple_pcs([1, 2, 3, 4])
+    cfg = config_from(list(E.prefix), PmsKind.PCS)
+    for mu in range(3):
+        out = limit_dichotomy_check(f"z{mu}", E, cfg)
+        assert (out.is_limit, out.constant_value) == (False, E.prefix[mu])
+    # z3 and z4 have fewer than two later members to witness the pattern.
+    for mu in (3, 4):
+        with pytest.raises(IndeterminateError):
+            limit_dichotomy_check(f"z{mu}", E, cfg)
+
+
+def test_dichotomy_of_a_pds_member_is_a_limit():
+    E = mirror(simple_pcs([1, 2, 3, 4]))
+    cfg = config_from(list(E.prefix), PmsKind.PDS)
+    for mu in range(3):
+        out = limit_dichotomy_check(f"z{mu}", E, cfg)
+        assert (out.is_limit, out.constant_value) == (True, None)
+    for mu in (3, 4):
+        with pytest.raises(IndeterminateError):
+            limit_dichotomy_check(f"z{mu}", E, cfg)
+
+
+def test_dichotomy_of_a_pcts_member_is_a_limit_at_delta():
+    delta = Value.of(2)
+    E = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=delta)
+    cfg = config_from([delta] * 4, PmsKind.PCTS)
+    for mu in range(4):
+        out = limit_dichotomy_check(f"z{mu}", E, cfg)
+        assert (out.is_limit, out.constant_value) == (True, delta)
+    with pytest.raises(IndeterminateError, match="no tail witnesses"):
+        limit_dichotomy_check("z4", E, cfg)
+
+
+def test_dichotomy_of_a_point_off_a_pcts():
+    delta = Value.of(2)
+    E = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=delta)
+
+    def check(dists):
+        cfg = config_from([delta] * 4, PmsKind.PCTS, extra={"y": dists})
+        return limit_dichotomy_check("y", E, cfg)
+
+    out = check([Value.of(1)] * 5)
+    assert (out.is_limit, out.constant_value) == (False, Value.of(1))
+    out = check([delta] * 5)
+    assert (out.is_limit, out.constant_value) == (True, delta)
+    with pytest.raises(IndeterminateError, match="no tail witnesses"):
+        check([None] * 5)
+    # Distances that never settle; built without the isosceles check.
+    garbage = UltrametricConfiguration(
+        tuple(f"z{i}" for i in range(5)), ("y",),
+        {**config_from([delta] * 4, PmsKind.PCTS).dist,
+         **{("y", f"z{i}"): Value.of(i % 2) for i in range(5)}})
+    with pytest.raises(InvalidConfiguration, match="witnessed tail is not"):
+        limit_dichotomy_check("y", E, garbage)
 
 
 def test_limit_dichotomy_rejects_garbage():
@@ -345,6 +427,18 @@ def test_mirror_sup_inf_duality():
                    for _ in range(4)]
         for beta in members + list(E.prefix) + auto_probes(E):
             assert beyond_all_deltas(beta, E) == beyond_all_deltas(-beta, M)
+
+
+def test_mirror_of_a_pcts_negates_its_delta_and_prefix():
+    E = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=Value.of(2),
+                      prefix=(Value.of(2),) * 3)
+    M = mirror(E)
+    assert M == PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=Value.of(-2),
+                              prefix=(Value.of(-2),) * 3)
+    assert mirror(M) == E
+    bare = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=Value.of(2))
+    assert mirror(bare) == PmsDescriptor(PmsKind.PCTS, Z,
+                                         pcts_delta=Value.of(-2))
 
 
 def test_mirror_round_trip():
