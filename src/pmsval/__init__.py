@@ -13,9 +13,8 @@ from .groups import (AdjoinedSurd, Cyclic, FormalInteger, FullRational,
 from .oracle import (CompositeField, ConcreteRationalFunction, PadicRationals,
                      QtElement, cross_check, fit_pattern, padic_valuation,
                      sequence_configuration)
-from .ranktree import (Branch, LeafKind, RankResult, TreeTrace, auto_probes,
-                       enumerate_leaves, rank_of_vE, theorem_rank_check,
-                       tree_dot)
+from .ranktree import (Branch, Leaf, RankResult, auto_probes, enumerate_leaves,
+                       rank_of_vE, theorem_rank_check, tree_dot)
 from .sequences import (Algebraic, ConstantFrom, Cut, PmsDescriptor, PmsKind,
                         StageChain, Transcendental, Tri,
                         UltrametricConfiguration, beyond_all_deltas,

@@ -94,7 +94,8 @@ def _rank_dict(result: ranktree.RankResult, E) -> dict:
         "trace": ([{"level": lvl, "branch": br.value}
                    for lvl, br in result.trace.steps]
                   if result.trace is not None else None),
-        "leaf": result.trace.leaf.value if result.trace is not None else None,
+        "leaf": (("rank+1" if result.trace.rank_delta else "rank-same")
+                 if result.trace is not None else None),
     }
     if result.alpha is not None:
         out["sup" if E.sign > 0 else "inf"] = _supinf_dict(E)
@@ -124,12 +125,10 @@ def cmd_classify(problem: Problem) -> tuple[dict, int]:
     E = problem.sequence
     if E is not None:
         report["declared_kind"] = E.kind.value
-        if kind is not None and kind is not E.kind:
-            raise InvariantError(
-                f"configuration classifies as {kind.value} but the descriptor "
-                f"declares {E.kind.value}")
-        if kind is not None and E.prefix:
-            for nu, (got, declared) in enumerate(zip(prefix, E.prefix)):
+        if kind is not None:
+            sequences.check_configuration(E, problem.configuration)
+            for nu, (got, declared) in enumerate(zip(prefix,
+                                                     E.prefix or ())):
                 if got != declared:
                     raise InvariantError(
                         f"configuration distance {nu} is {got}, declared "

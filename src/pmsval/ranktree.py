@@ -29,22 +29,25 @@ class Branch(enum.Enum):
     BOUND_IN_GROUP_CONSTANT = "bound-in-group-constant"
 
 
-class LeafKind(enum.Enum):
-    RANK_PLUS_ONE = "rank+1"
-    RANK_SAME = "rank-same"
-
-
-_LEAF_OF_BRANCH = {
-    Branch.SUP_INFINITE: LeafKind.RANK_PLUS_ONE,
-    Branch.BOUND_NOT_IN_GROUP: LeafKind.RANK_SAME,
-    Branch.BOUND_IN_GROUP_STRICT: LeafKind.RANK_PLUS_ONE,
-}
-
-
 @dataclass(frozen=True)
-class TreeTrace:
-    steps: tuple[tuple[int, Branch], ...]
-    leaf: LeafKind
+class Leaf:
+    """Where the rank walk ends: a constant coordinate at every level above
+    terminal_level, then branch there."""
+
+    terminal_level: int
+    branch: Branch
+
+    @property
+    def steps(self) -> tuple[tuple[int, Branch], ...]:
+        return tuple((i, Branch.BOUND_IN_GROUP_CONSTANT)
+                     for i in range(1, self.terminal_level)) \
+            + ((self.terminal_level, self.branch),)
+
+    @property
+    def rank_delta(self) -> int:
+        """0 when the bound is adjoined to its component, else 1 for the
+        inserted formal integer factor."""
+        return int(self.branch is not Branch.BOUND_NOT_IN_GROUP)
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class RankResult:
     output_rank: int
     extended_group: GroupDescriptor
     alpha: Optional[Value]
-    trace: Optional[TreeTrace]
+    trace: Optional[Leaf]
     insert_position: Optional[int]
     group_note: str
     alpha_check: Optional[CheckOutcome] = None
@@ -100,9 +103,7 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
     branch = (Branch.SUP_INFINITE if cut.r is None
               else Branch.BOUND_IN_GROUP_STRICT if cut.side
               else Branch.BOUND_NOT_IN_GROUP)
-    steps = tuple((i, Branch.BOUND_IN_GROUP_CONSTANT) for i in range(1, j))
-    trace = TreeTrace(steps + ((j, branch),), _LEAF_OF_BRANCH[branch])
-    result = RankResult(n, extended.rank(), extended, alpha, trace,
+    result = RankResult(n, extended.rank(), extended, alpha, Leaf(j, branch),
                         insert_position,
                         "model of the extended value group over the "
                         "algebraic closure")
@@ -214,16 +215,7 @@ def auto_probes(E: PmsDescriptor) -> list[Value]:
 # Leaf enumeration
 
 
-@dataclass(frozen=True)
-class LeafShape:
-    """A chain shape: constants down to terminal_level, then one branch."""
-
-    terminal_level: int
-    branch: Branch
-    rank_delta: int
-
-
-def enumerate_leaves(n: int) -> list[LeafShape]:
+def enumerate_leaves(n: int) -> list[Leaf]:
     """All leaves of the depth-n tree: three per level, constant descends;
     a constant coordinate at the last level is contradictory and excluded.
 
@@ -231,13 +223,9 @@ def enumerate_leaves(n: int) -> list[LeafShape]:
     requested depth cannot cost unbounded time or output."""
     if not 1 <= n <= 6:
         raise InvariantError("leaf enumeration supports ranks 1..6")
-    out = []
-    for level in range(1, n + 1):
-        for branch in (Branch.SUP_INFINITE, Branch.BOUND_NOT_IN_GROUP,
-                       Branch.BOUND_IN_GROUP_STRICT):
-            delta = 1 if _LEAF_OF_BRANCH[branch] is LeafKind.RANK_PLUS_ONE else 0
-            out.append(LeafShape(level, branch, delta))
-    return out
+    return [Leaf(level, branch) for level in range(1, n + 1)
+            for branch in (Branch.SUP_INFINITE, Branch.BOUND_NOT_IN_GROUP,
+                           Branch.BOUND_IN_GROUP_STRICT)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +279,7 @@ def _labels(pcs: bool, i: int) -> dict[str, str]:
     }
 
 
-def tree_dot(kind: PmsKind, n: int, trace: Optional[TreeTrace] = None) -> str:
+def tree_dot(kind: PmsKind, n: int, trace: Optional[Leaf] = None) -> str:
     """Graphviz source for the depth-n tree, optionally highlighting a trace.
 
     The square (constant-coordinate) node of level i doubles as the root of

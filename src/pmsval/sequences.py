@@ -516,52 +516,62 @@ def cofinal(E: PmsDescriptor) -> bool:
 # Limits
 
 
-def _tail_indices(E: PmsDescriptor, cfg: UltrametricConfiguration,
-                  y: str) -> list[int]:
-    """The tail indices nu with v(y - z_nu) recorded; a member's tail
-    starts after it."""
-    zs = cfg.sequence
-    floor = max(E.tail_start, delta_shift(E.kind))
-    if y in zs:
-        floor = max(floor, zs.index(y) + 1)
-    return [nu for nu in range(floor, len(zs)) if cfg.has_distance(y, zs[nu])]
-
-
-def _delta_at(E: PmsDescriptor, cfg: UltrametricConfiguration,
-              nu: int) -> Optional[Value]:
-    """delta_nu in sequence indexing, or None when not witnessed.
-
-    Consecutive distances are stored so that entry k is v(z_k - z_{k+1});
-    for a pcs that is delta_k, for a pds delta_{k+1}.
-    """
-    k = nu - delta_shift(E.kind)
-    if E.prefix is not None and k < len(E.prefix):
-        return E.prefix[k]
+def check_configuration(E: PmsDescriptor, cfg: UltrametricConfiguration
+                        ) -> tuple[Value, ...]:
+    """The consecutive distances of cfg, once cfg is checked against E: it
+    classifies as E's kind, and a pcts sits at E's delta."""
     kind, consec = cfg.classification
     if kind is not E.kind:
         raise InvalidConfiguration(
-            f"configuration classifies as {kind.value}, descriptor says "
-            f"{E.kind.value}")
-    return consec[k] if k < len(consec) else None
+            f"configuration classifies as {kind.value} but the descriptor "
+            f"declares {E.kind.value}")
+    if kind is PmsKind.PCTS and consec[0] != E.pcts_delta:
+        raise InvalidConfiguration(
+            f"configuration distance is {consec[0]} but the descriptor "
+            f"declares delta {E.pcts_delta}")
+    return consec
+
+
+def _tail(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration
+          ) -> list[tuple[Value, Optional[Value]]]:
+    """The pairs (v(y - z_nu), delta_nu) over y's witnessed tail: the
+    indices nu from the chain's last stage on (from 1 for a pds) with
+    v(y - z_nu) recorded; a member's tail starts after it.
+
+    delta_nu is a consecutive distance of cfg, then an entry of E's prefix
+    beyond them, else None; a pcts has its one delta at every index."""
+    deltas = check_configuration(E, cfg)
+    deltas += (E.prefix or ())[len(deltas):]
+    zs, shift = cfg.sequence, delta_shift(E.kind)
+    floor = max(E.tail_start, shift)
+    if y in zs:
+        floor = max(floor, zs.index(y) + 1)
+    return [(cfg.distance(y, zs[nu]),
+             E.pcts_delta if E.kind is PmsKind.PCTS
+             else deltas[nu - shift] if nu - shift < len(deltas) else None)
+            for nu in range(floor, len(zs)) if cfg.has_distance(y, zs[nu])]
+
+
+def _follows(E: PmsDescriptor, tail) -> Optional[bool]:
+    """Whether every distance of the tail follows its delta_nu: equals it,
+    or for a pcts is at least delta.  None when no delta_nu is known."""
+    pcts = E.kind is PmsKind.PCTS
+    checked = [d >= delta if pcts else d == delta
+               for d, delta in tail if delta is not None]
+    return all(checked) if checked else None
 
 
 def is_limit(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration) -> Tri:
-    """Is v(y - z_nu) = delta_nu on the witnessed tail?
+    """Does v(y - z_nu) follow delta_nu on the witnessed tail?
 
     Sequence members are decided outright: every member of a pds or pcts is
     a limit, no member of a pcs is.
     """
     if y in cfg.sequence:
         return Tri.FALSE if E.kind is PmsKind.PCS else Tri.TRUE
-    checked = 0
-    for nu in _tail_indices(E, cfg, y):
-        delta = _delta_at(E, cfg, nu)
-        if delta is None:
-            continue
-        if cfg.distance(y, cfg.sequence[nu]) != delta:
-            return Tri.FALSE
-        checked += 1
-    return Tri.TRUE if checked else Tri.INDETERMINATE
+    follows = _follows(E, _tail(y, E, cfg))
+    return (Tri.INDETERMINATE if follows is None
+            else Tri.TRUE if follows else Tri.FALSE)
 
 
 @dataclass(frozen=True)
@@ -574,29 +584,23 @@ class Dichotomy:
 
 def limit_dichotomy_check(y: str, E: PmsDescriptor,
                           cfg: UltrametricConfiguration) -> Dichotomy:
-    tail = _tail_indices(E, cfg, y)
-    if E.kind is PmsKind.PCTS:
-        if not tail:
-            raise IndeterminateError("no tail witnesses for the dichotomy")
-        values = [cfg.distance(y, cfg.sequence[nu]) for nu in tail]
-        if not moves(values, 0):
-            raise InvalidConfiguration(
-                "distances to a pcts are ultimately constant; witnessed tail "
-                "is not")
-        return Dichotomy(values[0] >= E.pcts_delta, values[0])
-    if len(tail) < 2:
+    """(True, None) for a limit, (True, delta) for a limit of a pcts, and
+    (False, c) when the distances settle at c."""
+    tail = _tail(y, E, cfg)
+    pcts = E.kind is PmsKind.PCTS
+    if len(tail) < (1 if pcts else 2):
         raise IndeterminateError(
+            "no tail witnesses for the dichotomy" if pcts else
             "need at least two tail witnesses to separate the limit pattern "
             "from an ultimately constant one")
-    values = [cfg.distance(y, cfg.sequence[nu]) for nu in tail]
-    checkable = [(nu, _delta_at(E, cfg, nu)) for nu in tail]
-    checkable = [(nu, d) for nu, d in checkable if d is not None]
-    if checkable and all(cfg.distance(y, cfg.sequence[nu]) == d
-                         for nu, d in checkable):
-        return Dichotomy(True, None)
+    if _follows(E, tail):
+        return Dichotomy(True, E.pcts_delta)
+    values = [d for d, _ in tail]
     if moves(values, 0):
         return Dichotomy(False, values[0])
     raise InvalidConfiguration(
+        "distances to a pcts are ultimately constant; witnessed tail is not"
+        if pcts else
         f"distances from {y} neither follow the distance values nor settle; "
         "not valid pseudo monotone data")
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from pmsval import (Algebraic, ConstantFrom, Cyclic, ExactReal, FullRational,
                     GroupDescriptor, PPowerDivisible, PmsDescriptor, PmsKind,
-                    StageChain, Value)
+                    StageChain, UltrametricConfiguration, Value)
 from pmsval.engine import FactoredRationalFunction, TaggedRoot
 from pmsval.groups import component_contains, component_generator
 from pmsval.oracle import CompositeField, ConcreteRationalFunction, \
@@ -117,6 +117,44 @@ def random_descriptor(rng: random.Random, n: int,
     dense = level - 1 if branch is not Branch.SUP_INFINITE else None
     group = random_group(rng, n, dense_at=dense)
     return make_descriptor(rng, group, kind, level, branch)
+
+
+def random_pcts(rng: random.Random, n: int) -> PmsDescriptor:
+    group = random_group(rng, n)
+    delta = Value(tuple(random_member(rng, c) for c in group.components))
+    return PmsDescriptor(PmsKind.PCTS, group, pcts_delta=delta,
+                         prefix=(delta,) * rng.randint(2, 5))
+
+
+def with_candidates(rng: random.Random, cfg: UltrametricConfiguration
+                    ) -> UltrametricConfiguration:
+    """cfg with more candidate points: y<k> closer to the member z_k than
+    any other point is, and w below every distance.  Every point outside
+    the sequence, cfg's own included, keeps a random share of its
+    distances to the members."""
+    zs = cfg.sequence
+    values = [v for v in cfg.dist.values() if not v.is_infinity]
+    zero = ExactReal.rational(0)
+    top, bottom = (Value((v.coords[0] + ExactReal.rational(step),)
+                         + (zero,) * (v.arity - 1))
+                   for v, step in ((max(values), 1), (min(values), -1)))
+    proxy = {p: p for p in cfg.names()}
+    for k in rng.sample(range(len(zs)), rng.randint(1, len(zs))):
+        proxy[f"y{k}"] = zs[k]
+    names = list(proxy) + ["w"]
+    keep = {p: rng.choice((0.25, 0.5, 1.0)) for p in names if p not in zs}
+    dist = {}
+    for i, p in enumerate(names):
+        for q in names[i + 1:]:
+            if p in zs and q not in zs and rng.random() >= keep[q]:
+                continue
+            if q == "w":
+                dist[(p, q)] = bottom
+            elif proxy[p] == proxy[q]:
+                dist[(p, q)] = top
+            elif cfg.has_distance(proxy[p], proxy[q]):
+                dist[(p, q)] = cfg.distance(proxy[p], proxy[q])
+    return UltrametricConfiguration.build(zs, names[len(zs):], dist)
 
 
 def random_value(rng: random.Random, arity: int, surds: bool = True) -> Value:

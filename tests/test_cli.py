@@ -418,6 +418,19 @@ def test_classify_refuses_a_descriptor_the_configuration_contradicts(
     assert rep["detail"] == detail
 
 
+def test_classify_refuses_a_pcts_off_its_declared_delta(capsys, tmp_path):
+    path = tmp_path / "pcts.json"
+    path.write_text(json.dumps({"version": "1", "configuration": {
+        "sequence": ["z0", "z1", "z2", "z3"],
+        "distances": [{"pair": [f"z{i}", f"z{i + 1}"], "v": "3"}
+                      for i in range(3)]},
+        "sequence": {"kind": "pcts", "group": Z_GROUP, "pcts_delta": ["2"]}}))
+    code, rep = run(capsys, "classify", "--in", str(path))
+    assert code == 3 and rep["error"] == "invariant"
+    assert rep["detail"] == ("configuration distance is (3) but the "
+                             "descriptor declares delta (2)")
+
+
 def test_classify_refuses_a_prefix_past_the_cut(capsys, tmp_path):
     # Coordinate 0 settles at 2 from index 5, so an increasing prefix
     # cannot start at (3, 0).

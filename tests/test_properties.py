@@ -1,7 +1,8 @@
 """hypothesis properties of random descriptors up to rank 6: mirror
 duality is an involution, JSON encoding round-trips, the rank theorem
-holds, and a pcs and a pds on one chain share their cut exactly when the
-bound lies outside the group."""
+holds, a pcs and a pds on one chain share their cut exactly when the
+bound lies outside the group, and is_limit agrees with the limit
+dichotomy wherever the dichotomy answers."""
 
 from __future__ import annotations
 
@@ -10,11 +11,14 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from pmsval import PmsKind, mirror, rank_of_vE, theorem_rank_check
+from pmsval import (PmsKind, Tri, induced_configuration, is_limit,
+                    limit_dichotomy_check, mirror, rank_of_vE,
+                    theorem_rank_check)
+from pmsval.errors import IndeterminateError, InvalidConfiguration
 from pmsval.jsonio import decode_descriptor, encode_descriptor
 from pmsval.ranktree import Branch
 
-from gen import random_descriptor
+from gen import random_descriptor, random_pcts, with_candidates
 
 descriptors = st.builds(lambda n, seed: random_descriptor(random.Random(seed), n),
                         st.integers(1, 6), st.integers(0, 2 ** 32))
@@ -56,3 +60,26 @@ def test_pcs_and_pds_share_a_cut_iff_the_bound_is_outside_the_group(E):
     assert (E.cut == D.cut) == outside
     assert (rd.alpha == r.alpha
             and rd.extended_group == r.extended_group) == outside
+
+
+def _limit_case(kind: PmsKind, n: int, seed: int):
+    rng = random.Random(seed)
+    E = (random_pcts(rng, n) if kind is PmsKind.PCTS
+         else random_descriptor(rng, n, kind=kind))
+    return E, with_candidates(rng, induced_configuration(E))
+
+
+@seeded
+@given(st.builds(_limit_case, st.sampled_from(list(PmsKind)),
+                 st.integers(1, 3), st.integers(0, 2 ** 32)))
+def test_is_limit_agrees_with_the_dichotomy(case):
+    E, cfg = case
+    for y in cfg.names():
+        try:
+            out = limit_dichotomy_check(y, E, cfg)
+        except (IndeterminateError, InvalidConfiguration):
+            continue
+        assert is_limit(y, E, cfg) is (Tri.TRUE if out.is_limit
+                                       else Tri.FALSE), y
+        if out.is_limit:
+            assert out.constant_value == E.pcts_delta, y

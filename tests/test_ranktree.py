@@ -14,7 +14,7 @@ from pmsval import (Algebraic, ConstantFrom, Cyclic, ExactReal, FullRational,
 from pmsval.cli import _supinf_dict
 from pmsval.errors import InvariantError, KindError
 from pmsval.groups import AdjoinedSurd, FormalInteger
-from pmsval.ranktree import (Branch, LeafKind, auto_probes, check_alpha,
+from pmsval.ranktree import (Branch, auto_probes, check_alpha,
                              enumerate_leaves, rank_of_vE, theorem_rank_check,
                              tree_dot)
 
@@ -34,7 +34,7 @@ def test_rank_example_gamma_plus_z():
     assert r.alpha == Value.of(Fraction(1, 2), 1, 0)
     assert isinstance(r.extended_group.components[1], FormalInteger)
     assert not _supinf_dict(E)["in_group"]
-    assert r.trace.leaf is LeafKind.RANK_PLUS_ONE
+    assert r.trace.rank_delta == 1
 
 
 def test_rank_example_p_divisible_bound_zero():
@@ -60,7 +60,7 @@ def test_rank_example_surd_bound_keeps_rank():
     assert r.alpha == Value((SQRT2,))
     comp = r.extended_group.components[0]
     assert isinstance(comp, AdjoinedSurd) and comp.tau == SQRT2
-    assert r.trace.leaf is LeafKind.RANK_SAME
+    assert r.trace.rank_delta == 0
 
 
 def test_rank_pds_mirror_of_bound_zero():
@@ -159,6 +159,9 @@ def test_theorem_rank_check_examples():
 
     with pytest.raises(KindError):
         theorem_rank_check(PmsDescriptor(PmsKind.PCTS, g, pcts_delta=Value.of(0)))
+    with pytest.raises(KindError):
+        theorem_rank_check(PmsDescriptor(PmsKind.PCS, g, chain=chain,
+                                         pcs_type=Transcendental()))
 
 
 def test_theorem_rank_check_randomized():

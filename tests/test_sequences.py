@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ import pytest
 from pmsval import (INFINITY, AdjoinedSurd, Algebraic, ConstantFrom, Cut,
                     Cyclic, ExactReal, FormalInteger, FullRational,
                     GroupDescriptor, PPowerDivisible, PmsDescriptor, PmsKind,
-                    StageChain, Tri, UltrametricConfiguration, Value,
+                    StageChain, Transcendental, Tri, UltrametricConfiguration,
+                    Value,
                     beyond_all_deltas, classify_from_prefix, cofinal,
-                    is_limit, limit_dichotomy_check, mirror)
+                    induced_configuration, is_limit, limit_dichotomy_check,
+                    mirror)
 from pmsval.cli import _supinf_dict
 from pmsval.errors import (IndeterminateError, InvalidConfiguration,
                            InvariantError, KindError, NotAPms)
@@ -145,6 +148,38 @@ def test_bound_membership_validated():
     bad2 = StageChain((), ExactReal.rational(3), False)
     with pytest.raises(InvariantError):
         PmsDescriptor(PmsKind.PCS, Z, chain=bad2, pcs_type=Algebraic(1))
+
+
+def test_stage_labels_must_be_nondecreasing():
+    zero = ExactReal.rational(0)
+    with pytest.raises(InvariantError, match="nondecreasing"):
+        StageChain((ConstantFrom(zero, 2), ConstantFrom(zero, 1)))
+
+
+def test_prefix_entries_must_have_the_group_arity():
+    with pytest.raises(InvariantError, match="finite group tuples"):
+        simple_pcs([1, 2, 3], group=ZZ)
+
+
+def test_a_pcts_prefix_may_have_one_entry():
+    delta = Value.of(2)
+    E = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=delta, prefix=(delta,))
+    assert E.prefix == (delta,)
+
+
+def test_a_bounded_chain_names_its_discrete_component():
+    chain = StageChain((ConstantFrom(ExactReal.rational(0), 0),),
+                       ExactReal.rational(0), True)
+    with pytest.raises(InvariantError, match="discrete component 1$"):
+        PmsDescriptor(PmsKind.PCS, ZZ, chain=chain, pcs_type=Algebraic(1))
+
+
+def test_is_transcendental_pcs():
+    E = PmsDescriptor(PmsKind.PCS, Z, chain=StageChain(()),
+                      pcs_type=Transcendental())
+    assert E.is_transcendental_pcs()
+    assert not simple_pcs([1, 2, 3]).is_transcendental_pcs()
+    assert not mirror(E).is_transcendental_pcs()
 
 
 def test_prefix_monotonicity_validated():
@@ -317,6 +352,80 @@ def test_dichotomy_of_a_point_off_a_pcts():
         limit_dichotomy_check("y", E, garbage)
 
 
+@pytest.mark.parametrize("k, v", [(0, 3), (4, 5)], ids=["first", "last"])
+def test_a_point_closer_than_delta_to_one_pcts_member_is_a_limit(k, v):
+    # v(y - z_nu) >= delta at every index, the last one included.
+    delta = Value.of(2)
+    E = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=delta)
+    dists = [delta] * 5
+    dists[k] = Value.of(v)
+    cfg = config_from([delta] * 4, PmsKind.PCTS, extra={"y": dists})
+    assert is_limit("y", E, cfg) is Tri.TRUE
+    out = limit_dichotomy_check("y", E, cfg)
+    assert (out.is_limit, out.constant_value) == (True, delta)
+
+
+def test_a_pcts_configuration_off_the_declared_delta_is_refused():
+    E = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=Value.of(2))
+    cfg = config_from([Value.of(3)] * 4, PmsKind.PCTS,
+                      extra={"y": [Value.of(3)] * 5})
+    detail = ("configuration distance is (3) but the descriptor declares "
+              "delta (2)")
+    for check in (is_limit, limit_dichotomy_check):
+        with pytest.raises(InvalidConfiguration, match=re.escape(detail)):
+            check("y", E, cfg)
+
+
+def test_a_prefix_longer_than_the_configuration():
+    # delta_nu is a consecutive distance of the configuration, then an entry
+    # of the prefix beyond them: delta_3 = 4 here.
+    E = simple_pcs([1, 2, 3, 4, 5, 6])
+    for last, want in ((4, Tri.TRUE), (5, Tri.FALSE)):
+        y = [Value.of(v) for v in (1, 2, 3, last)]
+        cfg = config_from(list(E.prefix[:3]), PmsKind.PCS, extra={"y": y})
+        assert is_limit("y", E, cfg) is want
+    # The configuration is checked against the descriptor even where the
+    # prefix covers every index.
+    pds = config_from([Value.of(3), Value.of(2), Value.of(1)], PmsKind.PDS,
+                      extra={"y": [None, None, None, Value.of(4)]})
+    for check in (is_limit, limit_dichotomy_check):
+        with pytest.raises(InvalidConfiguration,
+                           match="classifies as pds but the descriptor "
+                                 "declares pcs"):
+            check("y", E, pds)
+    # Two members cannot be classified, so they cannot be read against it.
+    short = config_from([Value.of(1)], PmsKind.PCS,
+                        extra={"y": [Value.of(1), Value.of(2)]})
+    for check in (is_limit, limit_dichotomy_check):
+        with pytest.raises(IndeterminateError, match="three sequence points"):
+            check("y", E, short)
+
+
+def test_a_pds_limit_is_read_in_the_extended_group():
+    # The induced configuration of a pds lives in the extended group, so
+    # delta_nu comes from its distances, not from the base-group prefix.
+    E = make_descriptor(random.Random(1), Z, PmsKind.PDS, 1,
+                        Branch.SUP_INFINITE)
+    cfg = induced_configuration(E)
+    # y is closer to z0 than any other point is.
+    dist = {**cfg.dist, ("y", "z0"): Value.of(100, 0),
+            **{("y", p): cfg.distance("z0", p) for p in cfg.names()
+               if p != "z0"}}
+    cfg = UltrametricConfiguration.build(cfg.sequence, ("X", "y"), dist)
+    assert is_limit("y", E, cfg) is Tri.TRUE
+    out = limit_dichotomy_check("y", E, cfg)
+    assert (out.is_limit, out.constant_value) == (True, None)
+    assert is_limit("X", E, cfg) is Tri.FALSE
+
+
+def test_the_tail_of_a_pcts_starts_at_z0():
+    delta = Value.of(2)
+    E = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=delta)
+    cfg = config_from([delta] * 4, PmsKind.PCTS,
+                      extra={"y": [Value.of(1)] + [None] * 4})
+    assert is_limit("y", E, cfg) is Tri.FALSE
+
+
 def test_limit_dichotomy_rejects_garbage():
     E = simple_pcs([1, 2, 3, 4])
     # Neither the distance-value pattern nor ultimately constant.
@@ -439,6 +548,11 @@ def test_mirror_of_a_pcts_negates_its_delta_and_prefix():
     bare = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=Value.of(2))
     assert mirror(bare) == PmsDescriptor(PmsKind.PCTS, Z,
                                          pcts_delta=Value.of(-2))
+
+
+def test_mirror_of_a_pds_is_an_algebraic_pcs_of_degree_one():
+    pds = mirror(simple_pcs([1, 2, 3], deg=3))
+    assert mirror(pds).pcs_type == Algebraic(1)
 
 
 def test_mirror_round_trip():

@@ -204,6 +204,15 @@ def test_build_refuses_a_pair_given_two_values():
     assert cfg.dist == {("z0", "z1"): Value.of(1), ("z1", "z2"): Value.of(2)}
 
 
+def test_configuration_refuses_an_unknown_point_and_mixed_arities():
+    z = ("z0", "z1", "z2")
+    with pytest.raises(InvalidConfiguration, match="unknown point z0,zz"):
+        UltrametricConfiguration(z, (), {("z0", "zz"): Value.of(1)})
+    with pytest.raises(InvalidConfiguration, match="mixed arities"):
+        UltrametricConfiguration(z, (), {("z0", "z1"): Value.of(1),
+                                         ("z1", "z2"): Value.of(1, 0)})
+
+
 def test_mixed_encodings_of_one_value_share_a_rank(monkeypatch):
     # A pcs over z0..z3 with delta = 1, 2, 3; the three pairs at 1 write
     # it three ways, so the table holds three distinct values.
