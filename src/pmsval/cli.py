@@ -127,8 +127,7 @@ def cmd_classify(problem: Problem) -> tuple[dict, int]:
         report["declared_kind"] = E.kind.value
         if kind is not None:
             sequences.check_configuration(E, problem.configuration)
-            for nu, (got, declared) in enumerate(zip(prefix,
-                                                     E.prefix or ())):
+            for nu, (got, declared) in enumerate(zip(prefix, E.prefix or ())):
                 if got != declared:
                     raise InvariantError(
                         f"configuration distance {nu} is {got}, declared "

@@ -534,12 +534,10 @@ def check_configuration(E: PmsDescriptor, cfg: UltrametricConfiguration
 
 def _tail(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration
           ) -> list[tuple[Value, Optional[Value]]]:
-    """The pairs (v(y - z_nu), delta_nu) over y's witnessed tail: the
-    indices nu from the chain's last stage on (from 1 for a pds) with
-    v(y - z_nu) recorded; a member's tail starts after it.
-
-    delta_nu is a consecutive distance of cfg, then an entry of E's prefix
-    beyond them, else None; a pcts has its one delta at every index."""
+    """The pairs (v(y - z_nu), delta_nu) where v(y - z_nu) is recorded, from
+    the last stage on (from 1 for a pds) and after y for a member; delta_nu
+    is a consecutive distance of cfg, then an entry of E's prefix, else
+    None, and a pcts has its one delta at every index."""
     deltas = check_configuration(E, cfg)
     deltas += (E.prefix or ())[len(deltas):]
     zs, shift = cfg.sequence, delta_shift(E.kind)
@@ -552,13 +550,24 @@ def _tail(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration
             for nu in range(floor, len(zs)) if cfg.has_distance(y, zs[nu])]
 
 
-def _follows(E: PmsDescriptor, tail) -> Optional[bool]:
-    """Whether every distance of the tail follows its delta_nu: equals it,
-    or for a pcts is at least delta.  None when no delta_nu is known."""
-    pcts = E.kind is PmsKind.PCTS
-    checked = [d >= delta if pcts else d == delta
-               for d, delta in tail if delta is not None]
-    return all(checked) if checked else None
+def _reading(E: PmsDescriptor, tail) -> tuple[Optional[bool], Optional[int]]:
+    """(True, None) when the tail follows delta_nu (equals it for a pcs, is
+    at least it otherwise) from its first witness on, or for a pds from its
+    first witness that follows: a pds point at least delta_nu from z_nu is
+    at exactly delta_mu from every later z_mu, so a pds follows when its
+    last witness does.  (False, k) when the tail leaves the pattern at
+    tail[k], and (None, None) when no delta_nu is known."""
+    pcs = E.kind is PmsKind.PCS
+    follows = lambda p: p[0] == p[1] if pcs else p[0] >= p[1]
+    known = [(i, p) for i, p in enumerate(tail) if p[1] is not None]
+    if not known:
+        return None, None
+    if E.kind is PmsKind.PDS:
+        if not follows(known[-1][1]):
+            return False, known[0][0]
+        known = known[next(j for j, p in enumerate(known) if follows(p[1])):]
+    k = next((i for i, p in known if not follows(p)), None)
+    return k is None, k
 
 
 def is_limit(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration) -> Tri:
@@ -569,9 +578,9 @@ def is_limit(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration) -> Tri:
     """
     if y in cfg.sequence:
         return Tri.FALSE if E.kind is PmsKind.PCS else Tri.TRUE
-    follows = _follows(E, _tail(y, E, cfg))
-    return (Tri.INDETERMINATE if follows is None
-            else Tri.TRUE if follows else Tri.FALSE)
+    limit, _ = _reading(E, _tail(y, E, cfg))
+    return (Tri.INDETERMINATE if limit is None
+            else Tri.TRUE if limit else Tri.FALSE)
 
 
 @dataclass(frozen=True)
@@ -584,8 +593,8 @@ class Dichotomy:
 
 def limit_dichotomy_check(y: str, E: PmsDescriptor,
                           cfg: UltrametricConfiguration) -> Dichotomy:
-    """(True, None) for a limit, (True, delta) for a limit of a pcts, and
-    (False, c) when the distances settle at c."""
+    """(True, None) for a limit, (True, delta) for a pcts limit, (False, c)
+    for a tail off the pattern at k, then at c = min(v(y - z_k), delta_k)."""
     tail = _tail(y, E, cfg)
     pcts = E.kind is PmsKind.PCTS
     if len(tail) < (1 if pcts else 2):
@@ -593,11 +602,12 @@ def limit_dichotomy_check(y: str, E: PmsDescriptor,
             "no tail witnesses for the dichotomy" if pcts else
             "need at least two tail witnesses to separate the limit pattern "
             "from an ultimately constant one")
-    if _follows(E, tail):
+    limit, k = _reading(E, tail)
+    if limit:
         return Dichotomy(True, E.pcts_delta)
-    values = [d for d, _ in tail]
-    if moves(values, 0):
-        return Dichotomy(False, values[0])
+    c = min(tail[k])
+    if all(d == c for d, _ in tail[k + 1:]):
+        return Dichotomy(False, c)
     raise InvalidConfiguration(
         "distances to a pcts are ultimately constant; witnessed tail is not"
         if pcts else

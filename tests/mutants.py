@@ -2,7 +2,7 @@
 against the module's test subset.
 
     python tests/mutants.py sequences tests/test_sequences.py \
-        tests/test_ultrametric.py [--jobs 2]
+        tests/test_ultrametric.py
 
 The operators: a comparison swapped (< and <=, > and >=, == and !=, is and
 is not, in and not in), and/or swapped, a small integer constant plus one,
@@ -10,7 +10,9 @@ and a unary - or not dropped.  Sites are taken in (line, column) order, so
 two runs diff cleanly.  Each mutant is the module unparsed from its
 mutated syntax tree, written into a temporary copy of the repository,
 where `pytest -x` runs the given tests; a failing run kills it, and so
-does a run past the time limit.
+does a run past the time limit.  The mutants run one after another, after
+a baseline run of the unmutated module unparsed the same way, so that
+unparsing alone never counts as a kill.
 
 The result goes to tests/mutants/MUTANTS_<module>.json.  A survivor that
 tests/mutants/ALLOWLIST.json lists for the module, by function, source
@@ -29,7 +31,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,12 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="module name under src/pmsval")
     parser.add_argument("tests", nargs="+", help="test files to run")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="mutants run at once, each in its own copy "
-                             "(1..4)")
     args = parser.parse_args(argv)
-    if not 1 <= args.jobs <= 4:
-        parser.error("--jobs must be between 1 and 4")
     rel = Path("src", "pmsval", f"{args.module}.py")
     source = (ROOT / rel).read_text()
     sites = describe(source)
@@ -164,35 +160,21 @@ def main(argv: list[str] | None = None) -> int:
     reasons = {key(a): a["reason"] for a in allow}
 
     with tempfile.TemporaryDirectory() as tmp:
-        copies = []
-        for j in range(args.jobs):
-            copy = Path(tmp, str(j))
-            for part in ("src", "tests"):
-                shutil.copytree(ROOT / part, copy / part,
-                                ignore=shutil.ignore_patterns(
-                                    "__pycache__", ".hypothesis", "mutants"))
-            shutil.copy(ROOT / "pyproject.toml", copy)
-            copies.append(copy)
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns(
+                                "__pycache__", ".hypothesis", "mutants"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
         start = time.monotonic()
-        if _run(copies[0], copies[0] / rel, source, args.tests, 600) \
-                != "survived":
+        baseline = ast.unparse(ast.parse(source))
+        if _run(copy, copy / rel, baseline, args.tests, 600) != "survived":
             print("the tests fail on the unmutated module", file=sys.stderr)
             return 2
         limit = max(60.0, 10 * (time.monotonic() - start))
-
-        def job(index: int) -> str:
-            copy = copies[index % args.jobs]
-            return _run(copy, copy / rel, mutant_source(source, index),
-                        args.tests, limit)
-
-        # Each copy takes every jobs-th mutant, so no two runs share one.
-        with ThreadPoolExecutor(args.jobs) as pool:
-            lanes = [pool.submit(lambda j=j: [(i, job(i)) for i in
-                                              range(j, len(sites), args.jobs)])
-                     for j in range(args.jobs)]
-            for lane in lanes:
-                for i, status in lane.result():
-                    sites[i]["status"] = status
+        for i, site in enumerate(sites):
+            site["status"] = _run(copy, copy / rel, mutant_source(source, i),
+                                  args.tests, limit)
 
     for site in sites:
         if site["status"] == "survived" and key(site) in reasons:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from pmsval import (PmsKind, Tri, induced_configuration, is_limit,
                     limit_dichotomy_check, mirror, rank_of_vE,
                     theorem_rank_check)
-from pmsval.errors import IndeterminateError, InvalidConfiguration
+from pmsval.errors import IndeterminateError
 from pmsval.jsonio import decode_descriptor, encode_descriptor
 from pmsval.ranktree import Branch
 
@@ -77,7 +77,7 @@ def test_is_limit_agrees_with_the_dichotomy(case):
     for y in cfg.names():
         try:
             out = limit_dichotomy_check(y, E, cfg)
-        except (IndeterminateError, InvalidConfiguration):
+        except IndeterminateError:
             continue
         assert is_limit(y, E, cfg) is (Tri.TRUE if out.is_limit
                                        else Tri.FALSE), y

@@ -418,6 +418,41 @@ def test_a_pds_limit_is_read_in_the_extended_group():
     assert is_limit("X", E, cfg) is Tri.FALSE
 
 
+def test_a_pcs_point_closer_to_a_member_settles_after_it():
+    # y is at 10 from z2, so v(y - z_nu) = min(10, delta_2) = 3 after z2.
+    E = simple_pcs([1, 2, 3, 4])
+    cfg = config_from(list(E.prefix), PmsKind.PCS,
+                      extra={"y": [Value.of(v) for v in (1, 2, 10, 3, 3)]})
+    assert is_limit("y", E, cfg) is Tri.FALSE
+    out = limit_dichotomy_check("y", E, cfg)
+    assert (out.is_limit, out.constant_value) == (False, Value.of(3))
+
+
+@pytest.mark.parametrize("dists", [(-8, -8, -8, 10), (-5, -5, -6, -8)],
+                         ids=["closer-to-the-last-member", "passes-below"])
+def test_a_pds_point_comes_into_the_pattern_late(dists):
+    # delta_nu = -2, -4, -6, -8 for nu = 1..4.  A point at least delta_nu
+    # from z_nu is at exactly delta_mu from every later z_mu: y near z4,
+    # or y at -5 from z0, which delta_nu passes below at nu = 3.
+    E = mirror(simple_pcs([2, 4, 6, 8]))
+    y = [Value.of(dists[0])] + [Value.of(v) for v in dists]
+    cfg = config_from(list(E.prefix), PmsKind.PDS, extra={"y": y})
+    assert is_limit("y", E, cfg) is Tri.TRUE
+    out = limit_dichotomy_check("y", E, cfg)
+    assert (out.is_limit, out.constant_value) == (True, None)
+
+
+def test_a_configuration_off_the_prefix_is_read_by_its_own_distances():
+    # The configuration's delta_3 is 5 where the prefix declares 4: the
+    # limit checks read 5, and only classify compares the two.
+    E = simple_pcs([1, 2, 3, 4])
+    cfg = config_from([Value.of(v) for v in (1, 2, 3, 5)], PmsKind.PCS,
+                      extra={"y": [Value.of(v) for v in (1, 2, 3, 5)]
+                             + [None]})
+    assert is_limit("y", E, cfg) is Tri.TRUE
+    assert limit_dichotomy_check("y", E, cfg).is_limit
+
+
 def test_the_tail_of_a_pcts_starts_at_z0():
     delta = Value.of(2)
     E = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=delta)
