@@ -48,26 +48,17 @@ def split_square(n: int) -> tuple[int, int]:
     return s, d
 
 
-def _sign(q: Fraction) -> int:
-    n = q.numerator
-    return (n > 0) - (n < 0)
-
-
-def _sign_a_plus_b_sqrt_d(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d) for squarefree d >= 1."""
+def _isign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for integers a, b and squarefree d >= 1."""
     if not b or d == 1:
-        return _sign(a + b)
-    sa, sb = _sign(a), _sign(b)
-    if sa == sb:
-        return sa
-    # Opposite signs, or a == 0: the larger of a^2 and b^2*d decides,
-    # compared as integers over the common denominator (a.den * b.den)^2.
-    t = ((a.numerator * b.denominator) ** 2
-         - (b.numerator * a.denominator) ** 2 * d)
+        a += b
+        return (a > 0) - (a < 0)
+    # The larger of |a| and |b|*sqrt(d) gives the sign.
+    t = a * a - b * b * d
     if t == 0:
         # a = -b*sqrt(d) would make sqrt(d) rational; cannot happen.
         raise InvariantError("squarefree radicand produced a rational surd")
-    return sa if t > 0 else sb
+    return 1 if (a if t > 0 else b) > 0 else -1
 
 
 @total_ordering
@@ -100,7 +91,8 @@ class ExactReal:
         if b == 0:
             return ExactReal.rational(a)
         s, d0 = split_square(d)
-        b = b * s
+        if s != 1:
+            b = b * s
         if d0 == 1:
             return ExactReal.rational(a + b)
         return ExactReal(a, b, d0)
@@ -192,11 +184,7 @@ class ExactReal:
                 x = a.numerator * oa.denominator
                 y = oa.numerator * a.denominator
                 return (x > y) - (x < y)
-            return _sign_a_plus_b_sqrt_d(self.a - other.a, b - ob, d)
-        if d == 1 or other.d == 1:
-            diff_b, d = (self.b, d) if d != 1 else (-other.b, other.d)
-            return _sign_a_plus_b_sqrt_d(self.a - other.a, diff_b, d)
-        return _compare_mixed_surds(self, other)
+        return _sign_of_difference(self, other)
 
     def __lt__(self, other: "ExactReal") -> bool:
         if not isinstance(other, ExactReal):
@@ -211,41 +199,34 @@ class ExactReal:
         return f"{head}{coef}√{self.d}".replace("+-", "-")
 
 
-def _compare_mixed_surds(x: ExactReal, y: ExactReal) -> int:
-    # x - y = u - r with u = x.b*sqrt(x.d) - y.b*sqrt(y.d) and r = y.a - x.a.
-    # u is irrational (distinct squarefree radicands), so ties cannot occur.
-    r = y.a - x.a
-    su = _sign_sqrt_diff(x.b, x.d, y.b, y.d)
-    if r == 0:
+def _sign_of_difference(x: ExactReal, y: ExactReal) -> int:
+    """Exact sign of x - y for x and y with different surd parts.  Times
+    the positive product of the four denominators, x - y is r + u with
+    u = p1*sqrt(d1) - p2*sqrt(d2), on integers r, p1 and p2; a rational
+    side has p == 0 and d == 1."""
+    a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+    da1, db1, da2, db2 = (a1.denominator, b1.denominator, a2.denominator,
+                          b2.denominator)
+    r = (a1.numerator * da2 - a2.numerator * da1) * db1 * db2
+    da = da1 * da2
+    p1, d1 = b1.numerator * db2 * da, x.d
+    p2, d2 = b2.numerator * db1 * da, y.d
+    # With d1*d2 = g^2 * dprod, u times sqrt(d1) > 0 is
+    # p1*d1 - p2*g*sqrt(dprod).  The surd parts differ, so u != 0, and u is
+    # irrational, so u^2 != r^2 below.
+    g, dprod = _split_square_product(d1, d2)
+    su = _isign(p1 * d1, -p2 * g, dprod)
+    if (r > 0) == (su > 0):
         return su
-    sr = _sign(r)
-    if su != sr:
-        return su
-    # Same strict sign: compare u^2 with r^2; the sign of u orients the result.
-    s, dprod = _split_square_product(x.d, y.d)
-    usq_a = x.b * x.b * x.d + y.b * y.b * y.d
-    usq_b = Fraction(-2) * x.b * y.b * s
-    cmp_sq = _sign_a_plus_b_sqrt_d(usq_a - r * r, usq_b, dprod)
-    return cmp_sq if su > 0 else -cmp_sq
+    # Opposite signs, or r == 0: r + u has the sign of u exactly when
+    # u^2 > r^2, and u^2 = p1^2*d1 + p2^2*d2 - 2*p1*p2*g*sqrt(dprod).
+    return su * _isign(p1 * p1 * d1 + p2 * p2 * d2 - r * r,
+                       -2 * p1 * p2 * g, dprod)
 
 
 def _split_square_product(d1: int, d2: int) -> tuple[int, int]:
-    """split_square(d1 * d2) for distinct squarefree d1, d2: with
-    g = gcd(d1, d2), the cofactors d1/g, d2/g and g are pairwise coprime,
-    so the square part is g."""
+    """split_square(d1 * d2) for squarefree d1, d2: with g = gcd(d1, d2),
+    the cofactors d1/g, d2/g and g are pairwise coprime, so the square
+    part is g."""
     g = gcd(d1, d2)
     return g, d1 * d2 // (g * g)
-
-
-def _sign_sqrt_diff(b1: Fraction, d1: int, b2: Fraction, d2: int) -> int:
-    """Sign of b1*sqrt(d1) - b2*sqrt(d2) for distinct squarefree d1, d2 >= 2."""
-    s1, s2 = _sign(b1), _sign(b2)
-    if s1 != s2:
-        return s1 if s1 != 0 else -s2
-    if s1 == 0:
-        return 0
-    t = b1 * b1 * d1 - b2 * b2 * d2
-    if t == 0:
-        raise InvariantError("distinct squarefree radicands cannot collide")
-    return s1 if t > 0 else -s1
-

@@ -338,6 +338,32 @@ def decode_descriptor(raw: Any, path: str = "sequence",
 # Configurations
 
 
+def _encoding_key(raw: Any) -> Any:
+    """A hashable key for the JSON value raw, shared only by values that
+    are equal with the same class at every leaf, so that 1, true, 1.0 and
+    "1" stay apart, as repr keeps them apart.  A list of {"rat": n} and
+    {"surd": {"a", "b", "d"}} coordinates is keyed by its leaves; any other
+    shape by its repr.  A leaf that cannot be hashed makes the key
+    unhashable too."""
+    if raw.__class__ is not list:
+        return repr(raw)
+    key = []
+    for c in raw:
+        if c.__class__ is dict and len(c) == 1:
+            if "rat" in c:
+                x = c["rat"]
+                key.append((x.__class__, x))
+                continue
+            s = c.get("surd")
+            if s.__class__ is dict and len(s) == 3 and \
+                    "a" in s and "b" in s and "d" in s:
+                a, b, d = s["a"], s["b"], s["d"]
+                key.append((a.__class__, a, b.__class__, b, d.__class__, d))
+                continue
+        return repr(raw)
+    return tuple(key)
+
+
 def decode_configuration(raw: Any, path: str = "configuration",
                          numerals: Optional[dict] = None
                          ) -> UltrametricConfiguration:
@@ -356,10 +382,15 @@ def decode_configuration(raw: Any, path: str = "configuration",
             raise _fail(p, "pair must name two points")
         a, b = str(pair[0]), str(pair[1])
         key = (a, b) if a <= b else (b, a)
-        text = repr(entry["v"])
-        v = decoded.get(text)
+        raw_v = entry["v"]
+        enc = _encoding_key(raw_v)
+        try:
+            v = decoded.get(enc)
+        except TypeError:  # a leaf that cannot be hashed
+            enc = repr(raw_v)
+            v = decoded.get(enc)
         if v is None:
-            v = decoded[text] = decode_value(entry["v"], f"{p}.v", numerals)
+            v = decoded[enc] = decode_value(raw_v, f"{p}.v", numerals)
         if key not in dist:
             dist[key], given_at[key] = v, p
         elif dist[key] != v:

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from pmsval import ExactReal, exact
 from pmsval.errors import InvariantError, SchemaError
-from pmsval.exact import RADICAND_BOUND, _split_square_product, split_square
+from pmsval.exact import (RADICAND_BOUND, _isign, _split_square_product,
+                          split_square)
 from pmsval.jsonio import decode_exact
 
 getcontext().prec = 50
@@ -79,6 +80,22 @@ def test_equality_is_structural_on_canonical_form():
     half = ExactReal.rational(Fraction(2, 4))
     assert half == ExactReal.rational(Fraction(1, 2))
     assert hash(half) == hash(ExactReal.rational(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("x, text", [
+    (ExactReal.rational(Fraction(-3, 4)), "-3/4"),
+    (ExactReal.surd(0, 1, 2), "√2"),
+    (ExactReal.surd(1, -1, 3), "1-√3"),
+    (ExactReal.surd(0, 2, 5), "2*√5"),
+    (ExactReal.surd(Fraction(1, 2), -3, 2), "1/2-3*√2")])
+def test_repr(x, text):
+    assert repr(x) == text
+
+
+def test_rational_value_only_of_a_rational():
+    assert ExactReal.rational(Fraction(5, 3)).rational_value == Fraction(5, 3)
+    with pytest.raises(InvariantError):
+        ExactReal.surd(0, 1, 2).rational_value
 
 
 def test_addition_and_scaling():
@@ -150,7 +167,7 @@ def test_radicand_near_the_bound_decodes_quickly():
     assert x.d == 4294967291 and x.b == 1
 
 
-@pytest.mark.parametrize("d", [2 ** 32 + 15, 10 ** 18])
+@pytest.mark.parametrize("d", [2 ** 32, 2 ** 32 + 15, 10 ** 18])
 def test_radicand_at_or_above_the_bound_is_refused(d):
     assert d >= RADICAND_BOUND
     start = time.perf_counter()
@@ -195,11 +212,17 @@ exact_reals = st.one_of(
 @st.composite
 def exact_pairs(draw) -> tuple[ExactReal, ExactReal]:
     """Two exact reals of one of the shapes compare distinguishes: any two,
-    one radicand, one surd part, or one value built twice."""
+    one radicand, one surd part, one value built twice, or one side
+    rational, on either side."""
     x = draw(exact_reals)
-    shape = draw(st.sampled_from(["any", "radicand", "surd part", "equal"]))
+    shape = draw(st.sampled_from(["any", "radicand", "surd part", "equal",
+                                  "rational right", "rational left"]))
     if shape == "any":
         return x, draw(exact_reals)
+    if shape == "rational right":
+        return x, ExactReal.rational(draw(rationals))
+    if shape == "rational left":
+        return ExactReal.rational(draw(rationals)), x
     if shape == "radicand":
         return x, ExactReal.surd(draw(rationals), draw(rationals), x.d)
     if shape == "surd part":
@@ -260,6 +283,55 @@ def test_compare_agrees_with_the_fraction_formula(pair):
     assert y.compare(x) == -x.compare(y)
 
 
+def test_integer_sign_agrees_with_the_fraction_formula():
+    # Small integers reach a + b = 0 and 1 over radicand 1, and
+    # 3^2 - 2^2 * 2 = 1 over radicand 2.
+    for d in (1, 2, 3, 5, 6, 7):
+        for a in range(-4, 5):
+            for b in range(-4, 5):
+                assert _isign(a, b, d) == \
+                    ref_sign_surd(Fraction(a), Fraction(b), d), (a, b, d)
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                      "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                      "__neg__", "__abs__", "__eq__", "__lt__", "__le__",
+                      "__gt__", "__ge__", "__bool__")
+
+
+def test_surd_comparison_calls_no_fraction_operator(monkeypatch):
+    # Distinct radicands, one radicand with different surd parts, and a
+    # rational against a surd: each sign is taken on integer numerators
+    # and denominators.
+    s, q = ExactReal.surd, Fraction
+    pairs = [
+        # rational and surd parts of one sign
+        (s(q(1, 3), q(-2, 7), 2), s(q(5, 4), q(3, 5), 3)),
+        # equal rational parts
+        (s(q(-7, 2), q(3, 4), 6), s(q(-7, 2), q(2, 3), 10)),
+        # opposite signs: the squares decide
+        (s(q(3, 2), q(1, 3), 2), s(q(1, 2), q(2, 5), 3)),
+        # rational parts one apart, and 0 < sqrt(3) - sqrt(2) < 1
+        (s(1, 1, 3), s(0, 1, 2)),
+        # one radicand
+        (s(q(1, 3), q(-2, 7), 6), s(q(-5, 4), q(3, 5), 6)),
+        (s(q(9, 8), q(1, 6), 5), s(q(4, 3), q(1, 7), 5)),
+        # one side rational
+        (s(q(2, 3), q(-1, 2), 7), ExactReal.rational(q(-1, 5)))]
+    expected = [ref_compare(x, y) for x, y in pairs]
+    calls = []
+    for name in FRACTION_OPERATORS:
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, _m=method, _n=name:
+                            calls.append(_n) or _m(*args))
+    got = [x.compare(y) for x, y in pairs] + [y.compare(x) for x, y in pairs]
+    assert calls == []
+    assert got == expected + [-e for e in expected]
+    q(1, 2) < q(1, 3)  # the patch is live: this one is counted
+    assert calls == ["__lt__"]
+
+
 @seeded
 @given(exact_pairs())
 def test_equality_is_compare_zero_and_equal_values_hash_equal(pair):
@@ -268,6 +340,7 @@ def test_equality_is_compare_zero_and_equal_values_hash_equal(pair):
                                                 and x.d == y.d)
     if x == y:
         assert hash(x) == hash(y)
+    assert (x < y) == (x.compare(y) < 0)
     assert x != (x.a, x.b, x.d) and x != x.a
 
 

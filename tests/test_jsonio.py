@@ -12,8 +12,8 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsval import (AdjoinedSurd, Cyclic, ExactReal, INFINITY, Value, groups,
-                    jsonio, oracle)
+from pmsval import (AdjoinedSurd, Cyclic, ExactReal, INFINITY, Value, cli,
+                    groups, jsonio, oracle)
 from pmsval.errors import InvariantError, SchemaError
 from pmsval.jsonio import (decode_chain, decode_component,
                            decode_configuration, decode_descriptor,
@@ -448,3 +448,45 @@ def test_group_sharing_tells_json_types_apart(spelling):
     with pytest.raises(SchemaError, match=r"^sequence\.group\.components"
                                           r"\[0\]\.gen: "):
         decode_problem(rank1_problem(1, spelling))
+
+
+def classify_configuration(capsys, tmp_path, values: list) -> tuple[int, dict]:
+    """Exit code and report of classify on a problem whose configuration
+    gives values to the pairs z0z1, z0z2, z1z2, ... in turn."""
+    pairs = [["z0", "z1"], ["z0", "z2"], ["z1", "z2"], ["z0", "z3"]]
+    config = {"sequence": ["z0", "z1", "z2", "z3"], "points": [],
+              "distances": [{"pair": pq, "v": v}
+                            for pq, v in zip(pairs, values)]}
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps({"version": "1", "configuration": config}))
+    code = cli.main(["classify", "--in", str(file)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("first, later, detail", [
+    ([{"rat": 1}], [{"rat": True}], "not a rational numeral n or n/d"),
+    ([{"rat": 1}], [{"rat": 1.0}], "not a rational numeral n or n/d"),
+    ([1], [True], "not a rational numeral n or n/d"),
+    ([1], [1.0], "not an exact real: 1.0")])
+def test_distance_encodings_tell_json_types_apart(capsys, tmp_path, first,
+                                                  later, detail):
+    # true and 1.0 equal 1 in Python; a later distance spelled so is
+    # decoded, and refused, at its own path.
+    code, rep = classify_configuration(capsys, tmp_path,
+                                       [first, first, later])
+    assert code == 2 and rep == {
+        "error": "schema",
+        "detail": f"configuration.distances[2].v[0]: {detail}"}
+
+
+@pytest.mark.parametrize("bad, detail", [
+    ([{"rat": [1]}], "not a rational numeral n or n/d"),
+    ([{"surd": {"a": "1", "b": "1", "d": [2]}}],
+     "surd radicand d must be an integer")])
+def test_unhashable_distance_leaf_fails_at_its_first_path(capsys, tmp_path,
+                                                          bad, detail):
+    code, rep = classify_configuration(capsys, tmp_path,
+                                       [["1"], bad, ["2"], bad])
+    assert code == 2 and rep == {
+        "error": "schema",
+        "detail": f"configuration.distances[1].v[0]: {detail}"}
