@@ -341,27 +341,25 @@ def decode_descriptor(raw: Any, path: str = "sequence",
 def _encoding_key(raw: Any) -> Any:
     """A hashable key for the JSON value raw, shared only by values that
     are equal with the same class at every leaf, so that 1, true, 1.0 and
-    "1" stay apart, as repr keeps them apart.  A list of {"rat": n} and
-    {"surd": {"a", "b", "d"}} coordinates is keyed by its leaves; any other
-    shape by its repr.  A leaf that cannot be hashed makes the key
-    unhashable too."""
-    if raw.__class__ is not list:
-        return repr(raw)
-    key = []
-    for c in raw:
-        if c.__class__ is dict and len(c) == 1:
-            if "rat" in c:
-                x = c["rat"]
-                key.append((x.__class__, x))
-                continue
-            s = c.get("surd")
-            if s.__class__ is dict and len(s) == 3 and \
-                    "a" in s and "b" in s and "d" in s:
-                a, b, d = s["a"], s["b"], s["d"]
-                key.append((a.__class__, a, b.__class__, b, d.__class__, d))
-                continue
-        return repr(raw)
-    return tuple(key)
+    "1" stay apart, as repr keeps them apart.  A coordinate
+    {"surd": {"a": str, "b": str, "d": int}}, the usual one in a distance,
+    is keyed flat as (a, b, d); any other value part by part."""
+    c = raw.__class__
+    if c is list:
+        key = [c]
+        for x in raw:
+            s = x.get("surd") if x.__class__ is dict and len(x) == 1 else None
+            if s.__class__ is dict and len(s) == 3:
+                a, b, d = s.get("a"), s.get("b"), s.get("d")
+                if a.__class__ is str and b.__class__ is str \
+                        and d.__class__ is int:
+                    key.append((a, b, d))
+                    continue
+            key.append(_encoding_key(x))
+        return tuple(key)
+    if c is dict:
+        return (c, *[(k, _encoding_key(v)) for k, v in raw.items()])
+    return (c, raw)
 
 
 def decode_configuration(raw: Any, path: str = "configuration",
@@ -384,11 +382,7 @@ def decode_configuration(raw: Any, path: str = "configuration",
         key = (a, b) if a <= b else (b, a)
         raw_v = entry["v"]
         enc = _encoding_key(raw_v)
-        try:
-            v = decoded.get(enc)
-        except TypeError:  # a leaf that cannot be hashed
-            enc = repr(raw_v)
-            v = decoded.get(enc)
+        v = decoded.get(enc)
         if v is None:
             v = decoded[enc] = decode_value(raw_v, f"{p}.v", numerals)
         if key not in dist:

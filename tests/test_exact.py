@@ -10,6 +10,7 @@ import random
 import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,6 +159,26 @@ def test_floor_matches_decimal(a_num, a_den, b_num, b_den, d):
     m = x.floor()
     assert m <= to_decimal(x) < m + 1
     assert ExactReal.rational(m) <= x < ExactReal.rational(m + 1)
+
+
+@pytest.mark.parametrize("b, d", [(10 ** 12, 2), (-10 ** 12, 2),
+                                  (1, 4294967291), (-1, 4294967291)])
+def test_floor_guess_is_at_most_one_off(monkeypatch, b, d):
+    # floor corrects its guess one comparison per step, so a guess that is
+    # off by about |b|*sqrt(d) would take that many comparisons.
+    x = ExactReal.surd(0, b, d)
+    inner, calls = ExactReal.compare, []
+
+    def counting(self, other):
+        calls.append(other)
+        assert len(calls) <= 3, "floor's guess is more than one off"
+        return inner(self, other)
+
+    monkeypatch.setattr(ExactReal, "compare", counting)
+    m = x.floor()
+    monkeypatch.undo()
+    root = isqrt(b * b * d)
+    assert m == (root if b > 0 else -root - 1)
 
 
 def test_radicand_near_the_bound_decodes_quickly():

@@ -463,11 +463,24 @@ def classify_configuration(capsys, tmp_path, values: list) -> tuple[int, dict]:
     return code, json.loads(capsys.readouterr().out)
 
 
+SURD = {"surd": {"a": "1", "b": "1", "d": 2}}
+
+
 @pytest.mark.parametrize("first, later, detail", [
     ([{"rat": 1}], [{"rat": True}], "not a rational numeral n or n/d"),
     ([{"rat": 1}], [{"rat": 1.0}], "not a rational numeral n or n/d"),
     ([1], [True], "not a rational numeral n or n/d"),
-    ([1], [1.0], "not an exact real: 1.0")])
+    ([1], [1.0], "not an exact real: 1.0"),
+    ([SURD], [{"surd": {**SURD["surd"], "d": 2.0}}],
+     "surd radicand d must be an integer"),
+    ([SURD], [{"surd": {**SURD["surd"], "d": True}}],
+     "surd radicand d must be an integer"),
+    ([{"surd": {**SURD["surd"], "a": 1}}],
+     [{"surd": {**SURD["surd"], "a": True}}],
+     "not a rational numeral n or n/d"),
+    ([{"surd": {**SURD["surd"], "b": 1}}],
+     [{"surd": {**SURD["surd"], "b": 1.0}}],
+     "not a rational numeral n or n/d")])
 def test_distance_encodings_tell_json_types_apart(capsys, tmp_path, first,
                                                   later, detail):
     # true and 1.0 equal 1 in Python; a later distance spelled so is
