@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Sequence, Union
 
 from .engine import DominatingForm, FactoredRationalFunction, dominating_degree
 from .errors import InvariantError, SchemaError
+from .exact import ExactReal
 from .groups import INFINITY, Value, is_prime
 from .sequences import (DIRECTION, PmsDescriptor, PmsKind,
                         UltrametricConfiguration, classify_from_prefix,
@@ -257,10 +259,26 @@ def fit_pattern(kind: PmsKind, deltas: Sequence[Value],
     if d is None:
         return None
     beta = values[-1] - deltas[-1].scale(d)
+    n = len(beta.coords)
     for delta, value in zip(deltas, values):
-        if value != delta.scale(d) + beta:
+        line = map(_on_line, repeat(d), delta.coords, value.coords,
+                   beta.coords)
+        if not len(delta.coords) == len(value.coords) == n or not all(line):
             return None
     return DominatingForm(d, beta)
+
+
+def _on_line(d: int, x: ExactReal, y: ExactReal, c: ExactReal) -> bool:
+    """y = d*x + c, on integers: the rational parts and then the surd parts
+    q = d*p + r, cross-multiplied as q.n*p.d*r.d = (d*p.n*r.d + r.n*p.d)*q.d,
+    and every nonzero surd part among y, d*x and c on one radicand (a
+    rational part carries radicand 1)."""
+    for p, q, r in ((x.a, y.a, c.a), (x.b, y.b, c.b)):
+        pd, rd = p.denominator, r.denominator
+        if q.numerator * pd * rd != \
+                (d * p.numerator * rd + r.numerator * pd) * q.denominator:
+            return False
+    return len({x.d if d else 1, y.d, c.d, 1}) <= 2
 
 
 def _solve_degree(ddelta: Value, dvalue: Value) -> Optional[int]:
@@ -332,8 +350,9 @@ def cross_check(field: ConcreteField, terms: Sequence,
         lead = field.valuate(phi.lead)
         num = [[field.valuate(z - root) for z in tail] for root in phi.num_roots]
         den = [[field.valuate(z - root) for z in tail] for root in phi.den_roots]
-        values = [sum([dists[k] for dists in num] + [-dists[k] for dists in den],
-                      lead) for k in range(window)]
+        values = [_term_value(lead, [dists[k] for dists in num],
+                              [dists[k] for dists in den])
+                  for k in range(window)]
         fit = fit_pattern(kind, deltas, values, tail_window)
         mismatches: list[str] = []
         for side, rows, tags in (("num", num, tagged.num_roots),
@@ -357,6 +376,23 @@ def cross_check(field: ConcreteField, terms: Sequence,
                                         kind, tuple(deltas), fit, tagged_form,
                                         tuple(mismatches)))
     return reports
+
+
+def _term_value(lead: Value, num: Sequence[Value],
+                den: Sequence[Value]) -> Value:
+    """lead + sum(num) - sum(den), summed once per coordinate through
+    ExactReal into one Value; v(0) when lead or a num entry is.  The
+    entries share lead's arity, as valuations in one field do."""
+    if lead.is_infinity or any(v.is_infinity for v in num):
+        return INFINITY
+    sums = []
+    for i, c in enumerate(lead.coords):
+        for v in num:
+            c = c + v.coords[i]
+        for v in den:
+            c = c - v.coords[i]
+        sums.append(c)
+    return Value(tuple(sums))
 
 
 def _root_text(form: Optional[DominatingForm], limit: DominatingForm) -> str:

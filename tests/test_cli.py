@@ -213,6 +213,23 @@ def test_repeated_oracle_term_is_an_invariant_error(capsys, tmp_path,
         "detail": f"sequence terms {at} and {at + 1} are equal"}
 
 
+@pytest.mark.parametrize("terms, code", [(4, 3), (5, 0)])
+def test_oracle_sequence_needs_five_terms(capsys, tmp_path, terms, code):
+    # N terms give N - 1 fitted distances, and the fit needs four.
+    raw = json.loads(resources.files("pmsval").joinpath(
+        "problems", "example-cauchy-5adic.json").read_text())
+    raw["oracle"]["sequence"] = raw["oracle"]["sequence"][:terms]
+    problem = tmp_path / "short.json"
+    problem.write_text(json.dumps(raw))
+    got, rep = run(capsys, "oracle-check", "--in", str(problem))
+    assert got == code
+    if code:
+        assert rep == {"error": "invariant", "detail": "pattern fitting "
+                       "needs at least four tail points"}
+    else:
+        assert rep["all_agree"] is True
+
+
 def test_exit_code_internal_error(capsys, monkeypatch):
     def broken(problem):
         raise RuntimeError("boom")

@@ -7,15 +7,17 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmsval import INFINITY, PmsKind, Value, classify_from_prefix, oracle
 from pmsval.engine import DominatingForm, FactoredRationalFunction, TaggedRoot
 from pmsval.errors import InvariantError, NotAPms, SchemaError
+from pmsval.exact import ExactReal
 from pmsval.oracle import (CompositeField, ConcreteRationalFunction,
                            CrossCheckReport, PadicRationals, QtElement,
                            cross_check, fit_pattern, padic_valuation,
                            sequence_configuration)
-from pmsval.sequences import delta_shift, moves, pattern_distance
+from pmsval.sequences import DIRECTION, delta_shift, moves, pattern_distance
 
 from gen import random_composite_instance, random_padic_instance
 
@@ -158,7 +160,11 @@ def test_fit_pattern_pds_and_pcts():
     (PCS, [Value.of(1)] * 8),
     # Only the last two deltas are checked against the kind.
     (PCS, [Value.of(k) for k in range(7)] + [Value.of(0)]),
-], ids=["pds-rising", "pcts-rising", "pcs-falling", "pcs-flat", "pcs-last-step"])
+    # The last step falls back, though it still lies above every earlier
+    # delta but one.
+    (PCS, [Value.of(k) for k in range(6)] + [Value.of(7), Value.of(6)]),
+], ids=["pds-rising", "pcts-rising", "pcs-falling", "pcs-flat", "pcs-last-step",
+        "pcs-last-step-back"])
 def test_fit_pattern_refuses_a_kind_the_deltas_contradict(kind, deltas):
     with pytest.raises(InvariantError,
                        match="^distance prefix is neither monotone nor constant$"):
@@ -270,6 +276,139 @@ def reference_fit(deltas, values, tail_window=None) -> Optional[DominatingForm]:
     if any(values[i] != deltas[i].scale(d) + beta for i in tail):
         return None
     return DominatingForm(d, beta)
+
+
+seeded = settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+
+
+def random_exact(rng: random.Random, radicand: int) -> ExactReal:
+    """A rational, often not an integer, or a surd over radicand."""
+    a = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4)))
+    if rng.random() < 0.4:
+        b = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+        return ExactReal.surd(a, b, radicand)
+    return ExactReal.rational(a)
+
+
+def random_window(seed: int):
+    """A kind, m aligned deltas and values and a tail window.  The deltas
+    move by steps, mostly rational, the first coordinate's in the kind's
+    direction, from starts that may be surds, all over one radicand (a
+    surd step leaves d unsolved); the values lie on d*delta + beta with d
+    in -2..3, up to two of them moved off the line or set to v(0)."""
+    rng = random.Random(seed)
+    arity, radicand, m = rng.randint(1, 3), rng.choice((2, 3, 5)), \
+        rng.randint(4, 12)
+    kind, d = rng.choice((PCS, PDS, PCTS)), rng.randint(-2, 3)
+    zero = ExactReal.rational(0)
+    steps = [random_exact(rng, radicand) if rng.random() < 0.2 else
+             ExactReal.rational(Fraction(rng.randint(-5, 5),
+                                         rng.choice((1, 2, 3))))
+             for _ in range(arity)]
+    if steps[0] == zero:
+        steps[0] = ExactReal.rational(Fraction(1, 2))
+    if steps[0].compare(zero) != DIRECTION[kind]:
+        steps[0] = -steps[0]
+    if kind is PCTS:
+        steps = [zero] * arity
+    starts = [random_exact(rng, radicand) for _ in range(arity)]
+    deltas = [Value(tuple(s + t.scaled(k) for s, t in zip(starts, steps)))
+              for k in range(m)]
+    beta = Value(tuple(random_exact(rng, radicand) for _ in range(arity)))
+    values = [delta.scale(d) + beta for delta in deltas]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        k = rng.randrange(m)
+        if rng.random() < 0.25:
+            values[k] = INFINITY
+        elif not values[k].is_infinity:
+            i = rng.randrange(arity)
+            shift = random_exact(rng, radicand)
+            coords = list(values[k].coords)
+            coords[i] = coords[i] + (shift if shift != zero
+                                     else ExactReal.rational(1))
+            values[k] = Value(tuple(coords))
+    return kind, deltas, values, rng.choice((None, 2, 3, m // 2, m, m + 3))
+
+
+@seeded
+@given(st.integers(0, 2 ** 32))
+def test_fit_pattern_agrees_with_value_arithmetic(seed):
+    kind, deltas, values, tail_window = random_window(seed)
+    assert fit_pattern(kind, deltas, values, tail_window) == \
+        reference_fit(deltas, values, tail_window)
+
+
+surd = ExactReal.surd
+
+
+@pytest.mark.parametrize("deltas, values", [
+    # The rational and surd parts of 2 + sqrt(3) match d*delta + beta =
+    # 2 + sqrt(2), but not the radicand.
+    ([Value.of(k) for k in range(6)],
+     [Value.of(surd(k, 1, 3 if k == 2 else 2)) for k in range(6)]),
+    # beta = sqrt(2) and a rational value with the right rational part.
+    ([Value.of(k) for k in range(6)],
+     [Value.of(surd(k, 1, 2)) if k > 2 else Value.of(k) for k in range(6)]),
+    # The same in a second coordinate, over fractions.
+    ([Value.of(k, Fraction(1, 3)) for k in range(6)],
+     [Value.of(2 * k, surd(Fraction(1, 2), Fraction(-2, 3), 5) if k != 2
+               else Fraction(1, 2)) for k in range(6)]),
+    # 3 + 2*sqrt(2) has the parts of d*delta + beta = 3 + sqrt(3) +
+    # sqrt(2), which lies on no one radicand.
+    ([Value.of(surd(k, 1, 3)) if k < 4 else Value.of(k) for k in range(6)],
+     [Value.of(surd(k, 2 if k < 4 else 1, 2)) for k in range(6)]),
+    # A value of another arity.
+    ([Value.of(k) for k in range(6)],
+     [Value.of(k, 0) if k == 3 else Value.of(k) for k in range(6)]),
+], ids=["other-radicand", "rational-value-surd-beta", "second-coordinate",
+        "two-radicands", "other-arity"])
+def test_fit_pattern_sees_points_off_the_line_with_its_rational_parts(
+        deltas, values):
+    assert fit_pattern(PCS, deltas, values, tail_window=6) is None
+
+
+def test_fit_pattern_keeps_a_surd_beta_on_the_line():
+    # delta = k + sqrt(3) and value = 2k + 1 - sqrt(3): beta = 1 - 3*sqrt(3).
+    deltas = [Value.of(surd(k, 1, 3)) for k in range(6)]
+    values = [Value.of(surd(2 * k + 1, -1, 3)) for k in range(6)]
+    assert fit_pattern(PCS, deltas, values, tail_window=6) == \
+        DominatingForm(2, Value.of(surd(1, -3, 3)))
+    # d = 0: the deltas' radicand is not read.
+    flat = [Value.of(surd(Fraction(1, 2), Fraction(5, 2), 5))] * 6
+    assert fit_pattern(PCS, deltas, flat, tail_window=6) == \
+        DominatingForm(0, flat[0])
+
+
+def random_rows(seed: int):
+    """A lead and one term's num and den entries over one radicand; num
+    entries may be v(0)."""
+    rng = random.Random(seed)
+    arity, radicand = rng.randint(1, 3), rng.choice((2, 3, 5))
+
+    def value():
+        return Value(tuple(random_exact(rng, radicand) for _ in range(arity)))
+
+    num = [INFINITY if rng.random() < 0.1 else value()
+           for _ in range(rng.randint(0, 4))]
+    return value(), num, [value() for _ in range(rng.randint(0, 4))]
+
+
+@seeded
+@given(st.integers(0, 2 ** 32))
+def test_term_value_is_the_value_sum(seed):
+    lead, num, den = random_rows(seed)
+    total = oracle._term_value(lead, num, den)
+    assert total == sum(num + [-x for x in den], lead)
+    assert total.is_infinity == any(v.is_infinity for v in num)
+
+
+def test_term_value_at_v0():
+    lead, one = Value.of(1, 2), Value.of(surd(0, 1, 2), 3)
+    assert oracle._term_value(lead, [one, INFINITY], [one]) is INFINITY
+    assert oracle._term_value(INFINITY, [one], [one]) is INFINITY
+    assert oracle._term_value(lead, [], []) == lead
+    assert oracle._term_value(lead, [one], [one]) == lead
 
 
 def reference_cross_check(field, terms, phi, tagged, tail_window):
@@ -394,11 +533,21 @@ def test_non_monotone_sequence_keeps_the_full_table(monkeypatch, terms):
         classify_from_prefix(cfg)
 
 
+def test_sequence_configuration_names_equal_terms():
+    with pytest.raises(InvariantError, match="^sequence terms 1 and 2 are equal$"):
+        sequence_configuration(F5, [Fraction(z) for z in (1, 6, 6, 31)])
+
+
 def test_qt_element_arithmetic():
     x = QtElement.of([1, 2], [1])
     y = QtElement.of([0, 1])
     assert not x * y - y * x
     assert x - x == QtElement.of([0])
+    zero = QtElement.of([0])
+    assert (x + zero).num == (zero + x).num == x.num
+    # Equal elements written over different denominators.
+    assert QtElement.of([0, 2], [2]) == y
+    assert QtElement.of([1], [2]) != QtElement.of([1])
     with pytest.raises(InvariantError):
         QtElement.of([1], [0])
 
