@@ -7,22 +7,32 @@ d >= 2.  All comparisons are exact; no floating point is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import Union
 
 from .errors import InvariantError
 
-RationalLike = Union[int, str, Fraction]
-_ZERO = Fraction(0)
+RationalLike = Union[int, str, Fraction, "ExactReal"]
+_new = tuple.__new__
 
 
-def _as_fraction(q: RationalLike) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    return Fraction(q)
+def _ints(q: RationalLike) -> tuple[int, int]:
+    """q as a numerator and a positive denominator in lowest terms; a
+    rational ExactReal is read as it is held."""
+    if q.__class__ is int:
+        return q, 1
+    if q.__class__ is ExactReal and q[0] == 1:
+        return q[1], q[2]
+    q = q if isinstance(q, Fraction) else Fraction(q)
+    return q.numerator, q.denominator
+
+
+def _lowest(n: int, m: int) -> tuple[int, int]:
+    """n/m in lowest terms, for m > 0."""
+    g = gcd(n, m)
+    return (n // g, m // g) if g != 1 else (n, m)
 
 
 # split_square is trial division up to the square root of the radicand;
@@ -38,8 +48,7 @@ def split_square(n: int) -> tuple[int, int]:
     if n >= RADICAND_BOUND:
         raise InvariantError(
             f"radicand must be below {RADICAND_BOUND}, got {n}")
-    s, d = 1, n
-    f = 2
+    s, d, f = 1, n, 2
     while f * f <= d:
         while d % (f * f) == 0:
             d //= f * f
@@ -61,110 +70,112 @@ def _isign(a: int, b: int, d: int) -> int:
     return 1 if (a if t > 0 else b) > 0 else -1
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class ExactReal:
-    """Canonical a + b*sqrt(d): b == 0 forces d == 1, else d squarefree >= 2.
+def _guarded(op, other=NotImplemented):
+    """op as a method on another ExactReal, giving other for anything else."""
+    return lambda x, y: op(x, y) if y.__class__ is ExactReal else other
 
-    A Fraction is always in lowest terms, so equality and hashing read the
-    five integers (d, a, b as numerator and denominator) directly."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+class ExactReal(tuple):
+    """Canonical a + b*sqrt(d) as the integers (d, an, ad, bn, bd): a = an/ad
+    and b = bn/bd in lowest terms, denominators positive, and b == 0 exactly
+    when d == 1, else d squarefree >= 2; equal values are equal tuples."""
 
-    def __post_init__(self) -> None:
-        if not self.b:
-            if self.d != 1:
+    __slots__ = ()
+    d, an, ad, bn, bd = (property(itemgetter(i)) for i in range(5))
+    __mul__ = __rmul__ = None  # no tuple repetition
+    __getnewargs__ = lambda self: (self.a, self.b, self.d)  # copy, pickle
+
+    def __new__(cls, a: RationalLike, b: RationalLike, d: int) -> "ExactReal":
+        (an, ad), (bn, bd) = _ints(a), _ints(b)
+        if not bn:
+            if d != 1:
                 raise InvariantError("rational value must carry radicand 1")
-        elif self.d < 2:
+        elif d < 2:
             raise InvariantError("surd radicand must be >= 2")
+        return _new(cls, (d, an, ad, bn, bd))
 
     @staticmethod
     def rational(q: RationalLike) -> "ExactReal":
-        return ExactReal(_as_fraction(q), _ZERO, 1)
+        return _new(ExactReal, (1, *_ints(q), 0, 1))
+
+    @staticmethod
+    def ratio(n: int, m: int) -> "ExactReal":
+        """The rational n/m for integers n and m > 0."""
+        return _new(ExactReal, (1, *_lowest(n, m), 0, 1))
 
     @staticmethod
     def surd(a: RationalLike, b: RationalLike, d: int) -> "ExactReal":
         """Build a + b*sqrt(d), normalizing the square part of d into b."""
-        a, b = _as_fraction(a), _as_fraction(b)
-        if b == 0:
-            return ExactReal.rational(a)
-        s, d0 = split_square(d)
-        if s != 1:
-            b = b * s
-        if d0 == 1:
-            return ExactReal.rational(a + b)
-        return ExactReal(a, b, d0)
+        (an, ad), (bn, bd) = _ints(a), _ints(b)
+        if not bn:
+            return _new(ExactReal, (1, an, ad, 0, 1))
+        s, d = split_square(d)
+        bn, bd = _lowest(bn * s, bd)
+        if d == 1:
+            return ExactReal.ratio(an * bd + bn * ad, ad * bd)
+        return _new(ExactReal, (d, an, ad, bn, bd))
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self[1], self[2])
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self[3], self[4])
 
     @property
     def is_rational(self) -> bool:
-        # The canonical form makes b == 0 equivalent to d == 1.
-        return self.d == 1
+        return self[0] == 1
 
     @property
     def rational_value(self) -> Fraction:
-        if not self.is_rational:
+        if self[0] != 1:
             raise InvariantError(f"{self} is not rational")
         return self.a
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ExactReal:
-            return NotImplemented
-        a, b, oa, ob = self.a, self.b, other.a, other.b
-        return (self.d == other.d
-                and a.numerator == oa.numerator
-                and a.denominator == oa.denominator
-                and b.numerator == ob.numerator
-                and b.denominator == ob.denominator)
-
-    def __hash__(self) -> int:
-        a, b = self.a, self.b
-        return hash((self.d, a.numerator, a.denominator,
-                     b.numerator, b.denominator))
+    # Not NotImplemented: a plain tuple's == would compare the integers.
+    __eq__, __ne__ = _guarded(tuple.__eq__, False), _guarded(tuple.__ne__, True)
+    __hash__ = tuple.__hash__
+    __lt__ = _guarded(lambda x, y: x.compare(y) < 0)
+    __le__ = _guarded(lambda x, y: x.compare(y) <= 0)
+    __gt__ = _guarded(lambda x, y: x.compare(y) > 0)
+    __ge__ = _guarded(lambda x, y: x.compare(y) >= 0)
 
     def __add__(self, other: "ExactReal") -> "ExactReal":
-        if not isinstance(other, ExactReal):
+        if other.__class__ is not ExactReal:
             return NotImplemented
-        a, oa = self.a, other.a
-        # Integer rational parts add as integers, without Fraction's
-        # operator dispatch and gcd.
-        a = Fraction(a.numerator + oa.numerator) \
-            if a.denominator == 1 == oa.denominator else a + oa
-        if other.is_rational:  # the surd part, if any, is self's
-            return ExactReal(a, self.b, self.d)
-        if self.is_rational or self.d == other.d:
+        d, an, ad, bn, bd = self
+        e, cn, cd, en, ed = other
+        an, ad = _lowest(an * cd + cn * ad, ad * cd)
+        if e == 1:  # the surd part, if any, is self's
+            return _new(ExactReal, (d, an, ad, bn, bd))
+        if d == 1 or d == e:
             # Radicands are squarefree already: only a vanishing b changes d.
-            b = self.b + other.b
-            return ExactReal(a, b, max(self.d, other.d)) if b \
-                else ExactReal.rational(a)
+            bn, bd = _lowest(bn * ed + en * bd, bd * ed)
+            return _new(ExactReal, (e if bn else 1, an, ad, bn, bd))
         raise InvariantError(
-            f"cannot add surds over distinct radicands {self.d} and {other.d}"
-        )
+            f"cannot add surds over distinct radicands {d} and {e}")
 
     def __neg__(self) -> "ExactReal":
-        return ExactReal(-self.a, -self.b, self.d)
+        d, an, ad, bn, bd = self
+        return _new(ExactReal, (d, -an, ad, -bn, bd))
 
     def __sub__(self, other: "ExactReal") -> "ExactReal":
         return self + (-other)
 
     def scaled(self, q: RationalLike) -> "ExactReal":
-        # An integer times an integer rational stays an integer.
-        if q.__class__ is int and self.d == 1 and self.a.denominator == 1:
-            return ExactReal(Fraction(self.a.numerator * q), _ZERO, 1)
-        q = _as_fraction(q)
-        if not q:
-            return ExactReal.rational(0)
-        # q != 0 keeps b == 0 exactly when it was, so d stays canonical.
-        return ExactReal(self.a * q, self.b * q, self.d)
+        d, an, ad, bn, bd = self
+        n, m = _ints(q)
+        # q != 0 keeps b == 0 exactly when it was; q == 0 gives radicand 1.
+        return _new(ExactReal, (d if n else 1, *_lowest(an * n, ad * m),
+                                *_lowest(bn * n, bd * m)))
 
     def floor(self) -> int:
         """The largest integer m with m <= self, exactly: the integer square
         root of b^2*d gives a guess at most one off, and compare corrects it."""
-        root = Fraction(isqrt(self.b.numerator ** 2 * self.d),
-                        self.b.denominator)
-        guess = self.a + (root if self.b > 0 else -root)
-        m = guess.numerator // guess.denominator
+        d, an, ad, bn, bd = self
+        root = isqrt(bn * bn * d)
+        m = (an * bd + (root if bn > 0 else -root) * ad) // (ad * bd)
         while ExactReal.rational(m).compare(self) > 0:
             m -= 1
         while ExactReal.rational(m + 1).compare(self) <= 0:
@@ -173,29 +184,20 @@ class ExactReal:
 
     def compare(self, other: "ExactReal") -> int:
         """Exact three-way comparison; handles distinct radicands."""
-        d = self.d
-        if d == other.d:
-            b, ob = self.b, other.b
-            if d == 1 or (b.numerator == ob.numerator
-                          and b.denominator == ob.denominator):
-                # Rationals, or the same surd part: the rational parts
-                # decide, cross-multiplied over positive denominators.
-                a, oa = self.a, other.a
-                x = a.numerator * oa.denominator
-                y = oa.numerator * a.denominator
-                return (x > y) - (x < y)
+        d, an, ad, bn, bd = self
+        e, cn, cd, en, ed = other
+        if d == e and bn == en and bd == ed:
+            # One surd part (none for rationals): cross-multiply the rest.
+            x, y = an * cd, cn * ad
+            return (x > y) - (x < y)
         return _sign_of_difference(self, other)
-
-    def __lt__(self, other: "ExactReal") -> bool:
-        if not isinstance(other, ExactReal):
-            return NotImplemented
-        return self.compare(other) < 0
 
     def __repr__(self) -> str:
         if self.is_rational:
             return str(self.a)
-        head = f"{self.a}+" if self.a else ""
-        coef = "" if self.b == 1 else ("-" if self.b == -1 else f"{self.b}*")
+        a, b = self.a, self.b
+        head = f"{a}+" if a else ""
+        coef = "" if b == 1 else ("-" if b == -1 else f"{b}*")
         return f"{head}{coef}√{self.d}".replace("+-", "-")
 
 
@@ -204,13 +206,11 @@ def _sign_of_difference(x: ExactReal, y: ExactReal) -> int:
     the positive product of the four denominators, x - y is r + u with
     u = p1*sqrt(d1) - p2*sqrt(d2), on integers r, p1 and p2; a rational
     side has p == 0 and d == 1."""
-    a1, b1, a2, b2 = x.a, x.b, y.a, y.b
-    da1, db1, da2, db2 = (a1.denominator, b1.denominator, a2.denominator,
-                          b2.denominator)
-    r = (a1.numerator * da2 - a2.numerator * da1) * db1 * db2
-    da = da1 * da2
-    p1, d1 = b1.numerator * db2 * da, x.d
-    p2, d2 = b2.numerator * db1 * da, y.d
+    d1, an1, ad1, bn1, bd1 = x
+    d2, an2, ad2, bn2, bd2 = y
+    r = (an1 * ad2 - an2 * ad1) * bd1 * bd2
+    da = ad1 * ad2
+    p1, p2 = bn1 * bd2 * da, bn2 * bd1 * da
     # With d1*d2 = g^2 * dprod, u times sqrt(d1) > 0 is
     # p1*d1 - p2*g*sqrt(dprod).  The surd parts differ, so u != 0, and u is
     # irrational, so u^2 != r^2 below.

@@ -117,35 +117,35 @@ def _p_free_part(n: int, p: int) -> int:
 
 def component_contains(comp: Component, x: ExactReal) -> bool:
     """Decide membership of an exact real in a rank-1 component, by
-    divisibility of the numerators and denominators."""
-    if isinstance(comp, AdjoinedSurd):
-        if x.is_rational:
+    divisibility of x's integers and the component's; a component is told
+    apart by its exact class, as none is subclassed."""
+    d, an, ad, bn, bd = x
+    if comp.__class__ is AdjoinedSurd:
+        if d == 1:
             return component_contains(comp.base, x)
-        tau = comp.tau
-        if x.d != tau.d:
+        td, tan, tad, tbn, tbd = comp.tau
+        if d != td:
             return False
         # x = k*tau + rest needs k = x.b / tau.b integral and rest in base.
-        num = x.b.numerator * tau.b.denominator
-        den = x.b.denominator * tau.b.numerator
+        num, den = bn * tbd, bd * tbn
         if num % den:
             return False
-        rest = ExactReal.rational(x.a - tau.a * (num // den))
+        rest = ExactReal.ratio(an * tad - tan * (num // den) * ad, ad * tad)
         return component_contains(comp.base, rest)
-    if not x.is_rational:
+    if d != 1:
         return False
-    q = x.a
-    if isinstance(comp, FullRational):
+    kind = comp.__class__
+    if kind is FullRational:
         return True
-    if isinstance(comp, FormalInteger):
-        return q.denominator == 1
-    if isinstance(comp, Cyclic):
+    if kind is FormalInteger:
+        return ad == 1
+    if kind is Cyclic:
         gen = comp.gen
-        return (q.numerator * gen.denominator) % (q.denominator
-                                                  * gen.numerator) == 0
-    if isinstance(comp, PPowerDivisible):
-        # The denominator of q/scale in lowest terms must be a power of p.
-        num = q.numerator * comp.scale.denominator
-        den = q.denominator * comp.scale.numerator
+        return (an * gen.denominator) % (ad * gen.numerator) == 0
+    if kind is PPowerDivisible:
+        # The denominator of x/scale in lowest terms must be a power of p.
+        num = an * comp.scale.denominator
+        den = ad * comp.scale.numerator
         return _p_free_part(den // gcd(num, den), comp.p) == 1
     raise InvariantError(f"unknown component {comp!r}")
 
@@ -212,8 +212,7 @@ def component_adjoin(comp: Component, r: ExactReal) -> Component:
             raise InvariantError("surd combination left an irrational residue")
         if rest.rational_value and not component_contains(base, rest):
             base = _adjoin_rational(base, rest.rational_value)
-    if new_tau.b < 0:
-        new_tau = -new_tau
+    # new_tau.b = x*b1 + y*b2 = g*(x*m1 + y*m2) = g > 0 already.
     return AdjoinedSurd(base, new_tau)
 
 

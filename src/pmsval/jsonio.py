@@ -60,17 +60,22 @@ def _int(raw: Any, path: str, msg: str, least: Optional[int] = None) -> int:
 _NUMERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _fraction(raw: Any, path: str) -> Fraction:
+def _numeral_value(raw: Any, path: str) -> ExactReal:
     """A JSON integer, or a string n or n/d of decimal digits with d
-    nonzero; decimals, exponents, whitespace and floats are refused."""
+    nonzero, as a rational ExactReal built from the integers; decimals,
+    exponents, whitespace and floats are refused."""
     if not isinstance(raw, str):
-        return Fraction(_int(raw, path, "not a rational numeral n or n/d"))
+        return ExactReal.rational(
+            _int(raw, path, "not a rational numeral n or n/d"))
     if _NUMERAL.fullmatch(raw):
         num, _, den = raw.partition("/")
         try:
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        except (ValueError, ZeroDivisionError):
-            pass  # a zero denominator, or past Python's int digit limit
+            n, m = int(num), int(den or 1)
+        except ValueError:
+            pass  # past Python's int digit limit
+        else:
+            if m:
+                return ExactReal.ratio(n, m)
     raise _fail(path, f"not a rational numeral n or n/d: {raw!r}")
 
 
@@ -80,33 +85,48 @@ def _rational(raw: Any, path: str, numerals: Optional[dict]) -> ExactReal:
     that fails raises before it is stored, so it fails again at its next
     path."""
     if numerals is None or raw.__class__ not in (str, int):
-        return ExactReal.rational(_fraction(raw, path))
+        return _numeral_value(raw, path)
     key = (raw.__class__, raw)
     x = numerals.get(key)
     if x is None:
-        x = numerals[key] = ExactReal.rational(_fraction(raw, path))
+        x = numerals[key] = _numeral_value(raw, path)
     return x
+
+
+def _numeral_fraction(raw: Any, path: str,
+                      numerals: Optional[dict]) -> Fraction:
+    """The numeral raw as a Fraction, for a component's generator and the
+    oracle's field elements; held in numerals beside its ExactReal, so each
+    distinct numeral is one Fraction too."""
+    if numerals is None or raw.__class__ not in (str, int):
+        return _rational(raw, path, numerals).a
+    key = (Fraction, raw.__class__, raw)
+    q = numerals.get(key)
+    if q is None:
+        q = numerals[key] = _rational(raw, path, numerals).a
+    return q
 
 
 # ---------------------------------------------------------------------------
 # Exact reals and values
 
 
-def _numeral(q: Fraction | int) -> str:
-    """q as n or n/d, exact at any length: str of an int stops at the
-    interpreter's digit limit, and past it decimal at exponent 0 writes
-    the digits."""
+def _numeral(n: int, m: int = 1) -> str:
+    """n/m, with m > 0 and the two coprime, as n or n/m, exact at any
+    length: str of an int stops at the interpreter's digit limit, and past
+    it decimal at exponent 0 writes the digits."""
     try:
-        return str(q)
+        return str(n) if m == 1 else f"{n}/{m}"
     except ValueError:
-        n = str(Decimal(q.numerator))
-        return n if q.denominator == 1 else f"{n}/{Decimal(q.denominator)}"
+        n = str(Decimal(n))
+        return n if m == 1 else f"{n}/{Decimal(m)}"
 
 
 def encode_exact(x: ExactReal) -> Any:
-    if x.is_rational:
-        return {"rat": _numeral(x.a)}
-    return {"surd": {"a": _numeral(x.a), "b": _numeral(x.b), "d": x.d}}
+    d, an, ad, bn, bd = x
+    if d == 1:
+        return {"rat": _numeral(an, ad)}
+    return {"surd": {"a": _numeral(an, ad), "b": _numeral(bn, bd), "d": d}}
 
 
 def decode_exact(raw: Any, path: str = "value",
@@ -122,8 +142,8 @@ def decode_exact(raw: Any, path: str = "value",
                 raise _fail(path, "surd needs fields a, b, d")
             d = _int(s["d"], path, "surd radicand d must be an integer")
             try:
-                return ExactReal.surd(_rational(s["a"], path, numerals).a,
-                                      _rational(s["b"], path, numerals).a, d)
+                return ExactReal.surd(_rational(s["a"], path, numerals),
+                                      _rational(s["b"], path, numerals), d)
             except InvariantError as exc:
                 raise _fail(path, str(exc))
     raise _fail(path, f"not an exact real: {raw!r}")
@@ -153,9 +173,12 @@ def decode_value(raw: Any, path: str = "value",
 
 def encode_component(c: Component) -> dict:
     if isinstance(c, Cyclic):
-        return {"kind": "cyclic", "gen": _numeral(c.gen)}
+        q = c.gen
+        return {"kind": "cyclic", "gen": _numeral(q.numerator, q.denominator)}
     if isinstance(c, PPowerDivisible):
-        return {"kind": "p_divisible", "p": c.p, "scale": _numeral(c.scale)}
+        q = c.scale
+        return {"kind": "p_divisible", "p": c.p,
+                "scale": _numeral(q.numerator, q.denominator)}
     if isinstance(c, FullRational):
         return {"kind": "rationals"}
     if isinstance(c, FormalInteger):
@@ -173,12 +196,12 @@ def decode_component(raw: Any, path: str,
     kind = raw["kind"]
     try:
         if kind == "cyclic":
-            return Cyclic(_rational(raw.get("gen", 1), f"{path}.gen",
-                                    numerals).a)
+            return Cyclic(_numeral_fraction(raw.get("gen", 1), f"{path}.gen",
+                                            numerals))
         if kind == "p_divisible":
             p = _int(raw.get("p"), path, "p_divisible needs an integer p")
-            return PPowerDivisible(p, _rational(raw.get("scale", 1),
-                                                f"{path}.scale", numerals).a)
+            return PPowerDivisible(p, _numeral_fraction(
+                raw.get("scale", 1), f"{path}.scale", numerals))
         if kind == "rationals":
             return FullRational()
         if kind == "formal_integer":
@@ -455,14 +478,14 @@ def decode_field(raw: Any, path: str) -> ConcreteField:
 def decode_field_element(field: ConcreteField, raw: Any, path: str,
                          numerals: Optional[dict] = None):
     if isinstance(field, PadicRationals):
-        return _rational(raw, path, numerals).a
+        return _numeral_fraction(raw, path, numerals)
     if isinstance(raw, (str, int)):
-        return QtElement.constant(_rational(raw, path, numerals).a)
+        return QtElement.constant(_numeral_fraction(raw, path, numerals))
     if isinstance(raw, dict) and "num" in raw:
         num, den = raw["num"], raw.get("den", ["1"])
         if not isinstance(num, list) or not isinstance(den, list):
             raise _fail(path, "t-polynomial coefficients must be lists")
-        num, den = ([_rational(c, f"{path}.{key}[{k}]", numerals).a
+        num, den = ([_numeral_fraction(c, f"{path}.{key}[{k}]", numerals)
                      for k, c in enumerate(coeffs)]
                     for key, coeffs in (("num", num), ("den", den)))
         if not any(den):

@@ -273,12 +273,12 @@ def _on_line(d: int, x: ExactReal, y: ExactReal, c: ExactReal) -> bool:
     q = d*p + r, cross-multiplied as q.n*p.d*r.d = (d*p.n*r.d + r.n*p.d)*q.d,
     and every nonzero surd part among y, d*x and c on one radicand (a
     rational part carries radicand 1)."""
-    for p, q, r in ((x.a, y.a, c.a), (x.b, y.b, c.b)):
-        pd, rd = p.denominator, r.denominator
-        if q.numerator * pd * rd != \
-                (d * p.numerator * rd + r.numerator * pd) * q.denominator:
-            return False
-    return len({x.d if d else 1, y.d, c.d, 1}) <= 2
+    xd, xan, xad, xbn, xbd = x
+    yd, yan, yad, ybn, ybd = y
+    cd, can, cad, cbn, cbd = c
+    return (yan * xad * cad == (d * xan * cad + can * xad) * yad
+            and ybn * xbd * cbd == (d * xbn * cbd + cbn * xbd) * ybd
+            and len({xd if d else 1, yd, cd, 1}) <= 2)
 
 
 def _solve_degree(ddelta: Value, dvalue: Value) -> Optional[int]:
@@ -286,10 +286,10 @@ def _solve_degree(ddelta: Value, dvalue: Value) -> Optional[int]:
     for rationals x = a/b and y = c/e reads c*b = d*a*e."""
     d: Optional[int] = None
     for x, y in zip(ddelta.coords, dvalue.coords):
-        if not x.is_rational or not y.is_rational:
+        xd, a, b, _, _ = x
+        yd, c, e, _, _ = y
+        if xd != 1 or yd != 1:
             return None
-        a, b = x.a.numerator, x.a.denominator
-        c, e = y.a.numerator, y.a.denominator
         if not a:
             if c:
                 return None

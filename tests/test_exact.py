@@ -6,11 +6,14 @@ under test never leaves exact rational arithmetic.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
+from collections import namedtuple
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,6 +366,7 @@ def test_equality_is_compare_zero_and_equal_values_hash_equal(pair):
         assert hash(x) == hash(y)
     assert (x < y) == (x.compare(y) < 0)
     assert x != (x.a, x.b, x.d) and x != x.a
+    assert x != tuple(x) and tuple(x) != x and not x == tuple(x)
 
 
 @seeded
@@ -461,8 +465,142 @@ def test_every_way_of_making_an_exact_real_is_canonical(a, b, d, s, q):
     assert made[7] == made[8] == ExactReal.rational(0)
 
 
+def test_copies_keep_the_value_and_tuple_repetition_is_refused():
+    x = ExactReal.surd(Fraction(1, 2), -3, 12)
+    assert copy.copy(x) == copy.deepcopy(x) == pickle.loads(pickle.dumps(x)) \
+        == x
+    with pytest.raises(TypeError):
+        x * 2
+    with pytest.raises(TypeError):
+        2 * x
+
+
 @pytest.mark.parametrize("a, b, d", [(1, 0, 2), (0, 0, 6), (1, 1, 1), (0, 2, 0),
                                      (1, -1, -3)])
 def test_direct_construction_outside_the_canonical_form_is_refused(a, b, d):
     with pytest.raises(InvariantError):
         ExactReal(Fraction(a), Fraction(b), d)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against a Fraction reference
+#
+# ExactReal holds the five integers (d, an, ad, bn, bd).  The reference
+# keeps a and b as Fractions and takes every step with Fraction operators,
+# from the inputs a value was built from, never from the integers under
+# test.
+
+Ref = namedtuple("Ref", "a b d")
+ZERO = Fraction(0)
+
+
+def ref_surd(a: Fraction, b: Fraction, d: int) -> Ref:
+    """Canonical a + b*sqrt(d) for d > 0: the largest square dividing d
+    moves into b, and b == 0 or a square d leaves radicand 1."""
+    if b == 0:
+        return Ref(a, ZERO, 1)
+    s = max(k for k in range(1, isqrt(d) + 1) if d % (k * k) == 0)
+    b, d = b * s, d // (s * s)
+    return Ref(a + b, ZERO, 1) if d == 1 else Ref(a, b, d)
+
+
+def ref_sum(x: Ref, y: Ref) -> Ref | None:
+    """x + y, or None over two distinct radicands."""
+    if x.d != 1 and y.d != 1 and x.d != y.d:
+        return None
+    b = x.b + y.b
+    return Ref(x.a + y.a, b, max(x.d, y.d) if b else 1)
+
+
+def ref_floor(x: Ref) -> int:
+    """With x = (A + B*sqrt(d))/D on integers, D > 0: B*sqrt(d) is
+    irrational unless B == 0, so its floor n is isqrt(B^2*d), or
+    -isqrt(B^2*d) - 1 for B < 0, and floor(x) = floor((A + n)/D)."""
+    D = x.a.denominator * x.b.denominator
+    A, B = x.a.numerator * x.b.denominator, x.b.numerator * x.a.denominator
+    root = isqrt(B * B * x.d)
+    return (A + (root if B >= 0 else -root - 1)) // D
+
+
+def assert_held_as(x: ExactReal, ref: Ref) -> None:
+    """x holds ref's value as the canonical five integers, and hashes as
+    their tuple."""
+    d, an, ad, bn, bd = x
+    assert (x.d, x.an, x.ad, x.bn, x.bd) == (d, an, ad, bn, bd)
+    assert (Fraction(an, ad), Fraction(bn, bd), d) == ref
+    assert ad > 0 and bd > 0 and gcd(an, ad) == 1 == gcd(bn, bd)
+    assert (d == 1) == (bn == 0)
+    assert d == 1 or split_square(d)[0] == 1
+    assert hash(x) == hash((ref.d, ref.a.numerator, ref.a.denominator,
+                            ref.b.numerator, ref.b.denominator))
+
+
+# Inputs are drawn from pools, which keeps 200,000 pairs quick to make.
+RADICANDS = range(1, 49)
+SMALL_QS = [Fraction(n, m) for n in range(-9, 10) for m in range(1, 7)]
+BIG_QS = [Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+          for rng in [random.Random(11)] for _ in range(500)]
+
+
+def random_inputs(rng: random.Random) -> tuple[tuple, tuple]:
+    """Inputs of surd() for two values: mostly small rationals, so that
+    ties and shared surd parts are common, at times 30-digit ones, a b of 0
+    at times, and radicands up to 48, squares and square multiples
+    included; in a third of the pairs one radicand, and in a tenth one value
+    written twice."""
+    r, choice = rng.random, rng.choice
+
+    def q() -> Fraction:
+        return choice(BIG_QS if r() < 0.1 else SMALL_QS)
+
+    (a, b, d), (c, e, f) = [(q(), ZERO if r() < 0.2 else q(),
+                             choice(RADICANDS)) for _ in "xy"]
+    if r() < 0.3:
+        e, f = (b if r() < 0.5 else e), d
+    if r() < 0.1:
+        k = choice(RADICANDS[:6])
+        c, e, f = a, b * k, d * k * k
+    return (a, b, d), (c, e, f)
+
+
+def test_compare_and_surd_agree_with_the_fraction_reference():
+    rng = random.Random(2026)
+    for _ in range(200_000):
+        p, q = random_inputs(rng)
+        x, y = ExactReal.surd(*p), ExactReal.surd(*q)
+        rx, ry = ref_surd(*p), ref_surd(*q)
+        assert x.compare(y) == ref_compare(rx, ry), (p, q)
+        assert (x.a, x.b, x.d) == rx, p
+
+
+def test_arithmetic_agrees_with_the_fraction_reference():
+    rng = random.Random(2027)
+    for _ in range(20_000):
+        p, q = random_inputs(rng)
+        x, y = ExactReal.surd(*p), ExactReal.surd(*q)
+        rx, ry = ref_surd(*p), ref_surd(*q)
+        assert_held_as(x, rx)
+        assert_held_as(y, ry)
+        assert_held_as(-x, Ref(-rx.a, -rx.b, rx.d))
+        assert_held_as(ExactReal.rational(p[0]), Ref(p[0], ZERO, 1))
+        # The decoder hands surd() its numerals as rational ExactReals.
+        a, b = map(ExactReal.rational, p[:2])
+        assert_held_as(ExactReal.surd(a, b, p[2]), rx)
+        assert_held_as(ExactReal.rational(a), Ref(p[0], ZERO, 1))
+        c = ref_compare(rx, ry)
+        assert (x == y, x != y) == (rx == ry, rx != ry)
+        assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
+        assert y.compare(x) == -c
+        total = ref_sum(rx, ry)
+        if total is None:
+            with pytest.raises(InvariantError):
+                x + y
+        else:
+            assert_held_as(x + y, total)
+            assert_held_as(y + x, total)
+            assert_held_as(x - y, ref_sum(rx, Ref(-ry.a, -ry.b, ry.d)))
+        for k in (rng.randint(-3, 3), q[0]):  # an int, and a Fraction
+            assert_held_as(x.scaled(k),
+                           Ref(rx.a * k, rx.b * k, rx.d) if k else
+                           Ref(ZERO, ZERO, 1))
+        assert x.floor() == ref_floor(rx)

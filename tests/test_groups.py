@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,10 @@ from pmsval import (AdjoinedSurd, Cyclic, ExactReal, FormalInteger,
                     Value)
 from pmsval.errors import (DescriptorMismatch, InvalidAdjoin, InvariantError,
                            SchemaError)
-from pmsval.groups import (PRIME_BOUND, Component, component_adjoin,
-                           component_contains, component_generator,
-                           insert_zero, is_prime)
+from pmsval.groups import (PRIME_BOUND, _WITNESSES, Component, _bezout,
+                           component_adjoin, component_contains,
+                           component_generator, component_label, insert_zero,
+                           is_prime)
 from pmsval.jsonio import decode_component
 
 from gen import random_value
@@ -328,3 +330,90 @@ def test_order_compatible_with_addition():
         z = random_value(rng, 2, surds=False)
         if x < y:
             assert x + z < y + z
+
+
+# ---------------------------------------------------------------------------
+# Edges the mutation sampler found untested
+
+
+def test_witnesses_are_the_primes_up_to_41():
+    # PRIME_BOUND is proved for exactly this base set.
+    assert _WITNESSES == tuple(q for q in range(2, 42)
+                               if all(q % k for k in range(2, q)))
+
+
+@pytest.mark.parametrize("make", [lambda: Cyclic(Fraction(0)),
+                                  lambda: PPowerDivisible(2, Fraction(0))])
+def test_zero_generator_or_scale_is_refused(make):
+    with pytest.raises(InvariantError):
+        make()
+
+
+def test_generator_of_q_and_z_is_one():
+    for comp in (FullRational(), FormalInteger()):
+        assert component_generator(comp) == ExactReal.rational(1)
+
+
+def test_adjoin_rational_to_a_formal_integer():
+    # Z + (2/3)Z = (1/3)Z
+    assert component_adjoin(FormalInteger(), ExactReal.rational(
+        Fraction(2, 3))) == Cyclic(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(-1, 2)])
+def test_adjoined_surd_is_taken_positive(b):
+    comp = component_adjoin(FullRational(), ExactReal.surd(0, b, 2))
+    assert comp == AdjoinedSurd(FullRational(),
+                                ExactReal.surd(0, Fraction(1, 2), 2))
+
+
+def test_second_surd_leaves_a_rational_rest_inside_q():
+    # Z*sqrt2 + Z*(1/3 + sqrt2/2): tau becomes 1/3 + sqrt2/2, and sqrt2
+    # leaves the rest -2/3, already in Q.
+    tau = ExactReal.surd(Fraction(1, 3), Fraction(1, 2), 2)
+    assert component_adjoin(AdjoinedSurd(FullRational(), SQRT2), tau) == \
+        AdjoinedSurd(FullRational(), tau)
+
+
+@pytest.mark.parametrize("a, b", [(4, 6), (-4, 6), (4, -6), (-4, -6),
+                                  (6, 4), (-6, 4), (3, 0), (0, -5)])
+def test_bezout_gives_the_gcd_for_any_signs(a, b):
+    x, y = _bezout(a, b)
+    assert a * x + b * y == gcd(abs(a), abs(b))
+
+
+def test_labels_of_p_divisible_components():
+    assert component_label(PPowerDivisible(2, Fraction(1))) == "Z[1/2^inf]"
+    assert component_label(PPowerDivisible(3, Fraction(1, 2))) == \
+        "1/2*Z[1/3^inf]"
+
+
+def test_order_of_values_against_the_value_of_zero_and_equal_values():
+    lo, hi = Value.of(1, 2), Value.of(1, 3)
+    cases = [(lo, hi, -1), (hi, lo, 1), (lo, Value.of(1, 2), 0),
+             (INFINITY, INFINITY, 0), (lo, INFINITY, -1), (INFINITY, lo, 1)]
+    for x, y, c in cases:
+        assert x.compare(y) == c
+        assert (x < y, x <= y, x > y, x >= y) == \
+            (c < 0, c <= 0, c > 0, c >= 0)
+
+
+def test_difference_and_scaled_value_of_zero():
+    assert Value.of(3, 1) - Value.of(1, 2) == Value.of(2, -1)
+    assert INFINITY.scale(1) is INFINITY
+    with pytest.raises(InvariantError):
+        INFINITY.scale(0)
+
+
+def test_positions_at_either_end():
+    g = GroupDescriptor.of(FullRational(), Cyclic(Fraction(1)))
+    assert isinstance(g.insert_formal_integer(2).components[2], FormalInteger)
+    with pytest.raises(InvariantError):
+        g.insert_formal_integer(3)
+    assert g.adjoin_at(1, ExactReal.rational(Fraction(1, 2))).components[1] \
+        == Cyclic(Fraction(1, 2))
+    with pytest.raises(InvariantError):
+        g.adjoin_at(2, ExactReal.rational(Fraction(1, 2)))
+    assert insert_zero(Value.of(1, 2), 2) == Value.of(1, 2, 0)
+    with pytest.raises(InvariantError):
+        insert_zero(Value.of(1, 2), 3)

@@ -314,13 +314,13 @@ def symbolic_problems() -> list[str]:
 @pytest.fixture
 def numerals_seen(monkeypatch) -> list:
     seen = []
-    inner = jsonio._fraction
+    inner = jsonio._numeral_value
 
     def counting(raw, path):
         seen.append((raw.__class__, raw))
         return inner(raw, path)
 
-    monkeypatch.setattr(jsonio, "_fraction", counting)
+    monkeypatch.setattr(jsonio, "_numeral_value", counting)
     return seen
 
 

@@ -1,7 +1,8 @@
 """Module structure of the package: imports sit at module top, the
 intra-package import graph has no cycle (sequences -> ranktree -> engine,
-never back), every top-level definition has a caller, and only sequences
-and jsonio read the terminal of a stage chain."""
+never back), every top-level definition has a caller, only sequences
+and jsonio read the terminal of a stage chain, and only the modules at
+Fraction's edges import fractions."""
 
 from __future__ import annotations
 
@@ -114,3 +115,19 @@ def test_only_sequences_and_jsonio_read_a_chain_terminal():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in terminal]
     assert terminal and found == []
+
+
+# ExactReal holds integers; a Fraction is built only where one is read out
+# (rational_value, a and b), for component generators, and for the oracle's
+# field elements, which jsonio decodes.
+FRACTION_EDGES = {"exact", "groups", "jsonio", "oracle"}
+
+
+def test_only_the_edges_import_fractions():
+    found = sorted(name for name, tree in _trees().items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "fractions"
+                   or isinstance(node, ast.Import)
+                   and any(a.name == "fractions" for a in node.names))
+    assert set(found) <= FRACTION_EDGES, found
