@@ -33,7 +33,7 @@ class TaggedRoot:
 
     is_limit: bool
     beta: Optional[Value]
-    multiplicity: int = 1
+    multiplicity: int
 
     def __post_init__(self):
         if self.multiplicity < 1:
@@ -246,7 +246,7 @@ def induced_configuration(E: PmsDescriptor,
         if E.kind is PmsKind.PCS:
             v = emb(prefix[nu]) if nu < len(prefix) else None
         elif E.kind is PmsKind.PCTS:
-            v = prefix[0]
+            v = E.pcts_delta
         else:
             v = alpha
         if v is not None:

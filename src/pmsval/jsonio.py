@@ -313,11 +313,7 @@ def encode_descriptor(E: PmsDescriptor) -> dict:
 
 
 def decode_descriptor(raw: Any, path: str = "sequence",
-                      numerals: Optional[dict] = None,
-                      group: Optional[GroupDescriptor] = None
-                      ) -> PmsDescriptor:
-    """The descriptor raw; group, when given, is raw["group"] already
-    decoded."""
+                      numerals: Optional[dict] = None) -> PmsDescriptor:
     if not isinstance(raw, dict):
         raise _fail(path, "sequence must be an object")
     try:
@@ -326,8 +322,7 @@ def decode_descriptor(raw: Any, path: str = "sequence",
         raise _fail(path, f"unknown kind {raw.get('kind')!r}")
     if "group" not in raw:
         raise _fail(path, "sequence needs its group")
-    if group is None:
-        group = decode_group(raw["group"], f"{path}.group", numerals)
+    group = decode_group(raw["group"], f"{path}.group", numerals)
     chain, direction = (decode_chain(raw["chain"], f"{path}.chain", numerals)
                         if "chain" in raw else (None, None))
     pcts_delta = (decode_value(raw["pcts_delta"], f"{path}.pcts_delta",
@@ -557,14 +552,8 @@ def decode_problem(raw: Any) -> Problem:
     numerals: dict = {}  # numeral leaf -> ExactReal, for this call only
     group = (decode_group(raw["group"], numerals=numerals) if "group" in raw
              else None)
-    sequence = None
-    if "sequence" in raw:
-        seq = raw["sequence"]
-        # A sequence group written as the top-level group is decoded once;
-        # repr, unlike ==, tells 1 from 1.0 and true.
-        shared = (group if group is not None and isinstance(seq, dict)
-                  and repr(seq.get("group")) == repr(raw["group"]) else None)
-        sequence = decode_descriptor(seq, numerals=numerals, group=shared)
+    sequence = (decode_descriptor(raw["sequence"], numerals=numerals)
+                if "sequence" in raw else None)
     functions = tuple(
         decode_function(f, f"functions[{i}]", numerals)
         for i, f in enumerate(_list(raw, "functions", "problem")))

@@ -282,23 +282,25 @@ def _on_line(d: int, x: ExactReal, y: ExactReal, c: ExactReal) -> bool:
 
 
 def _solve_degree(ddelta: Value, dvalue: Value) -> Optional[int]:
-    """Integer d with dvalue = d*ddelta, coordinate by coordinate: y = d*x
-    for rationals x = a/b and y = c/e reads c*b = d*a*e."""
+    """Integer d with dvalue = d*ddelta, coordinate by coordinate, on the
+    rational and the surd parts alike: y = d*x for parts x = a/b and
+    y = c/e reads c*b = d*a*e, and two nonzero surd parts share a radicand."""
     d: Optional[int] = None
     for x, y in zip(ddelta.coords, dvalue.coords):
-        xd, a, b, _, _ = x
-        yd, c, e, _, _ = y
-        if xd != 1 or yd != 1:
+        xd, xan, xad, xbn, xbd = x
+        yd, yan, yad, ybn, ybd = y
+        if xbn and ybn and xd != yd:
             return None
-        if not a:
-            if c:
+        for a, b, c, e in ((xan, xad, yan, yad), (xbn, xbd, ybn, ybd)):
+            if not a:
+                if c:
+                    return None
+            elif d is None:
+                d, r = divmod(c * b, a * e)
+                if r:
+                    return None
+            elif c * b != d * a * e:
                 return None
-        elif d is None:
-            d, r = divmod(c * b, a * e)
-            if r:
-                return None
-        elif c * b != d * a * e:
-            return None
     return d if d is not None else 0
 
 

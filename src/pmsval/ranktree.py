@@ -241,8 +241,8 @@ class TheoremCheck:
 
 
 def theorem_rank_check(E: PmsDescriptor) -> TheoremCheck:
-    """The four sufficient conditions for rank incrementation; necessary as
-    well when the input rank is 1."""
+    """The four sufficient conditions for rank incrementation, and whether
+    the walk raises the rank where one holds; necessity is not checked."""
     if E.kind is PmsKind.PCTS or E.is_transcendental_pcs():
         raise KindError("the rank theorem concerns algebraic-type pcs and pds")
     pcs = E.kind is PmsKind.PCS
@@ -256,8 +256,6 @@ def theorem_rank_check(E: PmsDescriptor) -> TheoremCheck:
     }
     predicate = any(conditions.values())
     holds = (not predicate) or result.delta == 1
-    if E.group.rank() == 1 and result.delta == 1 and not predicate:
-        holds = False
     return TheoremCheck(conditions, predicate, result.delta, holds)
 
 

@@ -295,43 +295,42 @@ class UltrametricConfiguration:
 
     sequence lists the ordered names of the sequence members; points holds
     any extra named points (limit candidates, X, ...).  Distances are
-    symmetric; the self-distance is plus-infinity.
+    symmetric, keyed by sorted pairs; the self-distance is plus-infinity.
     """
 
     sequence: tuple[str, ...]
     points: tuple[str, ...]
     dist: dict[tuple[str, str], Value] = field(hash=False)
 
-    def __post_init__(self):
-        names = set(self.sequence) | set(self.points)
-        if len(names) != len(self.sequence) + len(self.points):
-            raise InvalidConfiguration("point names must be distinct")
-        arities = set()
-        for (p, q), v in self.dist.items():
-            if p not in names or q not in names:
-                raise InvalidConfiguration(f"distance references unknown point {p},{q}")
-            if (p, q) != _pair(p, q):
-                raise InvalidConfiguration("distance keys must be sorted pairs")
-            if p == q and not v.is_infinity:
-                raise InvalidConfiguration(
-                    f"self-distance of {p} must be plus-infinity, not {v}")
-            if not v.is_infinity:
-                arities.add(v.arity)
-        if len(arities) > 1:
-            raise InvalidConfiguration("distance values have mixed arities")
-
     @staticmethod
     def build(sequence: Sequence[str], points: Sequence[str],
               distances: dict[tuple[str, str], Value]) -> "UltrametricConfiguration":
-        canon: dict[tuple[str, str], Value] = {}
+        """The checked constructor: one walk keys the distances by sorted
+        pairs and refuses each bad entry, then the isosceles law is checked."""
+        sequence, points = tuple(sequence), tuple(points)
+        names = set(sequence + points)
+        if len(names) != len(sequence) + len(points):
+            raise InvalidConfiguration("point names must be distinct")
+        dist: dict[tuple[str, str], Value] = {}
+        arities = set()
         for (p, q), v in distances.items():
             key = _pair(p, q)
-            if key in canon and canon[key] != v:
+            if p not in names or q not in names:
+                raise InvalidConfiguration(
+                    f"distance references unknown point {key[0]},{key[1]}")
+            if key in dist and dist[key] != v:
                 raise InvalidConfiguration(
                     f"pair {key[0]},{key[1]} is given two different values, "
-                    f"{canon[key]} and {v}")
-            canon[key] = v
-        cfg = UltrametricConfiguration(tuple(sequence), tuple(points), canon)
+                    f"{dist[key]} and {v}")
+            dist[key] = v
+            if not v.is_infinity:
+                if p == q:
+                    raise InvalidConfiguration(
+                        f"self-distance of {p} must be plus-infinity, not {v}")
+                arities.add(v.arity)
+        if len(arities) > 1:
+            raise InvalidConfiguration("distance values have mixed arities")
+        cfg = UltrametricConfiguration(sequence, points, dist)
         bad = cfg.isosceles_violation()
         if bad is not None:
             raise InvalidConfiguration(
@@ -353,6 +352,20 @@ class UltrametricConfiguration:
         return self.dist[key]
 
     @cached_property
+    def rows(self) -> tuple[dict[int, Value], ...]:
+        """rows[i][k]: the recorded distance of names()[i] and names()[k]
+        for k > i, indexed once per configuration."""
+        index = {p: i for i, p in enumerate(self.names())}
+        rows = tuple({} for _ in index)
+        for (p, q), v in self.dist.items():
+            i, k = index[p], index[q]
+            if i < k:
+                rows[i][k] = v
+            elif k < i:
+                rows[k][i] = v
+        return rows
+
+    @cached_property
     def classification(self) -> tuple[PmsKind, tuple[Value, ...]]:
         """classify_from_prefix of this configuration, computed once."""
         kind, prefix = classify_from_prefix(self)
@@ -368,13 +381,12 @@ class UltrametricConfiguration:
         pairs and triangles; it also names the first violating triple of a
         complete table once the certificate has failed.
         """
-        names = self.names()
-        if len(names) < 3 or self._spanning_tree_certifies(names):
+        names, rows = self.names(), self.rows
+        if len(names) < 3 or self._spanning_tree_certifies():
             return None
-        later = self._later(names)
-        for i, after_i in enumerate(later):
+        for i, after_i in enumerate(rows):
             for j in sorted(after_i):
-                after_j = later[j]
+                after_j = rows[j]
                 for k in sorted(after_i.keys() & after_j.keys()):
                     d1, d2, d3 = after_i[j], after_i[k], after_j[k]
                     lo = min(d1, d2, d3)
@@ -382,18 +394,7 @@ class UltrametricConfiguration:
                         return (names[i], names[j], names[k])
         return None
 
-    def _later(self, names: Sequence[str]) -> list[dict[int, Value]]:
-        """later[i][k]: the recorded distance of names[i] and names[k] for
-        k > i, over the pairs with both ends in names (self-pairs skipped)."""
-        index = {p: i for i, p in enumerate(names)}
-        later: list[dict[int, Value]] = [{} for _ in names]
-        for (p, q), v in self.dist.items():
-            i, k = index.get(p), index.get(q)
-            if i is not None and k is not None and i != k:
-                later[min(i, k)][max(i, k)] = v
-        return later
-
-    def _spanning_tree_certifies(self, names: tuple[str, ...]) -> bool:
+    def _spanning_tree_certifies(self) -> bool:
         """Whether the table is complete and ultrametric.
 
         A complete table is ultrametric exactly when each distance equals
@@ -406,18 +407,15 @@ class UltrametricConfiguration:
         distance values, so a table of k distinct values costs one sort of
         k values.  Returns False on a missing pair or a failed check.
         """
-        n = len(names)
-        pairs = [(p, q, v) for (p, q), v in self.dist.items() if p != q]
-        # Keys are sorted pairs of known names, so the count decides
-        # completeness; a partial table is left to the triangle scan.
-        if len(pairs) != n * (n - 1) // 2:
+        rows = self.rows
+        n = len(rows)
+        if sum(map(len, rows)) != n * (n - 1) // 2:
             return False
-        rank = _value_ranks(v for _, _, v in pairs)
-        index = {p: i for i, p in enumerate(names)}
-        d = [[0] * n for _ in names]
-        for p, q, v in pairs:
-            i, k = index[p], index[q]
-            d[i][k] = d[k][i] = rank[id(v)]
+        rank = _value_ranks(v for (p, q), v in self.dist.items() if p != q)
+        d = [[0] * n for _ in rows]
+        for i, row in enumerate(rows):
+            for k, v in row.items():
+                d[i][k] = d[k][i] = rank[id(v)]
         best = dict(enumerate(d[0]))
         del best[0]
         parent = dict.fromkeys(best, 0)
@@ -464,9 +462,10 @@ def classify_from_prefix(cfg: UltrametricConfiguration) -> tuple[PmsKind, list[V
                "strictly decreasing, nor all equal")
     if kind is None:
         raise NotAPms(neither)
-    # Only the recorded pairs are checked, smallest (i, j) first.
-    for i, after_i in enumerate(cfg._later(zs)):
-        for j in sorted(after_i):
+    # Only the recorded pairs of members are checked, smallest (i, j) first.
+    m = len(zs)
+    for i, after_i in enumerate(cfg.rows[:m]):
+        for j in sorted(k for k in after_i if k < m):
             if after_i[j] != pattern_distance(kind, consec, i, j):
                 # Equal consecutive distances admit only the pcts pattern.
                 if kind is PmsKind.PCTS:

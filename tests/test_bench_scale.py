@@ -90,7 +90,6 @@ def test_diff_converts_a_file_paced_per_point():
 @pytest.mark.parametrize("n", scale.RANKS)
 def test_decode_dump_problem_is_a_rank_n_pcs(n):
     problem = scale.jsonio.loads_problem(scale.symbolic_problem(n))
-    assert problem.sequence.group is problem.group
     report, code = scale.cli.cmd_rank(problem)
     assert code == 0 and report["input_rank"] == n
 

@@ -4,6 +4,7 @@ finite-witness theorem checkers."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from pmsval.engine import (FactoredRationalFunction, TaggedRoot,
                            check_pcs_equivalence_iii, check_pds_equivalence_iii,
                            dominating_degree, extension_report,
                            induced_configuration, monomial_value, v_e)
-from pmsval.errors import InvariantError
+from pmsval.errors import IndeterminateError, InvariantError
 from pmsval.ranktree import auto_probes, rank_of_vE
 from pmsval.sequences import cofinal, mirror
 
@@ -411,6 +412,17 @@ def test_induced_configuration_pcts():
                       prefix=(Value.of(0), Value.of(0), Value.of(0)))
     cfg = induced_configuration(E)
     assert is_limit("X", E, cfg) is Tri.TRUE
+
+
+@pytest.mark.parametrize("length", [None, 0, 1, 2])
+def test_induced_configuration_needs_two_prefix_entries(length):
+    E = cauchy_pcs()
+    E = replace(E, prefix=None if length is None else E.prefix[:length])
+    if length == 2:
+        assert induced_configuration(E).names() == ("z0", "z1", "z2", "X")
+    else:
+        with pytest.raises(IndeterminateError, match="prefix of length >= 2"):
+            induced_configuration(E)
 
 
 def test_induced_configuration_classifies_as_its_descriptor():

@@ -420,11 +420,6 @@ def test_numeral_spellings_decode_equal():
     assert set(probes) == {Value.of(1)}
 
 
-def test_group_written_twice_is_decoded_once():
-    problem = loads_problem(bundled("example-rank3.json"))
-    assert problem.sequence.group is problem.group
-
-
 def rank1_problem(top_gen, sequence_gen) -> dict:
     return {"group": {"components": [{"kind": "cyclic", "gen": top_gen}]},
             "sequence": {"kind": "pcs", "group": {"components": [

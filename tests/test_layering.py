@@ -1,8 +1,9 @@
 """Module structure of the package: imports sit at module top, the
 intra-package import graph has no cycle (sequences -> ranktree -> engine,
 never back), every top-level definition has a caller, only sequences
-and jsonio read the terminal of a stage chain, and only the modules at
-Fraction's edges import fractions."""
+and jsonio read the terminal of a stage chain, only build constructs a
+configuration, and only the modules at Fraction's edges import
+fractions."""
 
 from __future__ import annotations
 
@@ -115,6 +116,27 @@ def test_only_sequences_and_jsonio_read_a_chain_terminal():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in terminal]
     assert terminal and found == []
+
+
+def _constructions(node: ast.AST) -> list[ast.Call]:
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name)
+            and n.func.id == "UltrametricConfiguration"]
+
+
+def test_only_build_constructs_a_configuration():
+    """UltrametricConfiguration.build is the one checked constructor: no
+    other package code calls the class itself."""
+    trees = _trees()
+    cls = next(n for n in trees["sequences"].body
+               if isinstance(n, ast.ClassDef)
+               and n.name == "UltrametricConfiguration")
+    build = next(n for n in cls.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "build")
+    inside = _constructions(build)
+    found = [f"{name}.py:{call.lineno}" for name, tree in trees.items()
+             for call in _constructions(tree) if call not in inside]
+    assert len(inside) == 1 and found == []
 
 
 # ExactReal holds integers; a Fraction is built only where one is read out

@@ -258,20 +258,14 @@ def reference_fit(deltas, values, tail_window=None) -> Optional[DominatingForm]:
             return DominatingForm(0, values[m - 1])
         return None
     assert moves(deltas, 1) or moves(deltas, -1)
-    d = None
+    # d from the first nonzero part of the last step, then checked on the
+    # whole step by Value arithmetic.
     ddelta, dvalue = deltas[m - 1] - deltas[m - 2], values[m - 1] - values[m - 2]
-    for x, y in zip(ddelta.coords, dvalue.coords):
-        if not x.is_rational or not y.is_rational:
-            return None
-        if x.rational_value == 0:
-            if y.rational_value != 0:
-                return None
-            continue
-        q = y.rational_value / x.rational_value
-        if q.denominator != 1 or d not in (None, int(q)):
-            return None
-        d = int(q)
-    d = d or 0
+    q = next((y / x for c, e in zip(ddelta.coords, dvalue.coords)
+              for x, y in ((c.a, e.a), (c.b, e.b)) if x), Fraction(0))
+    d = int(q)
+    if q != d or dvalue != ddelta.scale(d):
+        return None
     beta = values[m - 1] - deltas[m - 1].scale(d)
     if any(values[i] != deltas[i].scale(d) + beta for i in tail):
         return None
@@ -294,8 +288,8 @@ def random_exact(rng: random.Random, radicand: int) -> ExactReal:
 def random_window(seed: int):
     """A kind, m aligned deltas and values and a tail window.  The deltas
     move by steps, mostly rational, the first coordinate's in the kind's
-    direction, from starts that may be surds, all over one radicand (a
-    surd step leaves d unsolved); the values lie on d*delta + beta with d
+    direction, from starts that may be surds, all over one radicand; the
+    values lie on d*delta + beta with d
     in -2..3, up to two of them moved off the line or set to v(0)."""
     rng = random.Random(seed)
     arity, radicand, m = rng.randint(1, 3), rng.choice((2, 3, 5)), \
@@ -378,6 +372,22 @@ def test_fit_pattern_keeps_a_surd_beta_on_the_line():
     flat = [Value.of(surd(Fraction(1, 2), Fraction(5, 2), 5))] * 6
     assert fit_pattern(PCS, deltas, flat, tail_window=6) == \
         DominatingForm(0, flat[0])
+
+
+@pytest.mark.parametrize("deltas, values, fit", [
+    # A last step of 1 + sqrt(2) against 0: d = 0 and beta = 7.
+    ([Value.of(k) for k in range(5)] + [Value.of(surd(5, 1, 2))],
+     [Value.of(7)] * 6, DominatingForm(0, Value.of(7))),
+    # delta = k*sqrt(2) and value = 2k*sqrt(2) + 1.
+    ([Value.of(surd(0, k, 2)) for k in range(1, 7)],
+     [Value.of(surd(1, 2 * k, 2)) for k in range(1, 7)],
+     DominatingForm(2, Value.of(1))),
+    # A step of sqrt(2) against 2*sqrt(3): no d.
+    ([Value.of(k) for k in range(5)] + [Value.of(surd(4, 1, 2))],
+     [Value.of(2 * k) for k in range(5)] + [Value.of(surd(8, 2, 3))], None),
+], ids=["constant", "surd-degree", "other-radicand"])
+def test_fit_pattern_solves_the_degree_on_surd_steps(deltas, values, fit):
+    assert fit_pattern(PCS, deltas, values, tail_window=6) == fit
 
 
 def random_rows(seed: int):

@@ -164,6 +164,18 @@ def test_theorem_rank_check_examples():
                                          pcs_type=Transcendental()))
 
 
+@pytest.mark.parametrize("bound, met", [
+    (None, "diverges_to_infinity"), (ExactReal.rational(0), "inf_in_group")])
+def test_theorem_rank_check_names_each_pds_condition(bound, met):
+    g = GroupDescriptor.of(FullRational())
+    chain = StageChain((), bound, bound is not None)
+    out = theorem_rank_check(PmsDescriptor(PmsKind.PDS, g, chain=chain))
+    assert out.conditions == {"cauchy": False, "sup_in_group": False,
+                              "diverges_to_infinity": False,
+                              "inf_in_group": False, met: True}
+    assert out.predicate and out.rank_delta == 1 and out.holds
+
+
 def test_theorem_rank_check_randomized():
     rng = random.Random(99)
     for n in (1, 2, 3):

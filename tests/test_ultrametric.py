@@ -5,6 +5,7 @@ limit checks stay quadratic."""
 import json
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import ceil, log2
 
@@ -207,10 +208,57 @@ def test_build_refuses_a_pair_given_two_values():
 def test_configuration_refuses_an_unknown_point_and_mixed_arities():
     z = ("z0", "z1", "z2")
     with pytest.raises(InvalidConfiguration, match="unknown point z0,zz"):
-        UltrametricConfiguration(z, (), {("z0", "zz"): Value.of(1)})
+        UltrametricConfiguration.build(z, (), {("z0", "zz"): Value.of(1)})
     with pytest.raises(InvalidConfiguration, match="mixed arities"):
-        UltrametricConfiguration(z, (), {("z0", "z1"): Value.of(1),
-                                         ("z1", "z2"): Value.of(1, 0)})
+        UltrametricConfiguration.build(z, (), {("z0", "z1"): Value.of(1),
+                                               ("z1", "z2"): Value.of(1, 0)})
+
+
+# A partial pcs table over z0, z1, z2 and one point y, then one fault each.
+GOOD = {("z0", "z1"): Value.of(1), ("z1", "z2"): Value.of(2),
+        ("y", "z0"): Value.of(1)}
+
+
+@pytest.mark.parametrize("points, extra, text", [
+    (("y", "z1"), {}, "point names must be distinct"),
+    (("y",), {("zz", "z0"): Value.of(1)},
+     "distance references unknown point z0,zz"),
+    (("y",), {("z1", "z1"): Value.of(3)},
+     "self-distance of z1 must be plus-infinity, not (3)"),
+    (("y",), {("z2", "z1"): Value.of(3)},
+     "pair z1,z2 is given two different values, (2) and (3)"),
+    (("y",), {("y", "z2"): Value.of(2, 0)},
+     "distance values have mixed arities"),
+], ids=["names", "unknown", "self", "repeat", "arity"])
+def test_build_refuses_each_single_fault(points, extra, text):
+    assert UltrametricConfiguration.build(("z0", "z1", "z2"), ("y",), GOOD)
+    with pytest.raises(InvalidConfiguration) as caught:
+        UltrametricConfiguration.build(("z0", "z1", "z2"), points,
+                                       {**GOOD, **extra})
+    assert type(caught.value) is InvalidConfiguration
+    assert str(caught.value) == text
+
+
+def test_rows_are_indexed_once_per_configuration(monkeypatch):
+    # A partial table: build's triangle scan reads the rows, and so does
+    # the classification after it.
+    built = []
+    rows = UltrametricConfiguration.rows.func
+
+    def counting(cfg):
+        built.append(cfg)
+        return rows(cfg)
+
+    prop = cached_property(counting)
+    prop.__set_name__(UltrametricConfiguration, "rows")
+    monkeypatch.setattr(UltrametricConfiguration, "rows", prop)
+    z = [f"z{i}" for i in range(5)]
+    dist = {(z[i], z[i + 1]): Value.of(i + 1) for i in range(4)}
+    dist.update({("y", z[i]): Value.of(i + 1) for i in range(4)})
+    cfg = UltrametricConfiguration.build(z, ("y",), dist)
+    assert cfg.classification[0] is PmsKind.PCS
+    assert cfg.rows[0] == {1: Value.of(1), 5: Value.of(1)}
+    assert len(built) == 1 and built[0] is cfg
 
 
 def test_mixed_encodings_of_one_value_share_a_rank(monkeypatch):
