@@ -9,8 +9,8 @@ counts limit roots of the numerator minus the denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import IndeterminateError, InvariantError
 from .groups import INFINITY, Value
@@ -26,22 +26,20 @@ from .sequences import (PmsDescriptor, PmsKind, UltrametricConfiguration,
 # Tagged rational functions
 
 
-@dataclass(frozen=True)
-class TaggedRoot:
+class TaggedRoot(namedtuple("TaggedRoot", "is_limit beta multiplicity")):
     """A root known only through its relation to the sequence: either a
     limit, or at ultimate distance beta from the tail."""
 
-    is_limit: bool
-    beta: Optional[Value]
-    multiplicity: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
+    def __new__(cls, is_limit: bool, beta: Optional[Value], multiplicity: int):
+        if multiplicity < 1:
             raise InvariantError("multiplicity must be positive")
-        if self.is_limit and self.beta is not None:
+        if is_limit and beta is not None:
             raise InvariantError("a limit root carries no distance value")
-        if not self.is_limit and self.beta is None:
+        if not is_limit and beta is None:
             raise InvariantError("a non-limit root needs its distance value")
+        return super().__new__(cls, is_limit, beta, multiplicity)
 
     @staticmethod
     def limit(multiplicity: int = 1) -> "TaggedRoot":
@@ -52,8 +50,7 @@ class TaggedRoot:
         return TaggedRoot(False, beta, multiplicity)
 
 
-@dataclass(frozen=True)
-class FactoredRationalFunction:
+class FactoredRationalFunction(NamedTuple):
     """lead value plus tagged numerator and denominator roots (reduced)."""
 
     lead_value: Value
@@ -75,8 +72,7 @@ class FactoredRationalFunction:
         return DominatingForm(d, beta)
 
 
-@dataclass(frozen=True)
-class DominatingForm:
+class DominatingForm(NamedTuple):
     """The affine tail pattern d*delta_nu + beta of the values along E."""
 
     degree: int
@@ -108,8 +104,7 @@ def dominating_degree(phi: FactoredRationalFunction,
 # The induced valuation
 
 
-@dataclass(frozen=True)
-class InducedValue:
+class InducedValue(NamedTuple):
     """v_E of a function: its value, where it lives, and the tail pattern."""
 
     value: Value
@@ -167,15 +162,13 @@ def monomial_value(coeff_values: Iterable[tuple[int, Value]],
 # Extension classification
 
 
-@dataclass(frozen=True)
-class PairOfDefinition:
+class PairOfDefinition(NamedTuple):
     point: str
     alpha: Value
     minimal: Optional[bool] = None
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
+class ExtensionReport(NamedTuple):
     extension_kind: str  # "immediate" | "value-transcendental" | "residue-transcendental"
     pure: bool
     ic_label: str

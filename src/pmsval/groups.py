@@ -10,7 +10,7 @@ tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
@@ -57,53 +57,65 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Cyclic:
+def immutable(record, *_) -> None:
+    """__setattr__ and __delattr__ of a record fixed at construction."""
+    raise AttributeError(f"{record.__class__.__name__} is immutable")
+
+
+class Marker:
+    """A record without fields: true, equal only to an instance of its own
+    class, and hashed as the empty tuple of its fields."""
+
+    __setattr__ = __delattr__ = immutable
+    __eq__ = lambda self, other: (True if other.__class__ is self.__class__
+                                  else NotImplemented)
+    __hash__ = lambda self: hash(())
+    __repr__ = lambda self: f"{self.__class__.__name__}()"
+
+
+class Cyclic(namedtuple("Cyclic", "gen")):
     """The subgroup gen * Z of the rationals, gen > 0."""
 
-    gen: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.gen <= 0:
+    def __new__(cls, gen: Fraction):
+        if gen <= 0:
             raise InvariantError("cyclic generator must be positive")
+        return super().__new__(cls, gen)
 
 
-@dataclass(frozen=True)
-class PPowerDivisible:
+class PPowerDivisible(namedtuple("PPowerDivisible", "p scale")):
     """scale * Z[1/p^inf]: rationals whose scaled denominator is a p-power."""
 
-    p: int
-    scale: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InvariantError(f"{self.p} is not prime")
-        if self.scale <= 0:
+    def __new__(cls, p: int, scale: Fraction):
+        if not is_prime(p):
+            raise InvariantError(f"{p} is not prime")
+        if scale <= 0:
             raise InvariantError("scale must be positive")
+        return super().__new__(cls, p, scale)
 
 
-@dataclass(frozen=True)
-class FullRational:
+class FullRational(Marker):
     """All of Q."""
 
 
-@dataclass(frozen=True)
-class FormalInteger:
+class FormalInteger(Marker):
     """A Z factor inserted by the rank construction."""
 
 
-@dataclass(frozen=True)
-class AdjoinedSurd:
+class AdjoinedSurd(namedtuple("AdjoinedSurd", "base tau")):
     """base + Z*tau for an irrational quadratic tau; still rank 1."""
 
-    base: "Component"
-    tau: ExactReal
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tau.is_rational:
+    def __new__(cls, base: "Component", tau: ExactReal):
+        if tau.is_rational:
             raise InvariantError("adjoined tau must be irrational")
-        if isinstance(self.base, AdjoinedSurd):
+        if isinstance(base, AdjoinedSurd):
             raise InvariantError("at most one adjoined surd per component")
+        return super().__new__(cls, base, tau)
 
 
 Component = Union[Cyclic, PPowerDivisible, FullRational, FormalInteger, AdjoinedSurd]
@@ -250,13 +262,23 @@ def component_label(comp: Component) -> str:
 # Values (group elements and the value of zero)
 
 
-@dataclass(frozen=True, slots=True)
 class Value:
     """A group element, a lex-ordered tuple of exact reals; coords None
     encodes the scalar +infinity assigned to v(0), greater than every
     tuple."""
 
-    coords: Optional[tuple[ExactReal, ...]]
+    __slots__ = ("coords",)
+    __setattr__ = __delattr__ = immutable
+    __hash__ = lambda self: hash((self.coords,))
+    __reduce__ = lambda self: (Value, (self.coords,))  # copy, pickle
+
+    def __init__(self, coords: Optional[tuple[ExactReal, ...]]):
+        _set_coords(self, coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not Value:
+            return NotImplemented
+        return self.coords == other.coords
 
     @staticmethod
     def of(*coords: Union[ExactReal, RationalLike]) -> "Value":
@@ -289,17 +311,11 @@ class Value:
                 return c
         return 0
 
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
+    __lt__ = lambda self, other: self.compare(other) < 0
+    __le__ = lambda self, other: self.compare(other) <= 0
+    __gt__ = lambda self, other: self.compare(other) > 0
+    __ge__ = lambda self, other: self.compare(other) >= 0
+    __sub__ = lambda self, other: self + (-other)
 
     def __add__(self, other: "Value") -> "Value":
         if self.is_infinity or other.is_infinity:
@@ -312,9 +328,6 @@ class Value:
         if self.is_infinity:
             raise InvariantError("plus-infinity has no negative")
         return Value(tuple(-c for c in self.coords))
-
-    def __sub__(self, other: "Value") -> "Value":
-        return self + (-other)
 
     def scale(self, n: int) -> "Value":
         if self.is_infinity:
@@ -329,6 +342,7 @@ class Value:
         return "(" + ", ".join(repr(c) for c in self.coords) + ")"
 
 
+_set_coords = Value.coords.__set__
 INFINITY = Value(None)
 
 
@@ -336,13 +350,13 @@ INFINITY = Value(None)
 # Group descriptors
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    components: tuple[Component, ...]
+class GroupDescriptor(namedtuple("GroupDescriptor", "components")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.components:
+    def __new__(cls, components: tuple[Component, ...]):
+        if not components:
             raise InvariantError("a group descriptor needs at least one component")
+        return super().__new__(cls, components)
 
     @staticmethod
     def of(*components: Component) -> "GroupDescriptor":

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .engine import FactoredRationalFunction, TaggedRoot
 from .errors import InvariantError, SchemaError
@@ -386,28 +385,30 @@ def decode_configuration(raw: Any, path: str = "configuration",
     if not isinstance(raw, dict):
         raise _fail(path, "configuration must be an object")
     seq, pts = _list(raw, "sequence", path), _list(raw, "points", path)
+    entries, at = _list(raw, "distances", path), f"{path}.distances"
     # Equal encodings decode once and share one Value; a bad encoding is
-    # never stored, so it still fails at its own path.
-    dist, given_at, decoded = {}, {}, {}
-    for i, entry in enumerate(_list(raw, "distances", path)):
-        p = f"{path}.distances[{i}]"
+    # never stored, so it still fails at its own path.  Paths are written
+    # only for a failure or a new encoding.
+    dist, decoded = {}, {}
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "pair" not in entry or "v" not in entry:
-            raise _fail(p, "distance entry needs pair and v")
+            raise _fail(f"{at}[{i}]", "distance entry needs pair and v")
         pair = entry["pair"]
         if not isinstance(pair, list) or len(pair) != 2:
-            raise _fail(p, "pair must name two points")
+            raise _fail(f"{at}[{i}]", "pair must name two points")
         a, b = str(pair[0]), str(pair[1])
         key = (a, b) if a <= b else (b, a)
         raw_v = entry["v"]
         enc = _encoding_key(raw_v)
         v = decoded.get(enc)
         if v is None:
-            v = decoded[enc] = decode_value(raw_v, f"{p}.v", numerals)
-        if key not in dist:
-            dist[key], given_at[key] = v, p
-        elif dist[key] != v:
-            raise _fail(p, f"pair {key[0]},{key[1]} already has a different "
-                           f"value at {given_at[key]}")
+            v = decoded[enc] = decode_value(raw_v, f"{at}[{i}].v", numerals)
+        old = dist.setdefault(key, v)
+        if old is not v and old != v:
+            first = next(k for k, e in enumerate(entries)
+                         if tuple(sorted(map(str, e["pair"]))) == key)
+            raise _fail(f"{at}[{i}]", f"pair {key[0]},{key[1]} already has a "
+                        f"different value at {at}[{first}]")
     return UltrametricConfiguration.build([str(s) for s in seq],
                                           [str(s) for s in pts], dist)
 
@@ -489,8 +490,7 @@ def decode_field_element(field: ConcreteField, raw: Any, path: str,
     raise _fail(path, f"not a field element: {raw!r}")
 
 
-@dataclass(frozen=True)
-class OracleSection:
+class OracleSection(NamedTuple):
     field: ConcreteField
     terms: tuple
     functions: tuple[tuple[ConcreteRationalFunction, FactoredRationalFunction], ...]
@@ -533,8 +533,7 @@ def decode_oracle(raw: Any, path: str = "oracle",
 # Problem files
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     group: Optional[GroupDescriptor]
     sequence: Optional[PmsDescriptor]
     functions: tuple[FactoredRationalFunction, ...]

@@ -9,15 +9,15 @@ tail pattern d*delta_nu + beta is fitted independently of any root tagging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .engine import DominatingForm, FactoredRationalFunction, dominating_degree
 from .errors import InvariantError, SchemaError
 from .exact import ExactReal
-from .groups import INFINITY, Value, is_prime
+from .groups import INFINITY, Value, immutable, is_prime
 from .sequences import (DIRECTION, PmsDescriptor, PmsKind,
                         UltrametricConfiguration, classify_from_prefix,
                         delta_shift, moves)
@@ -61,12 +61,14 @@ def _multiplicity(n: int, p: int) -> int:
 Poly = tuple[tuple[int, Fraction], ...]
 
 
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    """a + b: the pairs merged by power, a zero sum dropped."""
-    if not a or not b:
-        return a or b
+def _poly_add(a: Poly, b: Poly, negate: bool = False) -> Poly:
+    """a + b, or a - b when negate: merged by power, zero sums dropped."""
+    if not b:
+        return a
     acc = dict(a)
     for e, c in b:
+        if negate:
+            c = -c
         s = acc[e] + c if e in acc else c
         if s:
             acc[e] = s
@@ -85,17 +87,19 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return tuple(sorted((e, c) for e, c in acc.items() if c))
 
 
-@dataclass(frozen=True)
 class QtElement:
     """num/den, sparse polynomials over exact rationals; den nonzero.  Zero
     is false, as for a Fraction."""
 
-    num: Poly
-    den: Poly
+    __slots__ = ("num", "den")
+    __setattr__ = __delattr__ = immutable
+    __repr__ = lambda self: f"QtElement(num={self.num!r}, den={self.den!r})"
 
-    def __post_init__(self):
-        if not self.den:
+    def __init__(self, num: Poly, den: Poly):
+        if not den:
             raise InvariantError("denominator must be nonzero")
+        _set_num(self, num)
+        _set_den(self, den)
 
     @staticmethod
     def of(num: Sequence[Union[int, str, Fraction]],
@@ -116,19 +120,16 @@ class QtElement:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def __add__(self, other: "QtElement") -> "QtElement":
+    def __add__(self, other: "QtElement", negate: bool = False) -> "QtElement":
         if self.den == other.den:
-            return QtElement(_poly_add(self.num, other.num), self.den)
+            return QtElement(_poly_add(self.num, other.num, negate), self.den)
         return QtElement(
             _poly_add(_poly_mul(self.num, other.den),
-                      _poly_mul(other.num, self.den)),
+                      _poly_mul(other.num, self.den), negate),
             _poly_mul(self.den, other.den))
 
-    def __neg__(self) -> "QtElement":
-        return QtElement(tuple((e, -c) for e, c in self.num), self.den)
-
     def __sub__(self, other: "QtElement") -> "QtElement":
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __mul__(self, other: "QtElement") -> "QtElement":
         return QtElement(_poly_mul(self.num, other.num),
@@ -145,19 +146,22 @@ class QtElement:
         raise TypeError("QtElement is not hashable (non-canonical form)")
 
 
+_set_num, _set_den = QtElement.num.__set__, QtElement.den.__set__
+
+
 # ---------------------------------------------------------------------------
 # Concrete fields
 
 
-@dataclass(frozen=True)
-class PadicRationals:
+class PadicRationals(namedtuple("PadicRationals", "p")):
     """(Q, v_p): value group Z."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InvariantError(f"field p must be prime, got {self.p}")
+    def __new__(cls, p: int):
+        if not is_prime(p):
+            raise InvariantError(f"field p must be prime, got {p}")
+        return super().__new__(cls, p)
 
     def valuate(self, x: Union[int, Fraction]) -> Value:
         if not x:
@@ -165,15 +169,15 @@ class PadicRationals:
         return Value.of(padic_valuation(x, self.p))
 
 
-@dataclass(frozen=True)
-class CompositeField:
+class CompositeField(namedtuple("CompositeField", "p")):
     """(Q(t), v): v(f) = (ord_t f, v_p of the lowest t-coefficient), lex."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InvariantError(f"field p must be prime, got {self.p}")
+    def __new__(cls, p: int):
+        if not is_prime(p):
+            raise InvariantError(f"field p must be prime, got {p}")
+        return super().__new__(cls, p)
 
     def valuate(self, x: QtElement) -> Value:
         if not x:
@@ -187,8 +191,7 @@ class CompositeField:
 ConcreteField = Union[PadicRationals, CompositeField]
 
 
-@dataclass(frozen=True)
-class ConcreteRationalFunction:
+class ConcreteRationalFunction(NamedTuple):
     """lead * prod(X - a_i) / prod(X - b_j) with concrete field elements."""
 
     lead: object
@@ -308,8 +311,7 @@ def _solve_degree(ddelta: Value, dvalue: Value) -> Optional[int]:
 # Cross-checking the tag calculus against the oracle
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     agree: bool
     kind: PmsKind
     delta_prefix: tuple[Value, ...]

@@ -13,8 +13,7 @@ chain direction (E.sign, +1 or -1) sets the side, as in mirror duality.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InvariantError, KindError
 from .exact import ExactReal
@@ -29,8 +28,7 @@ class Branch(enum.Enum):
     BOUND_IN_GROUP_CONSTANT = "bound-in-group-constant"
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """Where the rank walk ends: a constant coordinate at every level above
     terminal_level, then branch there."""
 
@@ -50,8 +48,7 @@ class Leaf:
         return int(self.branch is not Branch.BOUND_NOT_IN_GROUP)
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     input_rank: int
     output_rank: int
     extended_group: GroupDescriptor
@@ -112,15 +109,14 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
         raise InvariantError(
             f"alpha placement fails its chain contract at probe "
             f"{outcome.counterexample}")
-    return replace(result, alpha_check=outcome)
+    return result._replace(alpha_check=outcome)
 
 
 # ---------------------------------------------------------------------------
 # Finite-witness checks of the value-transcendental equivalences
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     holds: bool
     counterexample: Optional[Value]
     checked: int
@@ -232,8 +228,7 @@ def enumerate_leaves(n: int) -> list[Leaf]:
 # The rank theorem
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     conditions: dict[str, bool]
     predicate: bool
     rank_delta: int

@@ -11,15 +11,15 @@ Indices at or beyond the last declared stage count as tail witnesses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, cmp_to_key
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (IndeterminateError, InvalidConfiguration, InvariantError,
                      KindError, NotAPms)
 from .exact import ExactReal
 from .groups import (INFINITY, Cyclic, FormalInteger, GroupDescriptor,
-                     Value, component_contains)
+                     Marker, Value, component_contains)
 
 
 class PmsKind(enum.Enum):
@@ -74,32 +74,30 @@ def delta_shift(kind: PmsKind) -> int:
 # Stage chains
 
 
-@dataclass(frozen=True)
-class ConstantFrom:
+class ConstantFrom(NamedTuple):
     """Coordinate ultimately constant at value, from prefix index stage on."""
 
     value: ExactReal
     stage: int
 
 
-@dataclass(frozen=True)
-class StageChain:
+class StageChain(namedtuple("StageChain", "constants bound bound_in_group")):
     """The constant coordinates, then the terminal coordinate, the first
     strictly moving one: its bound r (None when it is unbounded) and whether
     r is a member of the group.  The kind of the sequence sets the side: a
     pcs increases toward a strict upper bound, a pds decreases toward a
     strict lower bound, neither attained."""
 
-    constants: tuple[ConstantFrom, ...]
-    bound: Optional[ExactReal] = None
-    bound_in_group: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        stages = [e.stage for e in self.constants]
+    def __new__(cls, constants: tuple[ConstantFrom, ...],
+                bound: Optional[ExactReal] = None, bound_in_group: bool = False):
+        stages = [e.stage for e in constants]
         if any(s < 0 for s in stages) or stages != sorted(stages):
             raise InvariantError("stage labels must be nonnegative and nondecreasing")
-        if self.bound is None and self.bound_in_group:
+        if bound is None and bound_in_group:
             raise InvariantError("an unbounded chain has no bound in the group")
+        return super().__new__(cls, constants, bound, bound_in_group)
 
     @property
     def terminal_level(self) -> int:
@@ -111,8 +109,7 @@ class StageChain:
         return max((e.stage for e in self.constants), default=0)
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """Where the distance values of a pcs or pds end, as a cut in the lex
     group: the chain constants, then r + side*eps at the terminal level, eps
     a positive infinitesimal.  A bound r outside the component is the cut
@@ -144,34 +141,35 @@ class Cut:
                 and len(self.constants) == rank - 1)
 
 
-@dataclass(frozen=True)
-class Transcendental:
+class Transcendental(Marker):
     pass
 
 
-@dataclass(frozen=True)
-class Algebraic:
-    degree: int
+class Algebraic(namedtuple("Algebraic", "degree")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree < 1:
+    def __new__(cls, degree: int):
+        if degree < 1:
             raise InvariantError("minimal polynomial degree must be >= 1")
+        return super().__new__(cls, degree)
 
 
 PcsType = Union[Transcendental, Algebraic]
 
 
-@dataclass(frozen=True)
-class PmsDescriptor:
-    kind: PmsKind
-    group: GroupDescriptor
-    chain: Optional[StageChain] = None
-    pcts_delta: Optional[Value] = None
-    pcs_type: Optional[PcsType] = None
-    prefix: Optional[tuple[Value, ...]] = None
-
-    def __post_init__(self):
+# PmsDescriptor and UltrametricConfiguration declare no __slots__: the
+# instance __dict__ holds their cached properties.
+class PmsDescriptor(namedtuple("PmsDescriptor", "kind group chain pcts_delta "
+                                                "pcs_type prefix")):
+    def __new__(cls, kind: PmsKind, group: GroupDescriptor,
+                chain: Optional[StageChain] = None,
+                pcts_delta: Optional[Value] = None,
+                pcs_type: Optional[PcsType] = None,
+                prefix: Optional[tuple[Value, ...]] = None):
+        self = super().__new__(cls, kind, group, chain, pcts_delta, pcs_type,
+                               prefix)
         self.validate()
+        return self
 
     def validate(self) -> None:
         n = self.group.rank()
@@ -289,8 +287,8 @@ def _pair(p: str, q: str) -> tuple[str, str]:
     return (p, q) if p <= q else (q, p)
 
 
-@dataclass(frozen=True)
-class UltrametricConfiguration:
+class UltrametricConfiguration(namedtuple("UltrametricConfiguration",
+                                          "sequence points dist")):
     """A finite named point set with exact pairwise valuation distances.
 
     sequence lists the ordered names of the sequence members; points holds
@@ -298,9 +296,8 @@ class UltrametricConfiguration:
     symmetric, keyed by sorted pairs; the self-distance is plus-infinity.
     """
 
-    sequence: tuple[str, ...]
-    points: tuple[str, ...]
-    dist: dict[tuple[str, str], Value] = field(hash=False)
+    def __hash__(self):
+        return hash((self.sequence, self.points))  # dist is a dict
 
     @staticmethod
     def build(sequence: Sequence[str], points: Sequence[str],
@@ -582,8 +579,7 @@ def is_limit(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration) -> Tri:
             else Tri.TRUE if limit else Tri.FALSE)
 
 
-@dataclass(frozen=True)
-class Dichotomy:
+class Dichotomy(NamedTuple):
     """Outcome of the limit-or-ultimately-constant alternative."""
 
     is_limit: bool

@@ -4,7 +4,6 @@ finite-witness theorem checkers."""
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -417,7 +416,8 @@ def test_induced_configuration_pcts():
 @pytest.mark.parametrize("length", [None, 0, 1, 2])
 def test_induced_configuration_needs_two_prefix_entries(length):
     E = cauchy_pcs()
-    E = replace(E, prefix=None if length is None else E.prefix[:length])
+    E = PmsDescriptor(E.kind, E.group, E.chain, E.pcts_delta, E.pcs_type,
+                      None if length is None else E.prefix[:length])
     if length == 2:
         assert induced_configuration(E).names() == ("z0", "z1", "z2", "X")
     else:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -344,16 +343,18 @@ def test_each_numeral_is_decoded_once_per_problem(name, numerals_seen):
 
 
 def exact_reals(obj, found: dict) -> dict:
-    """Every ExactReal reachable from obj through dataclass fields, tuples
-    and lists, by id."""
+    """Every ExactReal reachable from obj through tuples (records among
+    them), lists, dict values and the attributes of pmsval objects, by id."""
     if isinstance(obj, ExactReal):
         found[id(obj)] = obj
     elif isinstance(obj, (tuple, list)):
         for x in obj:
             exact_reals(x, found)
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            exact_reals(getattr(obj, f.name), found)
+    elif isinstance(obj, dict):
+        exact_reals(list(obj.values()), found)
+    elif type(obj).__module__.startswith("pmsval."):
+        for name in getattr(obj, "__dict__", None) or obj.__slots__:
+            exact_reals(getattr(obj, name), found)
     return found
 
 

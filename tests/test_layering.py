@@ -2,13 +2,16 @@
 intra-package import graph has no cycle (sequences -> ranktree -> engine,
 never back), every top-level definition has a caller, only sequences
 and jsonio read the terminal of a stage chain, only build constructs a
-configuration, and only the modules at Fraction's edges import
-fractions."""
+configuration, only the modules at Fraction's edges import fractions,
+and no module imports dataclasses, so a cold start loads neither it nor
+inspect."""
 
 from __future__ import annotations
 
 import ast
-from dataclasses import fields
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -109,7 +112,7 @@ def test_only_sequences_and_jsonio_read_a_chain_terminal():
     """The terminal of a stage chain is plain data: sequences builds the cut
     from it and jsonio reads and writes it.  Every other module reaches the
     cut through PmsDescriptor.cut."""
-    terminal = {f.name for f in fields(StageChain)} - {"constants"}
+    terminal = set(StageChain._fields) - {"constants"}
     found = [f"{name}.py:{node.lineno} reads .{node.attr}"
              for name, tree in _trees().items()
              if name not in ("sequences", "jsonio")
@@ -153,3 +156,26 @@ def test_only_the_edges_import_fractions():
                    or isinstance(node, ast.Import)
                    and any(a.name == "fractions" for a in node.names))
     assert set(found) <= FRACTION_EDGES, found
+
+
+def test_no_module_imports_dataclasses():
+    """Records are named tuples or hand-written classes: dataclasses would
+    bring inspect, ast, dis and tokenize into every cold start."""
+    found = sorted(name for name, tree in _trees().items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "dataclasses"
+                   or isinstance(node, ast.Import)
+                   and any(a.name == "dataclasses" for a in node.names))
+    assert found == []
+
+
+def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
+    # pytest has imported both here, so a fresh interpreter looks.
+    code = ("import sys, pmsval, pmsval.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert done.stdout == "[]\n"

@@ -7,12 +7,11 @@ dichotomy wherever the dichotomy answers."""
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from pmsval import (PmsKind, Tri, induced_configuration, is_limit,
-                    limit_dichotomy_check, mirror, rank_of_vE,
+from pmsval import (PmsDescriptor, PmsKind, Tri, induced_configuration,
+                    is_limit, limit_dichotomy_check, mirror, rank_of_vE,
                     theorem_rank_check)
 from pmsval.errors import IndeterminateError
 from pmsval.jsonio import decode_descriptor, encode_descriptor
@@ -53,7 +52,7 @@ def test_pcs_and_pds_share_a_cut_iff_the_bound_is_outside_the_group(E):
     # The same chain read from its two sides: r- against r+ for a bound in
     # the group, +infinity against -infinity when unbounded, and r itself
     # for a bound outside the group.
-    D = replace(E, kind=PmsKind.PDS, pcs_type=None, prefix=None)
+    D = PmsDescriptor(PmsKind.PDS, E.group, E.chain, E.pcts_delta)
     r, rd = rank_of_vE(E), rank_of_vE(D)
     outside = r.trace.steps[-1][1] is Branch.BOUND_NOT_IN_GROUP
     assert rd.trace.steps[-1][1] is r.trace.steps[-1][1]

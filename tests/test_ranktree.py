@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -212,7 +211,7 @@ def test_auto_probes_catch_alpha_moved_past_a_bound_outside_the_group():
         r = rank_of_vE(E)
         moved = r.alpha + Value.of(100 * E.sign)
         assert r.alpha_check.holds
-        assert not check_alpha(E, replace(r, alpha=moved), auto_probes(E)).holds
+        assert not check_alpha(E, r._replace(alpha=moved), auto_probes(E)).holds
 
 
 def test_tree_dot_structure():
