@@ -555,6 +555,29 @@ def test_directory_as_probes_file(capsys, tmp_path):
         f"cannot read problem file {tmp_path}: Is a directory")
 
 
+@pytest.mark.parametrize("where", ["missing", "directory", "through a file",
+                                   "tab", "nul"])
+def test_problem_names_that_open_no_file(capsys, tmp_path, where):
+    (tmp_path / "afile.json").write_text("{}")
+    name = {"missing": str(tmp_path / "missing.json"),
+            "directory": str(tmp_path),
+            "through a file": str(tmp_path / "afile.json" / "x"),
+            "tab": "example-rank3.json\t",
+            "nul": "example-rank3.json\0"}[where]
+    schema_error_on_stdout(
+        capsys, ["sup", "--in", name],
+        f"cannot read problem file {name}: Is a directory"
+        if where == "directory" else
+        f"no such problem file or bundled problem: {name}")
+
+
+def test_a_bundled_name_is_read_when_no_file_has_it(capsys, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, rep = run(capsys, "sup", "--in", "example-rank3.json")
+    assert code == 0 and rep["command"] == "sup"
+
+
 def test_problem_file_not_utf8(capsys, tmp_path):
     bad = tmp_path / "utf16.json"
     bad.write_bytes(b"\xff\xfe{\x00}\x00")

@@ -182,6 +182,23 @@ def test_membership_agrees_with_fraction_division(data):
     assert component_contains(comp, x) == ref_contains(comp, x)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_group_membership_is_membership_in_every_component(data):
+    comps = data.draw(st.lists(components, min_size=1, max_size=6))
+    coords = tuple(data.draw(near_members(c)) for c in comps)
+    group, value = GroupDescriptor(tuple(comps)), Value(coords)
+    assert group.contains(value) == all(
+        component_contains(c, x) for c, x in zip(comps, coords))
+    assert not group.contains(INFINITY)
+    for wrong in (coords[1:], coords + coords[:1]):
+        if wrong:
+            with pytest.raises(DescriptorMismatch) as err:
+                group.contains(Value(wrong))
+            assert str(err.value) == (f"element arity {len(wrong)} vs "
+                                      f"descriptor rank {len(comps)}")
+
+
 @pytest.mark.parametrize("comp, x, inside", [
     # A surd over a p-divisible base: 3*tau + 1/8 is in, 3*tau + 1/3 is not.
     (AdjoinedSurd(PPowerDivisible(2, Fraction(1)), ExactReal.surd(-1, -2, 3)),

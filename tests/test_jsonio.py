@@ -415,6 +415,44 @@ def test_oracle_coefficient_true_is_refused():
         assert str(err.value).startswith(f"{path}: not a rational numeral")
 
 
+numerals = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.integers(-20, 20).map(str),
+    st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 40)).map(
+        lambda nd: f"{nd[0]}/{nd[1]}"))
+coordinates = st.one_of(
+    numerals, numerals.map(lambda q: {"rat": q}),
+    st.builds(lambda a, b, d: {"surd": {"a": a, "b": b, "d": d}},
+              numerals, numerals, st.sampled_from([2, 3, 8, 12])))
+raw_values = st.lists(coordinates, min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw_values, st.lists(raw_values, max_size=3))
+def test_decode_value_reads_the_same_through_a_filled_numerals_dict(raw,
+                                                                    before):
+    shared: dict = {}
+    for other in before + [raw]:
+        decode_value(other, "seen", shared)
+    assert shared  # the second decode of raw reads its numerals from here
+    assert decode_value(raw, "value", shared) == decode_value(raw, "value")
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1.5", "1/0", {"rat": [1]},
+                                 "1" * 5000], ids=repr)
+def test_decode_value_refuses_a_bad_coordinate_alike_with_numerals(bad):
+    def refusal(numerals):
+        with pytest.raises(SchemaError) as err:
+            decode_value(["1", "2", bad], "probes[4]", numerals)
+        return str(err.value)
+
+    shared: dict = {}
+    decode_value(["1", "2", "1"], "seen", shared)
+    alone = refusal(None)
+    assert alone.startswith("probes[4][2]: ")
+    assert refusal(shared) == refusal({}) == alone
+
+
 def test_numeral_spellings_decode_equal():
     probes = decode_problem(
         {"probes": [["1"], [1], [{"rat": "1"}], "1", 1, [{"rat": 1}]]}).probes
