@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import traceback
 from importlib import resources
-from pathlib import Path
 from typing import Optional
 
 from . import engine, jsonio, oracle, ranktree, sequences
@@ -36,23 +34,30 @@ EXIT_INTERNAL = 5
 
 
 def _load_problem(name: str) -> Problem:
-    path = Path(name)
-    if path.exists():
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"cannot read problem file {name}: "
-                              f"{getattr(exc, 'strerror', None) or exc}")
-        return jsonio.loads_problem(text)
-    bundled = resources.files("pmsval").joinpath("problems", name)
-    if bundled.is_file():
-        return jsonio.loads_problem(bundled.read_text())
-    raise SchemaError(f"no such problem file or bundled problem: {name}")
+    """The problem in the file name, read as UTF-8, or else the bundled
+    problem of that name."""
+    try:
+        with open(name, encoding="utf-8") as file:
+            text = file.read()
+    except UnicodeDecodeError as exc:  # a ValueError, so it comes first
+        raise SchemaError(f"cannot read problem file {name}: {exc}")
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        # No file has this name (a NUL byte names none at all).
+        bundled = resources.files("pmsval").joinpath("problems", name)
+        if not bundled.is_file():
+            raise SchemaError(
+                f"no such problem file or bundled problem: {name}") from None
+        text = bundled.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot read problem file {name}: "
+                          f"{exc.strerror or exc}")
+    return jsonio.loads_problem(text)
 
 
 def _write_file(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc.strerror or exc}")
 
@@ -347,7 +352,8 @@ def _run(args: argparse.Namespace) -> tuple[str, int]:
     except PmsvalError as exc:
         return _error("invariant", str(exc)), EXIT_INVARIANT
     except Exception as exc:
-        traceback.print_exc()
+        # The interpreter's own printer, written in C, loads no module.
+        sys.__excepthook__(type(exc), exc, exc.__traceback__)
         return (_error("internal", f"{type(exc).__name__}: {exc}"),
                 EXIT_INTERNAL)
 

@@ -79,7 +79,7 @@ class Cyclic(namedtuple("Cyclic", "gen")):
     __slots__ = ()
 
     def __new__(cls, gen: Fraction):
-        if gen <= 0:
+        if gen.numerator <= 0:  # the denominator is positive
             raise InvariantError("cyclic generator must be positive")
         return super().__new__(cls, gen)
 
@@ -92,7 +92,7 @@ class PPowerDivisible(namedtuple("PPowerDivisible", "p scale")):
     def __new__(cls, p: int, scale: Fraction):
         if not is_prime(p):
             raise InvariantError(f"{p} is not prime")
-        if scale <= 0:
+        if scale.numerator <= 0:
             raise InvariantError("scale must be positive")
         return super().__new__(cls, p, scale)
 
@@ -298,14 +298,14 @@ class Value:
     def compare(self, other: "Value") -> int:
         if not isinstance(other, Value):
             raise DescriptorMismatch(f"cannot compare Value with {other!r}")
-        if self.is_infinity or other.is_infinity:
-            si = 1 if self.is_infinity else 0
-            oi = 1 if other.is_infinity else 0
+        xs, ys = self.coords, other.coords
+        if xs is None or ys is None:
+            si = 1 if xs is None else 0
+            oi = 1 if ys is None else 0
             return (si > oi) - (si < oi)
-        if len(self.coords) != len(other.coords):
-            raise DescriptorMismatch(
-                f"arity {len(self.coords)} vs {len(other.coords)}")
-        for x, y in zip(self.coords, other.coords):
+        if len(xs) != len(ys):
+            raise DescriptorMismatch(f"arity {len(xs)} vs {len(ys)}")
+        for x, y in zip(xs, ys):
             c = x.compare(y)
             if c:
                 return c
@@ -367,13 +367,16 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "components")):
         return len(self.components)
 
     def contains(self, value: Value) -> bool:
-        if value.is_infinity:
+        coords, components = value.coords, self.components
+        if coords is None:
             return False
-        if value.arity != len(self.components):
-            raise DescriptorMismatch(
-                f"element arity {value.arity} vs descriptor rank {self.rank()}")
-        return all(component_contains(c, x)
-                   for c, x in zip(self.components, value.coords))
+        if len(coords) != len(components):
+            raise DescriptorMismatch(f"element arity {len(coords)} vs "
+                                     f"descriptor rank {len(components)}")
+        for c, x in zip(components, coords):
+            if not component_contains(c, x):
+                return False
+        return True
 
     def insert_formal_integer(self, position: int) -> "GroupDescriptor":
         """Insert a Z factor at position; insert_zero embeds the old group
@@ -395,6 +398,9 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "components")):
         return "(" + " (+) ".join(component_label(c) for c in self.components) + ")_lex"
 
 
+_ZERO = (ExactReal.rational(0),)  # the coordinate insert_zero inserts
+
+
 def insert_zero(value: Value, position: int) -> Value:
     """Order embedding used with insert_formal_integer."""
     if value.is_infinity:
@@ -402,5 +408,5 @@ def insert_zero(value: Value, position: int) -> Value:
     coords = value.coords
     if not 0 <= position <= len(coords):
         raise InvariantError(f"insert position {position} out of range")
-    return Value(coords[:position] + (ExactReal.rational(0),) + coords[position:])
+    return Value(coords[:position] + _ZERO + coords[position:])
 

@@ -156,13 +156,21 @@ def encode_value(v: Value) -> Any:
 
 def decode_value(raw: Any, path: str = "value",
                  numerals: Optional[dict] = None) -> Value:
+    if isinstance(raw, list):
+        # A string numeral already in numerals is read in place; any other
+        # coordinate goes through decode_exact, with its path written then.
+        coords = []
+        for c in raw:
+            x = (numerals.get((str, c))
+                 if c.__class__ is str and numerals is not None else None)
+            if x is None:
+                x = decode_exact(c, f"{path}[{len(coords)}]", numerals)
+            coords.append(x)
+        return Value(tuple(coords))
     if raw == "inf":
         return INFINITY
     if isinstance(raw, (str, int)):
         return Value.of(decode_exact(raw, path, numerals))
-    if isinstance(raw, list):
-        return Value(tuple(decode_exact(c, f"{path}[{i}]", numerals)
-                           for i, c in enumerate(raw)))
     raise _fail(path, f"not a value tuple: {raw!r}")
 
 
@@ -592,18 +600,9 @@ def dump_report(report: Any) -> str:
 
 def _write_json(o: Any, newline: str, out: list[str]) -> None:
     """Append the text of o to out; newline is a line break followed by
-    the indent of o's own line."""
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(_numeral(o))
-    elif isinstance(o, dict):
+    the indent of o's own line.  Containers are tested first: they are
+    most of the calls, as a dict writes its str values in place."""
+    if isinstance(o, dict):
         if not o:
             out.append("{}")
             return
@@ -616,7 +615,11 @@ def _write_json(o: Any, newline: str, out: list[str]) -> None:
             out.append(sep)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            _write_json(o[key], inner, out)
+            value = o[key]
+            if value.__class__ is str:
+                out.append(encode_basestring_ascii(value))
+            else:
+                _write_json(value, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(o, list):
@@ -630,5 +633,15 @@ def _write_json(o: Any, newline: str, out: list[str]) -> None:
             _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(_numeral(o))
     else:
         raise TypeError(f"a report cannot hold a {type(o).__name__}")

@@ -129,10 +129,10 @@ def _check_equivalence_iii(E: PmsDescriptor, alpha: Value,
     """For every probe beta in the group: beta lies past alpha iff it lies
     past every distance value, on the side the chain moves toward."""
     s = E.sign
-    emb = embed or (lambda v: v)
     probes = list(probes)
     for beta in probes:
-        if (emb(beta).compare(alpha) * s > 0) != beyond_all_deltas(beta, E):
+        image = beta if embed is None else embed(beta)
+        if (image.compare(alpha) * s > 0) != beyond_all_deltas(beta, E):
             return CheckOutcome(False, beta, len(probes))
     return CheckOutcome(True, None, len(probes))
 
@@ -201,9 +201,11 @@ def auto_probes(E: PmsDescriptor) -> list[Value]:
             # The group member floor(r/g)*g next below a bound r outside the
             # group, so the probes straddle alpha.
             center = gen.scaled(cut.r.scaled(1 / gen.rational_value).floor())
-        for k in (-2, -1, 0, 1, 2):
-            coord = center + gen.scaled(k)
-            push(consts[:level - 1] + [coord] + [zero] * (n - level))
+        head, pad = consts[:level - 1], [zero] * (n - level)
+        coord = center + gen.scaled(-2)
+        for _ in range(5):  # center - 2*gen, ..., center + 2*gen
+            push(head + [coord] + pad)
+            coord += gen
     return probes
 
 

@@ -27,6 +27,10 @@ class PmsKind(enum.Enum):
     PDS = "pds"
     PCTS = "pcts"
 
+    # A member is its own only equal, so it hashes by identity, in C, not
+    # by Enum's hash of its name, which runs in Python at every lookup.
+    __hash__ = object.__hash__
+
 
 # How each kind's distance values move: up, down or not at all.
 DIRECTION = {PmsKind.PCS: 1, PmsKind.PDS: -1, PmsKind.PCTS: 0}
@@ -263,9 +267,10 @@ class PmsDescriptor(namedtuple("PmsDescriptor", "kind group chain pcts_delta "
     @property
     def sign(self) -> int:
         """The chain direction, +1 for a pcs and -1 for a pds."""
-        if self.kind is PmsKind.PCTS:
+        s = DIRECTION[self.kind]
+        if not s:
             raise KindError("a pcts has no chain direction")
-        return DIRECTION[self.kind]
+        return s
 
     @cached_property
     def cut(self) -> Cut:
@@ -486,7 +491,7 @@ def beyond_all_deltas(beta: Value, E: PmsDescriptor) -> bool:
     lying weakly past every one of them as well.
     """
     s = E.sign
-    if beta.is_infinity:
+    if beta.coords is None:
         return s > 0
     if not E.group.contains(beta):
         raise InvariantError(f"{beta} is not a member of the declared group")

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from pmsval import cli, oracle, ranktree
 from pmsval.cli import main
 
 from test_golden import GOLDEN, cases, run_case
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv) -> tuple[int, dict]:
@@ -237,6 +243,33 @@ def test_exit_code_internal_error(capsys, monkeypatch):
     code, rep = run(capsys, "sup", "--in", "example-rank3.json")
     assert code == 5
     assert rep == {"error": "internal", "detail": "RuntimeError: boom"}
+
+
+def test_internal_error_prints_its_traceback(capsys, monkeypatch):
+    def broken(problem):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_sup", broken)
+    code = main(["sup", "--in", "example-rank3.json"])
+    out, err = capsys.readouterr()
+    assert code == 5
+    assert json.loads(out) == {"error": "internal",
+                               "detail": "RuntimeError: boom"}
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in broken\n" in err and err.endswith("RuntimeError: boom\n")
+
+
+def test_files_are_read_and_written_as_utf8_whatever_the_locale(tmp_path):
+    # Under these flags a read or write that names no encoding raises.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argv in (["sup", "--in", "example-rank3.json"],
+                 ["rank", "--in", "example-rank3.json", "--out", "o.json"]):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W",
+             "error::EncodingWarning", "-m", "pmsval", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=60)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+    assert json.loads((tmp_path / "o.json").read_text())["command"] == "rank"
 
 
 def test_reports_byte_identical(capsys, tmp_path):
@@ -569,6 +602,13 @@ def test_problem_names_that_open_no_file(capsys, tmp_path, where):
         f"cannot read problem file {name}: Is a directory"
         if where == "directory" else
         f"no such problem file or bundled problem: {name}")
+
+
+def test_a_file_name_too_long_to_open_is_a_schema_error(capsys):
+    name = "x" * 300 + ".json"
+    schema_error_on_stdout(capsys, ["sup", "--in", name],
+                           f"cannot read problem file {name}: "
+                           "File name too long")
 
 
 def test_a_bundled_name_is_read_when_no_file_has_it(capsys, tmp_path,

@@ -331,6 +331,12 @@ def test_infinity_arithmetic():
         -INFINITY
 
 
+def test_arity_counts_coordinates_and_infinity_has_none():
+    assert Value.of(1, 2).arity == 2
+    with pytest.raises(InvariantError):
+        INFINITY.arity
+
+
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_total_order_trichotomy_and_transitivity(i, j, k):
     rng = random.Random(i * 7 + j * 3 + k)

@@ -415,15 +415,15 @@ def test_oracle_coefficient_true_is_refused():
         assert str(err.value).startswith(f"{path}: not a rational numeral")
 
 
-numerals = st.one_of(
+numeral_leaves = st.one_of(
     st.integers(-10 ** 6, 10 ** 6),
     st.integers(-20, 20).map(str),
     st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 40)).map(
         lambda nd: f"{nd[0]}/{nd[1]}"))
 coordinates = st.one_of(
-    numerals, numerals.map(lambda q: {"rat": q}),
+    numeral_leaves, numeral_leaves.map(lambda q: {"rat": q}),
     st.builds(lambda a, b, d: {"surd": {"a": a, "b": b, "d": d}},
-              numerals, numerals, st.sampled_from([2, 3, 8, 12])))
+              numeral_leaves, numeral_leaves, st.sampled_from([2, 3, 8, 12])))
 raw_values = st.lists(coordinates, min_size=1, max_size=6)
 
 
@@ -439,7 +439,9 @@ def test_decode_value_reads_the_same_through_a_filled_numerals_dict(raw,
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, "1.5", "1/0", {"rat": [1]},
-                                 "1" * 5000], ids=repr)
+                                 "1" * 5000],
+                         ids=["true", "float", "decimal", "zero-denominator",
+                              "rat-list", "past-the-digit-limit"])
 def test_decode_value_refuses_a_bad_coordinate_alike_with_numerals(bad):
     def refusal(numerals):
         with pytest.raises(SchemaError) as err:

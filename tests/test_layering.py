@@ -171,9 +171,13 @@ def test_no_module_imports_dataclasses():
 
 
 def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
-    # pytest has imported both here, so a fresh interpreter looks.
+    # pytest has imported these here, so a fresh interpreter looks.  The CLI
+    # prints an internal error's traceback without the traceback module,
+    # which would bring linecache and tokenize along.
+    unwanted = {"dataclasses", "inspect", "traceback", "linecache",
+                "tokenize"}
     code = ("import sys, pmsval, pmsval.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            f"print(sorted({unwanted!r} & sys.modules.keys()))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True,

@@ -202,6 +202,19 @@ def test_auto_probes_are_group_members():
             assert E.group.contains(beta)
 
 
+def test_auto_probes_are_two_generator_steps_either_side_of_each_level():
+    # (1/2)Z (+) Z, constant 1/2 then unbounded: level 1 steps by 1/2 about
+    # the constant, level 2 by 1 about 0; (1/2, 0) is kept once.
+    g = GroupDescriptor.of(Cyclic(Fraction(1, 2)), Cyclic(Fraction(1)))
+    chain = StageChain((ConstantFrom(ExactReal.rational(Fraction(1, 2)), 0),))
+    E = PmsDescriptor(PmsKind.PCS, g, chain=chain, pcs_type=Algebraic(1))
+    half = Fraction(1, 2)
+    assert auto_probes(E) == [
+        Value.of(-half, 0), Value.of(0, 0), Value.of(half, 0), Value.of(1, 0),
+        Value.of(3 * half, 0), Value.of(half, -2), Value.of(half, -1),
+        Value.of(half, 1), Value.of(half, 2)]
+
+
 def test_auto_probes_catch_alpha_moved_past_a_bound_outside_the_group():
     # The probes of a bound outside the group straddle it, so an alpha moved
     # 100 units past the bound fails the chain check.

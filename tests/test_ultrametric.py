@@ -362,18 +362,20 @@ def witness_problem(n):
 def test_each_distinct_encoding_is_decoded_once(monkeypatch):
     n = 64
     raws = []
-    decode_exact = jsonio.decode_exact
+    parse = jsonio._numeral_value
 
-    def counting(raw, path="value", numerals=None):
-        if path.startswith("configuration."):
-            raws.append(raw)
-        return decode_exact(raw, path, numerals)
+    def counting(raw, path):
+        raws.append(raw)
+        return parse(raw, path)
 
-    monkeypatch.setattr(jsonio, "decode_exact", counting)
+    monkeypatch.setattr(jsonio, "_numeral_value", counting)
     cfg = jsonio.loads_problem(witness_problem(n)).configuration
-    # The distances are ["0"] ... ["63"] over 2,145 pairs.
+    # The distances are ["0"] ... ["63"] over 2,145 pairs; "1" is parsed
+    # once, first as the group's generator.
     assert sorted(raws, key=int) == [str(i) for i in range(n)]
     assert len(cfg.dist) == n * (n - 1) // 2 + n + n + 1
+    # Equal encodings share one decoded Value.
+    assert len({id(v) for v in cfg.dist.values()}) == n
 
 
 def test_limit_checks_classify_once(monkeypatch):
