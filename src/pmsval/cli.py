@@ -162,8 +162,8 @@ def cmd_ve(problem: Problem) -> tuple[dict, int]:
             "dominating_degree": iv.form.degree,
             "beta": jsonio.encode_value(iv.form.beta),
             "value": jsonio.encode_value(iv.value),
-            "in_vk": iv.in_vk,
-            "in_rational_hull_of_vk": iv.in_rational_hull,
+            "in_vk": not iv.over_extended,
+            "in_rational_hull_of_vk": not iv.over_extended,
             "over_extended_group": iv.over_extended,
         })
     report = {"command": "ve", "functions": out}
@@ -289,27 +289,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "the rank of its value group.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, needs_in: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, run, needs_in: bool = True) -> argparse.ArgumentParser:
+        """The subparser of a command whose handler run maps the parsed
+        arguments to a report and an exit code."""
         p = sub.add_parser(name)
         if needs_in:
             p.add_argument("--in", dest="infile", required=True,
                            help="problem file (path or bundled name)")
         p.add_argument("--out", dest="outfile", help="write the report here")
+        p.set_defaults(run=run)
         return p
 
-    add("classify")
-    add("ve")
-    rank = add("rank")
+    # Each handler looks its command up when it runs, so a replaced cmd_*
+    # (a wrapper or a test's stand-in) is the one called.
+    add("classify", lambda a: cmd_classify(_load_problem(a.infile)))
+    add("ve", lambda a: cmd_ve(_load_problem(a.infile)))
+    rank = add("rank", lambda a: cmd_rank(_load_problem(a.infile), a.dot))
     rank.add_argument("--dot", help="write the highlighted decision tree here")
-    add("sup")
-    oc = add("oracle-check")
+    add("sup", lambda a: cmd_sup(_load_problem(a.infile)))
+    oc = add("oracle-check", lambda a: cmd_oracle_check(
+        _load_problem(a.infile), a.tail_window))
     oc.add_argument("--tail-window", type=int, dest="tail_window",
                     help="number of trailing points the fit must hold on: "
                          "at least 2, capped at the number of fitted points "
                          "(default: half of them)")
-    probe = add("probe")
+    probe = add("probe", lambda a: cmd_probe(_load_problem(a.infile),
+                                             a.probes))
     probe.add_argument("--probes", help="JSON file with a probes list")
-    leaves = add("leaves", needs_in=False)
+    leaves = add("leaves", lambda a: cmd_leaves(a.levels, a.kind, a.dot),
+                 needs_in=False)
     leaves.add_argument("--levels", type=int, default=3,
                         help="tree depth to enumerate (1..6)")
     leaves.add_argument("--kind", choices=["pcs", "pds"], default="pcs",
@@ -323,27 +331,10 @@ def _error(kind: str, detail: str) -> str:
 
 
 def _run(args: argparse.Namespace) -> tuple[str, int]:
-    """The report text of one parsed command line and its exit code; every
-    failure becomes an error report."""
+    """The report text of one parsed command line and its exit code, from
+    the handler argparse chose; every failure becomes an error report."""
     try:
-        if args.command == "leaves":
-            report, code = cmd_leaves(args.levels, args.kind, args.dot)
-        else:
-            problem = _load_problem(args.infile)
-            if args.command == "classify":
-                report, code = cmd_classify(problem)
-            elif args.command == "ve":
-                report, code = cmd_ve(problem)
-            elif args.command == "rank":
-                report, code = cmd_rank(problem, args.dot)
-            elif args.command == "sup":
-                report, code = cmd_sup(problem)
-            elif args.command == "oracle-check":
-                report, code = cmd_oracle_check(problem, args.tail_window)
-            elif args.command == "probe":
-                report, code = cmd_probe(problem, args.probes)
-            else:  # pragma: no cover
-                raise SchemaError(f"unknown command {args.command}")
+        report, code = args.run(args)
         return jsonio.dump_report(report), code
     except SchemaError as exc:
         return _error("schema", str(exc)), EXIT_SCHEMA

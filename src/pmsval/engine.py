@@ -105,37 +105,35 @@ def dominating_degree(phi: FactoredRationalFunction,
 
 
 class InducedValue(NamedTuple):
-    """v_E of a function: its value, where it lives, and the tail pattern."""
+    """v_E of a function: its value, the tail pattern, and where the value
+    lives: in the base group vK (so in its rational hull), or else only in
+    the extended group, which over_extended says."""
 
     value: Value
-    in_vk: bool
-    in_rational_hull: bool
     form: DominatingForm
     over_extended: bool
 
 
 def v_e(phi: FactoredRationalFunction, E: PmsDescriptor,
-        rank_result: Optional[RankResult] = None) -> InducedValue:
+        rank_result: RankResult) -> InducedValue:
     """Value of phi under the induced valuation.
 
     Ultimately constant values land in the base group; otherwise the value
-    is d*alpha + beta over the extended group built by the rank walk (alpha
-    the value of X minus a limit).
+    is d*alpha + beta over the extended group of rank_result, the rank walk
+    of E (alpha the value of X minus a limit).
     """
     form = dominating_degree(phi, E)
     if E.kind is PmsKind.PCTS:
         value = E.pcts_delta.scale(form.degree) + form.beta if form.degree \
             else form.beta
-        return InducedValue(value, True, True, form, False)
+        return InducedValue(value, form, False)
     if form.degree == 0:
-        return InducedValue(form.beta, True, True, form, False)
-    if rank_result is None:
-        rank_result = rank_of_vE(E)
+        return InducedValue(form.beta, form, False)
     if rank_result.alpha is None:
         raise IndeterminateError(
             "no extended placement available for a value outside the group")
     value = rank_result.alpha.scale(form.degree) + rank_result.embed(form.beta)
-    return InducedValue(value, False, False, form, True)
+    return InducedValue(value, form, True)
 
 
 def monomial_value(coeff_values: Iterable[tuple[int, Value]],
@@ -210,9 +208,7 @@ def extension_report(E: PmsDescriptor) -> ExtensionReport:
 # The configuration induced by a descriptor with a prefix
 
 
-def induced_configuration(E: PmsDescriptor,
-                          rank_result: Optional[RankResult] = None
-                          ) -> UltrametricConfiguration:
+def induced_configuration(E: PmsDescriptor) -> UltrametricConfiguration:
     """Build the configuration of the prefix members together with X.
 
     The distance from X to z_nu is delta_nu for a pcs or pcts (X is a limit)
@@ -226,10 +222,8 @@ def induced_configuration(E: PmsDescriptor,
     names = [f"z{i}" for i in range(m)]
     emb = lambda v: v
     if E.kind is PmsKind.PDS:
-        if rank_result is None:
-            rank_result = rank_of_vE(E)
-        emb = rank_result.embed
-        alpha = rank_result.alpha
+        result = rank_of_vE(E)
+        emb, alpha = result.embed, result.alpha
     dist: dict[tuple[str, str], Value] = {}
     for i in range(m):
         for j in range(i + 1, m):

@@ -92,6 +92,8 @@ class ExactReal(tuple):
                 raise InvariantError("rational value must carry radicand 1")
         elif d < 2:
             raise InvariantError("surd radicand must be >= 2")
+        elif split_square(d)[0] != 1:
+            raise InvariantError(f"surd radicand must be squarefree, got {d}")
         return _new(cls, (d, an, ad, bn, bd))
 
     @staticmethod

@@ -6,10 +6,10 @@ produce byte-identical outputs.  A rational is a JSON integer or a string
 "d"}}; a value is a list of exact reals, or "inf" for the value of zero.
 Only sup/inf reports write "inf" and "-inf" as coordinates.
 
-The decoders take an optional ``numerals`` dict.  ``decode_problem`` makes
-one for the length of its call, so that each distinct numeral of a problem
-is decoded once and its ExactReal shared; a decoder called without one
-decodes every numeral it meets.
+Every decoder takes the path of its input, for error messages, and a
+``numerals`` dict.  ``decode_problem`` makes one for the length of its call,
+so that each distinct numeral of a problem is decoded once and its
+ExactReal shared.
 """
 
 from __future__ import annotations
@@ -78,12 +78,11 @@ def _numeral_value(raw: Any, path: str) -> ExactReal:
     raise _fail(path, f"not a rational numeral n or n/d: {raw!r}")
 
 
-def _rational(raw: Any, path: str, numerals: Optional[dict]) -> ExactReal:
+def _rational(raw: Any, path: str, numerals: dict) -> ExactReal:
     """The numeral raw as a rational ExactReal, looked up in and added to
-    numerals when given.  Only a JSON string or integer is a key; a numeral
-    that fails raises before it is stored, so it fails again at its next
-    path."""
-    if numerals is None or raw.__class__ not in (str, int):
+    numerals.  Only a JSON string or integer is a key; a numeral that fails
+    raises before it is stored, so it fails again at its next path."""
+    if raw.__class__ not in (str, int):
         return _numeral_value(raw, path)
     key = (raw.__class__, raw)
     x = numerals.get(key)
@@ -92,12 +91,11 @@ def _rational(raw: Any, path: str, numerals: Optional[dict]) -> ExactReal:
     return x
 
 
-def _numeral_fraction(raw: Any, path: str,
-                      numerals: Optional[dict]) -> Fraction:
+def _numeral_fraction(raw: Any, path: str, numerals: dict) -> Fraction:
     """The numeral raw as a Fraction, for a component's generator and the
     oracle's field elements; held in numerals beside its ExactReal, so each
     distinct numeral is one Fraction too."""
-    if numerals is None or raw.__class__ not in (str, int):
+    if raw.__class__ not in (str, int):
         return _rational(raw, path, numerals).a
     key = (Fraction, raw.__class__, raw)
     q = numerals.get(key)
@@ -128,8 +126,7 @@ def encode_exact(x: ExactReal) -> Any:
     return {"surd": {"a": _numeral(an, ad), "b": _numeral(bn, bd), "d": d}}
 
 
-def decode_exact(raw: Any, path: str = "value",
-                 numerals: Optional[dict] = None) -> ExactReal:
+def decode_exact(raw: Any, path: str, numerals: dict) -> ExactReal:
     if isinstance(raw, (str, int)):
         return _rational(raw, path, numerals)
     if isinstance(raw, dict):
@@ -154,15 +151,13 @@ def encode_value(v: Value) -> Any:
     return [encode_exact(c) for c in v.coords]
 
 
-def decode_value(raw: Any, path: str = "value",
-                 numerals: Optional[dict] = None) -> Value:
+def decode_value(raw: Any, path: str, numerals: dict) -> Value:
     if isinstance(raw, list):
         # A string numeral already in numerals is read in place; any other
         # coordinate goes through decode_exact, with its path written then.
         coords = []
         for c in raw:
-            x = (numerals.get((str, c))
-                 if c.__class__ is str and numerals is not None else None)
+            x = numerals.get((str, c)) if c.__class__ is str else None
             if x is None:
                 x = decode_exact(c, f"{path}[{len(coords)}]", numerals)
             coords.append(x)
@@ -196,8 +191,7 @@ def encode_component(c: Component) -> dict:
     raise SchemaError(f"unknown component {c!r}")
 
 
-def decode_component(raw: Any, path: str,
-                     numerals: Optional[dict] = None) -> Component:
+def decode_component(raw: Any, path: str, numerals: dict) -> Component:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise _fail(path, "component must be an object with a kind")
     kind = raw["kind"]
@@ -228,8 +222,7 @@ def encode_group(g: GroupDescriptor) -> dict:
     return {"components": [encode_component(c) for c in g.components]}
 
 
-def decode_group(raw: Any, path: str = "group",
-                 numerals: Optional[dict] = None) -> GroupDescriptor:
+def decode_group(raw: Any, path: str, numerals: dict) -> GroupDescriptor:
     if not isinstance(raw, dict) or "components" not in raw:
         raise _fail(path, "group must be an object with components")
     comps = raw["components"]
@@ -257,7 +250,7 @@ def encode_chain(chain: StageChain, sign: int) -> list:
     return out
 
 
-def decode_chain(raw: Any, path: str, numerals: Optional[dict] = None
+def decode_chain(raw: Any, path: str, numerals: dict
                  ) -> tuple[StageChain, str]:
     """The chain and its terminal's dir, which the kind must match."""
     if not isinstance(raw, list) or not raw:
@@ -319,8 +312,7 @@ def encode_descriptor(E: PmsDescriptor) -> dict:
     return out
 
 
-def decode_descriptor(raw: Any, path: str = "sequence",
-                      numerals: Optional[dict] = None) -> PmsDescriptor:
+def decode_descriptor(raw: Any, path: str, numerals: dict) -> PmsDescriptor:
     if not isinstance(raw, dict):
         raise _fail(path, "sequence must be an object")
     try:
@@ -387,8 +379,7 @@ def _encoding_key(raw: Any) -> Any:
     return (c, raw)
 
 
-def decode_configuration(raw: Any, path: str = "configuration",
-                         numerals: Optional[dict] = None
+def decode_configuration(raw: Any, path: str, numerals: dict
                          ) -> UltrametricConfiguration:
     if not isinstance(raw, dict):
         raise _fail(path, "configuration must be an object")
@@ -435,7 +426,7 @@ def encode_function(phi: FactoredRationalFunction) -> dict:
             "den": enc(phi.den_roots)}
 
 
-def decode_function(raw: Any, path: str, numerals: Optional[dict] = None
+def decode_function(raw: Any, path: str, numerals: dict
                     ) -> FactoredRationalFunction:
     if not isinstance(raw, dict) or "lead" not in raw:
         raise _fail(path, "function needs a lead value")
@@ -480,7 +471,7 @@ def decode_field(raw: Any, path: str) -> ConcreteField:
 
 
 def decode_field_element(field: ConcreteField, raw: Any, path: str,
-                         numerals: Optional[dict] = None):
+                         numerals: dict):
     if isinstance(field, PadicRationals):
         return _numeral_fraction(raw, path, numerals)
     if isinstance(raw, (str, int)):
@@ -504,8 +495,7 @@ class OracleSection(NamedTuple):
     functions: tuple[tuple[ConcreteRationalFunction, FactoredRationalFunction], ...]
 
 
-def decode_oracle(raw: Any, path: str = "oracle",
-                  numerals: Optional[dict] = None) -> OracleSection:
+def decode_oracle(raw: Any, path: str, numerals: dict) -> OracleSection:
     if not isinstance(raw, dict):
         raise _fail(path, "oracle must be an object")
     if "field" not in raw or "sequence" not in raw:
@@ -557,17 +547,17 @@ def decode_problem(raw: Any) -> Problem:
     if str(version) != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {version!r}")
     numerals: dict = {}  # numeral leaf -> ExactReal, for this call only
-    group = (decode_group(raw["group"], numerals=numerals) if "group" in raw
+    group = (decode_group(raw["group"], "group", numerals) if "group" in raw
              else None)
-    sequence = (decode_descriptor(raw["sequence"], numerals=numerals)
+    sequence = (decode_descriptor(raw["sequence"], "sequence", numerals)
                 if "sequence" in raw else None)
     functions = tuple(
         decode_function(f, f"functions[{i}]", numerals)
         for i, f in enumerate(_list(raw, "functions", "problem")))
     configuration = (decode_configuration(raw["configuration"],
-                                          numerals=numerals)
+                                          "configuration", numerals)
                      if "configuration" in raw else None)
-    oracle = (decode_oracle(raw["oracle"], numerals=numerals)
+    oracle = (decode_oracle(raw["oracle"], "oracle", numerals)
               if "oracle" in raw else None)
     probes = None
     if "probes" in raw:

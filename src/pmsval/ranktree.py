@@ -13,7 +13,7 @@ chain direction (E.sign, +1 or -1) sets the side, as in mirror duality.
 from __future__ import annotations
 
 import enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvariantError, KindError
 from .exact import ExactReal
@@ -122,40 +122,34 @@ class CheckOutcome(NamedTuple):
     checked: int
 
 
-def _check_equivalence_iii(E: PmsDescriptor, alpha: Value,
-                           probes: Sequence[Value],
-                           embed: Optional[Callable[[Value], Value]]
-                           ) -> CheckOutcome:
-    """For every probe beta in the group: beta lies past alpha iff it lies
-    past every distance value, on the side the chain moves toward."""
-    s = E.sign
+def _check_equivalence_iii(E: PmsDescriptor, result: RankResult,
+                           probes: Sequence[Value]) -> CheckOutcome:
+    """For every probe beta in the group: beta, embedded in the extended
+    group of the rank walk result, lies past its alpha iff beta lies past
+    every distance value, on the side the chain moves toward."""
+    s, alpha, embed = E.sign, result.alpha, result.embed
     probes = list(probes)
     for beta in probes:
-        image = beta if embed is None else embed(beta)
-        if (image.compare(alpha) * s > 0) != beyond_all_deltas(beta, E):
+        if (embed(beta).compare(alpha) * s > 0) != beyond_all_deltas(beta, E):
             return CheckOutcome(False, beta, len(probes))
     return CheckOutcome(True, None, len(probes))
 
 
-def check_pcs_equivalence_iii(E: PmsDescriptor, alpha: Value,
-                              probes: Sequence[Value],
-                              embed: Optional[Callable[[Value], Value]] = None
-                              ) -> CheckOutcome:
+def check_pcs_equivalence_iii(E: PmsDescriptor, result: RankResult,
+                              probes: Sequence[Value]) -> CheckOutcome:
     """beta > alpha iff beta exceeds every distance value of the increasing
     chain."""
     if E.kind is not PmsKind.PCS:
         raise KindError("the increasing-chain check applies to pcs descriptors")
-    return _check_equivalence_iii(E, alpha, probes, embed)
+    return _check_equivalence_iii(E, result, probes)
 
 
-def check_pds_equivalence_iii(E: PmsDescriptor, alpha: Value,
-                              probes: Sequence[Value],
-                              embed: Optional[Callable[[Value], Value]] = None
-                              ) -> CheckOutcome:
+def check_pds_equivalence_iii(E: PmsDescriptor, result: RankResult,
+                              probes: Sequence[Value]) -> CheckOutcome:
     """Mirror check: beta < alpha iff beta is below every distance value."""
     if E.kind is not PmsKind.PDS:
         raise KindError("the decreasing-chain check applies to pds descriptors")
-    return _check_equivalence_iii(E, alpha, probes, embed)
+    return _check_equivalence_iii(E, result, probes)
 
 
 def check_alpha(E: PmsDescriptor, result: RankResult,
@@ -166,7 +160,7 @@ def check_alpha(E: PmsDescriptor, result: RankResult,
     name (a profiler or tracer) sees every check."""
     check = (check_pcs_equivalence_iii if E.kind is PmsKind.PCS
              else check_pds_equivalence_iii)
-    return check(E, result.alpha, probes, result.embed)
+    return check(E, result, probes)
 
 
 def auto_probes(E: PmsDescriptor) -> list[Value]:

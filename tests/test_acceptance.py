@@ -160,10 +160,8 @@ def test_criterion_7_mirror_duality():
         if r.delta != rm.delta or rm.alpha != -r.alpha:
             failures += 1
             continue
-        good_pcs = check_pcs_equivalence_iii(E, r.alpha, auto_probes(E),
-                                             r.embed).holds
-        good_pds = check_pds_equivalence_iii(M, rm.alpha, auto_probes(M),
-                                             rm.embed).holds
+        good_pcs = check_pcs_equivalence_iii(E, r, auto_probes(E)).holds
+        good_pds = check_pds_equivalence_iii(M, rm, auto_probes(M)).holds
         if good_pcs != good_pds or not good_pcs:
             failures += 1
             continue
@@ -185,9 +183,11 @@ def test_criterion_7_mirror_duality():
                        + (last.coords[j - 1] + step,)
                        + last.coords[j:])
         bad_pcs = check_pcs_equivalence_iii(
-            E, r.embed(last), list(auto_probes(E)) + [beyond], r.embed).holds
+            E, r._replace(alpha=r.embed(last)),
+            list(auto_probes(E)) + [beyond]).holds
         bad_pds = check_pds_equivalence_iii(
-            M, rm.embed(-last), list(auto_probes(M)) + [-beyond], rm.embed).holds
+            M, rm._replace(alpha=rm.embed(-last)),
+            list(auto_probes(M)) + [-beyond]).holds
         if bad_pcs != bad_pds or bad_pcs:
             failures += 1
     _report("criterion 7: mirror duality of rank deltas, alpha and the "

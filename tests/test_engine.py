@@ -127,22 +127,22 @@ def test_degree_depends_only_on_tags():
 def test_ve_pcts_collapses_into_group():
     E = PmsDescriptor(PmsKind.PCTS, Z, pcts_delta=Value.of(1))
     phi = FactoredRationalFunction(Value.of(0), (TaggedRoot.limit(2),), ())
-    iv = v_e(phi, E)
-    assert iv.value == Value.of(2) and iv.in_vk
+    iv = v_e(phi, E, rank_of_vE(E))
+    assert iv.value == Value.of(2) and not iv.over_extended
 
 
 def test_ve_degree_zero_lands_in_group():
     E = cauchy_pcs()
     phi = FactoredRationalFunction(Value.of(7))
-    iv = v_e(phi, E)
-    assert iv.value == Value.of(7) and iv.in_vk and iv.in_rational_hull
+    iv = v_e(phi, E, rank_of_vE(E))
+    assert iv.value == Value.of(7) and not iv.over_extended
 
 
 def test_ve_with_limits_leaves_rational_hull():
     E = pcs_to_zero()
     phi = FactoredRationalFunction(Value.of(0), (TaggedRoot.limit(2),), ())
-    iv = v_e(phi, E)
-    assert not iv.in_vk and not iv.in_rational_hull
+    iv = v_e(phi, E, rank_of_vE(E))
+    assert iv.over_extended
     assert iv.form.degree == 2
     assert iv.value == Value.of(0, -2)  # 2 * alpha with alpha = (0, -1)
 
@@ -215,7 +215,7 @@ def test_max_distance_check_confirms_pds_plateau():
     # group is also the largest.
     E = mirror(pcs_to_zero())
     result = rank_of_vE(E)
-    cfg = induced_configuration(E, result)
+    cfg = induced_configuration(E)
     assert [cfg.distance("X", z) for z in cfg.sequence] \
         == [result.alpha] * len(cfg.sequence)
     assert result.alpha.coords[result.insert_position] != ExactReal.rational(0)
@@ -262,10 +262,10 @@ def test_delta_of_linear_and_minimal_polynomials():
 
 def test_root_distances_same_with_or_without_walk():
     # v_E(X - root) is m*alpha for a limit root of multiplicity m and
-    # m*beta otherwise, whether or not the walk is passed in.
+    # m*beta otherwise, whether the walk is fresh or reused.
     E = pcs_to_zero()
     beta_only = x_minus(TaggedRoot.at_distance(Value.of(1)), 1)
-    assert v_e(beta_only, E).value == Value.of(1)
+    assert v_e(beta_only, E, rank_of_vE(E)).value == Value.of(1)
     rng = random.Random(404)
     for trial in range(60):
         E = random_descriptor(rng, rng.randint(1, 4))
@@ -283,13 +283,13 @@ def test_root_distances_same_with_or_without_walk():
         for root in roots:
             phi = x_minus(root, len(comps))
             walked = v_e(phi, E, walk)
-            assert v_e(phi, E) == walked
+            assert v_e(phi, E, rank_of_vE(E)) == walked
             m = root.multiplicity
             assert walked.value == (walk.alpha if root.is_limit
                                     else root.beta).scale(m)
         phi = FactoredRationalFunction(Value.of(*[0] * len(comps)),
                                        tuple(roots), ())
-        assert v_e(phi, E) == v_e(phi, E, walk)
+        assert v_e(phi, E, rank_of_vE(E)) == v_e(phi, E, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ def test_pcs_checker_holds_on_placed_alpha():
     E = pcs_to_zero()
     result = rank_of_vE(E)
     probes = [Value.of(Fraction(-1, 2)), Value.of(0), Value.of(1)]
-    out = check_pcs_equivalence_iii(E, result.alpha, probes, result.embed)
+    out = check_pcs_equivalence_iii(E, result, probes)
     assert out.holds and out.checked == 3
 
 
@@ -309,8 +309,8 @@ def test_pcs_checker_flags_misplaced_alpha():
     result = rank_of_vE(E)
     # An alpha strictly below the bound with a probe between them.
     bad_alpha = result.embed(Value.of(Fraction(-1, 64)))
-    out = check_pcs_equivalence_iii(E, bad_alpha, [Value.of(Fraction(-1, 128))],
-                                    result.embed)
+    out = check_pcs_equivalence_iii(E, result._replace(alpha=bad_alpha),
+                                    [Value.of(Fraction(-1, 128))])
     assert not out.holds
     assert out.counterexample == Value.of(Fraction(-1, 128))
 
@@ -318,11 +318,11 @@ def test_pcs_checker_flags_misplaced_alpha():
 def test_pds_checker_mirrors_pcs():
     E = mirror(pcs_to_zero())
     result = rank_of_vE(E)
-    out = check_pds_equivalence_iii(E, result.alpha, auto_probes(E), result.embed)
+    out = check_pds_equivalence_iii(E, result, auto_probes(E))
     assert out.holds
     bad = result.embed(Value.of(Fraction(1, 64)))
-    out2 = check_pds_equivalence_iii(E, bad, [Value.of(Fraction(1, 128))],
-                                     result.embed)
+    out2 = check_pds_equivalence_iii(E, result._replace(alpha=bad),
+                                     [Value.of(Fraction(1, 128))])
     assert not out2.holds
 
 
@@ -331,7 +331,7 @@ def test_pds_checker_diverging_alpha_below_all_probes():
     result = rank_of_vE(E)
     probes = [Value.of(k) for k in range(-3, 4)]
     assert all(result.embed(b) > result.alpha for b in probes)
-    out = check_pds_equivalence_iii(E, result.alpha, probes, result.embed)
+    out = check_pds_equivalence_iii(E, result, probes)
     assert out.holds
 
 
@@ -340,7 +340,7 @@ def test_cauchy_checker_every_probe_below_alpha():
     result = rank_of_vE(E)
     probes = [Value.of(k) for k in range(-3, 4)]
     assert all(result.embed(b) < result.alpha for b in probes)
-    out = check_pcs_equivalence_iii(E, result.alpha, probes, result.embed)
+    out = check_pcs_equivalence_iii(E, result, probes)
     assert out.holds
 
 
@@ -348,8 +348,7 @@ def test_checker_rejects_foreign_probe():
     E = pcs_to_zero()
     result = rank_of_vE(E)
     with pytest.raises(InvariantError):
-        check_pcs_equivalence_iii(E, result.alpha, [Value.of(Fraction(1, 3))],
-                                  result.embed)
+        check_pcs_equivalence_iii(E, result, [Value.of(Fraction(1, 3))])
 
 
 # ---------------------------------------------------------------------------

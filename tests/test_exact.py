@@ -186,7 +186,8 @@ def test_floor_guess_is_at_most_one_off(monkeypatch, b, d):
 
 def test_radicand_near_the_bound_decodes_quickly():
     start = time.perf_counter()
-    x = decode_exact({"surd": {"a": "0", "b": "1", "d": 4294967291}})
+    x = decode_exact({"surd": {"a": "0", "b": "1", "d": 4294967291}},
+                     "value", {})
     assert time.perf_counter() - start < 0.05
     assert x.d == 4294967291 and x.b == 1
 
@@ -198,7 +199,7 @@ def test_radicand_at_or_above_the_bound_is_refused(d):
     with pytest.raises(InvariantError):
         ExactReal.surd(0, 1, d)
     with pytest.raises(SchemaError):
-        decode_exact({"surd": {"a": "0", "b": "1", "d": d}})
+        decode_exact({"surd": {"a": "0", "b": "1", "d": d}}, "value", {})
     assert time.perf_counter() - start < 0.05
 
 
@@ -210,11 +211,12 @@ def test_surd_sum_does_not_refactor_the_radicand(monkeypatch):
     total = x
     for _ in range(20):
         total = total + y
-    assert total == ExactReal(Fraction(-59), Fraction(102), 1000000007)
-    assert x + (-x) == ExactReal.rational(0)
-    assert x + ExactReal.rational(Fraction(1, 2)) == \
-        ExactReal(Fraction(3, 2), Fraction(2), 1000000007)
+    zero, shifted = x + (-x), x + ExactReal.rational(Fraction(1, 2))
+    # The checked constructor below splits its radicand; the sums did not.
     assert calls == []
+    assert total == ExactReal(Fraction(-59), Fraction(102), 1000000007)
+    assert zero == ExactReal.rational(0)
+    assert shifted == ExactReal(Fraction(3, 2), Fraction(2), 1000000007)
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +456,12 @@ def test_every_way_of_making_an_exact_real_is_canonical(a, b, d, s, q):
         surd.scaled(q),
         -surd,
         -ExactReal.rational(a),
-        decode_exact({"rat": str(a)}),
-        decode_exact({"surd": {"a": str(a), "b": str(b), "d": d}}),
-        decode_exact({"surd": {"a": str(a), "b": str(b), "d": s * s}}),
-        decode_exact({"surd": {"a": str(a), "b": "0", "d": d}}),
+        decode_exact({"rat": str(a)}, "value", {}),
+        decode_exact({"surd": {"a": str(a), "b": str(b), "d": d}},
+                     "value", {}),
+        decode_exact({"surd": {"a": str(a), "b": str(b), "d": s * s}},
+                     "value", {}),
+        decode_exact({"surd": {"a": str(a), "b": "0", "d": d}}, "value", {}),
     ]
     for x in made:
         assert_canonical(x)
@@ -476,7 +480,8 @@ def test_copies_keep_the_value_and_tuple_repetition_is_refused():
 
 
 @pytest.mark.parametrize("a, b, d", [(1, 0, 2), (0, 0, 6), (1, 1, 1), (0, 2, 0),
-                                     (1, -1, -3)])
+                                     (1, -1, -3), (0, 1, 4), (0, 1, 8),
+                                     (1, 2, 12), (0, 1, 2 ** 32 + 15)])
 def test_direct_construction_outside_the_canonical_form_is_refused(a, b, d):
     with pytest.raises(InvariantError):
         ExactReal(Fraction(a), Fraction(b), d)

@@ -63,13 +63,14 @@ def test_is_prime_matches_sympy():
 def test_huge_prime_component_decodes_quickly_and_beyond_bound_is_refused():
     p = 10**18 + 3  # the least prime above 10^18
     start = time.perf_counter()
-    comp = decode_component({"kind": "p_divisible", "p": p}, "c")
+    comp = decode_component({"kind": "p_divisible", "p": p}, "c", {})
     assert time.perf_counter() - start < 0.05
     assert comp == PPowerDivisible(p, Fraction(1))
     with pytest.raises(InvariantError):
         PPowerDivisible(PRIME_BOUND, Fraction(1))
     with pytest.raises(SchemaError):
-        decode_component({"kind": "p_divisible", "p": PRIME_BOUND}, "c")
+        decode_component({"kind": "p_divisible", "p": PRIME_BOUND}, "c",
+                         {})
 
 
 def test_large_prime_component_builds():

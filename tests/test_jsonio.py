@@ -28,34 +28,35 @@ from gen import random_descriptor, random_value
 def test_exact_round_trip():
     for x in (ExactReal.rational("3/7"), ExactReal.surd(1, -2, 3),
               ExactReal.rational(-4)):
-        assert decode_exact(encode_exact(x)) == x
-    assert decode_exact("5/2") == ExactReal.rational("5/2")
+        assert decode_exact(encode_exact(x), "value", {}) == x
+    assert decode_exact("5/2", "value", {}) == ExactReal.rational("5/2")
     with pytest.raises(SchemaError):
-        decode_exact({"surd": {"a": "1", "b": "1"}})
+        decode_exact({"surd": {"a": "1", "b": "1"}}, "value", {})
     with pytest.raises(SchemaError):
-        decode_exact([1, 2])
+        decode_exact([1, 2], "value", {})
 
 
 def test_value_round_trip():
     rng = random.Random(0)
     for _ in range(50):
         v = random_value(rng, rng.randint(1, 3))
-        assert decode_value(encode_value(v)) == v
-    assert decode_value("inf").is_infinity
-    assert decode_value(encode_value(INFINITY)).is_infinity
+        assert decode_value(encode_value(v), "value", {}) == v
+    assert decode_value("inf", "value", {}).is_infinity
+    assert decode_value(encode_value(INFINITY), "value", {}).is_infinity
     v = Value((ExactReal.rational(1),))
-    assert decode_value(["1"]) == v
+    assert decode_value(["1"], "value", {}) == v
 
 
 def test_group_round_trip():
     rng = random.Random(1)
     for _ in range(30):
         E = random_descriptor(rng, rng.randint(1, 3))
-        assert decode_group(encode_group(E.group)) == E.group
+        assert decode_group(encode_group(E.group), "group", {}) == E.group
     with pytest.raises(SchemaError):
-        decode_group({"components": []})
+        decode_group({"components": []}, "group", {})
     with pytest.raises(SchemaError):
-        decode_group({"components": [{"kind": "galaxy"}]})
+        decode_group({"components": [{"kind": "galaxy"}]}, "group",
+                     {})
 
 
 def test_adjoined_surd_component_round_trip():
@@ -64,32 +65,33 @@ def test_adjoined_surd_component_round_trip():
     assert raw == {"kind": "adjoined_surd",
                    "base": {"kind": "cyclic", "gen": "1/2"},
                    "tau": {"surd": {"a": "0", "b": "1", "d": 2}}}
-    assert decode_component(raw, "c") == comp
+    assert decode_component(raw, "c", {}) == comp
     with pytest.raises(SchemaError,
                        match=r"^c: adjoined_surd needs base and tau$"):
-        decode_component({"kind": "adjoined_surd", "base": raw["base"]}, "c")
+        decode_component({"kind": "adjoined_surd", "base": raw["base"]}, "c",
+                         {})
 
 
 def test_descriptor_round_trip():
     rng = random.Random(2)
     for _ in range(40):
         E = random_descriptor(rng, rng.randint(1, 3))
-        assert decode_descriptor(encode_descriptor(E)) == E
+        assert decode_descriptor(encode_descriptor(E), "sequence", {}) == E
 
 
 def test_chain_round_trip_and_wire_shape():
     raw = [{"const": {"v": "2", "from": 3}},
            {"terminal": {"dir": "inc", "bound": {"in_group": "0"}}}]
-    chain, direction = decode_chain(raw, "chain")
+    chain, direction = decode_chain(raw, "chain", {})
     assert direction == "inc"
     assert chain.terminal_level == 2
     assert chain.tail_start == 3
-    assert decode_chain(encode_chain(chain, 1), "chain") == (chain, "inc")
-    assert decode_chain(encode_chain(chain, -1), "chain") == (chain, "dec")
+    assert decode_chain(encode_chain(chain, 1), "chain", {}) == (chain, "inc")
+    assert decode_chain(encode_chain(chain, -1), "chain", {}) == (chain, "dec")
     with pytest.raises(SchemaError,
                        match=r"^chain\[0\]: unknown direction 'sideways'$"):
         decode_chain([{"terminal": {"dir": "sideways", "bound": "unbounded"}}],
-                     "chain")
+                     "chain", {})
 
 
 def test_descriptor_requires_matching_direction():
@@ -102,9 +104,9 @@ def test_descriptor_requires_matching_direction():
             raw["pcs_type"] = {"algebraic": {"deg": 1}}
         with pytest.raises(InvariantError, match=(
                 f"^a {kind} requires a {want} terminal coordinate$")):
-            decode_descriptor(raw)
+            decode_descriptor(raw, "sequence", {})
         raw["chain"][0]["terminal"]["dir"] = want
-        assert decode_descriptor(raw).sign == sign
+        assert decode_descriptor(raw, "sequence", {}).sign == sign
 
 
 def test_all_constant_chain_rejected():
@@ -112,7 +114,7 @@ def test_all_constant_chain_rejected():
                        match="^chain must end in a terminal entry: an "
                              "all-constant chain contradicts strict "
                              "monotonicity$"):
-        decode_chain([{"const": {"v": "1"}}], "chain")
+        decode_chain([{"const": {"v": "1"}}], "chain", {})
 
 
 def test_only_the_last_chain_entry_may_be_terminal():
@@ -121,19 +123,19 @@ def test_only_the_last_chain_entry_may_be_terminal():
         decode_chain([{"terminal": {"dir": "inc", "bound": "unbounded"}},
                       {"const": {"v": "1"}},
                       {"terminal": {"dir": "inc", "bound": "unbounded"}}],
-                     "chain")
+                     "chain", {})
 
 
 def test_function_round_trip_matches_wire_encoding():
     raw = {"lead": ["0"], "num": [{"limit": True, "mult": 1},
                                   {"beta": ["3"], "mult": 1}],
            "den": [{"beta": ["1"], "mult": 1}]}
-    phi = decode_function(raw, "f")
+    phi = decode_function(raw, "f", {})
     assert phi.num_roots[0].is_limit
     assert phi.den_roots[0].beta == Value.of(1)
-    assert decode_function(encode_function(phi), "f") == phi
+    assert decode_function(encode_function(phi), "f", {}) == phi
     with pytest.raises(SchemaError):
-        decode_function({"lead": ["0"], "num": [{"mult": 1}]}, "f")
+        decode_function({"lead": ["0"], "num": [{"mult": 1}]}, "f", {})
 
 
 def test_decode_problem_validates_mathematics():
@@ -170,13 +172,15 @@ def test_dump_report_deterministic():
 
 def test_malformed_values_are_schema_errors():
     with pytest.raises(SchemaError):
-        decode_exact({"surd": {"a": "1", "b": "1", "d": 0}})
+        decode_exact({"surd": {"a": "1", "b": "1", "d": 0}}, "value", {})
     with pytest.raises(SchemaError):
-        decode_group({"components": [{"kind": "cyclic", "gen": "0"}]})
+        decode_group({"components": [{"kind": "cyclic", "gen": "0"}]},
+                     "group", {})
     with pytest.raises(SchemaError):
-        decode_group({"components": [{"kind": "p_divisible", "p": 4}]})
+        decode_group({"components": [{"kind": "p_divisible", "p": 4}]},
+                     "group", {})
     with pytest.raises(SchemaError):
-        decode_exact("1/0")
+        decode_exact("1/0", "value", {})
 
 
 def test_repeated_bad_distance_fails_at_its_first_path():
@@ -188,9 +192,9 @@ def test_repeated_bad_distance_fails_at_its_first_path():
     raw = {"sequence": ["z0", "z1", "z2", "z3"], "points": [],
            "distances": dist}
     with pytest.raises(SchemaError) as err:
-        jsonio.decode_configuration(raw)
+        jsonio.decode_configuration(raw, "configuration", {})
     with pytest.raises(SchemaError) as alone:
-        decode_value([bad], "configuration.distances[2].v")
+        decode_value([bad], "configuration.distances[2].v", {})
     assert str(err.value) == str(alone.value)
     assert str(err.value).startswith("configuration.distances[2].v[0]: ")
 
@@ -323,16 +327,24 @@ def numerals_seen(monkeypatch) -> list:
     return seen
 
 
+class Forgetful(dict):
+    """A numeral table that keeps nothing, so each occurrence decodes."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 @pytest.mark.parametrize("name", symbolic_problems())
 def test_each_numeral_is_decoded_once_per_problem(name, numerals_seen):
     raw = json.loads(bundled(name))
     # The public decoders, called on their own, decode every occurrence.
-    decode_group(raw["group"])
-    decode_descriptor(raw["sequence"])
+    decode_group(raw["group"], "group", Forgetful())
+    decode_descriptor(raw["sequence"], "sequence", Forgetful())
     for i, f in enumerate(raw.get("functions", [])):
-        decode_function(f, f"functions[{i}]")
+        decode_function(f, f"functions[{i}]", Forgetful())
     if "configuration" in raw:
-        decode_configuration(raw["configuration"])
+        decode_configuration(raw["configuration"], "configuration",
+                             Forgetful())
     every = list(numerals_seen)
     numerals_seen.clear()
     for _ in range(2):
@@ -435,7 +447,8 @@ def test_decode_value_reads_the_same_through_a_filled_numerals_dict(raw,
     for other in before + [raw]:
         decode_value(other, "seen", shared)
     assert shared  # the second decode of raw reads its numerals from here
-    assert decode_value(raw, "value", shared) == decode_value(raw, "value")
+    assert decode_value(raw, "value", shared) \
+        == decode_value(raw, "value", {})
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, "1.5", "1/0", {"rat": [1]},
@@ -450,7 +463,7 @@ def test_decode_value_refuses_a_bad_coordinate_alike_with_numerals(bad):
 
     shared: dict = {}
     decode_value(["1", "2", "1"], "seen", shared)
-    alone = refusal(None)
+    alone = refusal({})
     assert alone.startswith("probes[4][2]: ")
     assert refusal(shared) == refusal({}) == alone
 

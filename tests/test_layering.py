@@ -3,8 +3,9 @@ intra-package import graph has no cycle (sequences -> ranktree -> engine,
 never back), every top-level definition has a caller, only sequences
 and jsonio read the terminal of a stage chain, only build constructs a
 configuration, only the modules at Fraction's edges import fractions,
-and no module imports dataclasses, so a cold start loads neither it nor
-inspect."""
+no module imports dataclasses, so a cold start loads neither it nor
+inspect, and no parameter that every package caller passes has a
+default."""
 
 from __future__ import annotations
 
@@ -183,3 +184,26 @@ def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, check=True,
                           timeout=60)
     assert done.stdout == "[]\n"
+
+
+# Parameters every package caller passes: a default for one would select a
+# second path through the code that the package never takes.
+ALWAYS_PASSED = {"numerals", "path", "rank_result", "embed"}
+
+
+def test_no_always_passed_parameter_has_a_default():
+    found = []
+    for name, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):]
+            with_default += [a for a, d in zip(args.kwonlyargs,
+                                               args.kw_defaults)
+                             if d is not None]
+            found += [f"{name}.py:{fn.lineno} {a.arg}" for a in with_default
+                      if a.arg in ALWAYS_PASSED]
+    assert found == []

@@ -37,7 +37,7 @@ def test_mirror_is_an_involution(E):
 @seeded
 @given(descriptors)
 def test_descriptor_json_round_trip(E):
-    assert decode_descriptor(encode_descriptor(E)) == E
+    assert decode_descriptor(encode_descriptor(E), "sequence", {}) == E
 
 
 @seeded

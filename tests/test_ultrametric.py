@@ -272,7 +272,7 @@ def test_mixed_encodings_of_one_value_share_a_rank(monkeypatch):
     raw = {"sequence": ["z0", "z1", "z2", "z3"], "points": [],
            "distances": dist}
     calls = counting_compares(monkeypatch)
-    cfg = jsonio.decode_configuration(raw)
+    cfg = jsonio.decode_configuration(raw, "configuration", {})
     # The triangle scan would compare every triangle's three distances.
     assert calls[0] <= sort_bound(cfg.dist)
     assert len({id(v) for v in cfg.dist.values()}) == 5
@@ -282,7 +282,7 @@ def test_mixed_encodings_of_one_value_share_a_rank(monkeypatch):
     for i, entry in enumerate(dist):
         entry["v"] = ones[i % 3]
     calls[0] = 0
-    cfg = jsonio.decode_configuration(raw)
+    cfg = jsonio.decode_configuration(raw, "configuration", {})
     assert calls[0] == 0
     assert cfg.classification[0] is PmsKind.PCTS
 
