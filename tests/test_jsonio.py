@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from pmsval import (AdjoinedSurd, Cyclic, ExactReal, INFINITY, Value, cli,
                     groups, jsonio, oracle)
-from pmsval.errors import InvariantError, SchemaError
+from pmsval.errors import InvalidConfiguration, InvariantError, SchemaError
 from pmsval.jsonio import (decode_chain, decode_component,
                            decode_configuration, decode_descriptor,
                            decode_exact, decode_function, decode_group,
@@ -197,6 +197,36 @@ def test_repeated_bad_distance_fails_at_its_first_path():
         decode_value([bad], "configuration.distances[2].v", {})
     assert str(err.value) == str(alone.value)
     assert str(err.value).startswith("configuration.distances[2].v[0]: ")
+
+
+BAD_SURD = {"surd": {"a": "1", "b": "1", "d": 0}}
+BAD_V = "configuration.distances[{}].v[0]: radicand must be positive, got 0"
+
+
+@pytest.mark.parametrize("seq, dist, error, text", [
+    (["z0", "z1", "z2"],
+     [(["z0", "zz"], ["1"]), (["z0", "z1"], [BAD_SURD])],
+     SchemaError, BAD_V.format(1)),
+    (["z0", "z0", "z2"], [(["z0", "z2"], [BAD_SURD])],
+     SchemaError, BAD_V.format(0)),
+    (["z0", "z1", "z2"],
+     [(["z0", "z2"], ["2"]), (["z1", "z0"], ["1"]), (["z1", "z2"], ["1"]),
+      (["z0", "z1"], ["3"])],
+     SchemaError, "configuration.distances[3]: pair z0,z1 already has a "
+                  "different value at configuration.distances[1]"),
+    (["z0", "z1", "z2"],
+     [(["z0", "z1"], ["1", "0"]), (["z1", "z2"], ["1"]),
+      (["z2", "z2"], ["5"])],
+     InvalidConfiguration, "self-distance of z2 must be plus-infinity, "
+                           "not (5)"),
+], ids=["value-before-unknown-point", "value-before-repeated-name",
+        "conflict-names-first-index", "self-distance-before-arity"])
+def test_distance_table_errors_keep_their_order(seq, dist, error, text):
+    raw = {"sequence": seq, "points": [],
+           "distances": [{"pair": pq, "v": v} for pq, v in dist]}
+    with pytest.raises(error) as caught:
+        jsonio.decode_configuration(raw, "configuration", {})
+    assert type(caught.value) is error and str(caught.value) == text
 
 
 @pytest.mark.parametrize("p", [0, 1, 4])
@@ -524,6 +554,15 @@ SURD = {"surd": {"a": "1", "b": "1", "d": 2}}
      "surd radicand d must be an integer"),
     ([SURD], [{"surd": {**SURD["surd"], "d": True}}],
      "surd radicand d must be an integer"),
+    # The surd shares its value with a second coordinate, so the value's
+    # encoding differs and only the surd's own key could confuse them.
+    ([SURD, "0"], [{"surd": {**SURD["surd"], "d": True}}, "1"],
+     "surd radicand d must be an integer"),
+    ([SURD, "0"], [{"surd": {**SURD["surd"], "d": 2.0}}, "1"],
+     "surd radicand d must be an integer"),
+    ([{"surd": {**SURD["surd"], "d": 1}}, "0"],
+     [{"surd": {**SURD["surd"], "d": True}}, "1"],
+     "surd radicand d must be an integer"),
     ([{"surd": {**SURD["surd"], "a": 1}}],
      [{"surd": {**SURD["surd"], "a": True}}],
      "not a rational numeral n or n/d"),
@@ -552,3 +591,63 @@ def test_unhashable_distance_leaf_fails_at_its_first_path(capsys, tmp_path,
     assert code == 2 and rep == {
         "error": "schema",
         "detail": f"configuration.distances[1].v[0]: {detail}"}
+
+
+def test_absent_generator_scale_and_stage_default():
+    assert decode_component({"kind": "cyclic"}, "c", {}) \
+        == Cyclic(Fraction(1))
+    assert decode_component({"kind": "p_divisible", "p": 3}, "c", {}) \
+        == groups.PPowerDivisible(3, Fraction(1))
+    chain, _ = decode_chain([{"const": {"v": "2"}},
+                             {"terminal": {"dir": "inc",
+                                           "bound": "unbounded"}}],
+                            "chain", {})
+    assert chain.constants[0].stage == 0
+
+
+def test_a_surd_beside_a_rat_is_keyed_by_its_whole_object():
+    # "rat" wins over "surd", so these two decode to 1 and 2 although
+    # their surds are spelled alike.
+    cfg = decode_configuration(
+        {"sequence": ["z0", "z1", "z2"], "points": [], "distances": [
+            {"pair": ["z0", "z1"], "v": [{"rat": "1", "surd": SURD["surd"]}]},
+            {"pair": ["z1", "z2"], "v": [{"rat": "2", "surd": SURD["surd"]}]},
+            {"pair": ["z0", "z2"], "v": ["1"]}]}, "configuration", {})
+    assert cfg.distance("z1", "z2") == Value.of(2)
+
+
+def test_a_pair_listed_twice_with_one_value_spelled_two_ways():
+    cfg = decode_configuration(
+        {"sequence": ["z0", "z1", "z2"], "points": [], "distances": [
+            {"pair": ["z0", "z1"], "v": ["1"]},
+            {"pair": ["z1", "z0"], "v": [{"rat": 1}]},
+            {"pair": ["z1", "z2"], "v": ["2"]},
+            {"pair": ["z0", "z2"], "v": ["1"]}]}, "configuration", {})
+    assert cfg.distance("z0", "z1") == Value.of(1)
+
+
+@pytest.mark.parametrize("pair", ["ab", ["a", "b", "c"]])
+def test_a_pair_must_be_a_list_of_two_names(pair):
+    raw = {"sequence": ["a", "b", "c"], "points": [],
+           "distances": [{"pair": pair, "v": ["1"]}]}
+    with pytest.raises(SchemaError, match=r"^configuration\.distances\[0\]: "
+                                          r"pair must name two points$"):
+        decode_configuration(raw, "configuration", {})
+
+
+@pytest.mark.parametrize("oracle, text", [
+    ({"field": {"p": 5}, "sequence": ["1", "6", "31"]},
+     "oracle.field: field must be an object with a kind"),
+    ({"field": {"kind": "composite", "p": 5},
+      "sequence": [{"den": ["1"]}, "1", "2"]},
+     "oracle.sequence[0]: not a field element: {'den': ['1']}"),
+    ({"field": {"kind": "composite", "p": 5},
+      "sequence": [{"num": "1"}, "1", "2"]},
+     "oracle.sequence[0]: t-polynomial coefficients must be lists"),
+    ({"field": {"kind": "padic", "p": 5}, "sequence": ["1", "6"]},
+     "oracle: oracle sequence needs at least three terms"),
+], ids=["field-kind", "element-num", "num-list", "three-terms"])
+def test_malformed_oracle_sections_are_schema_errors(oracle, text):
+    with pytest.raises(SchemaError) as caught:
+        decode_problem({"oracle": oracle})
+    assert str(caught.value) == text
