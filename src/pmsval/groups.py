@@ -306,9 +306,10 @@ class Value:
         if len(xs) != len(ys):
             raise DescriptorMismatch(f"arity {len(xs)} vs {len(ys)}")
         for x, y in zip(xs, ys):
-            c = x.compare(y)
-            if c:
-                return c
+            if x is not y:  # decoders share equal coordinates
+                c = x.compare(y)
+                if c:
+                    return c
         return 0
 
     __lt__ = lambda self, other: self.compare(other) < 0

@@ -8,8 +8,8 @@ Only sup/inf reports write "inf" and "-inf" as coordinates.
 
 Every decoder takes the path of its input, for error messages, and a
 ``numerals`` dict.  ``decode_problem`` makes one for the length of its call,
-so that each distinct numeral of a problem is decoded once and its
-ExactReal shared.
+so that each distinct numeral of a problem, and each surd spelled with
+string a and b and an integer d, is decoded once and its ExactReal shared.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from marshal import dumps
 from typing import Any, NamedTuple, Optional
 
 from .engine import FactoredRationalFunction, TaggedRoot
@@ -136,12 +137,22 @@ def decode_exact(raw: Any, path: str, numerals: dict) -> ExactReal:
             s = raw["surd"]
             if not isinstance(s, dict) or not {"a", "b", "d"} <= set(s):
                 raise _fail(path, "surd needs fields a, b, d")
-            d = _int(s["d"], path, "surd radicand d must be an integer")
-            try:
-                return ExactReal.surd(_rational(s["a"], path, numerals),
-                                      _rational(s["b"], path, numerals), d)
-            except InvariantError as exc:
-                raise _fail(path, str(exc))
+            # Keyed flat only when a and b are strings and d an integer:
+            # true and 2.0 equal an integer radicand, but are refused.
+            a, b, d = s["a"], s["b"], s["d"]
+            key = ((a, b, d) if a.__class__ is b.__class__ is str
+                   and d.__class__ is int else None)
+            x = numerals.get(key)
+            if x is None:
+                d = _int(d, path, "surd radicand d must be an integer")
+                try:
+                    x = ExactReal.surd(_rational(a, path, numerals),
+                                       _rational(b, path, numerals), d)
+                except InvariantError as exc:
+                    raise _fail(path, str(exc))
+                if key is not None:
+                    numerals[key] = x
+            return x
     raise _fail(path, f"not an exact real: {raw!r}")
 
 
@@ -355,39 +366,17 @@ def decode_descriptor(raw: Any, path: str, numerals: dict) -> PmsDescriptor:
 # Configurations
 
 
-def _encoding_key(raw: Any) -> Any:
-    """A hashable key for the JSON value raw, shared only by values that
-    are equal with the same class at every leaf, so that 1, true, 1.0 and
-    "1" stay apart, as repr keeps them apart.  A coordinate
-    {"surd": {"a": str, "b": str, "d": int}}, the usual one in a distance,
-    is keyed flat as (a, b, d); any other value part by part."""
-    c = raw.__class__
-    if c is list:
-        key = [c]
-        for x in raw:
-            s = x.get("surd") if x.__class__ is dict and len(x) == 1 else None
-            if s.__class__ is dict and len(s) == 3:
-                a, b, d = s.get("a"), s.get("b"), s.get("d")
-                if a.__class__ is str and b.__class__ is str \
-                        and d.__class__ is int:
-                    key.append((a, b, d))
-                    continue
-            key.append(_encoding_key(x))
-        return tuple(key)
-    if c is dict:
-        return (c, *[(k, _encoding_key(v)) for k, v in raw.items()])
-    return (c, raw)
-
-
 def decode_configuration(raw: Any, path: str, numerals: dict
                          ) -> UltrametricConfiguration:
     if not isinstance(raw, dict):
         raise _fail(path, "configuration must be an object")
     seq, pts = _list(raw, "sequence", path), _list(raw, "points", path)
     entries, at = _list(raw, "distances", path), f"{path}.distances"
-    # Equal encodings decode once and share one Value; a bad encoding is
-    # never stored, so it still fails at its own path.  Paths are written
-    # only for a failure or a new encoding.
+    # Equal encodings decode once and share one Value: marshal writes the
+    # type of every leaf, so 1, true, 1.0 and "1" stay apart, and equal
+    # values spelled otherwise only decode twice.  A bad encoding is never
+    # stored, so it still fails at its own path.  Paths are written only
+    # for a failure or a new encoding.
     dist, decoded = {}, {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "pair" not in entry or "v" not in entry:
@@ -398,7 +387,7 @@ def decode_configuration(raw: Any, path: str, numerals: dict
         a, b = str(pair[0]), str(pair[1])
         key = (a, b) if a <= b else (b, a)
         raw_v = entry["v"]
-        enc = _encoding_key(raw_v)
+        enc = dumps(raw_v)
         v = decoded.get(enc)
         if v is None:
             v = decoded[enc] = decode_value(raw_v, f"{at}[{i}].v", numerals)

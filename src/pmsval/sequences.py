@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from functools import cached_property, cmp_to_key
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (IndeterminateError, InvalidConfiguration, InvariantError,
                      KindError, NotAPms)
@@ -292,6 +292,41 @@ def _pair(p: str, q: str) -> tuple[str, str]:
     return (p, q) if p <= q else (q, p)
 
 
+def _checked_rows(names: tuple, distances: dict, dist: dict) -> tuple:
+    """rows[i][k] for k > i, the distance of names[i] and names[k], in one
+    walk that also keys each distance into dist by its sorted pair.
+    Refuses repeated names, then in table order an unknown point, a pair
+    given two values and a finite self-distance, then mixed arities."""
+    index = {p: i for i, p in enumerate(names)}
+    if len(index) != len(names):
+        raise InvalidConfiguration("point names must be distinct")
+    rows = tuple({} for _ in names)
+    arities = set()
+    for (p, q), v in distances.items():
+        key = (p, q) if p <= q else (q, p)
+        i, k = index.get(p), index.get(q)
+        if i is None or k is None:
+            raise InvalidConfiguration(
+                f"distance references unknown point {key[0]},{key[1]}")
+        old = dist.setdefault(key, v)
+        if old is not v and old != v:
+            raise InvalidConfiguration(
+                f"pair {key[0]},{key[1]} is given two different values, "
+                f"{old} and {v}")
+        if v.coords is not None:
+            if i == k:
+                raise InvalidConfiguration(
+                    f"self-distance of {p} must be plus-infinity, not {v}")
+            arities.add(len(v.coords))
+        if i < k:
+            rows[i][k] = old
+        elif k < i:
+            rows[k][i] = old
+    if len(arities) > 1:
+        raise InvalidConfiguration("distance values have mixed arities")
+    return rows
+
+
 class UltrametricConfiguration(namedtuple("UltrametricConfiguration",
                                           "sequence points dist")):
     """A finite named point set with exact pairwise valuation distances.
@@ -307,32 +342,10 @@ class UltrametricConfiguration(namedtuple("UltrametricConfiguration",
     @staticmethod
     def build(sequence: Sequence[str], points: Sequence[str],
               distances: dict[tuple[str, str], Value]) -> "UltrametricConfiguration":
-        """The checked constructor: one walk keys the distances by sorted
-        pairs and refuses each bad entry, then the isosceles law is checked."""
-        sequence, points = tuple(sequence), tuple(points)
-        names = set(sequence + points)
-        if len(names) != len(sequence) + len(points):
-            raise InvalidConfiguration("point names must be distinct")
-        dist: dict[tuple[str, str], Value] = {}
-        arities = set()
-        for (p, q), v in distances.items():
-            key = _pair(p, q)
-            if p not in names or q not in names:
-                raise InvalidConfiguration(
-                    f"distance references unknown point {key[0]},{key[1]}")
-            if key in dist and dist[key] != v:
-                raise InvalidConfiguration(
-                    f"pair {key[0]},{key[1]} is given two different values, "
-                    f"{dist[key]} and {v}")
-            dist[key] = v
-            if not v.is_infinity:
-                if p == q:
-                    raise InvalidConfiguration(
-                        f"self-distance of {p} must be plus-infinity, not {v}")
-                arities.add(v.arity)
-        if len(arities) > 1:
-            raise InvalidConfiguration("distance values have mixed arities")
-        cfg = UltrametricConfiguration(sequence, points, dist)
+        """The checked constructor: one walk keys the distances, indexes
+        the rows and refuses bad entries, then checks the isosceles law."""
+        cfg = UltrametricConfiguration(tuple(sequence), tuple(points), {})
+        cfg.__dict__["rows"] = _checked_rows(cfg.names(), distances, cfg.dist)
         bad = cfg.isosceles_violation()
         if bad is not None:
             raise InvalidConfiguration(
@@ -356,16 +369,9 @@ class UltrametricConfiguration(namedtuple("UltrametricConfiguration",
     @cached_property
     def rows(self) -> tuple[dict[int, Value], ...]:
         """rows[i][k]: the recorded distance of names()[i] and names()[k]
-        for k > i, indexed once per configuration."""
-        index = {p: i for i, p in enumerate(self.names())}
-        rows = tuple({} for _ in index)
-        for (p, q), v in self.dist.items():
-            i, k = index[p], index[q]
-            if i < k:
-                rows[i][k] = v
-            elif k < i:
-                rows[k][i] = v
-        return rows
+        for k > i, indexed once per configuration, by build's walk or, for a
+        configuration made without build, by the same walk here."""
+        return _checked_rows(self.names(), self.dist, {})
 
     @cached_property
     def classification(self) -> tuple[PmsKind, tuple[Value, ...]]:
@@ -413,7 +419,11 @@ class UltrametricConfiguration(namedtuple("UltrametricConfiguration",
         n = len(rows)
         if sum(map(len, rows)) != n * (n - 1) // 2:
             return False
-        rank = _value_ranks(v for (p, q), v in self.dist.items() if p != q)
+        objects = {id(v): v for v in self.dist.values()}
+        rank = dict.fromkeys(objects.values(), 0)
+        for r, v in enumerate(sorted(rank, key=cmp_to_key(Value.compare))):
+            rank[v] = r
+        rank = {i: rank[v] for i, v in objects.items()}
         d = [[0] * n for _ in rows]
         for i, row in enumerate(rows):
             for k, v in row.items():
@@ -438,17 +448,6 @@ class UltrametricConfiguration(namedtuple("UltrametricConfiguration",
         return True
 
 
-def _value_ranks(values: Iterable[Value]) -> dict[int, int]:
-    """Rank of each value object, keyed by its id: ranks follow
-    Value.compare and equal values share one.  Each object is hashed once
-    and each distinct value is sorted once."""
-    objects = {id(v): v for v in values}
-    rank = dict.fromkeys(objects.values(), 0)
-    for r, v in enumerate(sorted(rank, key=cmp_to_key(Value.compare))):
-        rank[v] = r
-    return {i: rank[v] for i, v in objects.items()}
-
-
 def classify_from_prefix(cfg: UltrametricConfiguration) -> tuple[PmsKind, list[Value]]:
     """Classify the sequence points of cfg and return the distance prefix.
 
@@ -468,7 +467,8 @@ def classify_from_prefix(cfg: UltrametricConfiguration) -> tuple[PmsKind, list[V
     m = len(zs)
     for i, after_i in enumerate(cfg.rows[:m]):
         for j in sorted(k for k in after_i if k < m):
-            if after_i[j] != pattern_distance(kind, consec, i, j):
+            want = pattern_distance(kind, consec, i, j)
+            if after_i[j] is not want and after_i[j] != want:
                 # Equal consecutive distances admit only the pcts pattern.
                 if kind is PmsKind.PCTS:
                     raise NotAPms(neither)

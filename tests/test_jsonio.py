@@ -554,6 +554,12 @@ SURD = {"surd": {"a": "1", "b": "1", "d": 2}}
      "surd radicand d must be an integer"),
     ([SURD], [{"surd": {**SURD["surd"], "d": True}}],
      "surd radicand d must be an integer"),
+    ([{"surd": {**SURD["surd"], "a": 1}}],
+     [{"surd": {**SURD["surd"], "a": True}}],
+     "not a rational numeral n or n/d"),
+    ([{"surd": {**SURD["surd"], "b": 1}}],
+     [{"surd": {**SURD["surd"], "b": 1.0}}],
+     "not a rational numeral n or n/d"),
     # The surd shares its value with a second coordinate, so the value's
     # encoding differs and only the surd's own key could confuse them.
     ([SURD, "0"], [{"surd": {**SURD["surd"], "d": True}}, "1"],
@@ -563,11 +569,8 @@ SURD = {"surd": {"a": "1", "b": "1", "d": 2}}
     ([{"surd": {**SURD["surd"], "d": 1}}, "0"],
      [{"surd": {**SURD["surd"], "d": True}}, "1"],
      "surd radicand d must be an integer"),
-    ([{"surd": {**SURD["surd"], "a": 1}}],
-     [{"surd": {**SURD["surd"], "a": True}}],
-     "not a rational numeral n or n/d"),
-    ([{"surd": {**SURD["surd"], "b": 1}}],
-     [{"surd": {**SURD["surd"], "b": 1.0}}],
+    ([{"surd": {"a": 1, "b": 1, "d": 2}}, "0"],
+     [{"surd": {"a": True, "b": True, "d": 2}}, "1"],
      "not a rational numeral n or n/d")])
 def test_distance_encodings_tell_json_types_apart(capsys, tmp_path, first,
                                                   later, detail):
@@ -651,3 +654,22 @@ def test_malformed_oracle_sections_are_schema_errors(oracle, text):
     with pytest.raises(SchemaError) as caught:
         decode_problem({"oracle": oracle})
     assert str(caught.value) == text
+
+
+def test_a_surd_coordinate_is_decoded_once_per_problem():
+    # One spelling of a surd, in values that differ elsewhere, in the
+    # distances and in the group, is one ExactReal.
+    chain_const = {"surd": {"a": "1", "b": "1", "d": 2}}
+    group = {"components": [{"kind": "adjoined_surd",
+                             "base": {"kind": "rationals"},
+                             "tau": chain_const},
+                            {"kind": "rationals"}]}
+    problem = decode_problem({"group": group, "configuration": {
+        "sequence": ["z0", "z1", "z2"], "points": [], "distances": [
+            {"pair": ["z0", "z1"], "v": [chain_const, "1"]},
+            {"pair": ["z1", "z2"], "v": [chain_const, "2"]},
+            {"pair": ["z0", "z2"], "v": [dict(chain_const), "1"]}]}})
+    cfg = problem.configuration
+    tau = problem.group.components[0].tau
+    assert cfg.distance("z0", "z1") != cfg.distance("z1", "z2")
+    assert all(v.coords[0] is tau for v in cfg.dist.values())

@@ -5,7 +5,6 @@ limit checks stay quadratic."""
 import json
 import random
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import ceil, log2
 
@@ -240,25 +239,27 @@ def test_build_refuses_each_single_fault(points, extra, text):
 
 
 def test_rows_are_indexed_once_per_configuration(monkeypatch):
-    # A partial table: build's triangle scan reads the rows, and so does
-    # the classification after it.
-    built = []
-    rows = UltrametricConfiguration.rows.func
+    # A partial table: build's checked walk indexes the rows, and its
+    # triangle scan and the classification after it read them.
+    walks = []
+    walk = pmsval.sequences._checked_rows
 
-    def counting(cfg):
-        built.append(cfg)
-        return rows(cfg)
+    def counting(names, distances, dist):
+        walks.append(names)
+        return walk(names, distances, dist)
 
-    prop = cached_property(counting)
-    prop.__set_name__(UltrametricConfiguration, "rows")
-    monkeypatch.setattr(UltrametricConfiguration, "rows", prop)
+    monkeypatch.setattr(pmsval.sequences, "_checked_rows", counting)
     z = [f"z{i}" for i in range(5)]
     dist = {(z[i], z[i + 1]): Value.of(i + 1) for i in range(4)}
     dist.update({("y", z[i]): Value.of(i + 1) for i in range(4)})
     cfg = UltrametricConfiguration.build(z, ("y",), dist)
     assert cfg.classification[0] is PmsKind.PCS
     assert cfg.rows[0] == {1: Value.of(1), 5: Value.of(1)}
-    assert len(built) == 1 and built[0] is cfg
+    assert walks == [cfg.names()]
+    # A configuration made without build runs the same walk on first use.
+    plain = UltrametricConfiguration(cfg.sequence, cfg.points, cfg.dist)
+    assert plain.rows == cfg.rows and plain.rows is plain.rows
+    assert walks == [cfg.names()] * 2
 
 
 def test_mixed_encodings_of_one_value_share_a_rank(monkeypatch):
