@@ -495,6 +495,73 @@ def test_classify_refuses_a_prefix_past_the_cut(capsys, tmp_path):
     assert "prefix entry (3, 0)" in rep["detail"]
 
 
+PCTS_Z = {"kind": "pcts", "group": Z_GROUP}
+PCS_Z = {"kind": "pcs", "group": Z_GROUP, "chain": [UNBOUNDED]}
+Z_FUNCTION = {"lead": ["0"], "num": [{"limit": True}], "den": []}
+
+
+# Each command's refusal, its problem, and the report and exit code it
+# answers with.
+REFUSALS = [
+    ("classify", {"sequence": PCTS_Z}, "invariant",
+     "a pcts descriptor needs its delta value", 3),
+    ("classify", {"sequence": {**PCTS_Z, "pcts_delta": ["1/2"]}}, "invariant",
+     "pcts delta must belong to the group", 3),
+    ("classify", {"sequence": {"kind": "pcs", "group": Z_GROUP,
+                               "pcs_type": "transcendental"}}, "invariant",
+     "a pcs descriptor needs a chain", 3),
+    ("classify", {"sequence": {**PCTS_Z, "pcts_delta": ["1"],
+                               "prefix": [["1"], ["2"]]}}, "invariant",
+     "a pcts prefix must be constant", 3),
+    ("classify", {"sequence": {**PCTS_Z, "pcts_delta": ["1"],
+                               "prefix": [["2"], ["2"]]}}, "invariant",
+     "pcts prefix must equal the declared delta", 3),
+    ("classify", {"sequence": {
+        "kind": "pcs", "pcs_type": "transcendental",
+        "group": {"components": Z_GROUP["components"] * 2},
+        "chain": [{"const": {"v": "2", "from": 1}}, UNBOUNDED],
+        "prefix": [["1", "5"], ["3", "6"]]}}, "invariant",
+     "prefix coordinate 0 must equal 2 from index 1 on", 3),
+    ("classify", {"sequence": {**PCS_Z, "pcs_type": {"algebraic": {"deg": 0}}}},
+     "invariant", "minimal polynomial degree must be >= 1", 3),
+    ("classify", {"configuration": []}, "schema",
+     "configuration: configuration must be an object", 2),
+    ("classify", {"sequence": {**PCS_Z,
+                               "pcs_type": {"algebraic": {"deg": "1"}}}},
+     "schema", "sequence: algebraic pcs_type needs an integer deg", 2),
+    ("classify", {"sequence": {**PCS_Z, "pcs_type": "transcendental",
+                               "chain": [1]}},
+     "schema", "sequence.chain[0]: chain entry must be an object", 2),
+    ("classify", {"configuration": {
+        "sequence": ["z0", "z1", "z2"],
+        "distances": [{"pair": ["z1", "z2"], "v": "1"},
+                      {"pair": ["z0", "z2"], "v": "1"}]}},
+     "indeterminate", "no distance recorded for z0, z1", 4),
+    ("ve", {"sequence": {**PCS_Z, "pcs_type": "transcendental"},
+            "functions": [{**Z_FUNCTION, "lead": ["1/2"]}]}, "invariant",
+     "lead value must be a member of the group", 3),
+    ("ve", {"sequence": {**PCS_Z, "pcs_type": {"algebraic": {"deg": 1}}},
+            "functions": [{**Z_FUNCTION, "num": [{"beta": ["1/2"]}]}]},
+     "invariant", "root distance must be a member of the group", 3),
+    ("ve", {"sequence": {**PCS_Z, "pcs_type": {"algebraic": {"deg": 1}}},
+            "functions": [{**Z_FUNCTION, "num": [1]}]},
+     "schema", "functions[0].num[0]: root must be an object", 2),
+    ("oracle-check", {"oracle": {"field": {"kind": "padic", "p": 5},
+                                 "sequence": ["1", "6", "31"]}},
+     "schema", "oracle section lists no functions to check", 2),
+]
+
+
+@pytest.mark.parametrize("command, problem, error, detail, code", REFUSALS,
+                         ids=[case[3] for case in REFUSALS])
+def test_refusals_keep_their_text_and_exit_code(capsys, tmp_path, command,
+                                                problem, error, detail, code):
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps({"version": "1", **problem}))
+    assert run(capsys, command, "--in", str(path)) \
+        == (code, {"error": error, "detail": detail})
+
+
 @pytest.mark.parametrize("window", ["-5", "0", "1"])
 def test_oracle_check_refuses_tail_window_below_two(capsys, monkeypatch,
                                                     window):

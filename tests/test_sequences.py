@@ -259,6 +259,14 @@ def test_is_limit_indeterminate_without_witnesses():
     assert is_limit("y", E, cfg) is Tri.INDETERMINATE
 
 
+def test_a_name_the_configuration_does_not_hold_has_no_witnesses():
+    E = simple_pcs([1, 2, 3, 4])
+    cfg = config_from(list(E.prefix), PmsKind.PCS)
+    assert is_limit("w", E, cfg) is Tri.INDETERMINATE
+    with pytest.raises(IndeterminateError, match="two tail witnesses"):
+        limit_dichotomy_check("w", E, cfg)
+
+
 def _first_tail_index_cases():
     pcs = simple_pcs([1, 2, 3, 4])
     # Coordinate 0 is constant from index 2 on, so the tail starts there.
