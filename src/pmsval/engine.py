@@ -129,9 +129,6 @@ def v_e(phi: FactoredRationalFunction, E: PmsDescriptor,
         return InducedValue(value, form, False)
     if form.degree == 0:
         return InducedValue(form.beta, form, False)
-    if rank_result.alpha is None:
-        raise IndeterminateError(
-            "no extended placement available for a value outside the group")
     value = rank_result.alpha.scale(form.degree) + rank_result.embed(form.beta)
     return InducedValue(value, form, True)
 

@@ -248,19 +248,6 @@ def decode_group(raw: Any, path: str, numerals: dict) -> GroupDescriptor:
 # Sequence descriptors
 
 
-def encode_chain(chain: StageChain, sign: int) -> list:
-    out: list = []
-    for e in chain.constants:
-        out.append({"const": {"v": encode_exact(e.value), "from": e.stage}})
-    bound: Any = "unbounded"
-    if chain.bound is not None:
-        key = "in_group" if chain.bound_in_group else "not_in_group"
-        bound = {key: encode_exact(chain.bound)}
-    out.append({"terminal": {"dir": "inc" if sign > 0 else "dec",
-                             "bound": bound}})
-    return out
-
-
 def decode_chain(raw: Any, path: str, numerals: dict
                  ) -> tuple[StageChain, str]:
     """The chain and its terminal's dir, which the kind must match."""
@@ -307,20 +294,6 @@ def decode_chain(raw: Any, path: str, numerals: dict
         raise InvariantError("only the last chain entry may be terminal")
     direction, (r, in_group) = last
     return StageChain(tuple(front), r, in_group), direction
-
-
-def encode_descriptor(E: PmsDescriptor) -> dict:
-    out: dict = {"kind": E.kind.value, "group": encode_group(E.group)}
-    if E.chain is not None:
-        out["chain"] = encode_chain(E.chain, E.sign)
-    if E.pcts_delta is not None:
-        out["pcts_delta"] = encode_value(E.pcts_delta)
-    if E.pcs_type is not None:
-        out["pcs_type"] = ("transcendental" if isinstance(E.pcs_type, Transcendental)
-                           else {"algebraic": {"deg": E.pcs_type.degree}})
-    if E.prefix is not None:
-        out["prefix"] = [encode_value(v) for v in E.prefix]
-    return out
 
 
 def decode_descriptor(raw: Any, path: str, numerals: dict) -> PmsDescriptor:
@@ -403,16 +376,6 @@ def decode_configuration(raw: Any, path: str, numerals: dict
 
 # ---------------------------------------------------------------------------
 # Tagged rational functions
-
-
-def encode_function(phi: FactoredRationalFunction) -> dict:
-    def enc(roots):
-        return [{"limit": True, "mult": r.multiplicity} if r.is_limit else
-                {"beta": encode_value(r.beta), "mult": r.multiplicity}
-                for r in roots]
-
-    return {"lead": encode_value(phi.lead_value), "num": enc(phi.num_roots),
-            "den": enc(phi.den_roots)}
 
 
 def decode_function(raw: Any, path: str, numerals: dict

@@ -288,64 +288,59 @@ class PmsDescriptor(namedtuple("PmsDescriptor", "kind group chain pcts_delta "
 # Ultrametric configurations
 
 
-def _pair(p: str, q: str) -> tuple[str, str]:
-    return (p, q) if p <= q else (q, p)
-
-
-def _checked_rows(names: tuple, distances: dict, dist: dict) -> tuple:
+def _checked_rows(names: tuple, distances: dict) -> tuple:
     """rows[i][k] for k > i, the distance of names[i] and names[k], in one
-    walk that also keys each distance into dist by its sorted pair.
-    Refuses repeated names, then in table order an unknown point, a pair
-    given two values and a finite self-distance, then mixed arities."""
+    walk over the table.  Refuses repeated names, then in table order an
+    unknown point, a pair given two values and a finite self-distance, then
+    mixed arities."""
     index = {p: i for i, p in enumerate(names)}
     if len(index) != len(names):
         raise InvalidConfiguration("point names must be distinct")
     rows = tuple({} for _ in names)
     arities = set()
     for (p, q), v in distances.items():
-        key = (p, q) if p <= q else (q, p)
         i, k = index.get(p), index.get(q)
         if i is None or k is None:
+            a, b = sorted((p, q))
             raise InvalidConfiguration(
-                f"distance references unknown point {key[0]},{key[1]}")
-        old = dist.setdefault(key, v)
-        if old is not v and old != v:
-            raise InvalidConfiguration(
-                f"pair {key[0]},{key[1]} is given two different values, "
-                f"{old} and {v}")
-        if v.coords is not None:
-            if i == k:
+                f"distance references unknown point {a},{b}")
+        if k < i:
+            i, k = k, i
+        elif i == k:
+            if v.coords is not None:
                 raise InvalidConfiguration(
                     f"self-distance of {p} must be plus-infinity, not {v}")
+            continue
+        old = rows[i].setdefault(k, v)
+        if old is not v and old != v:
+            a, b = sorted((p, q))
+            raise InvalidConfiguration(
+                f"pair {a},{b} is given two different values, {old} and {v}")
+        if v.coords is not None:
             arities.add(len(v.coords))
-        if i < k:
-            rows[i][k] = old
-        elif k < i:
-            rows[k][i] = old
     if len(arities) > 1:
         raise InvalidConfiguration("distance values have mixed arities")
     return rows
 
 
 class UltrametricConfiguration(namedtuple("UltrametricConfiguration",
-                                          "sequence points dist")):
+                                          "sequence points rows")):
     """A finite named point set with exact pairwise valuation distances.
 
     sequence lists the ordered names of the sequence members; points holds
-    any extra named points (limit candidates, X, ...).  Distances are
-    symmetric, keyed by sorted pairs; the self-distance is plus-infinity.
+    any extra named points (limit candidates, X, ...).  rows[i][k], for
+    k > i, is the recorded distance of names()[i] and names()[k], indexed
+    once by build; the self-distance is plus-infinity.
     """
-
-    def __hash__(self):
-        return hash((self.sequence, self.points))  # dist is a dict
 
     @staticmethod
     def build(sequence: Sequence[str], points: Sequence[str],
               distances: dict[tuple[str, str], Value]) -> "UltrametricConfiguration":
-        """The checked constructor: one walk keys the distances, indexes
-        the rows and refuses bad entries, then checks the isosceles law."""
-        cfg = UltrametricConfiguration(tuple(sequence), tuple(points), {})
-        cfg.__dict__["rows"] = _checked_rows(cfg.names(), distances, cfg.dist)
+        """The checked constructor: one walk indexes the table by position
+        and refuses bad entries, then the isosceles law is checked."""
+        sequence, points = tuple(sequence), tuple(points)
+        cfg = UltrametricConfiguration(
+            sequence, points, _checked_rows(sequence + points, distances))
         bad = cfg.isosceles_violation()
         if bad is not None:
             raise InvalidConfiguration(
@@ -355,23 +350,17 @@ class UltrametricConfiguration(namedtuple("UltrametricConfiguration",
     def names(self) -> tuple[str, ...]:
         return self.sequence + self.points
 
-    def has_distance(self, p: str, q: str) -> bool:
-        return p == q or _pair(p, q) in self.dist
-
-    def distance(self, p: str, q: str) -> Value:
+    def distance(self, p: str, q: str) -> Optional[Value]:
+        """The recorded distance of p and q, plus-infinity when p is q, and
+        None when no distance is recorded or a name is unknown."""
         if p == q:
             return INFINITY
-        key = _pair(p, q)
-        if key not in self.dist:
-            raise IndeterminateError(f"no distance recorded for {p}, {q}")
-        return self.dist[key]
-
-    @cached_property
-    def rows(self) -> tuple[dict[int, Value], ...]:
-        """rows[i][k]: the recorded distance of names()[i] and names()[k]
-        for k > i, indexed once per configuration, by build's walk or, for a
-        configuration made without build, by the same walk here."""
-        return _checked_rows(self.names(), self.dist, {})
+        names = self.names()
+        try:
+            i, k = names.index(p), names.index(q)
+        except ValueError:
+            return None
+        return self.rows[min(i, k)].get(max(i, k))
 
     @cached_property
     def classification(self) -> tuple[PmsKind, tuple[Value, ...]]:
@@ -419,7 +408,8 @@ class UltrametricConfiguration(namedtuple("UltrametricConfiguration",
         n = len(rows)
         if sum(map(len, rows)) != n * (n - 1) // 2:
             return False
-        objects = {id(v): v for v in self.dist.values()}
+        # Read column by column (k, then each i < k), as tables are written.
+        objects = {id(row[k]): row[k] for k in range(n) for row in rows[:k]}
         rank = dict.fromkeys(objects.values(), 0)
         for r, v in enumerate(sorted(rank, key=cmp_to_key(Value.compare))):
             rank[v] = r
@@ -457,7 +447,13 @@ def classify_from_prefix(cfg: UltrametricConfiguration) -> tuple[PmsKind, list[V
     zs = cfg.sequence
     if len(zs) < 3:
         raise IndeterminateError("need at least three sequence points to classify")
-    consec = [cfg.distance(zs[i], zs[i + 1]) for i in range(len(zs) - 1)]
+    consec = []
+    for i, row in enumerate(cfg.rows[:len(zs) - 1]):
+        v = row.get(i + 1)
+        if v is None:
+            raise IndeterminateError(
+                f"no distance recorded for {zs[i]}, {zs[i + 1]}")
+        consec.append(v)
     kind = next((k for k, s in DIRECTION.items() if moves(consec, s)), None)
     neither = ("consecutive distances are neither strictly increasing, "
                "strictly decreasing, nor all equal")
@@ -545,10 +541,11 @@ def _tail(y: str, E: PmsDescriptor, cfg: UltrametricConfiguration
     floor = max(E.tail_start, shift)
     if y in zs:
         floor = max(floor, zs.index(y) + 1)
-    return [(cfg.distance(y, zs[nu]),
-             E.pcts_delta if E.kind is PmsKind.PCTS
+    pcts = E.kind is PmsKind.PCTS
+    return [(d, E.pcts_delta if pcts
              else deltas[nu - shift] if nu - shift < len(deltas) else None)
-            for nu in range(floor, len(zs)) if cfg.has_distance(y, zs[nu])]
+            for nu in range(floor, len(zs))
+            if (d := cfg.distance(y, zs[nu])) is not None]
 
 
 def _reading(E: PmsDescriptor, tail) -> tuple[Optional[bool], Optional[int]]:

@@ -19,6 +19,7 @@ from pmsval.groups import component_contains, component_generator
 from pmsval.oracle import CompositeField, ConcreteRationalFunction, \
     PadicRationals, QtElement, padic_valuation
 from pmsval.ranktree import Branch
+from pmsval.sequences import _checked_rows
 
 LEAF_BRANCHES = (Branch.SUP_INFINITE, Branch.BOUND_NOT_IN_GROUP,
                  Branch.BOUND_IN_GROUP_STRICT)
@@ -133,7 +134,7 @@ def with_candidates(rng: random.Random, cfg: UltrametricConfiguration
     the sequence, cfg's own included, keeps a random share of its
     distances to the members."""
     zs = cfg.sequence
-    values = [v for v in cfg.dist.values() if not v.is_infinity]
+    values = [v for v in table(cfg).values() if not v.is_infinity]
     zero = ExactReal.rational(0)
     top, bottom = (Value((v.coords[0] + ExactReal.rational(step),)
                          + (zero,) * (v.arity - 1))
@@ -152,9 +153,25 @@ def with_candidates(rng: random.Random, cfg: UltrametricConfiguration
                 dist[(p, q)] = bottom
             elif proxy[p] == proxy[q]:
                 dist[(p, q)] = top
-            elif cfg.has_distance(proxy[p], proxy[q]):
-                dist[(p, q)] = cfg.distance(proxy[p], proxy[q])
+            elif (d := cfg.distance(proxy[p], proxy[q])) is not None:
+                dist[(p, q)] = d
     return UltrametricConfiguration.build(zs, names[len(zs):], dist)
+
+
+def table(cfg: UltrametricConfiguration) -> dict:
+    """The recorded distances of cfg as a table build takes, each pair
+    once, keyed by its two names in position order."""
+    names = cfg.names()
+    return {(names[i], names[k]): v
+            for i, row in enumerate(cfg.rows) for k, v in row.items()}
+
+
+def unchecked(sequence, points, distances: dict) -> UltrametricConfiguration:
+    """A configuration over distances made without build's isosceles
+    check."""
+    sequence, points = tuple(sequence), tuple(points)
+    return UltrametricConfiguration(sequence, points,
+                                    _checked_rows(sequence + points, distances))
 
 
 def random_value(rng: random.Random, arity: int, surds: bool = True) -> Value:

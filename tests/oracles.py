@@ -1,0 +1,48 @@
+"""Encoders for the problem-file records that no command writes: a stage
+chain, a sequence descriptor and a tagged rational function.  The
+round-trip tests check the jsonio decoders against them."""
+
+from __future__ import annotations
+
+from typing import Any
+
+from pmsval.engine import FactoredRationalFunction
+from pmsval.jsonio import encode_exact, encode_group, encode_value
+from pmsval.sequences import PmsDescriptor, StageChain, Transcendental
+
+
+def encode_chain(chain: StageChain, sign: int) -> list:
+    out: list = []
+    for e in chain.constants:
+        out.append({"const": {"v": encode_exact(e.value), "from": e.stage}})
+    bound: Any = "unbounded"
+    if chain.bound is not None:
+        key = "in_group" if chain.bound_in_group else "not_in_group"
+        bound = {key: encode_exact(chain.bound)}
+    out.append({"terminal": {"dir": "inc" if sign > 0 else "dec",
+                             "bound": bound}})
+    return out
+
+
+def encode_descriptor(E: PmsDescriptor) -> dict:
+    out: dict = {"kind": E.kind.value, "group": encode_group(E.group)}
+    if E.chain is not None:
+        out["chain"] = encode_chain(E.chain, E.sign)
+    if E.pcts_delta is not None:
+        out["pcts_delta"] = encode_value(E.pcts_delta)
+    if E.pcs_type is not None:
+        out["pcs_type"] = ("transcendental" if isinstance(E.pcs_type, Transcendental)
+                           else {"algebraic": {"deg": E.pcs_type.degree}})
+    if E.prefix is not None:
+        out["prefix"] = [encode_value(v) for v in E.prefix]
+    return out
+
+
+def encode_function(phi: FactoredRationalFunction) -> dict:
+    def enc(roots):
+        return [{"limit": True, "mult": r.multiplicity} if r.is_limit else
+                {"beta": encode_value(r.beta), "mult": r.multiplicity}
+                for r in roots]
+
+    return {"lead": encode_value(phi.lead_value), "num": enc(phi.num_roots),
+            "den": enc(phi.den_roots)}

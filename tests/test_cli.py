@@ -76,10 +76,20 @@ def test_ve_reports_dominating_forms(capsys):
     assert f0["value"] == [{"rat": "1"}, {"rat": "0"}]
 
 
-def test_sup_command(capsys):
+def test_sup_command(capsys, tmp_path):
     code, rep = run(capsys, "sup", "--in", "example-pds-mirror.json")
     assert code == 0
     assert rep["inf"]["value"] == [{"rat": "0"}] and rep["inf"]["in_group"]
+    # Past the cut's coordinates, the sup is padded with the infinity
+    # opposite the values' side.
+    problem = tmp_path / "rank2.json"
+    problem.write_text(json.dumps({"version": "1", "sequence": {
+        "kind": "pcs", "pcs_type": "transcendental",
+        "group": {"components": Z_GROUP["components"] * 2},
+        "chain": [UNBOUNDED]}}))
+    code, rep = run(capsys, "sup", "--in", str(problem))
+    assert code == 0
+    assert rep["sup"] == {"value": ["inf", "-inf"], "in_group": False}
 
 
 def test_oracle_check_agrees(capsys):
@@ -88,6 +98,20 @@ def test_oracle_check_agrees(capsys):
     code2, rep2 = run(capsys, "oracle-check", "--in",
                       "example-composite-rank2.json", "--tail-window", "4")
     assert code2 == 0 and rep2["all_agree"] is True
+    # The least window the fit accepts.
+    code3, rep3 = run(capsys, "oracle-check", "--in",
+                      "example-cauchy-5adic.json", "--tail-window", "2")
+    assert code3 == 0 and rep3["all_agree"] is True
+
+
+def test_a_wrong_tag_is_a_negative_outcome(capsys, tmp_path):
+    # -1/4 is the 5-adic limit of the sequence, not a root at distance 0.
+    def edit(section):
+        section["functions"][0]["tagged"]["num"] = [{"beta": ["0"]}]
+    code, rep = run(capsys, "oracle-check", "--in",
+                    edited_oracle(tmp_path, "example-cauchy-5adic.json", edit))
+    assert code == 1 and rep["all_agree"] is False
+    assert [f["agree"] for f in rep["functions"]] == [False, True]
 
 
 def test_probe_command(capsys):
@@ -107,6 +131,8 @@ def test_leaves_command(capsys, tmp_path):
     for levels in ("0", "7"):
         code, rep = run(capsys, "leaves", "--levels", levels)
         assert code == 3 and rep["error"] == "invariant"
+    code, rep = run(capsys, "leaves")
+    assert code == 0 and rep["levels"] == 3 and len(rep["leaves"]) == 9
 
 
 def test_exit_code_schema_error(capsys, tmp_path):

@@ -18,11 +18,11 @@ from pmsval.jsonio import (decode_chain, decode_component,
                            decode_configuration, decode_descriptor,
                            decode_exact, decode_function, decode_group,
                            decode_problem, decode_value, dump_report,
-                           encode_chain, encode_component, encode_descriptor,
-                           encode_exact, encode_function, encode_group,
+                           encode_component, encode_exact, encode_group,
                            encode_value, loads_problem)
 
-from gen import random_descriptor, random_value
+from gen import random_descriptor, random_value, table
+from oracles import encode_chain, encode_descriptor, encode_function
 
 
 def test_exact_round_trip():
@@ -672,4 +672,4 @@ def test_a_surd_coordinate_is_decoded_once_per_problem():
     cfg = problem.configuration
     tau = problem.group.components[0].tau
     assert cfg.distance("z0", "z1") != cfg.distance("z1", "z2")
-    assert all(v.coords[0] is tau for v in cfg.dist.values())
+    assert all(v.coords[0] is tau for v in table(cfg).values())

@@ -31,10 +31,6 @@ OUTSIDE_CALLERS = {
     "monomial_value": ("tests/test_acceptance.py", "criterion 8"),
     "theorem_rank_check": ("tests/test_acceptance.py", "criterion 3"),
     "mirror": ("tests/test_acceptance.py", "criterion 7"),
-    "encode_descriptor": ("tests/test_jsonio.py",
-                          "round trip of decode_descriptor"),
-    "encode_function": ("tests/test_jsonio.py",
-                        "round trip of decode_function"),
 }
 
 

@@ -19,7 +19,7 @@ from pmsval.oracle import (CompositeField, ConcreteRationalFunction,
                            sequence_configuration)
 from pmsval.sequences import DIRECTION, delta_shift, moves, pattern_distance
 
-from gen import random_composite_instance, random_padic_instance
+from gen import random_composite_instance, random_padic_instance, table
 
 F5 = PadicRationals(5)
 C5 = CompositeField(5)
@@ -520,7 +520,7 @@ def test_monotone_sequence_distances_follow_the_pattern():
         field, terms = make(rng)[:2]
         for seq in (terms, terms[::-1]):
             cfg = sequence_configuration(field, seq)
-            assert len(cfg.dist) == len(seq) - 1
+            assert len(table(cfg)) == len(seq) - 1
             kind, deltas = classify_from_prefix(cfg)
             kinds.add(kind)
             for i in range(len(seq)):
@@ -536,7 +536,7 @@ def test_non_monotone_sequence_keeps_the_full_table(monkeypatch, terms):
     calls = counting_valuate(monkeypatch, PadicRationals)
     cfg = sequence_configuration(F5, [Fraction(z) for z in terms])
     n = len(terms)
-    assert len(calls) == len(cfg.dist) == n * (n - 1) // 2
+    assert len(calls) == len(table(cfg)) == n * (n - 1) // 2
     with pytest.raises(NotAPms, match="^consecutive distances are neither "
                        "strictly increasing, strictly decreasing, nor all "
                        "equal$"):

@@ -21,7 +21,8 @@ from pmsval.errors import (IndeterminateError, InvalidConfiguration,
                            InvariantError, KindError, NotAPms)
 from pmsval.oracle import PadicRationals, sequence_configuration
 
-from gen import make_descriptor, random_descriptor, random_member
+from gen import (make_descriptor, random_descriptor, random_member, table,
+                 unchecked)
 from pmsval.ranktree import Branch, auto_probes
 from pmsval.sequences import delta_shift
 
@@ -134,6 +135,15 @@ def test_classify_needs_three_points():
     dist = {("z0", "z1"): Value.of(1)}
     cfg = UltrametricConfiguration.build(["z0", "z1"], (), dist)
     with pytest.raises(IndeterminateError):
+        classify_from_prefix(cfg)
+
+
+def test_classify_names_the_first_missing_consecutive_pair():
+    dist = {("z0", "z1"): Value.of(1), ("z0", "z2"): Value.of(1),
+            ("z0", "z3"): Value.of(1), ("z2", "z3"): Value.of(3)}
+    cfg = UltrametricConfiguration.build(["z0", "z1", "z2", "z3"], (), dist)
+    with pytest.raises(IndeterminateError,
+                       match="^no distance recorded for z1, z2$"):
         classify_from_prefix(cfg)
 
 
@@ -352,9 +362,9 @@ def test_dichotomy_of_a_point_off_a_pcts():
     with pytest.raises(IndeterminateError, match="no tail witnesses"):
         check([None] * 5)
     # Distances that never settle; built without the isosceles check.
-    garbage = UltrametricConfiguration(
+    garbage = unchecked(
         tuple(f"z{i}" for i in range(5)), ("y",),
-        {**config_from([delta] * 4, PmsKind.PCTS).dist,
+        {**table(config_from([delta] * 4, PmsKind.PCTS)),
          **{("y", f"z{i}"): Value.of(i % 2) for i in range(5)}})
     with pytest.raises(InvalidConfiguration, match="witnessed tail is not"):
         limit_dichotomy_check("y", E, garbage)
@@ -416,7 +426,7 @@ def test_a_pds_limit_is_read_in_the_extended_group():
                         Branch.SUP_INFINITE)
     cfg = induced_configuration(E)
     # y is closer to z0 than any other point is.
-    dist = {**cfg.dist, ("y", "z0"): Value.of(100, 0),
+    dist = {**table(cfg), ("y", "z0"): Value.of(100, 0),
             **{("y", p): cfg.distance("z0", p) for p in cfg.names()
                if p != "z0"}}
     cfg = UltrametricConfiguration.build(cfg.sequence, ("X", "y"), dist)
@@ -473,9 +483,9 @@ def test_limit_dichotomy_rejects_garbage():
     E = simple_pcs([1, 2, 3, 4])
     # Neither the distance-value pattern nor ultimately constant.
     bad = {"y": [Value.of(1), Value.of(0), Value.of(1), Value.of(0), None]}
-    cfg = UltrametricConfiguration(
+    cfg = unchecked(
         tuple(f"z{i}" for i in range(5)), ("y",),
-        {**config_from(list(E.prefix), PmsKind.PCS).dist,
+        {**table(config_from(list(E.prefix), PmsKind.PCS)),
          **{tuple(sorted((f"z{i}", "y"))): v
             for i, v in enumerate(bad["y"]) if v is not None}})
     with pytest.raises(InvalidConfiguration):

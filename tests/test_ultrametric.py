@@ -21,14 +21,15 @@ from pmsval.sequences import (PmsDescriptor, PmsKind, StageChain, Tri,
                               classify_from_prefix, is_limit,
                               limit_dichotomy_check)
 
-from gen import random_value
+from gen import random_value, table, unchecked
 
 
-def brute_force_violation(cfg):
-    """The first triple, in name order, whose two smallest distances differ."""
+def brute_force_violation(names, dist):
+    """The first triple, in name order, whose two smallest distances differ,
+    in a table keyed by sorted pairs."""
     def d(p, q):
-        return cfg.dist.get((p, q) if p <= q else (q, p))
-    for p, q, r in combinations(cfg.names(), 3):
+        return dist.get((p, q) if p <= q else (q, p))
+    for p, q, r in combinations(names, 3):
         ds = [d(p, q), d(p, r), d(q, r)]
         if None in ds:
             continue
@@ -42,7 +43,8 @@ def random_table(rng):
     """A table over 0-9 points from a random ultrametric tree: each point
     gets a word over a small alphabet, and two points are at the level of
     their longest common prefix (INFINITY when the words agree).  Half the
-    tables are then perturbed, and some lose pairs."""
+    tables are then perturbed, and some lose pairs.  Returns the
+    configuration, made without the isosceles check, and its table."""
     n, arity = rng.randint(0, 9), rng.randint(1, 3)
     depth = rng.randint(1, 3)
     levels = sorted({random_value(rng, arity) for _ in range(depth)})
@@ -64,18 +66,18 @@ def random_table(rng):
         for key in rng.sample(keys, rng.randint(1, len(keys))):
             del dist[key]
     cut = rng.randint(0, n)
-    return UltrametricConfiguration(tuple(names[:cut]), tuple(names[cut:]), dist)
+    return unchecked(names[:cut], names[cut:], dist), dist
 
 
 def test_isosceles_violation_matches_triple_scan():
     rng = random.Random(20211)
     complete = partial = violating = 0
     for _ in range(1500):
-        cfg = random_table(rng)
-        want = brute_force_violation(cfg)
+        cfg, dist = random_table(rng)
+        want = brute_force_violation(cfg.names(), dist)
         assert cfg.isosceles_violation() == want
         n = len(cfg.names())
-        if len(cfg.dist) == n * (n - 1) // 2:
+        if len(table(cfg)) == n * (n - 1) // 2:
             complete += 1
         else:
             partial += 1
@@ -86,12 +88,12 @@ def test_isosceles_violation_matches_triple_scan():
 def test_isosceles_scan_follows_name_order_not_table_order():
     rng = random.Random(20212)
     for _ in range(400):
-        cfg = random_table(rng)
-        items = list(cfg.dist.items())
+        cfg, dist = random_table(rng)
+        items = list(dist.items())
         rng.shuffle(items)
-        shuffled = UltrametricConfiguration(cfg.sequence, cfg.points,
-                                            dict(items))
-        assert shuffled.isosceles_violation() == brute_force_violation(cfg)
+        shuffled = unchecked(cfg.sequence, cfg.points, dict(items))
+        assert shuffled.isosceles_violation() \
+            == brute_force_violation(cfg.names(), dist)
 
 
 def test_self_pairs_are_skipped():
@@ -120,15 +122,14 @@ def test_isosceles_violation_on_surd_levels_and_infinity():
     sqrt2 = ExactReal.surd(0, 1, 2)
     lo, hi = Value((sqrt2, ExactReal.rational(1))), Value.of(2, 0)
     good = {("a", "b"): INFINITY, ("a", "c"): lo, ("b", "c"): lo}
-    assert UltrametricConfiguration(("a", "b", "c"), (), good) \
+    assert unchecked(("a", "b", "c"), (), good) \
         .isosceles_violation() is None
     bad = {**good, ("a", "c"): hi}
-    assert UltrametricConfiguration(("a", "b", "c"), (), bad) \
+    assert unchecked(("a", "b", "c"), (), bad) \
         .isosceles_violation() == ("a", "b", "c")
     for names in ((), ("a",), ("a", "b")):
         dist = {("a", "b"): lo} if len(names) == 2 else {}
-        assert UltrametricConfiguration(names, (), dist) \
-            .isosceles_violation() is None
+        assert unchecked(names, (), dist).isosceles_violation() is None
 
 
 def counting_compares(monkeypatch):
@@ -143,10 +144,10 @@ def counting_compares(monkeypatch):
     return calls
 
 
-def sort_bound(dist):
+def sort_bound(values):
     """k * ceil(log2 k) for the k distinct values of a table: what one
     comparison sort of them may cost (0 when k = 1)."""
-    k = len(set(dist.values()))
+    k = len(set(values))
     return k * ceil(log2(k))
 
 
@@ -159,8 +160,8 @@ def test_complete_build_makes_quadratically_many_compares(monkeypatch):
             for i in range(n) for j in range(i + 1, n)}
     calls = counting_compares(monkeypatch)
     cfg = UltrametricConfiguration.build(z, (), dist)
-    assert len(cfg.dist) == n * (n - 1) // 2
-    assert calls[0] <= sort_bound(dist)
+    assert len(table(cfg)) == n * (n - 1) // 2
+    assert calls[0] <= sort_bound(dist.values())
 
 
 def test_monotone_oracle_sequence_is_built_in_linear_time(monkeypatch):
@@ -176,7 +177,7 @@ def test_monotone_oracle_sequence_is_built_in_linear_time(monkeypatch):
     monkeypatch.setattr(PadicRationals, "valuate", counting_valuate)
     calls = counting_compares(monkeypatch)
     cfg = sequence_configuration(PadicRationals(5), terms)
-    assert valuations[0] == len(cfg.dist) == n - 1
+    assert valuations[0] == len(table(cfg)) == n - 1
     assert calls[0] <= 2 * n
 
 
@@ -201,7 +202,7 @@ def test_build_refuses_a_pair_given_two_values():
         UltrametricConfiguration.build(z, (), dist)
     dist[("z2", "z1")] = Value.of(2)
     cfg = UltrametricConfiguration.build(z, (), dist)
-    assert cfg.dist == {("z0", "z1"): Value.of(1), ("z1", "z2"): Value.of(2)}
+    assert cfg.rows == ({1: Value.of(1)}, {2: Value.of(2)}, {})
 
 
 def test_configuration_refuses_an_unknown_point_and_mixed_arities():
@@ -244,9 +245,9 @@ def test_rows_are_indexed_once_per_configuration(monkeypatch):
     walks = []
     walk = pmsval.sequences._checked_rows
 
-    def counting(names, distances, dist):
+    def counting(names, distances):
         walks.append(names)
-        return walk(names, distances, dist)
+        return walk(names, distances)
 
     monkeypatch.setattr(pmsval.sequences, "_checked_rows", counting)
     z = [f"z{i}" for i in range(5)]
@@ -256,10 +257,11 @@ def test_rows_are_indexed_once_per_configuration(monkeypatch):
     assert cfg.classification[0] is PmsKind.PCS
     assert cfg.rows[0] == {1: Value.of(1), 5: Value.of(1)}
     assert walks == [cfg.names()]
-    # A configuration made without build runs the same walk on first use.
-    plain = UltrametricConfiguration(cfg.sequence, cfg.points, cfg.dist)
-    assert plain.rows == cfg.rows and plain.rows is plain.rows
-    assert walks == [cfg.names()] * 2
+    # A configuration made from the rows holds them and walks no table.
+    plain = UltrametricConfiguration(cfg.sequence, cfg.points, cfg.rows)
+    assert plain == cfg and plain.rows is cfg.rows
+    assert plain.classification == cfg.classification
+    assert walks == [cfg.names()]
 
 
 def test_mixed_encodings_of_one_value_share_a_rank(monkeypatch):
@@ -275,8 +277,8 @@ def test_mixed_encodings_of_one_value_share_a_rank(monkeypatch):
     calls = counting_compares(monkeypatch)
     cfg = jsonio.decode_configuration(raw, "configuration", {})
     # The triangle scan would compare every triangle's three distances.
-    assert calls[0] <= sort_bound(cfg.dist)
-    assert len({id(v) for v in cfg.dist.values()}) == 5
+    assert calls[0] <= sort_bound(table(cfg).values())
+    assert len({id(v) for v in table(cfg).values()}) == 5
     assert cfg.classification == (
         PmsKind.PCS, (Value.of(1), Value.of(2), Value.of(3)))
     # All six pairs at one value, written three ways: no comparison at all.
@@ -297,9 +299,9 @@ def test_large_table_with_one_wrong_entry_names_the_first_triple():
     levels = [Value.of(i) for i in range(n)]
     dist = {(z[i], z[j]): levels[i] for i in range(n) for j in range(i + 1, n)}
     dist[("z10", "z40")] = levels[11]
-    cfg = UltrametricConfiguration(tuple(z), (), {
-        (p, q) if p <= q else (q, p): v for (p, q), v in dist.items()})
-    assert brute_force_violation(cfg) == ("z10", "z11", "z40")
+    assert brute_force_violation(z, {
+        (p, q) if p <= q else (q, p): v for (p, q), v in dist.items()}) \
+        == ("z10", "z11", "z40")
     with pytest.raises(InvalidConfiguration,
                        match="^isosceles law fails on points z10, z11, z40$"):
         UltrametricConfiguration.build(z, (), dist)
@@ -314,14 +316,14 @@ def test_classify_consecutive_only_table_is_linear(monkeypatch):
         "sequence": z, "points": [], "distances": dist}})
     calls = counting_compares(monkeypatch)
     probes = [0]
-    has_distance = UltrametricConfiguration.has_distance
+    distance = UltrametricConfiguration.distance
 
-    def counting_has_distance(self, p, q):
+    def counting_distance(self, p, q):
         probes[0] += 1
-        return has_distance(self, p, q)
+        return distance(self, p, q)
 
-    monkeypatch.setattr(UltrametricConfiguration, "has_distance",
-                        counting_has_distance)
+    monkeypatch.setattr(UltrametricConfiguration, "distance",
+                        counting_distance)
     kind, prefix = jsonio.loads_problem(text).configuration.classification
     assert kind is PmsKind.PCS
     assert prefix == tuple(Value.of(i) for i in range(n - 1))
@@ -336,7 +338,7 @@ def test_complete_pds_and_pcts_builds_stay_quadratic(monkeypatch, pattern):
             for i in range(n) for j in range(i + 1, n)}
     calls = counting_compares(monkeypatch)
     UltrametricConfiguration.build(z, (), dist)
-    assert calls[0] <= sort_bound(dist)
+    assert calls[0] <= sort_bound(dist.values())
     if pattern == "pcts":
         assert calls[0] == 0
 
@@ -374,9 +376,9 @@ def test_each_distinct_encoding_is_decoded_once(monkeypatch):
     # The distances are ["0"] ... ["63"] over 2,145 pairs; "1" is parsed
     # once, first as the group's generator.
     assert sorted(raws, key=int) == [str(i) for i in range(n)]
-    assert len(cfg.dist) == n * (n - 1) // 2 + n + n + 1
+    assert len(table(cfg)) == n * (n - 1) // 2 + n + n + 1
     # Equal encodings share one decoded Value.
-    assert len({id(v) for v in cfg.dist.values()}) == n
+    assert len({id(v) for v in table(cfg).values()}) == n
 
 
 def test_limit_checks_classify_once(monkeypatch):
