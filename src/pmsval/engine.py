@@ -26,28 +26,26 @@ from .sequences import (PmsDescriptor, PmsKind, UltrametricConfiguration,
 # Tagged rational functions
 
 
-class TaggedRoot(namedtuple("TaggedRoot", "is_limit beta multiplicity")):
+class TaggedRoot(namedtuple("TaggedRoot", "beta multiplicity")):
     """A root known only through its relation to the sequence: either a
-    limit, or at ultimate distance beta from the tail."""
+    limit (beta None), or at ultimate distance beta from the tail."""
 
     __slots__ = ()
 
-    def __new__(cls, is_limit: bool, beta: Optional[Value], multiplicity: int):
+    def __new__(cls, beta: Optional[Value], multiplicity: int):
         if multiplicity < 1:
             raise InvariantError("multiplicity must be positive")
-        if is_limit and beta is not None:
-            raise InvariantError("a limit root carries no distance value")
-        if not is_limit and beta is None:
-            raise InvariantError("a non-limit root needs its distance value")
-        return super().__new__(cls, is_limit, beta, multiplicity)
+        return super().__new__(cls, beta, multiplicity)
+
+    is_limit = property(lambda self: self.beta is None)
 
     @staticmethod
     def limit(multiplicity: int = 1) -> "TaggedRoot":
-        return TaggedRoot(True, None, multiplicity)
+        return TaggedRoot(None, multiplicity)
 
     @staticmethod
     def at_distance(beta: Value, multiplicity: int = 1) -> "TaggedRoot":
-        return TaggedRoot(False, beta, multiplicity)
+        return TaggedRoot(beta, multiplicity)
 
 
 class FactoredRationalFunction(NamedTuple):
@@ -166,9 +164,11 @@ class PairOfDefinition(NamedTuple):
 class ExtensionReport(NamedTuple):
     extension_kind: str  # "immediate" | "value-transcendental" | "residue-transcendental"
     pure: bool
-    ic_label: str
     pair: Optional[PairOfDefinition]
     key_poly_sketch: Optional[str]
+
+    ic_label = property(lambda self: "K^h" if self.pure
+                        else "K^h (via key polynomial sequence)")
 
 
 def extension_report(E: PmsDescriptor) -> ExtensionReport:
@@ -180,25 +180,21 @@ def extension_report(E: PmsDescriptor) -> ExtensionReport:
     """
     if E.is_transcendental_pcs():
         return ExtensionReport(
-            "immediate", True, "K^h", None,
+            "immediate", True, None,
             "{X - z_nu : nu} (limits of the sequence itself)")
     if E.kind is PmsKind.PCTS:
         pair = PairOfDefinition("a", E.pcts_delta, minimal=True)
         return ExtensionReport(
-            "residue-transcendental", True, "K^h", pair, "{X - a}")
+            "residue-transcendental", True, pair, "{X - a}")
     alpha = rank_of_vE(E).alpha
     if E.kind is PmsKind.PDS:
         pair = PairOfDefinition("z_mu", alpha, minimal=True)
         return ExtensionReport(
-            "value-transcendental", True, "K^h", pair, "{X - z_mu}")
+            "value-transcendental", True, pair, "{X - z_mu}")
     deg = E.pcs_type.degree
     pair = PairOfDefinition("a (root of Q)", alpha, minimal=True)
     sketch = f"{{X - z_nu : nu}} U {{Q : deg {deg}}}"
-    if deg == 1:
-        return ExtensionReport("value-transcendental", True, "K^h", pair, sketch)
-    return ExtensionReport(
-        "value-transcendental", False, "K^h (via key polynomial sequence)",
-        pair, sketch)
+    return ExtensionReport("value-transcendental", deg == 1, pair, sketch)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,11 @@ Component = Union[Cyclic, PPowerDivisible, FullRational, FormalInteger, Adjoined
 
 
 def _p_free_part(n: int, p: int) -> int:
-    while n % p == 0:
-        n //= p
-    return n
+    """n, n >= 1, stripped of its factors p by at most one gcd: the p-part
+    p^k <= n divides p^e for e = bit_length(n) // (bit_length(p) - 1) >= k."""
+    if n % p:
+        return n
+    return n // gcd(n, p ** (n.bit_length() // (p.bit_length() - 1)))
 
 
 def component_contains(comp: Component, x: ExactReal) -> bool:

@@ -312,12 +312,13 @@ def _solve_degree(ddelta: Value, dvalue: Value) -> Optional[int]:
 
 
 class CrossCheckReport(NamedTuple):
-    agree: bool
     kind: PmsKind
     delta_prefix: tuple[Value, ...]
     fit: Optional[DominatingForm]
     tagged_form: Optional[DominatingForm]
     mismatches: tuple[str, ...]
+
+    agree = property(lambda self: self.fit is not None and not self.mismatches)
 
 
 def cross_check(field: ConcreteField, terms: Sequence,
@@ -376,8 +377,7 @@ def cross_check(field: ConcreteField, terms: Sequence,
             mismatches.append(
                 f"overall: oracle fit d={fit.degree}, beta={fit.beta}; tags "
                 f"give d={tagged_form.degree}, beta={tagged_form.beta}")
-        reports.append(CrossCheckReport(fit is not None and not mismatches,
-                                        kind, tuple(deltas), fit, tagged_form,
+        reports.append(CrossCheckReport(kind, tuple(deltas), fit, tagged_form,
                                         tuple(mismatches)))
     return reports
 

@@ -49,24 +49,27 @@ class Leaf(NamedTuple):
 
 
 class RankResult(NamedTuple):
-    input_rank: int
-    output_rank: int
+    """The rank walk's answer; an inserted formal integer factor is the
+    one way the extended group's rank exceeds the input rank."""
+
     extended_group: GroupDescriptor
     alpha: Optional[Value]
     trace: Optional[Leaf]
     insert_position: Optional[int]
-    group_note: str
     alpha_check: Optional[CheckOutcome] = None
+
+    output_rank = property(lambda self: self.extended_group.rank())
+    delta = property(lambda self: int(self.insert_position is not None))
+    input_rank = property(lambda self: self.output_rank - self.delta)
+    group_note = property(lambda self: (
+        "value group unchanged" if self.alpha is None else
+        "model of the extended value group over the algebraic closure"))
 
     def embed(self, value: Value) -> Value:
         """Order embedding of the base group into the extended group."""
         if self.insert_position is None:
             return value
         return insert_zero(value, self.insert_position)
-
-    @property
-    def delta(self) -> int:
-        return self.output_rank - self.input_rank
 
 
 def rank_of_vE(E: PmsDescriptor) -> RankResult:
@@ -77,10 +80,8 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
     carries the extended group model, the placed alpha, the trace and the
     outcome of checking alpha against the auto probes.
     """
-    n = E.group.rank()
     if E.kind is PmsKind.PCTS or E.is_transcendental_pcs():
-        return RankResult(n, n, E.group, None, None, None,
-                          "value group unchanged")
+        return RankResult(E.group, None, None, None)
     cut = E.cut
     j = len(cut.constants) + 1
     # alpha is the cut as an element of the extended group: the constants
@@ -100,10 +101,7 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
     branch = (Branch.SUP_INFINITE if cut.r is None
               else Branch.BOUND_IN_GROUP_STRICT if cut.side
               else Branch.BOUND_NOT_IN_GROUP)
-    result = RankResult(n, extended.rank(), extended, alpha, Leaf(j, branch),
-                        insert_position,
-                        "model of the extended value group over the "
-                        "algebraic closure")
+    result = RankResult(extended, alpha, Leaf(j, branch), insert_position)
     outcome = check_alpha(E, result, auto_probes(E))
     if not outcome.holds:
         raise InvariantError(
@@ -117,9 +115,13 @@ def rank_of_vE(E: PmsDescriptor) -> RankResult:
 
 
 class CheckOutcome(NamedTuple):
-    holds: bool
+    """A chain check over `checked` probes: it holds unless a probe
+    contradicts the contract."""
+
     counterexample: Optional[Value]
     checked: int
+
+    holds = property(lambda self: self.counterexample is None)
 
 
 def _check_equivalence_iii(E: PmsDescriptor, result: RankResult,
@@ -131,8 +133,8 @@ def _check_equivalence_iii(E: PmsDescriptor, result: RankResult,
     probes = list(probes)
     for beta in probes:
         if (embed(beta).compare(alpha) * s > 0) != beyond_all_deltas(beta, E):
-            return CheckOutcome(False, beta, len(probes))
-    return CheckOutcome(True, None, len(probes))
+            return CheckOutcome(beta, len(probes))
+    return CheckOutcome(None, len(probes))
 
 
 def check_pcs_equivalence_iii(E: PmsDescriptor, result: RankResult,
@@ -172,16 +174,7 @@ def auto_probes(E: PmsDescriptor) -> list[Value]:
     consts = list(cut.constants)
     j = len(consts) + 1
     zero = ExactReal.rational(0)
-    probes: list[Value] = []
-    seen: set = set()
-
-    def push(coords: list[ExactReal]) -> None:
-        v = Value(tuple(coords))
-        size = len(seen)
-        seen.add(v)  # one hash per probe: a new value grows the set
-        if len(seen) > size:
-            probes.append(v)
-
+    candidates: list[Value] = []
     for level in range(1, j + 1):
         comp = E.group.components[level - 1]
         gen = component_generator(comp)
@@ -198,9 +191,9 @@ def auto_probes(E: PmsDescriptor) -> list[Value]:
         head, pad = consts[:level - 1], [zero] * (n - level)
         coord = center + gen.scaled(-2)
         for _ in range(5):  # center - 2*gen, ..., center + 2*gen
-            push(head + [coord] + pad)
+            candidates.append(Value(tuple(head + [coord] + pad)))
             coord += gen
-    return probes
+    return list(dict.fromkeys(candidates))  # the first of equal probes
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +218,14 @@ def enumerate_leaves(n: int) -> list[Leaf]:
 
 
 class TheoremCheck(NamedTuple):
+    """The theorem's conditions and the walk's rank delta: the theorem holds
+    unless a condition is met and the rank stays the same."""
+
     conditions: dict[str, bool]
-    predicate: bool
     rank_delta: int
-    holds: bool
+
+    predicate = property(lambda self: any(self.conditions.values()))
+    holds = property(lambda self: not self.predicate or self.rank_delta == 1)
 
 
 def theorem_rank_check(E: PmsDescriptor) -> TheoremCheck:
@@ -245,9 +242,7 @@ def theorem_rank_check(E: PmsDescriptor) -> TheoremCheck:
         "diverges_to_infinity": not pcs and reaches_end,
         "inf_in_group": not pcs and in_group,
     }
-    predicate = any(conditions.values())
-    holds = (not predicate) or result.delta == 1
-    return TheoremCheck(conditions, predicate, result.delta, holds)
+    return TheoremCheck(conditions, result.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +263,15 @@ def _labels(pcs: bool, i: int) -> dict[str, str]:
     }
 
 
+# The nodes a walk takes at the level where it ends, by the branch it ends on.
+_LEAF_NODES = {
+    Branch.SUP_INFINITE: ("inf",),
+    Branch.BOUND_NOT_IN_GROUP: ("real", "notin"),
+    Branch.BOUND_IN_GROUP_STRICT: ("real", "in", "strict"),
+    Branch.BOUND_IN_GROUP_CONSTANT: ("real", "in", "const"),
+}
+
+
 def tree_dot(kind: PmsKind, n: int, trace: Optional[Leaf] = None) -> str:
     """Graphviz source for the depth-n tree, optionally highlighting a trace.
 
@@ -279,19 +283,11 @@ def tree_dot(kind: PmsKind, n: int, trace: Optional[Leaf] = None) -> str:
     pcs = kind is PmsKind.PCS
     taken: set[str] = set()
     if trace is not None:
+        leaf = trace.terminal_level
         taken.add("root1")
-        for level, branch in trace.steps:
-            if branch is Branch.SUP_INFINITE:
-                taken.add(f"inf{level}")
-            else:
-                taken.add(f"real{level}")
-            if branch is Branch.BOUND_NOT_IN_GROUP:
-                taken.add(f"notin{level}")
-            elif branch is Branch.BOUND_IN_GROUP_STRICT:
-                taken.update({f"in{level}", f"strict{level}"})
-            elif branch is Branch.BOUND_IN_GROUP_CONSTANT:
-                taken.add(f"in{level}")
-                taken.add(f"root{level + 1}" if level < n else f"const{level}")
+        for level in range(1, leaf):
+            taken.update({f"real{level}", f"in{level}", f"root{level + 1}"})
+        taken.update(f"{name}{leaf}" for name in _LEAF_NODES[trace.branch])
 
     lines = [
         "digraph rank_walk {",

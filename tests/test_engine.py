@@ -79,6 +79,21 @@ def test_transcendental_type_admits_no_root_limits():
     assert dominating_degree(ok, E).degree == 0
 
 
+@pytest.mark.parametrize("make", [
+    TaggedRoot.limit, lambda m: TaggedRoot.at_distance(Value.of(1), m)],
+    ids=["limit", "at-distance"])
+@pytest.mark.parametrize("mult", [0, -1])
+def test_a_root_needs_a_positive_multiplicity(make, mult):
+    with pytest.raises(InvariantError, match="multiplicity must be positive"):
+        make(mult)
+
+
+def test_a_root_is_a_limit_exactly_when_it_has_no_distance():
+    assert TaggedRoot.limit(2) == (None, 2) and TaggedRoot.limit().is_limit
+    root = TaggedRoot.at_distance(Value.of(0), 3)
+    assert root == (Value.of(0), 3) and not root.is_limit
+
+
 def test_dominating_degree_additive_on_products():
     rng = random.Random(42)
     for _ in range(100):

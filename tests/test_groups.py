@@ -80,6 +80,18 @@ def test_large_prime_component_builds():
         PPowerDivisible(10007 * 10009, Fraction(1))
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 100000007,
+                               3317044064679887385961813])  # < PRIME_BOUND
+def test_p_power_membership_strips_every_factor_p(p):
+    comp = PPowerDivisible(p, Fraction(1))
+    for k in (1, 2, 50, 400):
+        assert component_contains(comp, ExactReal.rational(Fraction(2, p ** k)))
+        outside = ExactReal.rational(Fraction(1, 11 * p ** k))
+        assert not component_contains(comp, outside)
+        assert component_adjoin(comp, outside) \
+            == PPowerDivisible(p, Fraction(1, 11))
+
+
 def test_cyclic_membership():
     comp = Cyclic(Fraction(1))
     assert component_contains(comp, ExactReal.rational(3))

@@ -3,7 +3,7 @@ names its path, before any mathematics runs.
 
 - A numeral is a JSON integer or a string n or n/d of decimal digits with
   d nonzero; decimals, exponents, whitespace and floats are refused, within
-  a fixed CPU budget.
+  a fixed CPU budget, and a long p-power denominator is read within it.
 - A JSON boolean is not an integer.
 - A coordinate is an exact real: "inf" and "-inf" stand only for the whole
   value v(0), never for one coordinate.
@@ -116,6 +116,18 @@ def test_numerals_in_the_grammar_are_read(capsys, tmp_path, numeral):
                               numeral)
     assert code in (0, 3), rep
     assert rep.get("error") != "schema", rep
+
+
+def test_a_long_p_power_denominator_is_read_within_budget(capsys, tmp_path):
+    # 100 prefix entries k/2^14000, each denominator 4,215 digits long (under
+    # the digit limit), over p_divisible p = 2: each membership test strips
+    # the denominator's factors of 2.
+    prefix = [[f"{k}/{2 ** 14000}"] for k in range(-100, 0)]
+    code, rep, spent = run_edited(capsys, tmp_path, "classify",
+                                  "example-3-6-not-1", ("sequence", "prefix"),
+                                  prefix)
+    assert code == 0 and rep["kind"] == "pcs", rep
+    assert spent < CPU_BUDGET_S, f"{spent:.2f}s of CPU"
 
 
 # ---------------------------------------------------------------------------

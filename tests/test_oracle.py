@@ -465,8 +465,7 @@ def reference_cross_check(field, terms, phi, tagged, tail_window):
         mismatches.append(
             f"overall: oracle fit d={fit.degree}, beta={fit.beta}; tags give "
             f"d={form.degree}, beta={form.beta}")
-    return CrossCheckReport(fit is not None and not mismatches, kind,
-                            tuple(deltas), fit, form, tuple(mismatches))
+    return CrossCheckReport(kind, tuple(deltas), fit, form, tuple(mismatches))
 
 
 def with_root(phi, tagged, side, root):

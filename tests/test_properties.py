@@ -1,8 +1,9 @@
 """hypothesis properties of random descriptors up to rank 6: mirror
 duality is an involution, JSON encoding round-trips, the rank theorem
 holds, a pcs and a pds on one chain share their cut exactly when the
-bound lies outside the group, and is_limit agrees with the limit
-dichotomy wherever the dichotomy answers."""
+bound lies outside the group, is_limit agrees with the limit dichotomy
+wherever the dichotomy answers, and each value a result record works out
+matches a source it does not read."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from pmsval import (PmsDescriptor, PmsKind, Tri, induced_configuration,
-                    is_limit, limit_dichotomy_check, mirror, rank_of_vE,
-                    theorem_rank_check)
+from pmsval import (PmsDescriptor, PmsKind, Tri, extension_report,
+                    induced_configuration, is_limit, limit_dichotomy_check,
+                    mirror, rank_of_vE, theorem_rank_check)
 from pmsval.errors import IndeterminateError
 from pmsval.jsonio import decode_descriptor
 from pmsval.ranktree import Branch
@@ -60,6 +61,28 @@ def test_pcs_and_pds_share_a_cut_iff_the_bound_is_outside_the_group(E):
     assert (E.cut == D.cut) == outside
     assert (rd.alpha == r.alpha
             and rd.extended_group == r.extended_group) == outside
+
+
+def _any_descriptor(kind: PmsKind, n: int, seed: int) -> PmsDescriptor:
+    rng = random.Random(seed)
+    return (random_pcts(rng, n) if kind is PmsKind.PCTS
+            else random_descriptor(rng, n, kind=kind))
+
+
+@seeded
+@given(st.builds(_any_descriptor, st.sampled_from(list(PmsKind)),
+                 st.integers(1, 6), st.integers(0, 2 ** 32)))
+def test_derived_values_match_their_sources(E):
+    r = rank_of_vE(E)
+    assert r.input_rank == E.group.rank()
+    if r.trace is not None:
+        assert r.delta == r.trace.rank_delta
+        assert r.output_rank == r.alpha.arity
+    else:
+        assert r.delta == 0 and r.extended_group == E.group
+    keyed = E.kind is PmsKind.PCS and E.pcs_type.degree > 1
+    assert extension_report(E).ic_label == (
+        "K^h (via key polynomial sequence)" if keyed else "K^h")
 
 
 def _limit_case(kind: PmsKind, n: int, seed: int):

@@ -46,7 +46,7 @@ RECORDS = {
     "leaf": (lambda: Leaf(2, Branch.SUP_INFINITE),
              lambda leaf: (2, Branch.SUP_INFINITE)),
     "tagged_root": (lambda: TaggedRoot.at_distance(Value.of(1), 2),
-                    lambda r: (False, Value.of(1), 2)),
+                    lambda r: (Value.of(1), 2)),
     "form": (lambda: DominatingForm(1, Value.of(0)), lambda f: (1, Value.of(0))),
     "chain": (lambda: StageChain((ConstantFrom(ExactReal.rational(1), 2),),
                                  SQRT2, False),
