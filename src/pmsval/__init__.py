@@ -19,6 +19,6 @@ from .sequences import (Algebraic, ConstantFrom, Cut, PmsDescriptor, PmsKind,
                         StageChain, Transcendental, Tri,
                         UltrametricConfiguration, beyond_all_deltas,
                         classify_from_prefix, cofinal, is_limit,
-                        limit_dichotomy_check, mirror)
+                        limit_dichotomy_check)
 
 __version__ = "0.1.0"

@@ -277,7 +277,8 @@ def cmd_leaves(levels: int, kind: str, dot: Optional[str] = None
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused for the process.
+    """The argument parser, built on first use and reused for the process;
+    its ``commands`` maps each command name to that command's parser.
 
     Each ``parse_args`` call starts from a fresh namespace filled from the
     defaults, so one call leaves nothing behind for the next.
@@ -323,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaves.add_argument("--kind", choices=["pcs", "pds"], default="pcs",
                         help="which tree to render with --dot")
     leaves.add_argument("--dot", help="write the full decision tree here")
+    parser.commands = sub.choices
     return parser
 
 
@@ -350,7 +352,15 @@ def _run(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # The full parser hands what follows a command to the command's parser,
+    # so that parser alone reads it; a line naming no command first, or one
+    # it cannot read whole, goes to the full parser for its text and exit.
+    command = parser.commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, ())
+    if args is None or rest:
+        args = parser.parse_args(argv)
     text, code = _run(args)
     if not args.outfile:
         sys.stdout.write(text)

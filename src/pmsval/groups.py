@@ -381,6 +381,15 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "components")):
                 return False
         return True
 
+    def contains_all(self, values) -> bool:
+        """Whether every value is a member of this arity, testing each
+        distinct coordinate object of a level once."""
+        rows, n = [v.coords for v in values], len(self.components)
+        return all(r is not None and len(r) == n for r in rows) and all(
+            component_contains(c, x)
+            for c, column in zip(self.components, zip(*rows))
+            for x in {id(x): x for x in column}.values())
+
     def insert_formal_integer(self, position: int) -> "GroupDescriptor":
         """Insert a Z factor at position; insert_zero embeds the old group
         into the new one."""

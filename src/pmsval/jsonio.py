@@ -239,9 +239,12 @@ def decode_group(raw: Any, path: str, numerals: dict) -> GroupDescriptor:
     comps = raw["components"]
     if not isinstance(comps, list) or not comps:
         raise _fail(path, "components must be a nonempty list")
-    return GroupDescriptor(tuple(
-        decode_component(c, f"{path}.components[{i}]", numerals)
-        for i, c in enumerate(comps)))
+    group = numerals.get(key := dumps(comps))  # 1, true, 1.0 stay apart
+    if group is None:
+        group = numerals[key] = GroupDescriptor(tuple(
+            decode_component(c, f"{path}.components[{i}]", numerals)
+            for i, c in enumerate(comps)))
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +314,19 @@ def decode_descriptor(raw: Any, path: str, numerals: dict) -> PmsDescriptor:
     pcts_delta = (decode_value(raw["pcts_delta"], f"{path}.pcts_delta",
                                numerals)
                   if "pcts_delta" in raw else None)
-    pcs_type = None
-    if "pcs_type" in raw:
-        pt = raw["pcs_type"]
-        if pt == "transcendental":
-            pcs_type = Transcendental()
-        elif isinstance(pt, dict) and "algebraic" in pt:
-            deg = pt["algebraic"].get("deg") if isinstance(pt["algebraic"], dict) \
-                else None
-            pcs_type = Algebraic(_int(deg, path,
-                                      "algebraic pcs_type needs an integer deg"))
-        else:
-            raise _fail(path, f"unknown pcs_type {pt!r}")
-    prefix = None
-    if "prefix" in raw:
-        prefix = tuple(decode_value(v, f"{path}.prefix[{i}]", numerals)
-                       for i, v in enumerate(_list(raw, "prefix", path)))
+    pcs_type, pt = None, raw.get("pcs_type")
+    if pt == "transcendental":
+        pcs_type = Transcendental()
+    elif isinstance(pt, dict) and "algebraic" in pt:
+        alg = pt["algebraic"]
+        deg = alg.get("deg") if isinstance(alg, dict) else None
+        pcs_type = Algebraic(_int(deg, path,
+                                  "algebraic pcs_type needs an integer deg"))
+    elif "pcs_type" in raw:
+        raise _fail(path, f"unknown pcs_type {pt!r}")
+    prefix = (tuple(decode_value(v, f"{path}.prefix[{i}]", numerals)
+                    for i, v in enumerate(_list(raw, "prefix", path)))
+              if "prefix" in raw else None)
     want = "inc" if kind is PmsKind.PCS else "dec"
     if chain is not None and kind is not PmsKind.PCTS and direction != want:
         raise InvariantError(
@@ -456,10 +456,7 @@ def decode_oracle(raw: Any, path: str, numerals: dict) -> OracleSection:
     seq = raw["sequence"]
     if not isinstance(seq, list) or len(seq) < 3:
         raise _fail(path, "oracle sequence needs at least three terms")
-
-    def element(x, p):
-        return decode_field_element(field, x, p, numerals)
-
+    element = lambda x, p: decode_field_element(field, x, p, numerals)
     terms = tuple(element(t, f"{path}.sequence[{i}]")
                   for i, t in enumerate(seq))
     functions = []
@@ -511,10 +508,9 @@ def decode_problem(raw: Any) -> Problem:
                      if "configuration" in raw else None)
     oracle = (decode_oracle(raw["oracle"], "oracle", numerals)
               if "oracle" in raw else None)
-    probes = None
-    if "probes" in raw:
-        probes = tuple(decode_value(v, f"probes[{i}]", numerals)
-                       for i, v in enumerate(_list(raw, "probes", "problem")))
+    probes = (tuple(decode_value(v, f"probes[{i}]", numerals)
+                    for i, v in enumerate(_list(raw, "probes", "problem")))
+              if "probes" in raw else None)
     return Problem(group, sequence, functions, configuration, oracle, probes)
 
 

@@ -131,8 +131,12 @@ def _check_equivalence_iii(E: PmsDescriptor, result: RankResult,
     every distance value, on the side the chain moves toward."""
     s, alpha, embed = E.sign, result.alpha, result.embed
     probes = list(probes)
+    # beyond_all_deltas, less its member test once every probe is a member
+    cut, members = E.cut, E.group.contains_all(probes)
     for beta in probes:
-        if (embed(beta).compare(alpha) * s > 0) != beyond_all_deltas(beta, E):
+        past_alpha = embed(beta).compare(alpha) * s > 0
+        if past_alpha != (cut.compare(beta) == s if members
+                          else beyond_all_deltas(beta, E)):
             return CheckOutcome(beta, len(probes))
     return CheckOutcome(None, len(probes))
 

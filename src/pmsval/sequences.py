@@ -225,7 +225,8 @@ class PmsDescriptor(namedtuple("PmsDescriptor", "kind group chain pcts_delta "
     def _validate_prefix(self) -> None:
         prefix = self.prefix
         n = self.group.rank()
-        for v in prefix:
+        # Entry by entry only to name the first that is not a member.
+        for v in () if self.group.contains_all(prefix) else prefix:
             if v.is_infinity or v.arity != n:
                 raise InvariantError("prefix entries must be finite group tuples")
             if not self.group.contains(v):
@@ -350,15 +351,18 @@ class UltrametricConfiguration(namedtuple("UltrametricConfiguration",
     def names(self) -> tuple[str, ...]:
         return self.sequence + self.points
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """The position of each name in names(), indexed once."""
+        return {p: i for i, p in enumerate(self.names())}
+
     def distance(self, p: str, q: str) -> Optional[Value]:
         """The recorded distance of p and q, plus-infinity when p is q, and
         None when no distance is recorded or a name is unknown."""
         if p == q:
             return INFINITY
-        names = self.names()
-        try:
-            i, k = names.index(p), names.index(q)
-        except ValueError:
+        i, k = self._positions.get(p), self._positions.get(q)
+        if i is None or k is None:
             return None
         return self.rows[min(i, k)].get(max(i, k))
 
@@ -610,27 +614,3 @@ def limit_dichotomy_check(y: str, E: PmsDescriptor,
         if pcts else
         f"distances from {y} neither follow the distance values nor settle; "
         "not valid pseudo monotone data")
-
-
-# ---------------------------------------------------------------------------
-# Mirror duality
-
-
-def mirror(E: PmsDescriptor, pcs_type: Optional[PcsType] = None) -> PmsDescriptor:
-    """Negate every distance value: swaps the pcs and pds worlds and
-    negates the cut."""
-    if E.kind is PmsKind.PCTS:
-        return PmsDescriptor(PmsKind.PCTS, E.group, pcts_delta=-E.pcts_delta,
-                             prefix=tuple(-v for v in E.prefix) if E.prefix else None)
-    old = E.chain
-    chain = StageChain(tuple(ConstantFrom(-e.value, e.stage)
-                             for e in old.constants),
-                       None if old.bound is None else -old.bound,
-                       old.bound_in_group)
-    kind = PmsKind.PDS if E.kind is PmsKind.PCS else PmsKind.PCS
-    if kind is PmsKind.PCS and pcs_type is None:
-        pcs_type = E.pcs_type if E.pcs_type is not None else Algebraic(1)
-    return PmsDescriptor(
-        kind, E.group, chain=chain,
-        pcs_type=pcs_type if kind is PmsKind.PCS else None,
-        prefix=tuple(-v for v in E.prefix) if E.prefix else None)

@@ -1,14 +1,17 @@
 """Encoders for the problem-file records that no command writes: a stage
 chain, a sequence descriptor and a tagged rational function.  The
-round-trip tests check the jsonio decoders against them."""
+round-trip tests check the jsonio decoders against them.  Also the mirror
+of a descriptor, by which the tests check the paper's duality of the pcs
+and pds rules."""
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from pmsval.engine import FactoredRationalFunction
 from pmsval.jsonio import encode_exact, encode_group, encode_value
-from pmsval.sequences import PmsDescriptor, StageChain, Transcendental
+from pmsval.sequences import (Algebraic, ConstantFrom, PcsType, PmsDescriptor,
+                              PmsKind, StageChain, Transcendental)
 
 
 def encode_chain(chain: StageChain, sign: int) -> list:
@@ -46,3 +49,23 @@ def encode_function(phi: FactoredRationalFunction) -> dict:
 
     return {"lead": encode_value(phi.lead_value), "num": enc(phi.num_roots),
             "den": enc(phi.den_roots)}
+
+
+def mirror(E: PmsDescriptor, pcs_type: Optional[PcsType] = None) -> PmsDescriptor:
+    """Negate every distance value: swaps the pcs and pds worlds and
+    negates the cut."""
+    if E.kind is PmsKind.PCTS:
+        return PmsDescriptor(PmsKind.PCTS, E.group, pcts_delta=-E.pcts_delta,
+                             prefix=tuple(-v for v in E.prefix) if E.prefix else None)
+    old = E.chain
+    chain = StageChain(tuple(ConstantFrom(-e.value, e.stage)
+                             for e in old.constants),
+                       None if old.bound is None else -old.bound,
+                       old.bound_in_group)
+    kind = PmsKind.PDS if E.kind is PmsKind.PCS else PmsKind.PCS
+    if kind is PmsKind.PCS and pcs_type is None:
+        pcs_type = E.pcs_type if E.pcs_type is not None else Algebraic(1)
+    return PmsDescriptor(
+        kind, E.group, chain=chain,
+        pcs_type=pcs_type if kind is PmsKind.PCS else None,
+        prefix=tuple(-v for v in E.prefix) if E.prefix else None)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from pmsval import (Algebraic, ConstantFrom, Cyclic, ExactReal,
                     GroupDescriptor, INFINITY, PPowerDivisible, PmsDescriptor,
-                    PmsKind, StageChain, Tri, Value, is_limit, mirror)
+                    PmsKind, StageChain, Tri, Value, is_limit)
 from pmsval.cli import _supinf_dict
 from pmsval.engine import (DominatingForm, check_pcs_equivalence_iii,
                            check_pds_equivalence_iii, dominating_degree,
@@ -27,6 +27,7 @@ from pmsval.ranktree import (auto_probes, enumerate_leaves, rank_of_vE,
 from gen import (make_descriptor, random_composite_instance,
                  random_descriptor, random_group, random_member,
                  random_padic_instance, random_value)
+from oracles import mirror
 from test_exact import random_surd, to_decimal
 
 from pmsval.ranktree import Branch

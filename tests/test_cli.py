@@ -316,6 +316,23 @@ def test_probe_with_supplied_probes(capsys, tmp_path):
     assert rep["probes_checked"] == 3 and rep["auto_probes"] is False
 
 
+@pytest.mark.parametrize("probes, first", [
+    ([["1/3"], ["0", "0"]], "(1/3) is not a member of the declared group"),
+    ([["0", "0"], ["1/3"]], "arity 3 vs 2"),
+    (["inf", ["1/3"], ["0", "0"]],
+     "(1/3) is not a member of the declared group"),
+])
+def test_bad_supplied_probes_are_refused_at_the_first(capsys, tmp_path,
+                                                      probes, first):
+    # p = 2 has no 1/3; each probe is compared with alpha, arity 2, before
+    # its membership is tested.
+    file = tmp_path / "probes.json"
+    file.write_text(json.dumps({"version": "1", "probes": probes}))
+    code, rep = run(capsys, "probe", "--in", "example-3-6-not-1.json",
+                    "--probes", str(file))
+    assert code == 3 and rep == {"error": "invariant", "detail": first}
+
+
 @pytest.mark.parametrize("problem", ["example-surd-bound.json",
                                      "example-pds-mirror.json"])
 def test_probe_walks_and_checks_once(capsys, monkeypatch, problem):

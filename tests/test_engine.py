@@ -18,9 +18,10 @@ from pmsval.engine import (FactoredRationalFunction, TaggedRoot,
                            induced_configuration, monomial_value, v_e)
 from pmsval.errors import IndeterminateError, InvariantError
 from pmsval.ranktree import auto_probes, rank_of_vE
-from pmsval.sequences import cofinal, mirror
+from pmsval.sequences import cofinal
 
 from gen import random_descriptor, random_group, random_member
+from oracles import mirror
 
 Z = GroupDescriptor.of(Cyclic(Fraction(1)))
 Z2 = GroupDescriptor.of(PPowerDivisible(2, Fraction(1)))

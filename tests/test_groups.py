@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pmsval import (AdjoinedSurd, Cyclic, ExactReal, FormalInteger,
                     FullRational, GroupDescriptor, INFINITY, PPowerDivisible,
-                    Value)
+                    Value, groups)
 from pmsval.errors import (DescriptorMismatch, InvalidAdjoin, InvariantError,
                            SchemaError)
 from pmsval.groups import (PRIME_BOUND, _WITNESSES, Component, _bezout,
@@ -210,6 +210,43 @@ def test_group_membership_is_membership_in_every_component(data):
                 group.contains(Value(wrong))
             assert str(err.value) == (f"element arity {len(wrong)} vs "
                                       f"descriptor rank {len(comps)}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_column_membership_is_membership_of_every_value(data):
+    comps = data.draw(st.lists(components, min_size=1, max_size=4))
+    group = GroupDescriptor(tuple(comps))
+    # Each level draws from a few coordinate objects, so values share some,
+    # as the entries of a decoded prefix and the auto probes do.
+    pools = [data.draw(st.lists(near_members(c), min_size=1, max_size=3))
+             for c in comps]
+    values = [Value(row) for row in data.draw(st.lists(
+        st.tuples(*(st.sampled_from(pool) for pool in pools)), max_size=6))]
+    first = tuple(pool[0] for pool in pools)
+    for odd in data.draw(st.lists(st.sampled_from(
+            [INFINITY, Value(first[1:]), Value(first + first[:1])]),
+            max_size=2)):
+        values.insert(data.draw(st.integers(0, len(values))), odd)
+    assert group.contains_all(values) == all(
+        not v.is_infinity and v.arity == len(comps) and group.contains(v)
+        for v in values)
+
+
+def test_column_membership_tests_each_coordinate_object_once(monkeypatch):
+    half = ExactReal.rational(Fraction(1, 2))
+    column = [ExactReal.rational(k) for k in range(3)]
+    values = [Value((half, column[k % 3])) for k in range(6)]
+    # An equal coordinate that is another object is tested on its own.
+    values.append(Value((ExactReal.rational(Fraction(1, 2)), column[0])))
+    tested = []
+    monkeypatch.setattr(groups, "component_contains",
+                        lambda comp, x: tested.append(x) or True)
+    group = GroupDescriptor.of(FullRational(), FullRational())
+    assert group.contains_all(values) and group.contains_all([])
+    assert len(tested) == 2 + 3
+    assert not group.contains_all(values + [Value((half,))])
+    assert len(tested) == 5
 
 
 @pytest.mark.parametrize("comp, x, inside", [

@@ -520,6 +520,15 @@ def test_distinct_top_level_group_is_decoded_and_checked():
         decode_problem(rank1_problem("0", "1"))
 
 
+def test_an_identical_sequence_group_is_the_top_level_group():
+    problem = decode_problem(rank1_problem("1/2", "1/2"))
+    assert problem.sequence.group is problem.group
+    # An equal group spelled another way is decoded on its own.
+    other = decode_problem(rank1_problem("1/2", "2/4"))
+    assert other.sequence.group == other.group
+    assert other.sequence.group is not other.group
+
+
 @pytest.mark.parametrize("spelling", [True, 1.0])
 def test_group_sharing_tells_json_types_apart(spelling):
     # true and 1.0 equal 1 in Python; the sequence's group must still be

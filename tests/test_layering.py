@@ -30,7 +30,6 @@ OUTSIDE_CALLERS = {
     "induced_configuration": ("tests/test_acceptance.py", "criterion 8"),
     "monomial_value": ("tests/test_acceptance.py", "criterion 8"),
     "theorem_rank_check": ("tests/test_acceptance.py", "criterion 3"),
-    "mirror": ("tests/test_acceptance.py", "criterion 7"),
 }
 
 

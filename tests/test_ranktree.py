@@ -9,7 +9,7 @@ import pytest
 
 from pmsval import (Algebraic, ConstantFrom, Cyclic, ExactReal, FullRational,
                     GroupDescriptor, PPowerDivisible, PmsDescriptor, PmsKind,
-                    StageChain, Transcendental, Value, mirror)
+                    StageChain, Transcendental, Value)
 from pmsval.cli import _supinf_dict
 from pmsval.errors import InvariantError, KindError
 from pmsval.groups import AdjoinedSurd, FormalInteger
@@ -18,6 +18,7 @@ from pmsval.ranktree import (Branch, auto_probes, check_alpha,
                              tree_dot)
 
 from gen import make_descriptor, random_descriptor, random_group
+from oracles import mirror
 
 SQRT2 = ExactReal.surd(0, 1, 2)
 

@@ -14,8 +14,7 @@ from pmsval import (INFINITY, AdjoinedSurd, Algebraic, ConstantFrom, Cut,
                     StageChain, Transcendental, Tri, UltrametricConfiguration,
                     Value,
                     beyond_all_deltas, classify_from_prefix, cofinal,
-                    induced_configuration, is_limit, limit_dichotomy_check,
-                    mirror)
+                    induced_configuration, is_limit, limit_dichotomy_check)
 from pmsval.cli import _supinf_dict
 from pmsval.errors import (IndeterminateError, InvalidConfiguration,
                            InvariantError, KindError, NotAPms)
@@ -23,6 +22,7 @@ from pmsval.oracle import PadicRationals, sequence_configuration
 
 from gen import (make_descriptor, random_descriptor, random_member, table,
                  unchecked)
+from oracles import mirror
 from pmsval.ranktree import Branch, auto_probes
 from pmsval.sequences import delta_shift
 
@@ -169,6 +169,22 @@ def test_stage_labels_must_be_nondecreasing():
 def test_prefix_entries_must_have_the_group_arity():
     with pytest.raises(InvariantError, match="finite group tuples"):
         simple_pcs([1, 2, 3], group=ZZ)
+
+
+@pytest.mark.parametrize("prefix, first", [
+    ((Value.of(Fraction(1, 2)), Value.of(1, 2)),
+     "prefix entry (1/2) is not a group member"),
+    ((Value.of(1, 2), Value.of(Fraction(1, 2))),
+     "prefix entries must be finite group tuples"),
+    ((Value.of(1), INFINITY, Value.of(Fraction(1, 2))),
+     "prefix entries must be finite group tuples"),
+])
+def test_a_bad_prefix_is_refused_at_its_first_bad_entry(prefix, first):
+    # The column test finds a bad entry; the entry loop names the first.
+    with pytest.raises(InvariantError) as err:
+        PmsDescriptor(PmsKind.PCS, Z, chain=StageChain(()),
+                      pcs_type=Algebraic(1), prefix=prefix)
+    assert str(err.value) == first
 
 
 def test_a_pcts_prefix_may_have_one_entry():
