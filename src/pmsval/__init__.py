@@ -5,8 +5,7 @@ oracle over concrete p-adic and composite rational-function fields."""
 
 from .engine import (DominatingForm, FactoredRationalFunction, TaggedRoot,
                      check_pcs_equivalence_iii, check_pds_equivalence_iii,
-                     dominating_degree, extension_report, induced_configuration,
-                     monomial_value, v_e)
+                     dominating_degree, extension_report, v_e)
 from .exact import ExactReal
 from .groups import (AdjoinedSurd, Cyclic, FormalInteger, FullRational,
                      GroupDescriptor, INFINITY, PPowerDivisible, Value)

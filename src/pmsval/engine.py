@@ -10,16 +10,15 @@ counts limit roots of the numerator minus the denominator.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .errors import IndeterminateError, InvariantError
-from .groups import INFINITY, Value
+from .errors import InvariantError
+from .groups import Value
 # The chain checkers live with the rank walk that verifies alpha; they are
 # re-exported here.
 from .ranktree import (RankResult, check_pcs_equivalence_iii,
                        check_pds_equivalence_iii, rank_of_vE)
-from .sequences import (PmsDescriptor, PmsKind, UltrametricConfiguration,
-                        pattern_distance)
+from .sequences import PmsDescriptor, PmsKind
 
 
 # ---------------------------------------------------------------------------
@@ -131,26 +130,6 @@ def v_e(phi: FactoredRationalFunction, E: PmsDescriptor,
     return InducedValue(value, form, True)
 
 
-def monomial_value(coeff_values: Iterable[tuple[int, Value]],
-                   alpha: Value) -> Value:
-    """min over i of v(c_i) + i*alpha, the monomial valuation at alpha."""
-    best: Optional[Value] = None
-    seen = False
-    for i, vc in coeff_values:
-        seen = True
-        if vc.is_infinity:
-            continue
-        term = vc + alpha.scale(i) if i else vc
-        if best is None or term < best:
-            best = term
-    if not seen:
-        raise InvariantError("monomial valuation needs at least one coefficient")
-    if best is None:
-        # All coefficients vanish: the zero polynomial has value +infinity.
-        return INFINITY
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Extension classification
 
@@ -158,7 +137,6 @@ def monomial_value(coeff_values: Iterable[tuple[int, Value]],
 class PairOfDefinition(NamedTuple):
     point: str
     alpha: Value
-    minimal: Optional[bool] = None
 
 
 class ExtensionReport(NamedTuple):
@@ -183,52 +161,15 @@ def extension_report(E: PmsDescriptor) -> ExtensionReport:
             "immediate", True, None,
             "{X - z_nu : nu} (limits of the sequence itself)")
     if E.kind is PmsKind.PCTS:
-        pair = PairOfDefinition("a", E.pcts_delta, minimal=True)
+        pair = PairOfDefinition("a", E.pcts_delta)
         return ExtensionReport(
             "residue-transcendental", True, pair, "{X - a}")
     alpha = rank_of_vE(E).alpha
     if E.kind is PmsKind.PDS:
-        pair = PairOfDefinition("z_mu", alpha, minimal=True)
+        pair = PairOfDefinition("z_mu", alpha)
         return ExtensionReport(
             "value-transcendental", True, pair, "{X - z_mu}")
     deg = E.pcs_type.degree
-    pair = PairOfDefinition("a (root of Q)", alpha, minimal=True)
+    pair = PairOfDefinition("a (root of Q)", alpha)
     sketch = f"{{X - z_nu : nu}} U {{Q : deg {deg}}}"
     return ExtensionReport("value-transcendental", deg == 1, pair, sketch)
-
-
-# ---------------------------------------------------------------------------
-# The configuration induced by a descriptor with a prefix
-
-
-def induced_configuration(E: PmsDescriptor) -> UltrametricConfiguration:
-    """Build the configuration of the prefix members together with X.
-
-    The distance from X to z_nu is delta_nu for a pcs or pcts (X is a limit)
-    and the constant alpha below every delta for a pds (X is not).
-    """
-    if E.prefix is None or len(E.prefix) < 2:
-        raise IndeterminateError("need a prefix of length >= 2 to build the "
-                                 "induced configuration")
-    prefix = E.prefix
-    m = len(prefix) + 1
-    names = [f"z{i}" for i in range(m)]
-    emb = lambda v: v
-    if E.kind is PmsKind.PDS:
-        result = rank_of_vE(E)
-        emb, alpha = result.embed, result.alpha
-    dist: dict[tuple[str, str], Value] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            dist[(names[i], names[j])] = emb(
-                pattern_distance(E.kind, prefix, i, j))
-    for nu in range(m):
-        if E.kind is PmsKind.PCS:
-            v = emb(prefix[nu]) if nu < len(prefix) else None
-        elif E.kind is PmsKind.PCTS:
-            v = E.pcts_delta
-        else:
-            v = alpha
-        if v is not None:
-            dist[(names[nu], "X")] = v
-    return UltrametricConfiguration.build(names, ("X",), dist)

@@ -183,8 +183,6 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 
 def _adjoin_rational(comp: Component, q: Fraction) -> Component:
-    if isinstance(comp, FullRational):
-        raise InvalidAdjoin("rational already contained in Q")
     if isinstance(comp, (Cyclic, FormalInteger)):
         gen = comp.gen if isinstance(comp, Cyclic) else Fraction(1)
         return Cyclic(_frac_gcd(gen, abs(q)))

@@ -17,8 +17,7 @@ from pmsval import (Algebraic, ConstantFrom, Cyclic, ExactReal,
                     PmsKind, StageChain, Tri, Value, is_limit)
 from pmsval.cli import _supinf_dict
 from pmsval.engine import (DominatingForm, check_pcs_equivalence_iii,
-                           check_pds_equivalence_iii, dominating_degree,
-                           induced_configuration, monomial_value)
+                           check_pds_equivalence_iii, dominating_degree)
 from pmsval.groups import component_generator
 from pmsval.oracle import cross_check
 from pmsval.ranktree import (auto_probes, enumerate_leaves, rank_of_vE,
@@ -27,7 +26,7 @@ from pmsval.ranktree import (auto_probes, enumerate_leaves, rank_of_vE,
 from gen import (make_descriptor, random_composite_instance,
                  random_descriptor, random_group, random_member,
                  random_padic_instance, random_value)
-from oracles import mirror
+from oracles import induced_configuration, mirror, monomial_value
 from test_exact import random_surd, to_decimal
 
 from pmsval.ranktree import Branch

@@ -7,12 +7,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from pmsval import cli, oracle, ranktree
+from pmsval import Value, cli, oracle, ranktree
 from pmsval.cli import main
 
 from test_golden import GOLDEN, cases, run_case
@@ -105,13 +106,25 @@ def test_oracle_check_agrees(capsys):
 
 
 def test_a_wrong_tag_is_a_negative_outcome(capsys, tmp_path):
-    # -1/4 is the 5-adic limit of the sequence, not a root at distance 0.
-    def edit(section):
+    def wrong_tag(section):
+        # -1/4 is the 5-adic limit of the sequence, not a root at distance 0.
         section["functions"][0]["tagged"]["num"] = [{"beta": ["0"]}]
-    code, rep = run(capsys, "oracle-check", "--in",
-                    edited_oracle(tmp_path, "example-cauchy-5adic.json", edit))
-    assert code == 1 and rep["all_agree"] is False
-    assert [f["agree"] for f in rep["functions"]] == [False, True]
+
+    def root_on_a_term(section):
+        # A numerator root equal to the term z_11 of the fit window makes
+        # that term's value +infinity, so no affine pattern fits the window.
+        section["functions"][0]["num_roots"] = [section["sequence"][-2]]
+
+    for edit, fit in (
+            (wrong_tag, {"kind": "affine", "degree": 1,
+                         "beta": [{"rat": "0"}]}),
+            (root_on_a_term, {"kind": "inconsistent", "degree": None,
+                              "beta": None})):
+        code, rep = run(capsys, "oracle-check", "--in", edited_oracle(
+            tmp_path, "example-cauchy-5adic.json", edit))
+        assert code == 1 and rep["all_agree"] is False
+        assert [f["agree"] for f in rep["functions"]] == [False, True]
+        assert rep["functions"][0]["fit"] == fit
 
 
 def test_probe_command(capsys):
@@ -314,6 +327,25 @@ def test_probe_with_supplied_probes(capsys, tmp_path):
                     "--probes", str(probes))
     assert code == 0 and rep["holds"] is True
     assert rep["probes_checked"] == 3 and rep["auto_probes"] is False
+
+
+def test_probe_reports_a_counterexample_to_a_moved_alpha(capsys, tmp_path,
+                                                        monkeypatch):
+    # The walk places alpha at (0, -1); at (-1/2, 0) the probe -1/4 lies
+    # past alpha but below the distance value -1/8.
+    walk = ranktree.rank_of_vE
+    monkeypatch.setattr(ranktree, "rank_of_vE", lambda E: walk(E)._replace(
+        alpha=Value.of(Fraction(-1, 2), 0)))
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps({"version": "1",
+                                  "probes": [["-1"], ["-1/4"], ["1"]]}))
+    code, rep = run(capsys, "probe", "--in", "example-3-6-not-1.json",
+                    "--probes", str(probes))
+    assert code == 1
+    assert rep["alpha"] == [{"rat": "-1/2"}, {"rat": "0"}]
+    assert rep["holds"] is False and rep["auto_probes"] is False
+    assert rep["counterexample"] == [{"rat": "-1/4"}]
+    assert rep["probes_checked"] == 3
 
 
 @pytest.mark.parametrize("probes, first", [
@@ -541,6 +573,9 @@ def test_classify_refuses_a_prefix_past_the_cut(capsys, tmp_path):
 PCTS_Z = {"kind": "pcts", "group": Z_GROUP}
 PCS_Z = {"kind": "pcs", "group": Z_GROUP, "chain": [UNBOUNDED]}
 Z_FUNCTION = {"lead": ["0"], "num": [{"limit": True}], "den": []}
+SQRT3 = {"surd": {"a": "0", "b": "1", "d": 3}}
+SURD_Z = {"kind": "adjoined_surd", "base": Z_GROUP["components"][0],
+          "tau": {"surd": {"a": "0", "b": "1", "d": 2}}}
 
 
 # Each command's refusal, its problem, and the report and exit code it
@@ -589,6 +624,16 @@ REFUSALS = [
     ("ve", {"sequence": {**PCS_Z, "pcs_type": {"algebraic": {"deg": 1}}},
             "functions": [{**Z_FUNCTION, "num": [1]}]},
      "schema", "functions[0].num[0]: root must be an object", 2),
+    ("sup", {"group": {"components": [{"kind": "adjoined_surd",
+                                       "base": Z_GROUP["components"][0],
+                                       "tau": "1/2"}]},
+             "sequence": {**PCS_Z, "pcs_type": "transcendental"}},
+     "schema", "group.components[0]: adjoined tau must be irrational", 2),
+    ("sup", {"group": {"components": [{"kind": "adjoined_surd",
+                                       "base": SURD_Z, "tau": SQRT3}]},
+             "sequence": {**PCS_Z, "pcs_type": "transcendental"}},
+     "schema", "group.components[0]: at most one adjoined surd per "
+     "component", 2),
     ("oracle-check", {"oracle": {"field": {"kind": "padic", "p": 5},
                                  "sequence": ["1", "6", "31"]}},
      "schema", "oracle section lists no functions to check", 2),

@@ -14,14 +14,13 @@ from pmsval import (Algebraic, Cyclic, ExactReal, GroupDescriptor, INFINITY,
                     classify_from_prefix, is_limit)
 from pmsval.engine import (FactoredRationalFunction, TaggedRoot,
                            check_pcs_equivalence_iii, check_pds_equivalence_iii,
-                           dominating_degree, extension_report,
-                           induced_configuration, monomial_value, v_e)
+                           dominating_degree, extension_report, v_e)
 from pmsval.errors import IndeterminateError, InvariantError
 from pmsval.ranktree import auto_probes, rank_of_vE
 from pmsval.sequences import cofinal
 
 from gen import random_descriptor, random_group, random_member
-from oracles import mirror
+from oracles import induced_configuration, mirror, monomial_value
 
 Z = GroupDescriptor.of(Cyclic(Fraction(1)))
 Z2 = GroupDescriptor.of(PPowerDivisible(2, Fraction(1)))

@@ -21,15 +21,17 @@ from pmsval.sequences import StageChain
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pmsval"
 
-# Top-level definitions no other package code refers to, each kept for the
-# caller outside the package named here: a pmsbench call, an acceptance
-# criterion or a decoder round trip.
+# Top-level definitions no other package code loads, each kept for the
+# caller outside the package named here, until the roadmap item named here
+# frees it.
 OUTSIDE_CALLERS = {
+    "is_limit": ("pmsbench/workloads.py",
+                 "the witness-config workload calls it, until item 9"),
     "limit_dichotomy_check": ("pmsbench/workloads.py",
-                              "the witness-config workload calls it"),
-    "induced_configuration": ("tests/test_acceptance.py", "criterion 8"),
-    "monomial_value": ("tests/test_acceptance.py", "criterion 8"),
-    "theorem_rank_check": ("tests/test_acceptance.py", "criterion 3"),
+                              "the witness-config workload calls it, "
+                              "until item 9"),
+    "theorem_rank_check": ("tests/test_acceptance.py",
+                           "criterion 3, until item 14"),
 }
 
 
@@ -79,23 +81,37 @@ def test_package_import_graph_is_acyclic():
         < order.index("engine")
 
 
+def _loads(stmt: ast.stmt, modules: set[str]) -> set[str]:
+    """The names one statement loads: a bare name, or module.name on a
+    sibling module.  An attribute of anything else (root.is_limit) and a
+    name that is bound (is_limit = property(...)) do not count."""
+    out: set[str] = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+              and isinstance(n.value, ast.Name) and n.value.id in modules):
+            out.add(n.attr)
+    return out
+
+
 def test_every_definition_has_a_caller():
-    """A top-level function or class is referenced by a name or attribute
-    somewhere in the package outside its own definition and __init__, or
-    its outside caller is listed in OUTSIDE_CALLERS."""
+    """A top-level function or class is loaded somewhere in the package
+    outside its own definition and __init__, or its outside caller is
+    listed in OUTSIDE_CALLERS."""
+    trees = _trees()
+    modules = set(trees)
     defined: dict[str, tuple[str, int]] = {}
-    names: dict[tuple[str, int], set[str]] = {}
-    for module, tree in _trees().items():
+    loads: dict[tuple[str, int], set[str]] = {}
+    for module, tree in trees.items():
         if module == "__init__":
             continue
         for i, stmt in enumerate(tree.body):
-            names[(module, i)] = {n.id if isinstance(n, ast.Name) else n.attr
-                                  for n in ast.walk(stmt)
-                                  if isinstance(n, (ast.Name, ast.Attribute))}
+            loads[(module, i)] = _loads(stmt, modules)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined[stmt.name] = (module, i)
     orphans = {name for name, where in defined.items()
-               if not any(name in used for key, used in names.items()
+               if not any(name in used for key, used in loads.items()
                           if key != where)}
     assert sorted(orphans - OUTSIDE_CALLERS.keys()) == []
     # A listed name that gains a caller inside the package leaves the list.

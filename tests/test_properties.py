@@ -11,15 +11,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from pmsval import (PmsDescriptor, PmsKind, Tri, extension_report,
-                    induced_configuration, is_limit, limit_dichotomy_check,
-                    rank_of_vE, theorem_rank_check)
+from pmsval import (PmsDescriptor, PmsKind, Tri, extension_report, is_limit,
+                    limit_dichotomy_check, rank_of_vE, theorem_rank_check)
 from pmsval.errors import IndeterminateError
 from pmsval.jsonio import decode_descriptor
 from pmsval.ranktree import Branch
 
 from gen import random_descriptor, random_pcts, with_candidates
-from oracles import encode_descriptor, mirror
+from oracles import encode_descriptor, induced_configuration, mirror
 
 descriptors = st.builds(lambda n, seed: random_descriptor(random.Random(seed), n),
                         st.integers(1, 6), st.integers(0, 2 ** 32))

@@ -14,7 +14,7 @@ from pmsval import (INFINITY, AdjoinedSurd, Algebraic, ConstantFrom, Cut,
                     StageChain, Transcendental, Tri, UltrametricConfiguration,
                     Value,
                     beyond_all_deltas, classify_from_prefix, cofinal,
-                    induced_configuration, is_limit, limit_dichotomy_check)
+                    is_limit, limit_dichotomy_check)
 from pmsval.cli import _supinf_dict
 from pmsval.errors import (IndeterminateError, InvalidConfiguration,
                            InvariantError, KindError, NotAPms)
@@ -22,7 +22,7 @@ from pmsval.oracle import PadicRationals, sequence_configuration
 
 from gen import (make_descriptor, random_descriptor, random_member, table,
                  unchecked)
-from oracles import mirror
+from oracles import induced_configuration, mirror
 from pmsval.ranktree import Branch, auto_probes
 from pmsval.sequences import delta_shift
 
