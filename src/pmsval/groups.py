@@ -383,10 +383,14 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "components")):
         """Whether every value is a member of this arity, testing each
         distinct coordinate object of a level once."""
         rows, n = [v.coords for v in values], len(self.components)
-        return all(r is not None and len(r) == n for r in rows) and all(
-            component_contains(c, x)
-            for c, column in zip(self.components, zip(*rows))
-            for x in {id(x): x for x in column}.values())
+        for r in rows:
+            if r is None or len(r) != n:
+                return False
+        for c, column in zip(self.components, zip(*rows)):
+            for x in {id(x): x for x in column}.values():
+                if not component_contains(c, x):
+                    return False
+        return True
 
     def insert_formal_integer(self, position: int) -> "GroupDescriptor":
         """Insert a Z factor at position; insert_zero embeds the old group

@@ -15,7 +15,6 @@ string a and b and an integer d, is decoded once and its ExactReal shared.
 from __future__ import annotations
 
 import json
-import re
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -57,18 +56,16 @@ def _int(raw: Any, path: str, msg: str, least: Optional[int] = None) -> int:
     return raw
 
 
-_NUMERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def _numeral_value(raw: Any, path: str) -> ExactReal:
-    """A JSON integer, or a string n or n/d of decimal digits with d
-    nonzero, as a rational ExactReal built from the integers; decimals,
-    exponents, whitespace and floats are refused."""
+    """A JSON integer, or a string n or n/d of ASCII decimal digits, n with
+    an optional minus and d nonzero, as a rational ExactReal built from the
+    integers; decimals, exponents, whitespace and floats are refused."""
     if not isinstance(raw, str):
         return ExactReal.rational(
             _int(raw, path, "not a rational numeral n or n/d"))
-    if _NUMERAL.fullmatch(raw):
-        num, _, den = raw.partition("/")
+    num, slash, den = raw.partition("/")
+    if raw.isascii() and num.removeprefix("-").isdigit() and (
+            den.isdigit() or not slash):
         try:
             n, m = int(num), int(den or 1)
         except ValueError:
@@ -164,13 +161,14 @@ def encode_value(v: Value) -> Any:
 
 def decode_value(raw: Any, path: str, numerals: dict) -> Value:
     if isinstance(raw, list):
-        # A string numeral already in numerals is read in place; any other
-        # coordinate goes through decode_exact, with its path written then.
+        # A string numeral is looked up in numerals in place, and decoded
+        # there when new; any other coordinate goes through decode_exact.
         coords = []
         for c in raw:
-            x = numerals.get((str, c)) if c.__class__ is str else None
-            if x is None:
+            if c.__class__ is not str:
                 x = decode_exact(c, f"{path}[{len(coords)}]", numerals)
+            elif (x := numerals.get(key := (str, c))) is None:
+                x = numerals[key] = _numeral_value(c, f"{path}[{len(coords)}]")
             coords.append(x)
         return Value(tuple(coords))
     if raw == "inf":

@@ -175,10 +175,10 @@ def auto_probes(E: PmsDescriptor) -> list[Value]:
     below it) nudged by the component generator, zero-padded."""
     cut = E.cut
     n = E.group.rank()
-    consts = list(cut.constants)
+    consts = cut.constants
     j = len(consts) + 1
     zero = ExactReal.rational(0)
-    candidates: list[Value] = []
+    probes: dict = {}  # coordinate tuples; the first of equal probes stays
     for level in range(1, j + 1):
         comp = E.group.components[level - 1]
         gen = component_generator(comp)
@@ -192,12 +192,12 @@ def auto_probes(E: PmsDescriptor) -> list[Value]:
             # The group member floor(r/g)*g next below a bound r outside the
             # group, so the probes straddle alpha.
             center = gen.scaled(cut.r.scaled(1 / gen.rational_value).floor())
-        head, pad = consts[:level - 1], [zero] * (n - level)
+        head, pad = consts[:level - 1], (zero,) * (n - level)
         coord = center + gen.scaled(-2)
         for _ in range(5):  # center - 2*gen, ..., center + 2*gen
-            candidates.append(Value(tuple(head + [coord] + pad)))
+            probes.setdefault(head + (coord,) + pad)
             coord += gen
-    return list(dict.fromkeys(candidates))  # the first of equal probes
+    return [Value(c) for c in probes]
 
 
 # ---------------------------------------------------------------------------

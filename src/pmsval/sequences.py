@@ -131,8 +131,7 @@ class Cut(NamedTuple):
         first coordinate off the constants decides, lexicographically."""
         coords = beta.coords
         for x, c in zip(coords, self.constants):
-            cmp = x.compare(c)
-            if cmp:
+            if x is not c and (cmp := x.compare(c)):  # decoders share objects
                 return cmp
         r = self.r
         cmp = 0 if r is None else coords[len(self.constants)].compare(r)
@@ -237,8 +236,8 @@ class PmsDescriptor(namedtuple("PmsDescriptor", "kind group chain pcts_delta "
             if prefix and prefix[0] != self.pcts_delta:
                 raise InvariantError("pcts prefix must equal the declared delta")
             return
-        inc = self.kind is PmsKind.PCS
-        if not moves(prefix, self.sign):
+        inc, s = self.kind is PmsKind.PCS, self.sign
+        if not moves(prefix, s):
             raise InvariantError(
                 f"prefix must be strictly {'increasing' if inc else 'decreasing'}")
         chain = self.chain
@@ -249,17 +248,16 @@ class PmsDescriptor(namedtuple("PmsDescriptor", "kind group chain pcts_delta "
                     raise InvariantError(
                         f"prefix coordinate {i} must equal {entry.value} "
                         f"from index {entry.stage} on")
-        tail = range(chain.tail_start, len(prefix))
-        coords = [prefix[nu].coords[j - 1] for nu in tail]
-        if not moves(coords, self.sign):
+        coords = [v.coords[j - 1] for v in prefix[chain.tail_start:]]
+        if not moves(coords, s):
             raise InvariantError(
                 "terminal coordinate must move strictly with the chain direction")
-        cut, s = self.cut, self.sign
-        for v in prefix:
-            if cut.compare(v) != -s:
-                raise InvariantError(
-                    f"prefix entry {v} is not {'below' if inc else 'above'} "
-                    f"the cut of the chain")
+        # The last entry is nearest the cut; a scan names the first past it.
+        if prefix and (cut := self.cut).compare(prefix[-1]) != -s:
+            v = next(v for v in prefix if cut.compare(v) != -s)
+            raise InvariantError(
+                f"prefix entry {v} is not {'below' if inc else 'above'} "
+                f"the cut of the chain")
 
     @property
     def tail_start(self) -> int:

@@ -64,7 +64,8 @@ def assert_schema_error(code: int, rep: dict, where: str) -> None:
 
 BAD_NUMERALS = ["1e-200000", "1e-2000000", "1e3", "1.5", "0.5/2", " 1",
                 "1 ", "+1", "1_000", "0x10", "1/0", "1/-2", "١", "inf",
-                "nan", "", "1" * 5000, 1.5, 1e3, True]
+                "nan", "", "1" * 5000, "-", "1/", "/2", "--1", "-/1", "²",
+                "1/²", 1.5, 1e3, True]
 NUMERAL_SITES = {
     "oracle-term": ("oracle-check", "example-cauchy-5adic",
                     ("oracle", "sequence", 0), "oracle.sequence[0]"),
@@ -109,7 +110,8 @@ def test_a_bad_t_coefficient_is_named_by_its_index(capsys, tmp_path, path,
     assert_schema_error(code, rep, where)
 
 
-@pytest.mark.parametrize("numeral", ["-7", "007", "-0/5", "3/6", 12, -4])
+@pytest.mark.parametrize("numeral", ["-7", "007", "-0/5", "3/6", "-0", "0/7",
+                                     12, -4])
 def test_numerals_in_the_grammar_are_read(capsys, tmp_path, numeral):
     code, rep, _ = run_edited(capsys, tmp_path, "oracle-check",
                               "example-cauchy-5adic", ("oracle", "sequence", 0),

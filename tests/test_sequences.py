@@ -246,8 +246,10 @@ def test_prefix_before_the_last_stage_is_checked_against_the_cut(kind, sign):
 
     side = "below" if kind is PmsKind.PCS else "above"
     past = rf"^prefix entry \({3 * sign}, 0\) is not {side} the cut of the chain$"
-    with pytest.raises(InvariantError, match=past):
-        build([(3, 0), (3, 1), (3, 2)])
+    for prefix in ([(3, 0), (3, 1), (3, 2)], [(1, 0), (3, 0), (3, 1)],
+                   [(1, 0), (1, 1), (3, 0)]):
+        with pytest.raises(InvariantError, match=past):
+            build(prefix)
     E = build([(1, 0), (1, 5), (2, 0)])
     assert E.tail_start == 5
     assert not beyond_all_deltas(Value.of(sign, 5), E)
