@@ -246,6 +246,7 @@ def test_prefix_before_the_last_stage_is_checked_against_the_cut(kind, sign):
 
     side = "below" if kind is PmsKind.PCS else "above"
     past = rf"^prefix entry \({3 * sign}, 0\) is not {side} the cut of the chain$"
+    # The first entry past the cut is named, first, in the middle or last.
     for prefix in ([(3, 0), (3, 1), (3, 2)], [(1, 0), (3, 0), (3, 1)],
                    [(1, 0), (1, 1), (3, 0)]):
         with pytest.raises(InvariantError, match=past):
