@@ -219,8 +219,27 @@ BAD_V = "configuration.distances[{}].v[0]: radicand must be positive, got 0"
       (["z2", "z2"], ["5"])],
      InvalidConfiguration, "self-distance of z2 must be plus-infinity, "
                            "not (5)"),
+    (["z0", "z1", "z2"], [(["z0", "zz"], ["1"]), (["zz", "z0"], ["2"])],
+     SchemaError, "configuration.distances[1]: pair z0,zz already has a "
+                  "different value at configuration.distances[0]"),
+    (["z0", "z1", "z2"], [(["z1", "z1"], "inf"), (["z1", "z1"], ["5"])],
+     SchemaError, "configuration.distances[1]: pair z1,z1 already has a "
+                  "different value at configuration.distances[0]"),
+    (["z0", "z0", "z2"], [(["z0", "zz"], ["1"]), (["z0", "z2"], ["1"])],
+     InvalidConfiguration, "point names must be distinct"),
+    (["z0", "z1", "z2"],
+     [(["z0", "z1"], ["1"]), (["z1", "z1"], ["5"]), (["z0", "zz"], ["1"])],
+     InvalidConfiguration, "self-distance of z1 must be plus-infinity, "
+                           "not (5)"),
+    (["z0", "z1", "z2"],
+     [(["z0", "z1"], ["1", "0"]), (["z1", "z2"], ["1"]),
+      (["z2", "zz"], ["1"])],
+     InvalidConfiguration, "distance references unknown point z2,zz"),
 ], ids=["value-before-unknown-point", "value-before-repeated-name",
-        "conflict-names-first-index", "self-distance-before-arity"])
+        "conflict-names-first-index", "self-distance-before-arity",
+        "conflict-on-an-unknown-point", "conflict-on-a-self-pair",
+        "repeated-name-before-unknown-point",
+        "self-distance-before-unknown-point", "unknown-point-before-arity"])
 def test_distance_table_errors_keep_their_order(seq, dist, error, text):
     raw = {"sequence": seq, "points": [],
            "distances": [{"pair": pq, "v": v} for pq, v in dist]}
