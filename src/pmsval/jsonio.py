@@ -22,7 +22,7 @@ from marshal import dumps
 from typing import Any, NamedTuple, Optional
 
 from .engine import FactoredRationalFunction, TaggedRoot
-from .errors import InvariantError, SchemaError
+from .errors import InvalidConfiguration, InvariantError, SchemaError
 from .exact import ExactReal
 from .groups import (AdjoinedSurd, Component, Cyclic, FormalInteger,
                      FullRational, GroupDescriptor, INFINITY,
@@ -343,12 +343,17 @@ def decode_configuration(raw: Any, path: str, numerals: dict
         raise _fail(path, "configuration must be an object")
     seq, pts = _list(raw, "sequence", path), _list(raw, "points", path)
     entries, at = _list(raw, "distances", path), f"{path}.distances"
-    # Equal encodings decode once and share one Value: marshal writes the
-    # type of every leaf, so 1, true, 1.0 and "1" stay apart, and equal
-    # values spelled otherwise only decode twice.  A bad encoding is never
-    # stored, so it still fails at its own path.  Paths are written only
-    # for a failure or a new encoding.
-    dist, decoded = {}, {}
+    seq, pts = tuple(map(str, seq)), tuple(map(str, pts))
+    # One walk fills rows[j][k], k >= j, by position and refuses a schema
+    # fault at once.  Equal encodings decode once and share one Value:
+    # marshal writes the type of every leaf, so 1, true, 1.0 and "1" stay
+    # apart.  A bad encoding is never stored, so it still fails at its own
+    # path.  An unknown name gets a row of its own, so a pair given two
+    # values is refused whatever it names; the first unknown point or
+    # finite self-distance is raised after the walk, behind repeated names.
+    index = {p: j for j, p in enumerate(seq + pts)}
+    rows = [{} for _ in seq + pts]
+    decoded, bad = {}, None
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "pair" not in entry or "v" not in entry:
             raise _fail(f"{at}[{i}]", "distance entry needs pair and v")
@@ -356,20 +361,41 @@ def decode_configuration(raw: Any, path: str, numerals: dict
         if not isinstance(pair, list) or len(pair) != 2:
             raise _fail(f"{at}[{i}]", "pair must name two points")
         a, b = str(pair[0]), str(pair[1])
-        key = (a, b) if a <= b else (b, a)
         raw_v = entry["v"]
         enc = dumps(raw_v)
         v = decoded.get(enc)
         if v is None:
             v = decoded[enc] = decode_value(raw_v, f"{at}[{i}].v", numerals)
-        old = dist.setdefault(key, v)
+        j, k = index.get(a), index.get(b)
+        if j is None or k is None:
+            bad = bad or ("distance references unknown point "
+                          f"{min(a, b)},{max(a, b)}")
+            for p in (a, b):
+                if p not in index:
+                    index[p] = len(rows)
+                    rows.append({})
+            j, k = index[a], index[b]
+        if k < j:
+            j, k = k, j
+        elif j == k and v.coords is not None:
+            bad = bad or f"self-distance of {a} must be plus-infinity, not {v}"
+        old = rows[j].setdefault(k, v)
         if old is not v and old != v:
+            key = sorted((a, b))
             first = next(k for k, e in enumerate(entries)
-                         if tuple(sorted(map(str, e["pair"]))) == key)
+                         if sorted(map(str, e["pair"])) == key)
             raise _fail(f"{at}[{i}]", f"pair {key[0]},{key[1]} already has a "
                         f"different value at {at}[{first}]")
-    return UltrametricConfiguration.build([str(s) for s in seq],
-                                          [str(s) for s in pts], dist)
+    if len(index) != len(rows):  # each unknown name added one to each
+        raise InvalidConfiguration("point names must be distinct")
+    if bad is not None:
+        raise InvalidConfiguration(bad)
+    if len({len(v.coords) for v in decoded.values()
+            if v.coords is not None}) > 1:
+        raise InvalidConfiguration("distance values have mixed arities")
+    for j, row in enumerate(rows):
+        row.pop(j, None)  # a self-pair at plus-infinity
+    return UltrametricConfiguration.build(seq, pts, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

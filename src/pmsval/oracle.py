@@ -209,23 +209,24 @@ def sequence_configuration(field: ConcreteField,
     of which has the smallest value (k = i when increasing, k = j - 1 when
     decreasing), so v(z_i - z_j) = pattern_distance(kind, deltas, i, j) by
     the ultrametric law.  Only those N - 1 pairs are then recorded, and
-    ``distance`` of a non-consecutive pair raises IndeterminateError.  Any
-    other sequence (a pcts, or no pms at all) gets the full table, which
-    its classification needs.  Two equal consecutive terms are refused.
+    ``distance`` of a non-consecutive pair returns None.  Any other
+    sequence (a pcts, or no pms at all) gets the full table, which its
+    classification needs.  Two equal consecutive terms are refused.
     """
-    names = [f"z{i}" for i in range(len(terms))]
-    consec = [field.valuate(terms[i] - terms[i + 1])
-              for i in range(len(terms) - 1)]
+    n = len(terms)
+    consec = [field.valuate(terms[i] - terms[i + 1]) for i in range(n - 1)]
+    rows = tuple({} for _ in terms)
     for i, v in enumerate(consec):
         if v.is_infinity:
             raise InvariantError(
                 f"sequence terms {i} and {i + 1} are equal")
-    dist = {(names[i], names[i + 1]): v for i, v in enumerate(consec)}
+        rows[i][i + 1] = v
     if not (moves(consec, 1) or moves(consec, -1)):
-        for i in range(len(terms)):
-            for j in range(i + 2, len(terms)):
-                dist[(names[i], names[j])] = field.valuate(terms[i] - terms[j])
-    return UltrametricConfiguration.build(names, (), dist)
+        for i, row in enumerate(rows):
+            for j in range(i + 2, n):
+                row[j] = field.valuate(terms[i] - terms[j])
+    return UltrametricConfiguration.build([f"z{i}" for i in range(n)], (),
+                                          rows)
 
 
 # ---------------------------------------------------------------------------

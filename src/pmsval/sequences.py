@@ -287,59 +287,22 @@ class PmsDescriptor(namedtuple("PmsDescriptor", "kind group chain pcts_delta "
 # Ultrametric configurations
 
 
-def _checked_rows(names: tuple, distances: dict) -> tuple:
-    """rows[i][k] for k > i, the distance of names[i] and names[k], in one
-    walk over the table.  Refuses repeated names, then in table order an
-    unknown point, a pair given two values and a finite self-distance, then
-    mixed arities."""
-    index = {p: i for i, p in enumerate(names)}
-    if len(index) != len(names):
-        raise InvalidConfiguration("point names must be distinct")
-    rows = tuple({} for _ in names)
-    arities = set()
-    for (p, q), v in distances.items():
-        i, k = index.get(p), index.get(q)
-        if i is None or k is None:
-            a, b = sorted((p, q))
-            raise InvalidConfiguration(
-                f"distance references unknown point {a},{b}")
-        if k < i:
-            i, k = k, i
-        elif i == k:
-            if v.coords is not None:
-                raise InvalidConfiguration(
-                    f"self-distance of {p} must be plus-infinity, not {v}")
-            continue
-        old = rows[i].setdefault(k, v)
-        if old is not v and old != v:
-            a, b = sorted((p, q))
-            raise InvalidConfiguration(
-                f"pair {a},{b} is given two different values, {old} and {v}")
-        if v.coords is not None:
-            arities.add(len(v.coords))
-    if len(arities) > 1:
-        raise InvalidConfiguration("distance values have mixed arities")
-    return rows
-
-
 class UltrametricConfiguration(namedtuple("UltrametricConfiguration",
                                           "sequence points rows")):
     """A finite named point set with exact pairwise valuation distances.
 
     sequence lists the ordered names of the sequence members; points holds
     any extra named points (limit candidates, X, ...).  rows[i][k], for
-    k > i, is the recorded distance of names()[i] and names()[k], indexed
-    once by build; the self-distance is plus-infinity.
+    k > i, is the recorded distance of names()[i] and names()[k]; the
+    self-distance is plus-infinity.
     """
 
     @staticmethod
     def build(sequence: Sequence[str], points: Sequence[str],
-              distances: dict[tuple[str, str], Value]) -> "UltrametricConfiguration":
-        """The checked constructor: one walk indexes the table by position
-        and refuses bad entries, then the isosceles law is checked."""
-        sequence, points = tuple(sequence), tuple(points)
-        cfg = UltrametricConfiguration(
-            sequence, points, _checked_rows(sequence + points, distances))
+              rows: tuple[dict[int, Value], ...]) -> "UltrametricConfiguration":
+        """The checked constructor: the configuration over rows, refused
+        when the isosceles law fails."""
+        cfg = UltrametricConfiguration(tuple(sequence), tuple(points), rows)
         bad = cfg.isosceles_violation()
         if bad is not None:
             raise InvalidConfiguration(

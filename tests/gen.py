@@ -19,7 +19,6 @@ from pmsval.groups import component_contains, component_generator
 from pmsval.oracle import CompositeField, ConcreteRationalFunction, \
     PadicRationals, QtElement, padic_valuation
 from pmsval.ranktree import Branch
-from pmsval.sequences import _checked_rows
 
 LEAF_BRANCHES = (Branch.SUP_INFINITE, Branch.BOUND_NOT_IN_GROUP,
                  Branch.BOUND_IN_GROUP_STRICT)
@@ -155,15 +154,27 @@ def with_candidates(rng: random.Random, cfg: UltrametricConfiguration
                 dist[(p, q)] = top
             elif (d := cfg.distance(proxy[p], proxy[q])) is not None:
                 dist[(p, q)] = d
-    return UltrametricConfiguration.build(zs, names[len(zs):], dist)
+    return UltrametricConfiguration.build(zs, names[len(zs):],
+                                          rows_of(names, dist))
 
 
 def table(cfg: UltrametricConfiguration) -> dict:
-    """The recorded distances of cfg as a table build takes, each pair
+    """The recorded distances of cfg as a table rows_of takes, each pair
     once, keyed by its two names in position order."""
     names = cfg.names()
     return {(names[i], names[k]): v
             for i, row in enumerate(cfg.rows) for k, v in row.items()}
+
+
+def rows_of(names, distances: dict) -> tuple:
+    """The rows build takes, from a table keyed by pairs of names:
+    rows[i][k], k > i, the distance of names[i] and names[k]."""
+    index = {p: i for i, p in enumerate(names)}
+    rows = tuple({} for _ in names)
+    for (p, q), v in distances.items():
+        i, k = sorted((index[p], index[q]))
+        rows[i][k] = v
+    return rows
 
 
 def unchecked(sequence, points, distances: dict) -> UltrametricConfiguration:
@@ -171,7 +182,7 @@ def unchecked(sequence, points, distances: dict) -> UltrametricConfiguration:
     check."""
     sequence, points = tuple(sequence), tuple(points)
     return UltrametricConfiguration(sequence, points,
-                                    _checked_rows(sequence + points, distances))
+                                    rows_of(sequence + points, distances))
 
 
 def random_value(rng: random.Random, arity: int, surds: bool = True) -> Value:

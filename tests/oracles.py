@@ -4,20 +4,27 @@ tagged rational function; the round-trip tests check the jsonio decoders
 against them.  The mirror of a descriptor, by which the tests check the
 paper's duality of the pcs and pds rules.  The monomial valuation at a
 value alpha, and the configuration of a prefix together with X, by which
-the acceptance criteria check v_E and the limit reading."""
+the acceptance criteria check v_E and the limit reading.  The two-walk
+decoder of a distance table, by which the tests check the one-walk
+decoder's errors and rows."""
 
 from __future__ import annotations
 
+from marshal import dumps
 from typing import Any, Iterable, Optional
 
 from pmsval.engine import FactoredRationalFunction
-from pmsval.errors import IndeterminateError, InvariantError
+from pmsval.errors import (IndeterminateError, InvalidConfiguration,
+                           InvariantError, SchemaError)
 from pmsval.groups import INFINITY, Value
-from pmsval.jsonio import encode_exact, encode_group, encode_value
+from pmsval.jsonio import (decode_value, encode_exact, encode_group,
+                           encode_value)
 from pmsval.ranktree import rank_of_vE
 from pmsval.sequences import (Algebraic, ConstantFrom, PcsType, PmsDescriptor,
                               PmsKind, StageChain, Transcendental,
                               UltrametricConfiguration, pattern_distance)
+
+from gen import rows_of
 
 
 def encode_chain(chain: StageChain, sign: int) -> list:
@@ -127,4 +134,83 @@ def induced_configuration(E: PmsDescriptor) -> UltrametricConfiguration:
             v = alpha
         if v is not None:
             dist[(names[nu], "X")] = v
-    return UltrametricConfiguration.build(names, ("X",), dist)
+    return UltrametricConfiguration.build(names, ("X",),
+                                          rows_of(names + ["X"], dist))
+
+
+def two_walk_configuration(raw: Any, path: str, numerals: dict
+                           ) -> UltrametricConfiguration:
+    """A configuration decoded in two walks: the first keys each entry by
+    its sorted pair of names and refuses each schema fault in table order,
+    the second, checked_rows, indexes the table by position."""
+    def fail(at: str, msg: str) -> SchemaError:
+        return SchemaError(f"{at}: {msg}")
+
+    def listed(key: str) -> list:
+        value = raw.get(key, [])
+        if not isinstance(value, list):
+            raise fail(path, f"{key} must be a list")
+        return value
+
+    if not isinstance(raw, dict):
+        raise fail(path, "configuration must be an object")
+    seq, pts = listed("sequence"), listed("points")
+    entries, at = listed("distances"), f"{path}.distances"
+    dist, decoded = {}, {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "pair" not in entry or "v" not in entry:
+            raise fail(f"{at}[{i}]", "distance entry needs pair and v")
+        pair = entry["pair"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise fail(f"{at}[{i}]", "pair must name two points")
+        a, b = str(pair[0]), str(pair[1])
+        key = (a, b) if a <= b else (b, a)
+        raw_v = entry["v"]
+        enc = dumps(raw_v)
+        v = decoded.get(enc)
+        if v is None:
+            v = decoded[enc] = decode_value(raw_v, f"{at}[{i}].v", numerals)
+        old = dist.setdefault(key, v)
+        if old is not v and old != v:
+            first = next(k for k, e in enumerate(entries)
+                         if tuple(sorted(map(str, e["pair"]))) == key)
+            raise fail(f"{at}[{i}]", f"pair {key[0]},{key[1]} already has a "
+                       f"different value at {at}[{first}]")
+    seq, pts = tuple(str(s) for s in seq), tuple(str(s) for s in pts)
+    return UltrametricConfiguration.build(seq, pts,
+                                          checked_rows(seq + pts, dist))
+
+
+def checked_rows(names: tuple, distances: dict) -> tuple:
+    """rows[i][k] for k > i, the distance of names[i] and names[k], in one
+    walk over the table.  Refuses repeated names, then in table order an
+    unknown point, a pair given two values and a finite self-distance, then
+    mixed arities."""
+    index = {p: i for i, p in enumerate(names)}
+    if len(index) != len(names):
+        raise InvalidConfiguration("point names must be distinct")
+    rows = tuple({} for _ in names)
+    arities = set()
+    for (p, q), v in distances.items():
+        i, k = index.get(p), index.get(q)
+        if i is None or k is None:
+            a, b = sorted((p, q))
+            raise InvalidConfiguration(
+                f"distance references unknown point {a},{b}")
+        if k < i:
+            i, k = k, i
+        elif i == k:
+            if v.coords is not None:
+                raise InvalidConfiguration(
+                    f"self-distance of {p} must be plus-infinity, not {v}")
+            continue
+        old = rows[i].setdefault(k, v)
+        if old is not v and old != v:
+            a, b = sorted((p, q))
+            raise InvalidConfiguration(
+                f"pair {a},{b} is given two different values, {old} and {v}")
+        if v.coords is not None:
+            arities.add(len(v.coords))
+    if len(arities) > 1:
+        raise InvalidConfiguration("distance values have mixed arities")
+    return rows

@@ -22,7 +22,8 @@ from pmsval.jsonio import (decode_chain, decode_component,
                            encode_value, loads_problem)
 
 from gen import random_descriptor, random_value, table
-from oracles import encode_chain, encode_descriptor, encode_function
+from oracles import (encode_chain, encode_descriptor, encode_function,
+                     two_walk_configuration)
 
 
 def test_exact_round_trip():
@@ -246,6 +247,77 @@ def test_distance_table_errors_keep_their_order(seq, dist, error, text):
     with pytest.raises(error) as caught:
         jsonio.decode_configuration(raw, "configuration", {})
     assert type(caught.value) is error and str(caught.value) == text
+
+
+# Distance encodings: equal values spelled three ways, a second arity, the
+# value of zero, and three that fail to decode.
+TABLE_VALUES = (["1"], "1", [{"rat": "1"}], ["2"], ["3"], ["1", "0"],
+                ["2", "1"], "inf", ["x"], [BAD_SURD], 1.5)
+
+
+def faulty_table(rng: random.Random) -> dict:
+    """A distance table as JSON over up to five names, each fault drawn
+    on its own: a repeated name, a name given as an integer, pairs naming
+    an unknown point or one point twice, a pair given twice, a value that
+    fails to decode or differs in arity, and a malformed entry."""
+    names = ["a", "b", "c", "d", "e"][:rng.randint(0, 5)]
+    if names and rng.random() < 0.1:
+        names.insert(rng.randrange(len(names) + 1), rng.choice(names))
+    if rng.random() < 0.1:
+        names.append(rng.choice((1, "1")))
+    cut = rng.randint(0, len(names))
+    said = [str(p) for p in names] or ["a"]
+    if rng.random() < 0.15:
+        said += ["u", "v", 1][:rng.randint(1, 3)]
+    pairs = [[p, q] for i, p in enumerate(said) for q in said[i + 1:]]
+    if rng.random() < 0.15:
+        pairs += [[p, p] for p in said]
+    values = rng.sample(TABLE_VALUES[:5], rng.randint(1, 3))
+    if rng.random() < 0.2:
+        values.append(rng.choice(TABLE_VALUES[5:]))
+    twice = rng.random() < 0.2
+    entries = []
+    for pair in rng.sample(pairs, rng.randint(0, len(pairs))):
+        entries.append({"pair": pair[::rng.choice((1, -1))],
+                        "v": rng.choice(values)})
+        if twice and rng.random() < 0.3:
+            entries.append({"pair": pair, "v": rng.choice(values)})
+    if entries and rng.random() < 0.05:
+        p, q = entries[-1]["pair"]
+        entries.insert(rng.randrange(len(entries)), rng.choice(
+            ({"pair": [p]}, {"pair": [p, q]}, [p, q], {"pair": p, "v": "1"})))
+    return {"sequence": names[:cut], "points": names[cut:],
+            "distances": entries}
+
+
+def decoded_or_refused(decoder, raw):
+    """The configuration's fields, or the refusal's type and text."""
+    try:
+        cfg = decoder(raw, "configuration", {})
+    except (SchemaError, InvalidConfiguration) as exc:
+        return type(exc), str(exc)
+    return cfg.sequence, cfg.points, cfg.rows
+
+
+# Words from the text of each refusal.
+FAULTS = ("needs pair and v", "name two points", "not a", "radicand",
+          "already has a different value", "must be distinct",
+          "unknown point", "self-distance", "mixed arities", "isosceles law")
+
+
+def test_one_walk_decoder_matches_the_two_walk_reference():
+    # The same refusal, type and text, or the same fields, on 3,000 tables.
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(3000):
+        raw = faulty_table(rng)
+        want = decoded_or_refused(two_walk_configuration, raw)
+        assert decoded_or_refused(decode_configuration, raw) == want, raw
+        refused = want[0] in (SchemaError, InvalidConfiguration)
+        seen[next((fault for fault in FAULTS if fault in want[1]), want[1])
+             if refused else "decoded"] += 1
+    # Every refusal is drawn, each at least 20 times.
+    assert set(seen) == {"decoded", *FAULTS} and min(seen.values()) >= 20
 
 
 @pytest.mark.parametrize("p", [0, 1, 4])

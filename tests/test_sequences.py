@@ -20,8 +20,8 @@ from pmsval.errors import (IndeterminateError, InvalidConfiguration,
                            InvariantError, KindError, NotAPms)
 from pmsval.oracle import PadicRationals, sequence_configuration
 
-from gen import (make_descriptor, random_descriptor, random_member, table,
-                 unchecked)
+from gen import (make_descriptor, random_descriptor, random_member, rows_of,
+                 table, unchecked)
 from oracles import induced_configuration, mirror
 from pmsval.ranktree import Branch, auto_probes
 from pmsval.sequences import delta_shift
@@ -61,7 +61,8 @@ def config_from(deltas, kind: PmsKind, extra=None) -> UltrametricConfiguration:
                 if v is not None:
                     a, b = sorted((names[i], name))
                     dist[(a, b)] = v
-    return UltrametricConfiguration.build(names, points, dist)
+    return UltrametricConfiguration.build(names, points,
+                                          rows_of(names + points, dist))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,7 @@ def test_classify_mixed_pattern_rejected():
         ("z2", "z3"): Value.of(1), ("z0", "z2"): Value.of(1),
         ("z0", "z3"): Value.of(1), ("z1", "z3"): Value.of(1),
     }
-    cfg = UltrametricConfiguration.build(names, (), dist)
+    cfg = UltrametricConfiguration.build(names, (), rows_of(names, dist))
     with pytest.raises(NotAPms):
         classify_from_prefix(cfg)
 
@@ -117,7 +118,8 @@ def test_classify_equal_consecutive_distances_need_equal_far_pairs():
     # far pair is at 2; the triangle itself is isosceles.
     dist = {("z0", "z1"): Value.of(1), ("z1", "z2"): Value.of(1),
             ("z0", "z2"): Value.of(2)}
-    cfg = UltrametricConfiguration.build(["z0", "z1", "z2"], (), dist)
+    z = ["z0", "z1", "z2"]
+    cfg = UltrametricConfiguration.build(z, (), rows_of(z, dist))
     with pytest.raises(NotAPms, match="^consecutive distances are neither "
                        "strictly increasing, strictly decreasing, nor all "
                        "equal$"):
@@ -127,13 +129,15 @@ def test_classify_equal_consecutive_distances_need_equal_far_pairs():
 def test_isosceles_violation_rejected():
     dist = {("z0", "z1"): Value.of(1), ("z0", "z2"): Value.of(2),
             ("z1", "z2"): Value.of(3)}
+    z = ["z0", "z1", "z2"]
     with pytest.raises(InvalidConfiguration):
-        UltrametricConfiguration.build(["z0", "z1", "z2"], (), dist)
+        UltrametricConfiguration.build(z, (), rows_of(z, dist))
 
 
 def test_classify_needs_three_points():
     dist = {("z0", "z1"): Value.of(1)}
-    cfg = UltrametricConfiguration.build(["z0", "z1"], (), dist)
+    z = ["z0", "z1"]
+    cfg = UltrametricConfiguration.build(z, (), rows_of(z, dist))
     with pytest.raises(IndeterminateError):
         classify_from_prefix(cfg)
 
@@ -141,7 +145,8 @@ def test_classify_needs_three_points():
 def test_classify_names_the_first_missing_consecutive_pair():
     dist = {("z0", "z1"): Value.of(1), ("z0", "z2"): Value.of(1),
             ("z0", "z3"): Value.of(1), ("z2", "z3"): Value.of(3)}
-    cfg = UltrametricConfiguration.build(["z0", "z1", "z2", "z3"], (), dist)
+    z = ["z0", "z1", "z2", "z3"]
+    cfg = UltrametricConfiguration.build(z, (), rows_of(z, dist))
     with pytest.raises(IndeterminateError,
                        match="^no distance recorded for z1, z2$"):
         classify_from_prefix(cfg)
@@ -448,7 +453,8 @@ def test_a_pds_limit_is_read_in_the_extended_group():
     dist = {**table(cfg), ("y", "z0"): Value.of(100, 0),
             **{("y", p): cfg.distance("z0", p) for p in cfg.names()
                if p != "z0"}}
-    cfg = UltrametricConfiguration.build(cfg.sequence, ("X", "y"), dist)
+    cfg = UltrametricConfiguration.build(
+        cfg.sequence, ("X", "y"), rows_of(cfg.sequence + ("X", "y"), dist))
     assert is_limit("y", E, cfg) is Tri.TRUE
     out = limit_dichotomy_check("y", E, cfg)
     assert (out.is_limit, out.constant_value) == (True, None)

@@ -13,7 +13,7 @@ import pytest
 import pmsval.sequences
 from pmsval import jsonio
 from pmsval.exact import ExactReal
-from pmsval.errors import InvalidConfiguration
+from pmsval.errors import InvalidConfiguration, SchemaError
 from pmsval.groups import INFINITY, Cyclic, GroupDescriptor, Value
 from pmsval.oracle import PadicRationals, sequence_configuration
 from pmsval.sequences import (PmsDescriptor, PmsKind, StageChain, Tri,
@@ -21,7 +21,7 @@ from pmsval.sequences import (PmsDescriptor, PmsKind, StageChain, Tri,
                               classify_from_prefix, is_limit,
                               limit_dichotomy_check)
 
-from gen import random_value, table, unchecked
+from gen import random_value, rows_of, table, unchecked
 
 
 def brute_force_violation(names, dist):
@@ -96,11 +96,19 @@ def test_isosceles_scan_follows_name_order_not_table_order():
             == brute_force_violation(cfg.names(), dist)
 
 
+def decode(sequence, points, dist):
+    """decode_configuration of a table given as (pair, v) items."""
+    raw = {"sequence": sequence, "points": points,
+           "distances": [{"pair": pair, "v": v} for pair, v in dist]}
+    return jsonio.decode_configuration(raw, "configuration", {})
+
+
 def test_self_pairs_are_skipped():
     z = ["z0", "z1", "z2", "z3"]
-    dist = {("z0", "z0"): INFINITY, ("z0", "z1"): Value.of(1),
-            ("z1", "z2"): Value.of(2), ("z2", "z3"): Value.of(3)}
-    cfg = UltrametricConfiguration.build(z, (), dist)
+    cfg = decode(z, [], [(["z0", "z0"], "inf"), (["z0", "z1"], ["1"]),
+                         (["z1", "z2"], ["2"]), (["z2", "z3"], ["3"])])
+    assert cfg.rows == ({1: Value.of(1)}, {2: Value.of(2)}, {3: Value.of(3)},
+                        {})
     assert classify_from_prefix(cfg) == (
         PmsKind.PCS, [Value.of(1), Value.of(2), Value.of(3)])
 
@@ -112,7 +120,7 @@ def test_classify_names_the_first_contradicting_pair():
     dist = {("z0", "z5"): Value.of(9)}
     dist.update({(z[i], z[i + 1]): Value.of(i + 1) for i in range(5)})
     dist[("z0", "z3")] = Value.of(9)
-    cfg = UltrametricConfiguration.build(z, (), dist)
+    cfg = UltrametricConfiguration.build(z, (), rows_of(z, dist))
     with pytest.raises(InvalidConfiguration,
                        match="^distance z0,z3 contradicts the pcs pattern$"):
         classify_from_prefix(cfg)
@@ -159,7 +167,7 @@ def test_complete_build_makes_quadratically_many_compares(monkeypatch):
     dist = {(z[i], z[j]): field.valuate(terms[i] - terms[j])
             for i in range(n) for j in range(i + 1, n)}
     calls = counting_compares(monkeypatch)
-    cfg = UltrametricConfiguration.build(z, (), dist)
+    cfg = UltrametricConfiguration.build(z, (), rows_of(z, dist))
     assert len(table(cfg)) == n * (n - 1) // 2
     assert calls[0] <= sort_bound(dist.values())
 
@@ -194,74 +202,84 @@ def test_oracle_sequence_compares_no_more_than_before(monkeypatch, kind):
 
 
 def test_build_refuses_a_pair_given_two_values():
+    # The decoder refuses the second value as a schema error, naming the
+    # entry that gave the first; an equal second value is kept once.
     z = ["z0", "z1", "z2"]
-    dist = {("z0", "z1"): Value.of(1), ("z1", "z2"): Value.of(2),
-            ("z2", "z1"): Value.of(7)}
-    with pytest.raises(InvalidConfiguration,
-                       match="^pair z1,z2 is given two different values"):
-        UltrametricConfiguration.build(z, (), dist)
-    dist[("z2", "z1")] = Value.of(2)
-    cfg = UltrametricConfiguration.build(z, (), dist)
-    assert cfg.rows == ({1: Value.of(1)}, {2: Value.of(2)}, {})
+    dist = [(["z0", "z1"], ["1"]), (["z1", "z2"], ["2"]),
+            (["z2", "z1"], ["7"])]
+    with pytest.raises(SchemaError) as caught:
+        decode(z, [], dist)
+    assert str(caught.value) == (
+        "configuration.distances[2]: pair z1,z2 already has a different "
+        "value at configuration.distances[1]")
+    dist[2] = (["z2", "z1"], ["2"])
+    assert decode(z, [], dist).rows == ({1: Value.of(1)}, {2: Value.of(2)},
+                                        {})
 
 
 def test_configuration_refuses_an_unknown_point_and_mixed_arities():
-    z = ("z0", "z1", "z2")
+    z = ["z0", "z1", "z2"]
     with pytest.raises(InvalidConfiguration, match="unknown point z0,zz"):
-        UltrametricConfiguration.build(z, (), {("z0", "zz"): Value.of(1)})
+        decode(z, [], [(["z0", "zz"], ["1"])])
     with pytest.raises(InvalidConfiguration, match="mixed arities"):
-        UltrametricConfiguration.build(z, (), {("z0", "z1"): Value.of(1),
-                                               ("z1", "z2"): Value.of(1, 0)})
+        decode(z, [], [(["z0", "z1"], ["1"]), (["z1", "z2"], ["1", "0"])])
 
 
 # A partial pcs table over z0, z1, z2 and one point y, then one fault each.
-GOOD = {("z0", "z1"): Value.of(1), ("z1", "z2"): Value.of(2),
-        ("y", "z0"): Value.of(1)}
+GOOD = [(["z0", "z1"], ["1"]), (["z1", "z2"], ["2"]), (["y", "z0"], ["1"])]
 
 
-@pytest.mark.parametrize("points, extra, text", [
-    (("y", "z1"), {}, "point names must be distinct"),
-    (("y",), {("zz", "z0"): Value.of(1)},
+@pytest.mark.parametrize("points, extra, error, text", [
+    (["y", "z1"], [], InvalidConfiguration, "point names must be distinct"),
+    (["y"], [(["zz", "z0"], ["1"])], InvalidConfiguration,
      "distance references unknown point z0,zz"),
-    (("y",), {("z1", "z1"): Value.of(3)},
+    (["y"], [(["z1", "z1"], ["3"])], InvalidConfiguration,
      "self-distance of z1 must be plus-infinity, not (3)"),
-    (("y",), {("z2", "z1"): Value.of(3)},
-     "pair z1,z2 is given two different values, (2) and (3)"),
-    (("y",), {("y", "z2"): Value.of(2, 0)},
+    (["y"], [(["z2", "z1"], ["3"])], SchemaError,
+     "configuration.distances[3]: pair z1,z2 already has a different value "
+     "at configuration.distances[1]"),
+    (["y"], [(["y", "z2"], ["2", "0"])], InvalidConfiguration,
      "distance values have mixed arities"),
 ], ids=["names", "unknown", "self", "repeat", "arity"])
-def test_build_refuses_each_single_fault(points, extra, text):
-    assert UltrametricConfiguration.build(("z0", "z1", "z2"), ("y",), GOOD)
-    with pytest.raises(InvalidConfiguration) as caught:
-        UltrametricConfiguration.build(("z0", "z1", "z2"), points,
-                                       {**GOOD, **extra})
-    assert type(caught.value) is InvalidConfiguration
+def test_build_refuses_each_single_fault(points, extra, error, text):
+    assert decode(["z0", "z1", "z2"], ["y"], GOOD)
+    with pytest.raises(error) as caught:
+        decode(["z0", "z1", "z2"], points, GOOD + extra)
+    assert type(caught.value) is error
     assert str(caught.value) == text
 
 
 def test_rows_are_indexed_once_per_configuration(monkeypatch):
-    # A partial table: build's checked walk indexes the rows, and its
-    # triangle scan and the classification after it read them.
-    walks = []
-    walk = pmsval.sequences._checked_rows
+    # build keeps the rows it is given, and decoding a problem builds its
+    # configuration once; the triangle scan and the classification after
+    # it read those rows.
+    builds = []
+    build = UltrametricConfiguration.build
 
-    def counting(names, distances):
-        walks.append(names)
-        return walk(names, distances)
+    def counting(sequence, points, rows):
+        builds.append(rows)
+        return build(sequence, points, rows)
 
-    monkeypatch.setattr(pmsval.sequences, "_checked_rows", counting)
+    monkeypatch.setattr(UltrametricConfiguration, "build",
+                        staticmethod(counting))
     z = [f"z{i}" for i in range(5)]
-    dist = {(z[i], z[i + 1]): Value.of(i + 1) for i in range(4)}
-    dist.update({("y", z[i]): Value.of(i + 1) for i in range(4)})
-    cfg = UltrametricConfiguration.build(z, ("y",), dist)
+    dist = [([z[i], z[i + 1]], i + 1) for i in range(4)]
+    dist += [(["y", z[i]], i + 1) for i in range(4)]
+    rows = rows_of(z + ["y"], {tuple(p): Value.of(d) for p, d in dist})
+    assert UltrametricConfiguration.build(z, ("y",), rows).rows is rows
+    text = json.dumps({"version": "1", "configuration": {
+        "sequence": z, "points": ["y"],
+        "distances": [{"pair": p, "v": [d]} for p, d in dist]}})
+    cfg = jsonio.loads_problem(text).configuration
+    assert len(builds) == 2 and cfg.rows is builds[1]
+    assert cfg.rows == rows
     assert cfg.classification[0] is PmsKind.PCS
     assert cfg.rows[0] == {1: Value.of(1), 5: Value.of(1)}
-    assert walks == [cfg.names()]
-    # A configuration made from the rows holds them and walks no table.
+    # A configuration made from the rows holds them as they are.
     plain = UltrametricConfiguration(cfg.sequence, cfg.points, cfg.rows)
     assert plain == cfg and plain.rows is cfg.rows
     assert plain.classification == cfg.classification
-    assert walks == [cfg.names()]
+    assert len(builds) == 2
 
 
 def test_mixed_encodings_of_one_value_share_a_rank(monkeypatch):
@@ -304,7 +322,7 @@ def test_large_table_with_one_wrong_entry_names_the_first_triple():
         == ("z10", "z11", "z40")
     with pytest.raises(InvalidConfiguration,
                        match="^isosceles law fails on points z10, z11, z40$"):
-        UltrametricConfiguration.build(z, (), dist)
+        UltrametricConfiguration.build(z, (), rows_of(z, dist))
 
 
 def test_classify_consecutive_only_table_is_linear(monkeypatch):
@@ -337,7 +355,7 @@ def test_complete_pds_and_pcts_builds_stay_quadratic(monkeypatch, pattern):
     dist = {(z[i], z[j]): Value.of(-j if pattern == "pds" else 0)
             for i in range(n) for j in range(i + 1, n)}
     calls = counting_compares(monkeypatch)
-    UltrametricConfiguration.build(z, (), dist)
+    UltrametricConfiguration.build(z, (), rows_of(z, dist))
     assert calls[0] <= sort_bound(dist.values())
     if pattern == "pcts":
         assert calls[0] == 0
